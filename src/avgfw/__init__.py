@@ -11,7 +11,7 @@ from .domains import Atom, DomainSet, Kind, contains, diameter, lmo, lmo_brutefo
 from .objectives import Logistic, QuadraticLS, Scalar1D, gap, gradient, lipschitz_bound, value
 from .schedules import Schedule, WeightVector, accumulation, alpha_t, beta, gamma, unrolled_weights
 from .solvers import IterateTrace, SolverConfig, SolverState, Variant, resume, solve
-from .flows import FlowConfig, FlowTrace, FlowVariant, force_signal, integrate
+from .flows import FlowConfig, FlowTrace, force_signal, integrate
 from .diagnostics import (
     ManifoldReport,
     RateFit,
@@ -52,7 +52,6 @@ __all__ = [
     "solve",
     "FlowConfig",
     "FlowTrace",
-    "FlowVariant",
     "force_signal",
     "integrate",
     "ManifoldReport",

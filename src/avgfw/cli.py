@@ -52,7 +52,7 @@ from .experiments import (
     train_val_split,
     write_svmlight,
 )
-from .flows import FlowConfig, FlowVariant, force_signal, integrate
+from .flows import FlowConfig, force_signal, integrate
 from .objectives import Logistic, lipschitz_bound
 from .schedules import Schedule
 from .solvers import IterateTrace, SolverConfig, SolverState, Variant, solve
@@ -222,16 +222,16 @@ def _build_schedule(cp) -> Schedule:
     return Schedule(c=_get_float(cp, "solver", "c", 3.0), p=_get_float(cp, "solver", "p", 1.0))
 
 
-def _parse_x0(cp, domain: DomainSet) -> Optional[np.ndarray]:
-    raw = _get(cp, "solver", "x0", "lmo")
+def _parse_x0(cp, domain: DomainSet, section: str = "solver") -> Optional[np.ndarray]:
+    raw = _get(cp, section, "x0", "lmo")
     if raw.strip().lower() == "lmo":
         return None
     try:
         vals = np.array([float(tok) for tok in raw.split(",")])
     except ValueError:
-        raise ConfigError(f"[solver] x0 must be 'lmo' or comma-separated floats, got {raw!r}") from None
+        raise ConfigError(f"[{section}] x0 must be 'lmo' or comma-separated floats, got {raw!r}") from None
     if vals.shape != (domain.n,):
-        raise ConfigError(f"[solver] x0 has {vals.size} entries, expected {domain.n}")
+        raise ConfigError(f"[{section}] x0 has {vals.size} entries, expected {domain.n}")
     return vals
 
 
@@ -245,12 +245,12 @@ def _build_solver_config(cp, domain: DomainSet, variant: Variant) -> SolverConfi
     )
 
 
-def _solver_variant(cp) -> Variant:
-    raw = _get(cp, "solver", "variant", "avgfw").strip().lower()
+def _parse_variant(cp, section: str = "solver") -> Variant:
+    raw = _get(cp, section, "variant", "avgfw").strip().lower()
     try:
         return Variant(raw)
     except ValueError:
-        raise ConfigError(f"[solver] variant must be fw or avgfw, got {raw!r}") from None
+        raise ConfigError(f"[{section}] variant must be fw or avgfw, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------- CSV io
@@ -328,7 +328,6 @@ def read_trace_csv(path: str) -> IterateTrace:
         beta=np.array(betas),
         atom_ids=vertex_ids,
         vertex_ids=vertex_ids,
-        atoms=None,
         variant=Variant.AVGFW,
         schedule=Schedule(3.0, 1.0),
         state=SolverState(k=n_rows, x=np.zeros(1), s_last=None, s_bar=np.zeros(1)),
@@ -357,7 +356,7 @@ def cmd_solve(args) -> int:
     seed = _resolve_seed(args, cp)
     out_dir = _resolve_out_dir(args, cp)
     obj, domain, meta = _build_problem(cp, seed)
-    variant = _solver_variant(cp)
+    variant = _parse_variant(cp)
     cfg = _build_solver_config(cp, domain, variant)
     trace = solve(obj, domain, cfg)
     header = _trace_header(cp, obj, domain, meta, {"variant": variant.value, "seed": seed})
@@ -474,14 +473,11 @@ def cmd_flow(args) -> int:
     seed = _resolve_seed(args, cp)
     out_dir = _resolve_out_dir(args, cp)
 
-    raw_variant = _get(cp, "flow", "variant", "avgfw").strip().lower()
-    try:
-        variant = FlowVariant(raw_variant)
-    except ValueError:
-        raise ConfigError(f"[flow] variant must be fw or avgfw, got {raw_variant!r}") from None
-    sched = Schedule(c=_get_float(cp, "solver", "c", 3.0), p=_get_float(cp, "solver", "p", 1.0))
+    variant = _parse_variant(cp, "flow")
+    sched = _build_schedule(cp)
     t_end = _get_float(cp, "flow", "t_end", 10.0)
     record_every = _get_float(cp, "flow", "record_every", max(t_end / 200.0, 1e-3))
+    dt = _get_float(cp, "flow", "dt", 1e-3)
     forced = _get(cp, "flow", "forced_signal", "none").strip().lower()
 
     header: Dict[str, object] = {}
@@ -490,27 +486,23 @@ def cmd_flow(args) -> int:
 
     if forced == "one":
         cfg = FlowConfig(
-            variant=FlowVariant.AVGFW_FLOW,
+            variant=Variant.AVGFW,
             schedule=sched,
             t_end=t_end,
-            dt=_get_float(cp, "flow", "dt", 1e-3),
+            dt=dt,
             record_every=record_every,
         )
         trace = force_signal(cfg, lambda t: np.array([1.0]))
         header["final_s_bar"] = _fmt_float(float(trace.final_s_bar[0]))
     elif forced == "none":
         obj, domain, meta = _build_problem(cp, seed)
-        x0_raw = _get(cp, "flow", "x0")
-        x0 = None
-        if x0_raw is not None and x0_raw.strip().lower() != "lmo":
-            x0 = np.array([float(tok) for tok in x0_raw.split(",")])
         cfg = FlowConfig(
             variant=variant,
             schedule=sched,
             t_end=t_end,
-            dt=_get_float(cp, "flow", "dt", 1e-3),
+            dt=dt,
             record_every=record_every,
-            x0=x0,
+            x0=_parse_x0(cp, domain, "flow"),
             f_ref=float(meta.get("f_ref", 0.0)),
         )
         trace = integrate(obj, domain, cfg)
@@ -559,7 +551,9 @@ def cmd_sweep(args) -> int:
     lo = _get_float(cp, "sweep", "alpha_lo", 1.0)
     hi = _get_float(cp, "sweep", "alpha_hi", 100.0)
     points = _get_int(cp, "sweep", "points", 10)
-    variant = _solver_variant(cp)
+    if points < 1:
+        raise ConfigError(f"[sweep] points must be >= 1, got {points}")
+    variant = _parse_variant(cp)
 
     lines = [f"# {key} = {val_}" for key, val_ in _config_echo(cp).items()]
     lines.append("alpha,train_loss,val_loss,final_gap")

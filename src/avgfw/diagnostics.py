@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
-from .domains import DomainSet, Kind, enumerate_vertices
+from .domains import DomainSet, Kind, _vertex_blocks
 from .errors import ConfigError, InsufficientData, NoZeroSet, UnsupportedKind
 from .objectives import Objective
 from .solvers import IterateTrace
@@ -149,15 +149,27 @@ def degeneracy_delta(obj: Objective, domain: DomainSet, x_star: np.ndarray) -> f
 
 def support_set(obj: Objective, domain: DomainSet, x_star: np.ndarray) -> FrozenSet[int]:
     """Vertex ids whose LMO objective at grad f(x_star) is within
-    relative tolerance 1e-6 of the best vertex value."""
+    relative tolerance 1e-6 of the best vertex value.
+
+    On the l1 ball and the simplex a vertex's value is one scaled
+    gradient entry (+-alpha g_i, alpha g_i), so no vertex is built; box
+    corners are scanned block by block (n <= 20).
+    """
     if not domain.is_polyhedral:
         raise UnsupportedKind("support sets need a polyhedral domain")
     g = obj.gradient(np.asarray(x_star, dtype=float))
-    atoms = list(enumerate_vertices(domain))
-    vals = np.array([float(np.dot(g, a.vector)) for a in atoms])
+    a = domain.alpha
+    if domain.kind is Kind.L1_BALL:
+        ids = np.arange(1, domain.n + 1)
+        ids, vals = np.concatenate([ids, -ids]), np.concatenate([a * g, -a * g])
+    elif domain.kind is Kind.SIMPLEX:
+        ids, vals = np.arange(domain.n), a * g
+    else:
+        ids, vals = zip(*((codes, V @ g) for codes, V in _vertex_blocks(domain)))
+        ids, vals = np.concatenate(ids), np.concatenate(vals)
     best = float(np.min(vals))
     tol = SUPPORT_REL_TOL * abs(best)
-    return frozenset(atoms[i].vertex_id for i in np.nonzero(vals <= best + tol)[0])
+    return frozenset(ids[vals <= best + tol].tolist())
 
 
 def identify_manifold(

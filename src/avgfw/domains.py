@@ -17,7 +17,10 @@ vertex_id encoding:
   L1Ball   +alpha*e_i -> +(i+1),  -alpha*e_i -> -(i+1)
   Simplex  alpha*e_i  -> i
   Box      corner code: bit i set iff coordinate i equals -alpha
-           (code 0 is the all-positive corner)
+           (code 0 is the all-positive corner). Codes are int64, so a
+           box may have at most 63 coordinates (BOX_MAX_DIM); larger
+           boxes are rejected at construction rather than letting the
+           ids wrap and collide.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateGradient, UnsupportedKind
 
 BOX_BRUTEFORCE_MAX_DIM = 20
+BOX_MAX_DIM = 63
 
 
 class Kind(enum.Enum):
@@ -59,6 +63,8 @@ class DomainSet:
             raise ConfigError(f"alpha must be positive, got {self.alpha}")
         if self.n < 1:
             raise ConfigError(f"dimension must be >= 1, got {self.n}")
+        if self.kind is Kind.BOX and self.n > BOX_MAX_DIM:
+            raise ConfigError(f"box dimension {self.n} exceeds {BOX_MAX_DIM}, the limit of int64 corner codes")
 
     @property
     def is_polyhedral(self) -> bool:
@@ -138,34 +144,14 @@ def enumerate_vertices(domain: DomainSet) -> Iterator[Atom]:
     vertex precedes the negative one, indices ascending; box corners
     ascend by corner code.
     """
-    a = domain.alpha
-    n = domain.n
-    if domain.kind is Kind.L1_BALL:
-        for i in range(n):
-            v = np.zeros(n)
-            v[i] = a
-            yield Atom(v, i + 1)
-            w = np.zeros(n)
-            w[i] = -a
-            yield Atom(w, -(i + 1))
-    elif domain.kind is Kind.SIMPLEX:
-        for i in range(n):
-            v = np.zeros(n)
-            v[i] = a
-            yield Atom(v, i)
-    elif domain.kind is Kind.BOX:
-        if n > BOX_BRUTEFORCE_MAX_DIM:
-            raise UnsupportedKind(f"box vertex enumeration limited to n <= {BOX_BRUTEFORCE_MAX_DIM}")
-        for code in range(1 << n):
-            v = np.where([(code >> i) & 1 for i in range(n)], -a, a)
-            yield Atom(v.astype(float), code)
-    else:
-        raise UnsupportedKind("the l2 ball has no vertex enumeration")
+    for ids, V in _vertex_blocks(domain):
+        for vertex_id, v in zip(ids.tolist(), V):
+            yield Atom(v, vertex_id)
 
 
 def _vertex_blocks(domain: DomainSet, block: int = 8192):
-    """Yield (ids, matrix) chunks covering every vertex, in the same order
-    as :func:`enumerate_vertices`."""
+    """Yield (ids, matrix) chunks covering every vertex, in the order of
+    :func:`enumerate_vertices`."""
     a = domain.alpha
     n = domain.n
     if domain.kind is Kind.L1_BALL:

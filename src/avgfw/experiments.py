@@ -6,7 +6,9 @@ desk scale: synthetic compressed sensing (sparse recovery over the l1
 ball), a quadratic over the l2 ball whose constrained optimum sits on
 the boundary or in the interior depending on the radius, and sparse
 logistic regression fed from svmlight files (with a synthetic generator
-standing in for the large public datasets).
+standing in for the large public datasets). Scripted-trajectory runs
+feed a prescribed atom stream through the solver's own iteration loop,
+so they exercise exactly the averaged update that ``solve`` runs.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import scipy.sparse as sp
 from .domains import Atom, DomainSet, Kind
 from .errors import ConfigError, LabelError, ParseError
 from .objectives import Logistic, QuadraticLS
-from .schedules import Schedule, beta, gamma
-from .solvers import IterateTrace, SolverState, Variant
+from .schedules import Schedule
+from .solvers import IterateTrace, SolverConfig, SolverState, Variant, _run
 
 
 @dataclass(frozen=True)
@@ -96,56 +98,27 @@ class ScriptedTrajectorySpec:
 def run_scripted_averaging(spec: ScriptedTrajectorySpec, schedule: Schedule) -> IterateTrace:
     """Drive the averaged updates with scripted atoms instead of an LMO.
 
-    x starts at the origin; there is no objective, so the f and gap
-    columns are NaN and disc_err = ||sbar_k - x_k|| is the metric of
+    The run goes through the solver's own iteration loop from x = 0, with
+    an atom source that ignores x. There is no objective, so the f and
+    gap columns are NaN and disc_err = ||sbar_k - x_k|| is the metric of
     interest. RepeatingCycle walks the pool in order; RandomVertex draws
     uniformly using the configured seed.
     """
-    rng = np.random.default_rng(spec.seed)
-    pool = list(spec.vertex_pool)
+    # the trace records vertex ids; a pool atom without one records 0
+    pool = [a if a.vertex_id is not None else Atom(a.vector, 0) for a in spec.vertex_pool]
     n = pool[0].vector.shape[0]
-    x = np.zeros(n)
-    s_bar = np.zeros(n)
-
-    ks = np.arange(spec.steps)
-    disc = np.empty(spec.steps)
-    gammas = np.empty(spec.steps)
-    betas = np.empty(spec.steps)
-    vids = np.empty(spec.steps, dtype=int)
-
     if spec.mode is ScriptMode.RANDOM_VERTEX:
-        picks = rng.integers(0, len(pool), size=spec.steps)
+        picks = np.random.default_rng(spec.seed).integers(0, len(pool), size=spec.steps)
     else:
-        picks = ks % len(pool)
+        picks = np.arange(spec.steps) % len(pool)
+    no_gradient = np.full(n, np.nan)
 
-    last = pool[0]
-    for k in range(spec.steps):
-        atom = pool[picks[k]]
-        last = atom
-        b_k = beta(schedule, k)
-        g_k = gamma(schedule, k)
-        s_bar = s_bar + b_k * (atom.vector - s_bar)
-        disc[k] = float(np.linalg.norm(s_bar - x))
-        gammas[k] = g_k
-        betas[k] = b_k
-        vids[k] = atom.vertex_id if atom.vertex_id is not None else 0
-        x = x + g_k * (s_bar - x)
+    def source(x: np.ndarray, k: int) -> Tuple[float, np.ndarray, Atom]:
+        return np.nan, no_gradient, pool[picks[k]]
 
-    nan = np.full(spec.steps, np.nan)
-    return IterateTrace(
-        ks=ks,
-        f=nan.copy(),
-        gap=nan.copy(),
-        disc_err=disc,
-        gamma=gammas,
-        beta=betas,
-        atom_ids=vids.copy(),
-        vertex_ids=vids,
-        atoms=None,
-        variant=Variant.AVGFW,
-        schedule=schedule,
-        state=SolverState(k=spec.steps, x=x, s_last=last, s_bar=s_bar),
-    )
+    cfg = SolverConfig(Variant.AVGFW, schedule, max_iters=spec.steps)
+    start = SolverState(k=0, x=np.zeros(n), s_last=None, s_bar=np.zeros(n))
+    return _run(source, polyhedral=True, cfg=cfg, state=start)
 
 
 L2_UNCONSTRAINED_NORM = 2.44

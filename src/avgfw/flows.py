@@ -10,11 +10,14 @@ nothing and step-halving checks are the honest accuracy instrument.
 ``force_signal`` integrates the averaging equation alone against a
 prescribed signal, the hook used to validate the closed-form
 accumulation response.
+
+The flow variant is the solver's :class:`~avgfw.solvers.Variant`, and the
+start point comes from the same helper as the discrete solver's:
+LMO(grad f(0)) unless an explicit x0 is given.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -24,19 +27,15 @@ from .domains import DomainSet, contains, lmo
 from .errors import ConfigError, NumericalBlowup, StepTooLarge
 from .objectives import Objective
 from .schedules import DEFAULT_SCHEDULE, Schedule, beta_t, gamma_t
+from .solvers import Variant, _start_point
 
 MAX_DT = 1e-2
 FEASIBILITY_TOL_FACTOR = 1e-6
 
 
-class FlowVariant(enum.Enum):
-    FW_FLOW = "fw"
-    AVGFW_FLOW = "avgfw"
-
-
 @dataclass(frozen=True)
 class FlowConfig:
-    variant: FlowVariant = FlowVariant.AVGFW_FLOW
+    variant: Variant = Variant.AVGFW
     schedule: Schedule = DEFAULT_SCHEDULE
     t_end: float = 10.0
     dt: float = 1e-3
@@ -76,16 +75,8 @@ def integrate(obj: Objective, domain: DomainSet, cfg: FlowConfig) -> FlowTrace:
     of x is checked every step within 1e-6 * alpha; drifting past that
     raises StepTooLarge with a halved suggestion.
     """
-    if obj.n != domain.n:
-        raise ConfigError(f"objective dimension {obj.n} != domain dimension {domain.n}")
-    if cfg.x0 is None:
-        x = lmo(domain, obj.gradient(np.zeros(domain.n))).vector.copy()
-    else:
-        x = np.asarray(cfg.x0, dtype=float).copy()
-        if x.shape != (domain.n,):
-            raise ConfigError(f"x0 has shape {x.shape}, expected ({domain.n},)")
-
-    averaged = cfg.variant is FlowVariant.AVGFW_FLOW
+    x = _start_point(obj, domain, cfg.x0)
+    averaged = cfg.variant is Variant.AVGFW
     sched = cfg.schedule
     dt = cfg.dt
     n_steps = int(round(cfg.t_end / dt))
@@ -121,10 +112,8 @@ def integrate(obj: Objective, domain: DomainSet, cfg: FlowConfig) -> FlowTrace:
             break
         if averaged:
             s_bar = s_bar + dt * beta_t(sched, t) * (atom.vector - s_bar)
-            # x still moves toward the time-t average, not the freshly updated one
-            x = x + dt * gamma_t(sched, t) * (direction - x)
-        else:
-            x = x + dt * gamma_t(sched, t) * (direction - x)
+        # x moves toward the time-t direction, not the freshly updated average
+        x = x + dt * gamma_t(sched, t) * (direction - x)
         if not contains(domain, x, feas_tol):
             raise StepTooLarge(dt / 2, f"feasibility drift at t = {t:g}; retry with dt <= {dt / 2:g}")
 

@@ -9,13 +9,17 @@ one. Iterations count from k = 0; beta_0 = 1, so sbar_0 = s_0 and the
 running average is a true convex combination of atoms from the first
 step. Everything is deterministic given the problem and config, and a
 run can be checkpointed and resumed with bitwise-identical results.
+
+The loop takes its atoms from a source: the LMO at the current gradient
+for :func:`solve` and :func:`resume`, or a prescribed stream for the
+scripted runs of ``experiments.run_scripted_averaging``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,9 +40,6 @@ class SolverConfig:
 
     x0 = None starts from the vertex LMO(grad f(0)), the standard
     projection-free initializer; pass an explicit vector to override.
-    keep_atoms retains the dense atom history (needed only for
-    convex-combination audits; integer vertex ids are always kept on
-    polyhedral domains).
     """
 
     variant: Variant = Variant.AVGFW
@@ -46,7 +47,6 @@ class SolverConfig:
     max_iters: int = 1000
     x0: Optional[np.ndarray] = None
     trace_every: int = 1
-    keep_atoms: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -74,7 +74,7 @@ class IterateTrace:
     before the step: objective value, duality gap, discretization error
     ||d_k - x_k||, and the schedule values used. ``vertex_ids`` is the
     full per-iteration atom-id history on polyhedral domains (None on
-    the l2 ball); ``atoms`` is the dense atom history when requested.
+    the l2 ball).
     """
 
     ks: np.ndarray
@@ -85,7 +85,6 @@ class IterateTrace:
     beta: np.ndarray
     atom_ids: Optional[np.ndarray]
     vertex_ids: Optional[np.ndarray]
-    atoms: Optional[np.ndarray]
     variant: Variant
     schedule: Schedule
     state: SolverState
@@ -93,23 +92,39 @@ class IterateTrace:
     f_ref: Optional[float] = None
 
 
-def _default_x0(obj: Objective, domain: DomainSet) -> np.ndarray:
-    g0 = obj.gradient(np.zeros(domain.n))
-    return lmo(domain, g0).vector.copy()
+AtomSource = Callable[[np.ndarray, int], Tuple[float, np.ndarray, Atom]]
+
+
+def _start_point(obj: Objective, domain: DomainSet, x0: Optional[np.ndarray]) -> np.ndarray:
+    """Check dimensions and return a fresh start: a copy of ``x0``, or
+    LMO(grad f(0)) when it is None."""
+    if obj.n != domain.n:
+        raise ConfigError(f"objective dimension {obj.n} != domain dimension {domain.n}")
+    if x0 is None:
+        return lmo(domain, obj.gradient(np.zeros(domain.n))).vector.copy()
+    x = np.asarray(x0, dtype=float).copy()
+    if x.shape != (domain.n,):
+        raise ConfigError(f"x0 has shape {x.shape}, expected ({domain.n},)")
+    return x
+
+
+def _lmo_source(obj: Objective, domain: DomainSet) -> AtomSource:
+    """The atom source of a real run: value, gradient and LMO atom at x_k."""
+
+    def source(x: np.ndarray, k: int) -> Tuple[float, np.ndarray, Atom]:
+        f_k, g = obj.value_and_gradient(x)
+        if not (np.isfinite(f_k) and np.all(np.isfinite(g))):
+            raise NumericalBlowup(k)
+        return f_k, g, lmo(domain, g)
+
+    return source
 
 
 def solve(obj: Objective, domain: DomainSet, cfg: SolverConfig) -> IterateTrace:
     """Run exactly ``cfg.max_iters`` iterations from the configured start."""
-    if obj.n != domain.n:
-        raise ConfigError(f"objective dimension {obj.n} != domain dimension {domain.n}")
-    if cfg.x0 is None:
-        x0 = _default_x0(obj, domain)
-    else:
-        x0 = np.asarray(cfg.x0, dtype=float).copy()
-        if x0.shape != (domain.n,):
-            raise ConfigError(f"x0 has shape {x0.shape}, expected ({domain.n},)")
+    x0 = _start_point(obj, domain, cfg.x0)
     state = SolverState(k=0, x=x0, s_last=None, s_bar=np.zeros(domain.n))
-    return _run(obj, domain, cfg, state)
+    return _run(_lmo_source(obj, domain), domain.is_polyhedral, cfg, state)
 
 
 def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverConfig) -> IterateTrace:
@@ -124,13 +139,15 @@ def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverCon
     if state.k < 0:
         raise ConfigError(f"state iteration must be >= 0, got {state.k}")
     fresh = SolverState(k=state.k, x=state.x.copy(), s_last=state.s_last, s_bar=state.s_bar.copy())
-    return _run(obj, domain, cfg, fresh)
+    return _run(_lmo_source(obj, domain), domain.is_polyhedral, cfg, fresh)
 
 
-def _run(obj: Objective, domain: DomainSet, cfg: SolverConfig, state: SolverState) -> IterateTrace:
+def _run(source: AtomSource, polyhedral: bool, cfg: SolverConfig, state: SolverState) -> IterateTrace:
+    """The iteration loop shared by every run; ``source(x_k, k)`` returns
+    (f_k, grad f(x_k), s_k). The gap row is g . (x_k - s_k), so a source
+    without an objective that returns NaN for f and g gets NaN gaps."""
     sched = cfg.schedule
     averaged = cfg.variant is Variant.AVGFW
-    polyhedral = domain.is_polyhedral
 
     x = state.x
     s_bar = state.s_bar
@@ -145,14 +162,10 @@ def _run(obj: Objective, domain: DomainSet, cfg: SolverConfig, state: SolverStat
     rows_beta: List[float] = []
     rows_id: List[int] = []
     vids: List[int] = []
-    atom_hist: List[np.ndarray] = []
 
     last_atom = state.s_last
     for k in range(k_start, k_end):
-        f_k, g = obj.value_and_gradient(x)
-        if not (np.isfinite(f_k) and np.all(np.isfinite(g))):
-            raise NumericalBlowup(k)
-        atom = lmo(domain, g)
+        f_k, g, atom = source(x, k)
         last_atom = atom
         b_k = beta(sched, k)
         g_k = gamma(sched, k)
@@ -164,8 +177,6 @@ def _run(obj: Objective, domain: DomainSet, cfg: SolverConfig, state: SolverStat
 
         if polyhedral:
             vids.append(atom.vertex_id)
-        if cfg.keep_atoms:
-            atom_hist.append(atom.vector.copy())
 
         if k % cfg.trace_every == 0 or k == k_end - 1:
             gap_k = float(np.dot(g, x - atom.vector))
@@ -189,7 +200,6 @@ def _run(obj: Objective, domain: DomainSet, cfg: SolverConfig, state: SolverStat
         beta=np.array(rows_beta),
         atom_ids=np.array(rows_id, dtype=int) if polyhedral else None,
         vertex_ids=np.array(vids, dtype=int) if polyhedral else None,
-        atoms=np.array(atom_hist) if cfg.keep_atoms else None,
         variant=cfg.variant,
         schedule=sched,
         state=final,

@@ -24,7 +24,7 @@ from avgfw.experiments import (
     run_scripted_averaging,
     write_svmlight,
 )
-from avgfw.flows import FlowConfig, FlowVariant, force_signal, integrate
+from avgfw.flows import FlowConfig, force_signal, integrate
 from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
 from avgfw.schedules import Schedule, accumulation, apply_weights, beta, unrolled_weights
 from avgfw.solvers import SolverConfig, Variant, solve
@@ -162,7 +162,7 @@ def test_criterion_07_global_rates_on_cs():
 
 def test_criterion_08_flow_polynomial_envelope():
     start = time.time()
-    cfg = FlowConfig(variant=FlowVariant.FW_FLOW, schedule=Schedule(2.0, 1.0), t_end=50.0,
+    cfg = FlowConfig(variant=Variant.FW, schedule=Schedule(2.0, 1.0), t_end=50.0,
                      dt=1e-3, record_every=1.0, x0=np.array([0.5]), f_ref=0.0)
     trace = integrate(Scalar1D(), DomainSet(Kind.BOX, 1.0, 1), cfg)
     bound = 1.05 * trace.h[0] * (2.0 / 52.0) ** 2

@@ -187,6 +187,12 @@ def test_flow_oversized_dt_exits_3(tmp_path):
     assert run_cli("flow", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 3
 
 
+def test_flow_non_numeric_x0_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.ini", SCALAR_FLOW_CONFIG.replace("x0 = 0.5", "x0 = half"))
+    assert run_cli("flow", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 2
+    assert "config error: [flow] x0" in capsys.readouterr().err
+
+
 def test_diag_refits_existing_csv(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.ini", CS_COMPARE_CONFIG.format(plots="false"))
     out = tmp_path / "out"
@@ -240,6 +246,12 @@ def test_sweep_reports_validation_loss_grid(tmp_path, capsys):
 def test_sweep_rejects_non_classification_problem(tmp_path):
     cfg = write_config(tmp_path / "cfg.ini", SCALAR_CONFIG + "\n[sweep]\npoints = 2\n")
     assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 2
+
+
+def test_sweep_without_points_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.ini", SWEEP_CONFIG.replace("points = 3", "points = 0"))
+    assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 2
+    assert "config error: [sweep] points" in capsys.readouterr().err
 
 
 def test_gen_data_round_trips(tmp_path):

@@ -10,7 +10,7 @@ from avgfw.diagnostics import (
     support_set,
     support_trajectory,
 )
-from avgfw.domains import DomainSet, Kind
+from avgfw.domains import DomainSet, Kind, enumerate_vertices
 from avgfw.errors import InsufficientData, NoZeroSet, UnsupportedKind
 from avgfw.schedules import Schedule
 from avgfw.solvers import IterateTrace, SolverState, Variant
@@ -29,7 +29,6 @@ def synthetic_trace(ks, series, which=Series.GAP, vertex_ids=None):
         beta=nan.copy(),
         atom_ids=None,
         vertex_ids=None if vertex_ids is None else np.asarray(vertex_ids, dtype=int),
-        atoms=None,
         variant=Variant.AVGFW,
         schedule=Schedule(3.0, 1.0),
         state=SolverState(k=n, x=np.zeros(1), s_last=None, s_bar=np.zeros(1)),
@@ -177,6 +176,44 @@ def test_support_set_near_ties_within_relative_tolerance():
     obj = _FixedGradient([2.0, -2.0 * (1 - 1e-8), 1.0])
     star = support_set(obj, dom, np.zeros(3))
     assert star == frozenset({-1, 2})
+
+
+def _near_tie(kind, g, rel, rng):
+    """Perturb g so a second vertex's value sits at relative distance
+    about rel from the best one (1e-6 is the support tolerance)."""
+    g = g.copy()
+    if kind is Kind.L1_BALL:
+        i = int(np.argmax(np.abs(g)))
+        j = int(rng.choice([k for k in range(g.size) if k != i]))
+        g[j] = rng.choice([-1.0, 1.0]) * abs(g[i]) * (1 - rel)
+    elif kind is Kind.SIMPLEX:
+        i = int(np.argmin(g))
+        j = int(rng.choice([k for k in range(g.size) if k != i]))
+        g[j] = g[i] + rel * abs(g[i])
+    else:
+        # flipping corner coordinate j costs 2 alpha |g_j|
+        j = int(rng.integers(g.size))
+        g[j] = rng.choice([-1.0, 1.0]) * 0.5 * rel * (np.sum(np.abs(g)) - abs(g[j]))
+    return g
+
+
+@pytest.mark.parametrize("kind", [Kind.L1_BALL, Kind.SIMPLEX, Kind.BOX])
+def test_support_set_matches_bruteforce_enumeration(kind):
+    rng = np.random.default_rng(11)
+    ties = 0
+    for trial in range(300):
+        n = int(rng.integers(1, 9))
+        dom = DomainSet(kind, float(rng.uniform(0.5, 2.0)), n)
+        g = rng.standard_normal(n)
+        if n > 1 and trial % 4:
+            g = _near_tie(kind, g, (0.0, 0.99e-6, 1.01e-6)[trial % 4 - 1], rng)
+        atoms = list(enumerate_vertices(dom))
+        vals = np.array([float(np.dot(g, a.vector)) for a in atoms])
+        best = float(np.min(vals))
+        expected = frozenset(a.vertex_id for a, v in zip(atoms, vals) if v <= best + 1e-6 * abs(best))
+        assert support_set(_FixedGradient(g), dom, np.zeros(n)) == expected
+        ties += len(expected) > 1
+    assert ties > 0
 
 
 def test_manifold_pipeline_on_boundary_cs(cs_manifold_pipeline):

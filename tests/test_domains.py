@@ -53,10 +53,11 @@ def test_lmo_bruteforce_agrees_on_stated_examples():
 
 @pytest.mark.parametrize("kind", POLYHEDRAL)
 def test_lmo_matches_bruteforce_on_random_gradients(kind):
-    dom = DomainSet(kind, 1.5, 8)
     rng = np.random.default_rng(42)
     for _ in range(1000):
-        g = rng.standard_normal(8)
+        n = int(rng.integers(1, 13))
+        dom = DomainSet(kind, 1.5, n)
+        g = rng.standard_normal(n)
         fast = lmo(dom, g)
         brute = lmo_bruteforce(dom, g)
         assert fast.vertex_id == brute.vertex_id
@@ -145,6 +146,16 @@ def test_vertex_id_uniquely_determines_vector():
         for atom in enumerate_vertices(dom):
             assert atom.vertex_id not in seen
             seen[atom.vertex_id] = atom.vector
+
+
+def test_box_vertex_ids_at_the_dimension_cap():
+    dom = DomainSet(Kind.BOX, 1.0, 63)
+    assert lmo(dom, np.ones(63)).vertex_id == 2**63 - 1
+    g = -np.ones(63)
+    g[62] = 1.0
+    assert lmo(dom, g).vertex_id == 2**62
+    with pytest.raises(ConfigError):
+        DomainSet(Kind.BOX, 1.0, 64)
 
 
 def test_domain_validation():

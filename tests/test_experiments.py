@@ -92,6 +92,7 @@ def test_scripted_trace_has_nan_objective_columns():
     spec = ScriptedTrajectorySpec(ScriptMode.REPEATING_CYCLE, L1_POOL, steps=10)
     trace = run_scripted_averaging(spec, Schedule(3.0, 1.0))
     assert np.all(np.isnan(trace.f))
+    assert np.all(np.isnan(trace.gap))
     assert np.all(np.isfinite(trace.disc_err))
 
 

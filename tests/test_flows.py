@@ -3,7 +3,7 @@ import pytest
 
 from avgfw.domains import DomainSet, Kind
 from avgfw.errors import ConfigError, StepTooLarge
-from avgfw.flows import FlowConfig, FlowVariant, force_signal, integrate
+from avgfw.flows import FlowConfig, force_signal, integrate
 from avgfw.objectives import Scalar1D
 from avgfw.schedules import Schedule, accumulation, alpha_t
 from avgfw.solvers import SolverConfig, Variant, solve
@@ -13,7 +13,7 @@ BOX1 = DomainSet(Kind.BOX, 1.0, 1)
 
 def test_fw_flow_scalar_obeys_polynomial_envelope():
     cfg = FlowConfig(
-        variant=FlowVariant.FW_FLOW,
+        variant=Variant.FW,
         schedule=Schedule(2.0, 1.0),
         t_end=50.0,
         dt=1e-3,
@@ -60,7 +60,7 @@ def test_forced_zero_signal_stays_zero():
 
 def test_oversized_dt_is_rejected():
     with pytest.raises(StepTooLarge):
-        FlowConfig(variant=FlowVariant.FW_FLOW, t_end=1.0, dt=0.5)
+        FlowConfig(variant=Variant.FW, t_end=1.0, dt=0.5)
 
 
 def test_config_validation():
@@ -77,7 +77,7 @@ def test_flow_dominates_method_on_shared_fixture(small_l1_quadratic):
     sched = Schedule(2.0, 1.0)
     flow = integrate(
         obj, dom,
-        FlowConfig(variant=FlowVariant.FW_FLOW, schedule=sched, t_end=200.0, dt=1e-3, record_every=1.0, f_ref=0.0),
+        FlowConfig(variant=Variant.FW, schedule=sched, t_end=200.0, dt=1e-3, record_every=1.0, f_ref=0.0),
     )
     method = solve(obj, dom, SolverConfig(Variant.FW, sched, max_iters=201))
     h_method = method.f  # f* = 0 on this fixture
@@ -90,7 +90,7 @@ def test_averaged_flow_discretization_error_decays(small_l1_quadratic):
     obj, dom, _ = small_l1_quadratic
     trace = integrate(
         obj, dom,
-        FlowConfig(variant=FlowVariant.AVGFW_FLOW, schedule=Schedule(3.0, 1.0),
+        FlowConfig(variant=Variant.AVGFW, schedule=Schedule(3.0, 1.0),
                    t_end=200.0, dt=1e-3, record_every=1.0, f_ref=0.0),
     )
     at = lambda t: trace.disc_err[int(np.argmin(np.abs(trace.t - t)))]
@@ -104,7 +104,7 @@ def test_step_halving_first_order_consistency(small_l1_quadratic):
     for dt in (8e-3, 4e-3, 2e-3):
         tr = integrate(
             obj, dom,
-            FlowConfig(variant=FlowVariant.FW_FLOW, schedule=sched, t_end=20.0, dt=dt,
+            FlowConfig(variant=Variant.FW, schedule=sched, t_end=20.0, dt=dt,
                        record_every=20.0, f_ref=0.0),
         )
         hs.append(tr.h[-1])
@@ -128,7 +128,7 @@ def test_flow_samples_are_finite_and_increasing(small_l1_quadratic):
     obj, dom, _ = small_l1_quadratic
     trace = integrate(
         obj, dom,
-        FlowConfig(variant=FlowVariant.AVGFW_FLOW, schedule=Schedule(3.0, 1.0),
+        FlowConfig(variant=Variant.AVGFW, schedule=Schedule(3.0, 1.0),
                    t_end=5.0, dt=1e-3, record_every=0.5, f_ref=0.0),
     )
     assert np.all(np.diff(trace.t) > 0)

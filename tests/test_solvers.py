@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avgfw.domains import DomainSet, Kind, contains, diameter, lmo
+from avgfw.domains import DomainSet, Kind, contains, diameter, l1_vertex, lmo
 from avgfw.errors import ConfigError, NumericalBlowup
 from avgfw.objectives import QuadraticLS, Scalar1D
 from avgfw.schedules import Schedule, apply_weights, gamma, unrolled_weights
@@ -53,7 +53,7 @@ def test_default_x0_is_lmo_at_origin_gradient():
 @pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
 def test_iterates_and_averages_stay_feasible(variant):
     obj, dom = small_quadratic()
-    cfg = SolverConfig(variant, Schedule(3.0, 1.0), max_iters=300, keep_atoms=True)
+    cfg = SolverConfig(variant, Schedule(3.0, 1.0), max_iters=300)
     trace = solve(obj, dom, cfg)
     tol = 1e-9 * dom.alpha
     assert contains(dom, trace.state.x, tol)
@@ -67,10 +67,12 @@ def test_iterates_and_averages_stay_feasible(variant):
 def test_avgfw_average_is_convex_combination_of_atom_history():
     obj, dom = small_quadratic()
     sched = Schedule(3.0, 1.0)
-    trace = solve(obj, dom, SolverConfig(Variant.AVGFW, sched, max_iters=201, keep_atoms=True))
+    trace = solve(obj, dom, SolverConfig(Variant.AVGFW, sched, max_iters=201))
+    # l1 vertex ids are +-(i + 1); rebuild the dense atom history from them
+    atoms = np.array([l1_vertex(dom.alpha, dom.n, abs(v) - 1, int(np.sign(v))).vector for v in trace.vertex_ids])
     for k in (0, 7, 64, 200):
         w = unrolled_weights(sched, k)
-        direct = apply_weights(w, trace.atoms[: k + 1])
+        direct = apply_weights(w, atoms[: k + 1])
         replay = solve(obj, dom, SolverConfig(Variant.AVGFW, sched, max_iters=k + 1))
         assert np.max(np.abs(direct - replay.state.s_bar)) <= 1e-10
 
