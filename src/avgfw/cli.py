@@ -9,7 +9,9 @@ Subcommands:
   gen-data  emit a synthetic sparse svmlight file
 
 Configs are flat INI-style ``key = value`` files with [problem], [solver],
-[flow], [compare], and [output] sections (see README for the grammar).
+[flow], [compare], [sweep], and [output] sections. ``SCHEMA`` declares every
+accepted key with its type and default; unknown sections and keys are
+rejected (see README for the grammar).
 Exit codes: 0 success, 2 configuration problems, 3 numerical failures.
 """
 
@@ -17,9 +19,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
-from typing import Dict, List, Optional
+from dataclasses import replace
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +57,7 @@ from .experiments import (
     write_svmlight,
 )
 from .flows import FlowConfig, force_signal, integrate
-from .objectives import Logistic, lipschitz_bound
+from .objectives import Logistic, Scalar1D, lipschitz_bound
 from .schedules import Schedule
 from .solvers import IterateTrace, SolverConfig, SolverState, Variant, solve
 
@@ -62,114 +66,160 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 TRACE_COLUMNS = "k,f,gap,disc_err,gamma,beta,atom_id"
-FLOW_COLUMNS = "t,f,gap,disc_err,h"
 
 
 # ---------------------------------------------------------------- config
 
-def _read_config(path: str) -> configparser.ConfigParser:
+# Every accepted key, once: section -> key -> (type, default). A default of
+# None means the value is derived in code where it is used (from other
+# values or from the problem kind), or that the key is required there.
+SCHEMA: Dict[str, Dict[str, Tuple[type, object]]] = {
+    "problem": {
+        "kind": (str, None),
+        "n_features": (int, 500),
+        "m_measurements": (int, 100),
+        "sparsity_frac": (float, 0.10),
+        "noise_std": (float, 0.05),
+        "alpha": (float, None),
+        "alpha_scale": (float, 1.0),
+        "path": (str, None),
+        "n_features_hint": (int, None),
+        "m": (int, 800),
+        "n": (int, 1000),
+        "density": (float, 0.01),
+    },
+    "solver": {
+        "variant": (Variant, Variant.AVGFW),
+        "c": (float, 3.0),
+        "p": (float, 1.0),
+        "max_iters": (int, 1000),
+        "trace_every": (int, 1),
+        "x0": (str, "lmo"),
+    },
+    "flow": {
+        "variant": (Variant, Variant.AVGFW),
+        "t_end": (float, 10.0),
+        "dt": (float, 1e-3),
+        "record_every": (float, None),
+        "x0": (str, "lmo"),
+        "forced_signal": (str, "none"),
+    },
+    "compare": {
+        "window_lo": (int, None),
+        "window_hi": (int, None),
+        "reference_iters": (int, None),
+    },
+    "sweep": {
+        "train_frac": (float, 0.6),
+        "alpha_lo": (float, 1.0),
+        "alpha_hi": (float, 100.0),
+        "points": (int, 10),
+    },
+    "output": {
+        "dir": (str, None),
+        "emit_plots": (bool, False),
+        "seed": (int, 0),
+    },
+}
+
+Config = Dict[str, Dict[str, object]]
+
+
+def _finite_float(raw: str) -> float:
+    val = float(raw)
+    if not math.isfinite(val):
+        raise ValueError(raw)
+    return val
+
+
+# type -> (parser raising ValueError or KeyError, what the error message expects)
+_PARSERS = {
+    str: (str, "a string"),
+    int: (int, "an integer"),
+    float: (_finite_float, "a finite number"),
+    bool: (lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()], "a boolean"),
+    Variant: (lambda raw: Variant(raw.strip().lower()), "fw or avgfw"),
+}
+
+
+def _read_config(path: str) -> Tuple[Config, Dict[str, str]]:
+    """Parse a config file against ``SCHEMA``.
+
+    Returns (values, echo): ``values[section][key]`` is the typed value of
+    every schema key, its default when absent; ``echo`` maps
+    ``section.key`` to the raw string of every key present, in file order.
+    """
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh, source=path)
-    except configparser.Error as err:
+        raw = {section: cp.items(section) for section in cp.sections()}
+    except (configparser.Error, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot parse config {path}: {err}") from None
-    return cp
+    values = {section: {key: default for key, (_, default) in keys.items()} for section, keys in SCHEMA.items()}
+    echo: Dict[str, str] = {}
+    for section, items in raw.items():
+        if section not in SCHEMA:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, text in items:
+            if key not in SCHEMA[section]:
+                raise ConfigError(f"unknown key [{section}] {key}")
+            parse, expected = _PARSERS[SCHEMA[section][key][0]]
+            try:
+                values[section][key] = parse(text)
+            except (ValueError, KeyError):
+                raise ConfigError(f"[{section}] {key} must be {expected}, got {text!r}") from None
+            echo[f"{section}.{key}"] = text
+    return values, echo
 
 
-def _get(cp, section, key, default=None, required=False):
-    if cp.has_option(section, key):
-        return cp.get(section, key)
-    if required:
+def _required(cfg: Config, section: str, key: str):
+    val = cfg[section][key]
+    if val is None:
         raise ConfigError(f"missing [{section}] {key}")
-    return default
+    return val
 
 
-def _get_float(cp, section, key, default=None, required=False):
-    raw = _get(cp, section, key, required=required)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from None
-
-
-def _get_int(cp, section, key, default=None, required=False):
-    raw = _get(cp, section, key, required=required)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from None
-
-
-def _get_bool(cp, section, key, default=False):
-    raw = _get(cp, section, key)
-    if raw is None:
-        return default
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"[{section}] {key} must be a boolean, got {raw!r}")
-
-
-def _config_echo(cp: configparser.ConfigParser) -> Dict[str, str]:
-    echo = {}
-    for section in cp.sections():
-        for key, val in cp.items(section):
-            echo[f"{section}.{key}"] = val
-    return echo
-
-
-def _resolve_out_dir(args, cp) -> str:
-    if args.out:
-        out = args.out
-    elif cp is not None and cp.has_option("output", "dir"):
-        out = cp.get("output", "dir")
-    else:
-        out = os.environ.get("AVGFW_OUT", ".")
+def _resolve_out_dir(args, configured: Optional[str] = None) -> str:
+    out = args.out or configured or os.environ.get("AVGFW_OUT", ".")
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _resolve_seed(args, cp) -> int:
-    if args.seed is not None:
-        return args.seed
-    if cp is not None:
-        return _get_int(cp, "output", "seed", default=0)
-    return 0
+def _resolve_seed(args, configured: int = 0) -> int:
+    seed = configured if args.seed is None else args.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------- problems
 
-def _build_problem(cp, seed: int):
+def _build_problem(cfg: Config, seed: int):
     """Instantiate the configured problem.
 
     Returns (objective, domain, meta) where meta carries values worth
     echoing: the radius, an f reference when one is known exactly, and
     generator facts.
     """
-    kind = _get(cp, "problem", "kind", required=True).strip().lower()
+    prob = cfg["problem"]
+    kind = _required(cfg, "problem", "kind").strip().lower()
+    alpha = prob["alpha"]
     meta: Dict[str, object] = {"problem.kind": kind}
 
     if kind == "cs":
         spec = SyntheticCSSpec(
-            n_features=_get_int(cp, "problem", "n_features", 500),
-            m_measurements=_get_int(cp, "problem", "m_measurements", 100),
-            sparsity_frac=_get_float(cp, "problem", "sparsity_frac", 0.10),
-            noise_std=_get_float(cp, "problem", "noise_std", 0.05),
+            n_features=prob["n_features"],
+            m_measurements=prob["m_measurements"],
+            sparsity_frac=prob["sparsity_frac"],
+            noise_std=prob["noise_std"],
             seed=seed,
         )
         obj, domain, x0 = generate_cs(spec)
-        alpha = _get_float(cp, "problem", "alpha")
         if alpha is None:
-            alpha = _get_float(cp, "problem", "alpha_scale", 1.0) * domain.alpha
+            alpha = prob["alpha_scale"] * domain.alpha
         domain = DomainSet(Kind.L1_BALL, alpha, domain.n)
         meta["ground_truth_nnz"] = int(np.count_nonzero(x0))
         meta["ground_truth_l1"] = float(np.sum(np.abs(x0)))
@@ -178,79 +228,55 @@ def _build_problem(cp, seed: int):
         return obj, domain, meta
 
     if kind == "scalar1d":
-        from .objectives import Scalar1D
-
-        alpha = _get_float(cp, "problem", "alpha", 1.0)
         meta["f_ref"] = 0.0
-        return Scalar1D(), DomainSet(Kind.BOX, alpha, 1), meta
+        return Scalar1D(), DomainSet(Kind.BOX, 1.0 if alpha is None else alpha, 1), meta
 
     if kind == "l2_quadratic":
-        alpha = _get_float(cp, "problem", "alpha")
-        scale = _get_float(cp, "problem", "alpha_scale")
         obj, domain, x_unc = generate_l2ball_quadratic(1.0, seed=seed)
         norm = float(np.linalg.norm(x_unc))
         if alpha is None:
-            alpha = (scale if scale is not None else 1.0) * norm
+            alpha = prob["alpha_scale"] * norm
         domain = DomainSet(Kind.L2_BALL, alpha, domain.n)
         meta["unconstrained_norm"] = norm
         return obj, domain, meta
 
     if kind == "svmlight":
-        path = _get(cp, "problem", "path", required=True)
+        path = _required(cfg, "problem", "path")
         if not os.path.isfile(path):
             raise ConfigError(f"svmlight file not found: {path}")
-        hint = _get_int(cp, "problem", "n_features_hint")
-        data = load_svmlight(path, n_features_hint=hint)
-        alpha = _get_float(cp, "problem", "alpha", required=True)
+        data = load_svmlight(path, n_features_hint=prob["n_features_hint"])
+        alpha = _required(cfg, "problem", "alpha")
         meta["samples"] = data.m
         return data, DomainSet(Kind.L1_BALL, alpha, data.n), meta
 
     if kind == "synthetic_logistic":
-        data = generate_sparse_logistic(
-            m=_get_int(cp, "problem", "m", 800),
-            n=_get_int(cp, "problem", "n", 1000),
-            density=_get_float(cp, "problem", "density", 0.01),
-            seed=seed,
-        )
-        alpha = _get_float(cp, "problem", "alpha", 10.0)
-        return data, DomainSet(Kind.L1_BALL, alpha, data.n), meta
+        data = generate_sparse_logistic(m=prob["m"], n=prob["n"], density=prob["density"], seed=seed)
+        return data, DomainSet(Kind.L1_BALL, 10.0 if alpha is None else alpha, data.n), meta
 
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 
-def _build_schedule(cp) -> Schedule:
-    return Schedule(c=_get_float(cp, "solver", "c", 3.0), p=_get_float(cp, "solver", "p", 1.0))
-
-
-def _parse_x0(cp, domain: DomainSet, section: str = "solver") -> Optional[np.ndarray]:
-    raw = _get(cp, section, "x0", "lmo")
+def _parse_x0(cfg: Config, domain: DomainSet, section: str = "solver") -> Optional[np.ndarray]:
+    raw = cfg[section]["x0"]
     if raw.strip().lower() == "lmo":
         return None
     try:
-        vals = np.array([float(tok) for tok in raw.split(",")])
+        vals = np.array([_finite_float(tok) for tok in raw.split(",")])
     except ValueError:
-        raise ConfigError(f"[{section}] x0 must be 'lmo' or comma-separated floats, got {raw!r}") from None
+        raise ConfigError(f"[{section}] x0 must be 'lmo' or comma-separated finite floats, got {raw!r}") from None
     if vals.shape != (domain.n,):
         raise ConfigError(f"[{section}] x0 has {vals.size} entries, expected {domain.n}")
     return vals
 
 
-def _build_solver_config(cp, domain: DomainSet, variant: Variant) -> SolverConfig:
+def _build_solver_config(cfg: Config, domain: DomainSet) -> SolverConfig:
     return SolverConfig(
-        variant=variant,
-        schedule=_build_schedule(cp),
-        max_iters=_get_int(cp, "solver", "max_iters", 1000),
-        x0=_parse_x0(cp, domain),
-        trace_every=_get_int(cp, "solver", "trace_every", 1),
+        variant=cfg["solver"]["variant"],
+        schedule=Schedule(cfg["solver"]["c"], cfg["solver"]["p"]),
+        max_iters=cfg["solver"]["max_iters"],
+        x0=_parse_x0(cfg, domain),
+        trace_every=cfg["solver"]["trace_every"],
     )
-
-
-def _parse_variant(cp, section: str = "solver") -> Variant:
-    raw = _get(cp, section, "variant", "avgfw").strip().lower()
-    try:
-        return Variant(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] variant must be fw or avgfw, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------- CSV io
@@ -259,86 +285,71 @@ def _fmt_float(v: float) -> str:
     return repr(float(v))
 
 
-def _write_trace_csv(path: str, trace: IterateTrace, header: Dict[str, object]) -> None:
+def _write_csv(path: str, header: Dict[str, object], columns: str, rows: Iterable[Iterable[str]]) -> None:
+    """A ``# key = value`` comment header, the column line, then the rows."""
     lines = [f"# {key} = {val}" for key, val in header.items()]
-    lines.append(TRACE_COLUMNS)
-    ids = trace.atom_ids
-    for i in range(trace.ks.size):
-        atom_id = "" if ids is None else str(int(ids[i]))
-        lines.append(
-            f"{int(trace.ks[i])},{_fmt_float(trace.f[i])},{_fmt_float(trace.gap[i])},"
-            f"{_fmt_float(trace.disc_err[i])},{_fmt_float(trace.gamma[i])},"
-            f"{_fmt_float(trace.beta[i])},{atom_id}"
-        )
+    lines.append(columns)
+    lines.extend(",".join(row) for row in rows)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_flow_csv(path: str, trace, header: Dict[str, object]) -> None:
-    lines = [f"# {key} = {val}" for key, val in header.items()]
-    lines.append(FLOW_COLUMNS)
-    for i in range(trace.t.size):
-        lines.append(
-            f"{_fmt_float(trace.t[i])},{_fmt_float(trace.f[i])},{_fmt_float(trace.gap[i])},"
-            f"{_fmt_float(trace.disc_err[i])},{_fmt_float(trace.h[i])}"
-        )
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _trace_rows(trace: IterateTrace):
+    """TRACE_COLUMNS rows; atom_id is the vertex id at k, empty on the l2 ball."""
+    ids = trace.vertex_ids
+    for i, k in enumerate(trace.ks):
+        floats = (trace.f[i], trace.gap[i], trace.disc_err[i], trace.gamma[i], trace.beta[i])
+        atom_id = "" if ids is None else str(int(ids[k - trace.k_start]))
+        yield [str(int(k)), *map(_fmt_float, floats), atom_id]
 
 
 def read_trace_csv(path: str) -> IterateTrace:
-    """Rebuild an analyzable trace from a solve/compare CSV."""
+    """Rebuild an analyzable trace from a solve/compare CSV.
+
+    The atom ids of the rows are the per-iteration history only when no
+    iteration was skipped, so ``vertex_ids`` is None on subsampled traces
+    (``trace_every > 1``) as well as on traces without ids.
+    """
     if not os.path.isfile(path):
         raise ConfigError(f"trace file not found: {path}")
-    ks, fs, gaps, discs, gammas, betas, ids = [], [], [], [], [], [], []
-    have_ids = True
+    ks, rows, ids = [], [], []
     with open(path, "r", encoding="ascii") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == TRACE_COLUMNS:
+            if not line or line.startswith("#") or line == TRACE_COLUMNS:
                 continue
             parts = line.split(",")
             if len(parts) != 7:
                 raise ParseError(line_no, f"line {line_no}: expected 7 columns, got {len(parts)}")
             try:
                 ks.append(int(parts[0]))
-                fs.append(float(parts[1]))
-                gaps.append(float(parts[2]))
-                discs.append(float(parts[3]))
-                gammas.append(float(parts[4]))
-                betas.append(float(parts[5]))
+                rows.append([float(tok) for tok in parts[1:6]])
+                if parts[6]:
+                    ids.append(int(parts[6]))
             except ValueError:
                 raise ParseError(line_no, f"line {line_no}: bad numeric field") from None
-            if parts[6] == "":
-                have_ids = False
-            else:
-                ids.append(int(parts[6]))
     if not ks:
         raise ParseError(0, f"no data rows in {path}")
-    vertex_ids = np.array(ids, dtype=int) if have_ids and len(ids) == len(ks) else None
-    n_rows = len(ks)
+    full_history = len(ids) == len(ks) and all(b - a == 1 for a, b in zip(ks, ks[1:]))
+    f, gap, disc_err, gamma, beta = np.array(rows).T
     return IterateTrace(
         ks=np.array(ks, dtype=int),
-        f=np.array(fs),
-        gap=np.array(gaps),
-        disc_err=np.array(discs),
-        gamma=np.array(gammas),
-        beta=np.array(betas),
-        atom_ids=vertex_ids,
-        vertex_ids=vertex_ids,
+        f=f,
+        gap=gap,
+        disc_err=disc_err,
+        gamma=gamma,
+        beta=beta,
+        vertex_ids=np.array(ids, dtype=int) if full_history else None,
         variant=Variant.AVGFW,
         schedule=Schedule(3.0, 1.0),
-        state=SolverState(k=n_rows, x=np.zeros(1), s_last=None, s_bar=np.zeros(1)),
+        state=SolverState(k=len(ks), x=np.zeros(1), s_last=None, s_bar=np.zeros(1)),
     )
 
 
 # ---------------------------------------------------------------- commands
 
-def _trace_header(cp, obj, domain, meta, extra: Dict[str, object]) -> Dict[str, object]:
-    header: Dict[str, object] = {}
-    header.update(_config_echo(cp))
+def _trace_header(echo, obj, domain, meta, extra: Dict[str, object]) -> Dict[str, object]:
+    header: Dict[str, object] = dict(echo)
     header["alpha"] = _fmt_float(domain.alpha)
     header["dimension"] = domain.n
     header["lipschitz_estimate"] = _fmt_float(lipschitz_bound(obj))
@@ -352,16 +363,15 @@ def _trace_header(cp, obj, domain, meta, extra: Dict[str, object]) -> Dict[str, 
 
 
 def cmd_solve(args) -> int:
-    cp = _read_config(args.config)
-    seed = _resolve_seed(args, cp)
-    out_dir = _resolve_out_dir(args, cp)
-    obj, domain, meta = _build_problem(cp, seed)
-    variant = _parse_variant(cp)
-    cfg = _build_solver_config(cp, domain, variant)
-    trace = solve(obj, domain, cfg)
-    header = _trace_header(cp, obj, domain, meta, {"variant": variant.value, "seed": seed})
+    cfg, echo = _read_config(args.config)
+    seed = _resolve_seed(args, cfg["output"]["seed"])
+    out_dir = _resolve_out_dir(args, cfg["output"]["dir"])
+    obj, domain, meta = _build_problem(cfg, seed)
+    solver_cfg = _build_solver_config(cfg, domain)
+    trace = solve(obj, domain, solver_cfg)
+    header = _trace_header(echo, obj, domain, meta, {"variant": solver_cfg.variant.value, "seed": seed})
     path = os.path.join(out_dir, "trace.csv")
-    _write_trace_csv(path, trace, header)
+    _write_csv(path, header, TRACE_COLUMNS, _trace_rows(trace))
     if not args.quiet:
         print(f"wrote {path} ({trace.ks.size} rows)")
     return EXIT_OK
@@ -375,23 +385,23 @@ def _safe_fit(trace, series, window) -> Optional[object]:
 
 
 def cmd_compare(args) -> int:
-    cp = _read_config(args.config)
-    seed = _resolve_seed(args, cp)
-    out_dir = _resolve_out_dir(args, cp)
-    obj, domain, meta = _build_problem(cp, seed)
-    sched = _build_schedule(cp)
-    max_iters = _get_int(cp, "solver", "max_iters", 1000)
+    cfg, echo = _read_config(args.config)
+    seed = _resolve_seed(args, cfg["output"]["seed"])
+    out_dir = _resolve_out_dir(args, cfg["output"]["dir"])
+    obj, domain, meta = _build_problem(cfg, seed)
+    base = _build_solver_config(cfg, domain)
+    sched, max_iters = base.schedule, base.max_iters
 
     traces: Dict[str, IterateTrace] = {}
     for variant in (Variant.FW, Variant.AVGFW):
-        cfg = _build_solver_config(cp, domain, variant)
-        traces[variant.value] = solve(obj, domain, cfg)
-        header = _trace_header(cp, obj, domain, meta, {"variant": variant.value, "seed": seed})
-        _write_trace_csv(os.path.join(out_dir, f"{variant.value}_trace.csv"), traces[variant.value], header)
+        trace = traces[variant.value] = solve(obj, domain, replace(base, variant=variant))
+        header = _trace_header(echo, obj, domain, meta, {"variant": variant.value, "seed": seed})
+        _write_csv(os.path.join(out_dir, f"{variant.value}_trace.csv"), header, TRACE_COLUMNS, _trace_rows(trace))
 
+    lo, hi = cfg["compare"]["window_lo"], cfg["compare"]["window_hi"]
     window = (
-        _get_int(cp, "compare", "window_lo", min(100, max(1, max_iters // 10))),
-        _get_int(cp, "compare", "window_hi", max_iters - 1),
+        min(100, max(1, max_iters // 10)) if lo is None else lo,
+        max_iters - 1 if hi is None else hi,
     )
     summary: Dict[str, object] = {
         "c": sched.c,
@@ -409,7 +419,9 @@ def cmd_compare(args) -> int:
             summary[f"r2_{name}_{variant}"] = "none" if fit is None else fit.r_squared
 
     if domain.is_polyhedral:
-        reference_iters = _get_int(cp, "compare", "reference_iters", min(100000, 10 * max_iters))
+        reference_iters = cfg["compare"]["reference_iters"]
+        if reference_iters is None:
+            reference_iters = min(100000, 10 * max_iters)
         ref_cfg = SolverConfig(
             variant=Variant.AVGFW,
             schedule=sched,
@@ -437,7 +449,7 @@ def cmd_compare(args) -> int:
     with open(summary_path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(render_report(summary))
 
-    if _get_bool(cp, "output", "emit_plots", False):
+    if cfg["output"]["emit_plots"]:
         _emit_compare_plots(out_dir, traces, domain)
     if not args.quiet:
         print(f"wrote {summary_path}")
@@ -469,50 +481,40 @@ def _emit_compare_plots(out_dir: str, traces: Dict[str, IterateTrace], domain) -
 
 
 def cmd_flow(args) -> int:
-    cp = _read_config(args.config)
-    seed = _resolve_seed(args, cp)
-    out_dir = _resolve_out_dir(args, cp)
+    cfg, echo = _read_config(args.config)
+    seed = _resolve_seed(args, cfg["output"]["seed"])
+    out_dir = _resolve_out_dir(args, cfg["output"]["dir"])
 
-    variant = _parse_variant(cp, "flow")
-    sched = _build_schedule(cp)
-    t_end = _get_float(cp, "flow", "t_end", 10.0)
-    record_every = _get_float(cp, "flow", "record_every", max(t_end / 200.0, 1e-3))
-    dt = _get_float(cp, "flow", "dt", 1e-3)
-    forced = _get(cp, "flow", "forced_signal", "none").strip().lower()
-
-    header: Dict[str, object] = {}
-    header.update(_config_echo(cp))
-    header["seed"] = seed
-
-    if forced == "one":
-        cfg = FlowConfig(
-            variant=Variant.AVGFW,
-            schedule=sched,
-            t_end=t_end,
-            dt=dt,
-            record_every=record_every,
-        )
-        trace = force_signal(cfg, lambda t: np.array([1.0]))
-        header["final_s_bar"] = _fmt_float(float(trace.final_s_bar[0]))
-    elif forced == "none":
-        obj, domain, meta = _build_problem(cp, seed)
-        cfg = FlowConfig(
-            variant=variant,
-            schedule=sched,
-            t_end=t_end,
-            dt=dt,
-            record_every=record_every,
-            x0=_parse_x0(cp, domain, "flow"),
-            f_ref=float(meta.get("f_ref", 0.0)),
-        )
-        trace = integrate(obj, domain, cfg)
-        header["alpha"] = _fmt_float(domain.alpha)
-        header["f_ref"] = _fmt_float(cfg.f_ref)
-    else:
+    flow = cfg["flow"]
+    record_every = flow["record_every"]
+    if record_every is None:
+        record_every = max(flow["t_end"] / 200.0, 1e-3)
+    forced = flow["forced_signal"].strip().lower()
+    if forced not in ("none", "one"):
         raise ConfigError(f"[flow] forced_signal must be none or one, got {forced!r}")
+    flow_cfg = FlowConfig(
+        variant=flow["variant"],
+        schedule=Schedule(cfg["solver"]["c"], cfg["solver"]["p"]),
+        t_end=flow["t_end"],
+        dt=flow["dt"],
+        record_every=record_every,
+    )
+
+    header: Dict[str, object] = {**echo, "seed": seed}
+    if forced == "one":
+        # only the averaging equation runs, so the variant plays no part
+        trace = force_signal(flow_cfg, lambda t: np.array([1.0]))
+        header["final_s_bar"] = _fmt_float(float(trace.final_s_bar[0]))
+    else:
+        obj, domain, meta = _build_problem(cfg, seed)
+        flow_cfg = replace(flow_cfg, x0=_parse_x0(cfg, domain, "flow"), f_ref=float(meta.get("f_ref", 0.0)))
+        trace = integrate(obj, domain, flow_cfg)
+        header["alpha"] = _fmt_float(domain.alpha)
+        header["f_ref"] = _fmt_float(flow_cfg.f_ref)
 
     path = os.path.join(out_dir, "flow_trace.csv")
-    _write_flow_csv(path, trace, header)
+    rows = (map(_fmt_float, row) for row in zip(trace.t, trace.f, trace.gap, trace.disc_err, trace.h))
+    _write_csv(path, header, "t,f,gap,disc_err,h", rows)
     if not args.quiet:
         print(f"wrote {path} ({trace.t.size} rows)")
     return EXIT_OK
@@ -527,7 +529,9 @@ def cmd_diag(args) -> int:
         fit = _safe_fit(trace, series, (k_lo, k_hi))
         report[f"slope_{name}"] = "none" if fit is None else fit.slope
         report[f"r2_{name}"] = "none" if fit is None else fit.r_squared
-    if trace.vertex_ids is not None:
+    if trace.vertex_ids is None:
+        report["support_first"] = report["support_final"] = "undefined"
+    else:
         traj = support_trajectory(trace)
         report["support_first"] = int(traj[0])
         report["support_final"] = int(traj[-1])
@@ -539,48 +543,40 @@ def cmd_diag(args) -> int:
 def cmd_sweep(args) -> int:
     """Radius sweep for classification problems: train on a split, report
     validation loss per radius on a log grid. Reported, never asserted."""
-    cp = _read_config(args.config)
-    seed = _resolve_seed(args, cp)
-    out_dir = _resolve_out_dir(args, cp)
-    obj, domain, _ = _build_problem(cp, seed)
+    cfg, echo = _read_config(args.config)
+    seed = _resolve_seed(args, cfg["output"]["seed"])
+    out_dir = _resolve_out_dir(args, cfg["output"]["dir"])
+    obj, domain, _ = _build_problem(cfg, seed)
     if not isinstance(obj, Logistic):
         raise ConfigError("sweep needs a classification problem (svmlight or synthetic_logistic)")
 
-    frac = _get_float(cp, "sweep", "train_frac", 0.6)
-    train, val = train_val_split(obj, frac, seed)
-    lo = _get_float(cp, "sweep", "alpha_lo", 1.0)
-    hi = _get_float(cp, "sweep", "alpha_hi", 100.0)
-    points = _get_int(cp, "sweep", "points", 10)
-    if points < 1:
-        raise ConfigError(f"[sweep] points must be >= 1, got {points}")
-    variant = _parse_variant(cp)
+    sweep = cfg["sweep"]
+    train, val = train_val_split(obj, sweep["train_frac"], seed)
+    if sweep["points"] < 1:
+        raise ConfigError(f"[sweep] points must be >= 1, got {sweep['points']}")
+    if not (sweep["alpha_lo"] > 0 and sweep["alpha_hi"] > 0):
+        raise ConfigError(f"[sweep] alpha_lo and alpha_hi must be > 0, got {sweep['alpha_lo']} and {sweep['alpha_hi']}")
 
-    lines = [f"# {key} = {val_}" for key, val_ in _config_echo(cp).items()]
-    lines.append("alpha,train_loss,val_loss,final_gap")
+    rows = []
     best_alpha, best_loss = None, np.inf
-    for alpha in np.geomspace(lo, hi, points):
+    for alpha in np.geomspace(sweep["alpha_lo"], sweep["alpha_hi"], sweep["points"]):
         dom = DomainSet(Kind.L1_BALL, float(alpha), train.n)
-        cfg = _build_solver_config(cp, dom, variant)
-        trace = solve(train, dom, cfg)
+        trace = solve(train, dom, _build_solver_config(cfg, dom))
         x = trace.state.x
         val_loss = val.value(x)
-        lines.append(
-            f"{_fmt_float(alpha)},{_fmt_float(train.value(x))},{_fmt_float(val_loss)},{_fmt_float(trace.gap[-1])}"
-        )
+        rows.append([_fmt_float(v) for v in (alpha, train.value(x), val_loss, trace.gap[-1])])
         if val_loss < best_loss:
             best_alpha, best_loss = float(alpha), float(val_loss)
     path = os.path.join(out_dir, "sweep.csv")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, echo, "alpha,train_loss,val_loss,final_gap", rows)
     if not args.quiet:
         print(f"wrote {path}; best alpha {best_alpha:g} (validation loss {best_loss:.6g})")
     return EXIT_OK
 
 
 def cmd_gen_data(args) -> int:
-    out_dir = args.out or os.environ.get("AVGFW_OUT", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    data = generate_sparse_logistic(m=args.m, n=args.n, density=args.density, seed=args.seed or 0)
+    out_dir = _resolve_out_dir(args)
+    data = generate_sparse_logistic(m=args.m, n=args.n, density=args.density, seed=_resolve_seed(args))
     path = os.path.join(out_dir, "synthetic_logistic.svmlight")
     write_svmlight(data, path)
     if not args.quiet:

@@ -160,9 +160,11 @@ def load_svmlight(path: str, n_features_hint: Optional[int] = None) -> Logistic:
     indptr: List[int] = [0]
     max_col = -1
 
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
+            if not line.isascii():
+                raise ParseError(line_no, f"line {line_no}: non-ASCII byte")
             if not line or line.startswith("#"):
                 continue
             tokens = line.split()
@@ -241,6 +243,8 @@ def generate_sparse_logistic(
     positions; labels come from a planted 20-sparse separator (rows with
     zero margin fall to +1).
     """
+    if m < 1 or n < 20 or not (0 < density <= 1):
+        raise ConfigError(f"need m >= 1, n >= 20 (the 20-sparse separator) and density in (0, 1], got {m}, {n}, {density}")
     rng = np.random.default_rng(seed)
     nnz_row = max(1, int(round(density * n)))
     indices = np.empty(m * nnz_row, dtype=int)

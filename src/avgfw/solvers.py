@@ -83,7 +83,6 @@ class IterateTrace:
     disc_err: np.ndarray
     gamma: np.ndarray
     beta: np.ndarray
-    atom_ids: Optional[np.ndarray]
     vertex_ids: Optional[np.ndarray]
     variant: Variant
     schedule: Schedule
@@ -160,7 +159,6 @@ def _run(source: AtomSource, polyhedral: bool, cfg: SolverConfig, state: SolverS
     rows_disc: List[float] = []
     rows_gamma: List[float] = []
     rows_beta: List[float] = []
-    rows_id: List[int] = []
     vids: List[int] = []
 
     last_atom = state.s_last
@@ -186,7 +184,6 @@ def _run(source: AtomSource, polyhedral: bool, cfg: SolverConfig, state: SolverS
             rows_disc.append(float(np.linalg.norm(direction - x)))
             rows_gamma.append(g_k)
             rows_beta.append(b_k)
-            rows_id.append(atom.vertex_id if polyhedral else 0)
 
         x = x + g_k * (direction - x)
 
@@ -198,7 +195,6 @@ def _run(source: AtomSource, polyhedral: bool, cfg: SolverConfig, state: SolverS
         disc_err=np.array(rows_disc),
         gamma=np.array(rows_gamma),
         beta=np.array(rows_beta),
-        atom_ids=np.array(rows_id, dtype=int) if polyhedral else None,
         vertex_ids=np.array(vids, dtype=int) if polyhedral else None,
         variant=cfg.variant,
         schedule=sched,

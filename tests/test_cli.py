@@ -254,6 +254,63 @@ def test_sweep_without_points_exits_2(tmp_path, capsys):
     assert "config error: [sweep] points" in capsys.readouterr().err
 
 
+# each case: argv with {cfg} for the config path, config text with {data}
+# for an svmlight file holding a non-ASCII byte, and the message expected
+BAD_INPUTS = {
+    "unknown_key": (["solve"], SCALAR_CONFIG.replace("max_iters = 50", "max_iter = 5"), "unknown key [solver] max_iter"),
+    "unknown_section": (["solve"], SCALAR_CONFIG + "\n[extra]\nk = 1\n", "unknown section [extra]"),
+    "flow_t_end_nan": (["flow"], SCALAR_FLOW_CONFIG.replace("t_end = 50.0", "t_end = nan"), "[flow] t_end"),
+    "flow_dt_inf": (["flow"], SCALAR_FLOW_CONFIG.replace("dt = 1e-3", "dt = inf"), "[flow] dt"),
+    "solve_emit_plots_maybe": (["solve"], SCALAR_CONFIG + "emit_plots = maybe\n", "[output] emit_plots"),
+    "config_seed_negative": (["solve"], SWEEP_CONFIG.replace("seed = 0", "seed = -1"), "seed must be >= 0"),
+    "gen_data_seed_negative": (["gen-data", "--seed", "-3"], None, "seed must be >= 0"),
+    "logistic_n_below_20": (["solve"], SWEEP_CONFIG.replace("n = 40", "n = 19"), "n >= 20"),
+    "gen_data_n_below_20": (["gen-data", "--m", "5", "--n", "10"], None, "n >= 20"),
+    "logistic_m_zero": (["solve"], SWEEP_CONFIG.replace("m = 60", "m = 0"), "m >= 1"),
+    "logistic_density_above_1": (["solve"], SWEEP_CONFIG.replace("density = 0.1", "density = 1.5"), "density in (0, 1]"),
+    "logistic_density_negative": (["solve"], SWEEP_CONFIG.replace("density = 0.1", "density = -1"), "density in (0, 1]"),
+    "sweep_alpha_lo_zero": (["sweep"], SWEEP_CONFIG.replace("alpha_lo = 1", "alpha_lo = 0"), "[sweep] alpha_lo"),
+    "svmlight_non_ascii": (
+        ["solve"],
+        "[problem]\nkind = svmlight\npath = {data}\nalpha = 1.0\n[solver]\nmax_iters = 5\n",
+        "line 2: non-ASCII byte",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_message(tmp_path, capsys, case):
+    argv, text, message = BAD_INPUTS[case]
+    if text is not None:
+        data = tmp_path / "data.svmlight"
+        data.write_bytes(b"+1 1:0.5 2:1.0\n-1 1:0.2 2:\xb50.3\n")
+        cfg = write_config(tmp_path / "cfg.ini", text.replace("{data}", str(data)))
+        argv = argv + ["--config", cfg]
+    assert run_cli(*argv, "--out", str(tmp_path / "o"), "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
+def test_diag_support_metrics_undefined_on_subsampled_trace(tmp_path, capsys):
+    text = CS_COMPARE_CONFIG.format(plots="false").replace("max_iters = 2000", "max_iters = 300")
+    full, sub = tmp_path / "full", tmp_path / "sub"
+    run_cli("compare", "--config", write_config(tmp_path / "a.ini", text), "--out", str(full), "--quiet")
+    text = text.replace("max_iters = 300", "max_iters = 300\ntrace_every = 7")
+    run_cli("compare", "--config", write_config(tmp_path / "b.ini", text), "--out", str(sub), "--quiet")
+    # the atom_id column of a subsampled trace is the vertex id at each recorded k
+    full_ids = {row[0]: row[6] for row in read_csv_rows(full / "fw_trace.csv")[1]}
+    sub_rows = read_csv_rows(sub / "fw_trace.csv")[1]
+    assert len(sub_rows) < len(full_ids)
+    assert all(row[6] == full_ids[row[0]] for row in sub_rows)
+    # the summary still counts from the full history; diag cannot
+    summary = (sub / "summary.txt").read_text()
+    assert int(dict(line.split(" = ") for line in summary.splitlines())["support_first_fw"]) >= 1
+    assert run_cli("diag", str(sub / "fw_trace.csv")) == 0
+    entries = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+    assert entries["support_first"] == "undefined"
+    assert entries["support_final"] == "undefined"
+
+
 def test_gen_data_round_trips(tmp_path):
     out = tmp_path / "data"
     assert run_cli("gen-data", "--out", str(out), "--m", "40", "--n", "60", "--density", "0.05", "--quiet") == 0

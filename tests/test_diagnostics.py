@@ -27,7 +27,6 @@ def synthetic_trace(ks, series, which=Series.GAP, vertex_ids=None):
         disc_err=vals if which is Series.DISC_ERR else nan.copy(),
         gamma=nan.copy(),
         beta=nan.copy(),
-        atom_ids=None,
         vertex_ids=None if vertex_ids is None else np.asarray(vertex_ids, dtype=int),
         variant=Variant.AVGFW,
         schedule=Schedule(3.0, 1.0),

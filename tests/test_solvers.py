@@ -46,7 +46,7 @@ def test_default_x0_is_lmo_at_origin_gradient():
     trace = solve(obj, dom, SolverConfig(Variant.FW, Schedule(2.0, 1.0), max_iters=1))
     s = lmo(dom, obj.gradient(np.zeros(dom.n)))
     # gamma_0 = 1 so x_1 lands on the first atom; the recorded start is the vertex
-    assert trace.atom_ids is not None
+    assert trace.vertex_ids is not None
     np.testing.assert_array_equal(trace.state.x, s.vector + 1.0 * (lmo(dom, obj.gradient(s.vector)).vector - s.vector))
 
 
