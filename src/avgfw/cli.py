@@ -59,7 +59,7 @@ from .experiments import (
 from .flows import FlowConfig, force_signal, integrate
 from .objectives import Logistic, Scalar1D, lipschitz_bound
 from .schedules import Schedule
-from .solvers import IterateTrace, SolverConfig, SolverState, Variant, solve
+from .solvers import IterateTrace, SolverConfig, Variant, solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -184,7 +184,10 @@ def _required(cfg: Config, section: str, key: str):
 
 def _resolve_out_dir(args, configured: Optional[str] = None) -> str:
     out = args.out or configured or os.environ.get("AVGFW_OUT", ".")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {out}: {err.strerror}") from None
     return out
 
 
@@ -308,14 +311,17 @@ def read_trace_csv(path: str) -> IterateTrace:
 
     The atom ids of the rows are the per-iteration history only when no
     iteration was skipped, so ``vertex_ids`` is None on subsampled traces
-    (``trace_every > 1``) as well as on traces without ids.
+    (``trace_every > 1``) as well as on traces without ids. The file holds
+    no checkpoint, so ``state`` is None.
     """
     if not os.path.isfile(path):
         raise ConfigError(f"trace file not found: {path}")
     ks, rows, ids = [], [], []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
+            if not line.isascii():
+                raise ParseError(line_no, f"line {line_no}: non-ASCII byte")
             if not line or line.startswith("#") or line == TRACE_COLUMNS:
                 continue
             parts = line.split(",")
@@ -340,9 +346,7 @@ def read_trace_csv(path: str) -> IterateTrace:
         gamma=gamma,
         beta=beta,
         vertex_ids=np.array(ids, dtype=int) if full_history else None,
-        variant=Variant.AVGFW,
-        schedule=Schedule(3.0, 1.0),
-        state=SolverState(k=len(ks), x=np.zeros(1), s_last=None, s_bar=np.zeros(1)),
+        state=None,
     )
 
 
@@ -441,9 +445,7 @@ def cmd_compare(args) -> int:
             # magnitude only
             summary["identification_threshold"] = report.delta / (lipschitz_bound(obj) * domain.n)
         for variant, trace in traces.items():
-            traj = support_trajectory(trace)
-            summary[f"support_first_{variant}"] = int(traj[0])
-            summary[f"support_final_{variant}"] = int(traj[-1])
+            summary[f"support_first_{variant}"] = int(support_trajectory(trace)[0])
 
     summary_path = os.path.join(out_dir, "summary.txt")
     with open(summary_path, "w", encoding="ascii", newline="\n") as fh:
@@ -529,12 +531,7 @@ def cmd_diag(args) -> int:
         fit = _safe_fit(trace, series, (k_lo, k_hi))
         report[f"slope_{name}"] = "none" if fit is None else fit.slope
         report[f"r2_{name}"] = "none" if fit is None else fit.r_squared
-    if trace.vertex_ids is None:
-        report["support_first"] = report["support_final"] = "undefined"
-    else:
-        traj = support_trajectory(trace)
-        report["support_first"] = int(traj[0])
-        report["support_final"] = int(traj[-1])
+    report["support_first"] = "undefined" if trace.vertex_ids is None else int(support_trajectory(trace)[0])
     text = render_report(report)
     sys.stdout.write(text)
     return EXIT_OK

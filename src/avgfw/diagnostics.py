@@ -55,10 +55,9 @@ def _series_values(trace: IterateTrace, series: Series, f_ref: Optional[float]) 
         return trace.gap
     if series is Series.DISC_ERR:
         return trace.disc_err
-    ref = f_ref if f_ref is not None else trace.f_ref
-    if ref is None:
-        raise ConfigError("F_MINUS_REF fit needs a reference value; none on the trace or call")
-    return trace.f - ref
+    if f_ref is None:
+        raise ConfigError("F_MINUS_REF fit needs a reference value f_ref")
+    return trace.f - f_ref
 
 
 def _geometric_subsample(ks: np.ndarray) -> np.ndarray:

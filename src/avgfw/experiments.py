@@ -24,7 +24,7 @@ from .domains import Atom, DomainSet, Kind
 from .errors import ConfigError, LabelError, ParseError
 from .objectives import Logistic, QuadraticLS
 from .schedules import Schedule
-from .solvers import IterateTrace, SolverConfig, SolverState, Variant, _run
+from .solvers import IterateTrace, SolverConfig, SolverState, Variant, _discrete_steps, _run
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def run_scripted_averaging(spec: ScriptedTrajectorySpec, schedule: Schedule) -> 
 
     cfg = SolverConfig(Variant.AVGFW, schedule, max_iters=spec.steps)
     start = SolverState(k=0, x=np.zeros(n), s_last=None, s_bar=np.zeros(n))
-    return _run(source, polyhedral=True, cfg=cfg, state=start)
+    return _run(source, _discrete_steps(schedule), record_ids=True, cfg=cfg, state=start)
 
 
 L2_UNCONSTRAINED_NORM = 2.44

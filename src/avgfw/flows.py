@@ -3,17 +3,17 @@
 The vanilla flow is  dx/dt = gamma(t) (s(t) - x(t))  with s(t) the LMO
 at the current gradient; the averaged flow couples in
 ds̄/dt = beta(t) (s(t) - sbar(t)) and steers x toward sbar instead.
-Only explicit Euler with a fixed fine step is offered: the LMO makes
-the right-hand side discontinuous in x, so higher-order integrators buy
+An explicit Euler step of size dt is the method's own update with
+weights dt gamma(t) and dt beta(t), so :func:`integrate` runs the
+solver's iteration loop (``solvers._run``) with that step rule; the
+first weight is 1, which anchors sbar at the first LMO atom. Only
+explicit Euler with a fixed fine step is offered: the LMO makes the
+right-hand side discontinuous in x, so higher-order integrators buy
 nothing and step-halving checks are the honest accuracy instrument.
 
 ``force_signal`` integrates the averaging equation alone against a
-prescribed signal, the hook used to validate the closed-form
-accumulation response.
-
-The flow variant is the solver's :class:`~avgfw.solvers.Variant`, and the
-start point comes from the same helper as the discrete solver's:
-LMO(grad f(0)) unless an explicit x0 is given.
+prescribed signal from sbar(0) = 0. It is the separate yardstick for the
+closed-form accumulation response (26/27 at c = 3, p = 1, t = 6).
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .domains import DomainSet, contains, lmo
-from .errors import ConfigError, NumericalBlowup, StepTooLarge
+from .domains import DomainSet, contains
+from .errors import ConfigError, StepTooLarge
 from .objectives import Objective
 from .schedules import DEFAULT_SCHEDULE, Schedule, beta_t, gamma_t
-from .solvers import Variant, _start_point
+from .solvers import SolverConfig, SolverState, Variant, _lmo_source, _run, _start_point
 
 MAX_DT = 1e-2
 FEASIBILITY_TOL_FACTOR = 1e-6
@@ -63,69 +63,41 @@ class FlowTrace:
     gap: np.ndarray
     disc_err: np.ndarray
     h: np.ndarray
-    final_x: Optional[np.ndarray]
     final_s_bar: Optional[np.ndarray]
 
 
 def integrate(obj: Objective, domain: DomainSet, cfg: FlowConfig) -> FlowTrace:
     """Euler-integrate the configured flow to t_end.
 
-    The averaged flow initializes sbar at the first LMO atom so the state
-    stays a convex combination of extreme points throughout. Feasibility
-    of x is checked every step within 1e-6 * alpha; drifting past that
-    raises StepTooLarge with a halved suggestion.
+    Step k runs at t = k dt. Feasibility of x is checked every step
+    within 1e-6 * alpha; drifting past that raises StepTooLarge with a
+    halved suggestion.
     """
-    x = _start_point(obj, domain, cfg.x0)
-    averaged = cfg.variant is Variant.AVGFW
-    sched = cfg.schedule
-    dt = cfg.dt
+    x0 = _start_point(obj, domain, cfg.x0)
+    sched, dt = cfg.schedule, cfg.dt
     n_steps = int(round(cfg.t_end / dt))
-    rec_stride = max(1, int(round(cfg.record_every / dt)))
     feas_tol = FEASIBILITY_TOL_FACTOR * domain.alpha
+    lmo_source = _lmo_source(obj, domain)
 
-    s_bar = None
-    ts: List[float] = []
-    fs: List[float] = []
-    gaps: List[float] = []
-    discs: List[float] = []
+    def source(x: np.ndarray, k: int):
+        if k > 0 and not contains(domain, x, feas_tol):
+            raise StepTooLarge(dt / 2, f"feasibility drift at t = {(k - 1) * dt:g}; retry with dt <= {dt / 2:g}")
+        return lmo_source(x, k)
 
-    for step in range(n_steps + 1):
-        t = step * dt
-        f_t, g = obj.value_and_gradient(x)
-        if not (np.isfinite(f_t) and np.all(np.isfinite(g))):
-            raise NumericalBlowup(step, f"non-finite value at t = {t:g}")
-        atom = lmo(domain, g)
-        if averaged:
-            if s_bar is None:
-                s_bar = atom.vector.copy()
-            direction = s_bar
-        else:
-            direction = atom.vector
+    def steps(k: int):
+        return dt * gamma_t(sched, k * dt), 1.0 if k == 0 else dt * beta_t(sched, k * dt)
 
-        if step % rec_stride == 0 or step == n_steps:
-            ts.append(t)
-            fs.append(f_t)
-            gaps.append(max(float(np.dot(g, x - atom.vector)), 0.0))
-            discs.append(float(np.linalg.norm(direction - x)))
-
-        if step == n_steps:
-            break
-        if averaged:
-            s_bar = s_bar + dt * beta_t(sched, t) * (atom.vector - s_bar)
-        # x moves toward the time-t direction, not the freshly updated average
-        x = x + dt * gamma_t(sched, t) * (direction - x)
-        if not contains(domain, x, feas_tol):
-            raise StepTooLarge(dt / 2, f"feasibility drift at t = {t:g}; retry with dt <= {dt / 2:g}")
-
-    f_arr = np.array(fs)
+    stride = max(1, int(round(cfg.record_every / dt)))
+    run_cfg = SolverConfig(cfg.variant, sched, max_iters=n_steps + 1, trace_every=stride)
+    start = SolverState(k=0, x=x0, s_last=None, s_bar=np.zeros(domain.n))
+    trace = _run(source, steps, False, run_cfg, start)  # a flow has no use for vertex ids
     return FlowTrace(
-        t=np.array(ts),
-        f=f_arr,
-        gap=np.array(gaps),
-        disc_err=np.array(discs),
-        h=f_arr - cfg.f_ref,
-        final_x=x,
-        final_s_bar=None if s_bar is None else s_bar.copy(),
+        t=trace.ks * dt,
+        f=trace.f,
+        gap=trace.gap,
+        disc_err=trace.disc_err,
+        h=trace.f - cfg.f_ref,
+        final_s_bar=trace.state.s_bar if cfg.variant is Variant.AVGFW else None,
     )
 
 
@@ -162,6 +134,5 @@ def force_signal(cfg: FlowConfig, signal: Callable[[float], np.ndarray]) -> Flow
         gap=nan.copy(),
         disc_err=np.array(lags),
         h=nan.copy(),
-        final_x=None,
         final_s_bar=s_bar,
     )

@@ -12,7 +12,10 @@ run can be checkpointed and resumed with bitwise-identical results.
 
 The loop takes its atoms from a source: the LMO at the current gradient
 for :func:`solve` and :func:`resume`, or a prescribed stream for the
-scripted runs of ``experiments.run_scripted_averaging``.
+scripted runs of ``experiments.run_scripted_averaging``. It takes
+(gamma_k, beta_k) from a step rule: the discrete schedule here, or the
+Euler steps (dt gamma(k dt), dt beta(k dt)) of ``flows.integrate``, which
+runs the continuous-time flow through this same loop.
 """
 
 from __future__ import annotations
@@ -72,9 +75,10 @@ class IterateTrace:
     Row arrays hold the metrics at the recorded iterations (every
     ``trace_every`` steps plus the final one), all evaluated at x_k
     before the step: objective value, duality gap, discretization error
-    ||d_k - x_k||, and the schedule values used. ``vertex_ids`` is the
+    ||d_k - x_k||, and the step values used. ``vertex_ids`` is the
     full per-iteration atom-id history on polyhedral domains (None on
-    the l2 ball).
+    the l2 ball). ``state`` is the checkpoint after the last iteration,
+    None on a trace read back from CSV.
     """
 
     ks: np.ndarray
@@ -84,14 +88,17 @@ class IterateTrace:
     gamma: np.ndarray
     beta: np.ndarray
     vertex_ids: Optional[np.ndarray]
-    variant: Variant
-    schedule: Schedule
-    state: SolverState
+    state: Optional[SolverState]
     k_start: int = 0
-    f_ref: Optional[float] = None
 
 
 AtomSource = Callable[[np.ndarray, int], Tuple[float, np.ndarray, Atom]]
+StepRule = Callable[[int], Tuple[float, float]]
+
+
+def _discrete_steps(sched: Schedule) -> StepRule:
+    """The method's step rule: k -> (gamma_k, beta_k)."""
+    return lambda k: (gamma(sched, k), beta(sched, k))
 
 
 def _start_point(obj: Objective, domain: DomainSet, x0: Optional[np.ndarray]) -> np.ndarray:
@@ -123,7 +130,7 @@ def solve(obj: Objective, domain: DomainSet, cfg: SolverConfig) -> IterateTrace:
     """Run exactly ``cfg.max_iters`` iterations from the configured start."""
     x0 = _start_point(obj, domain, cfg.x0)
     state = SolverState(k=0, x=x0, s_last=None, s_bar=np.zeros(domain.n))
-    return _run(_lmo_source(obj, domain), domain.is_polyhedral, cfg, state)
+    return _run(_lmo_source(obj, domain), _discrete_steps(cfg.schedule), domain.is_polyhedral, cfg, state)
 
 
 def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverConfig) -> IterateTrace:
@@ -138,14 +145,14 @@ def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverCon
     if state.k < 0:
         raise ConfigError(f"state iteration must be >= 0, got {state.k}")
     fresh = SolverState(k=state.k, x=state.x.copy(), s_last=state.s_last, s_bar=state.s_bar.copy())
-    return _run(_lmo_source(obj, domain), domain.is_polyhedral, cfg, fresh)
+    return _run(_lmo_source(obj, domain), _discrete_steps(cfg.schedule), domain.is_polyhedral, cfg, fresh)
 
 
-def _run(source: AtomSource, polyhedral: bool, cfg: SolverConfig, state: SolverState) -> IterateTrace:
+def _run(source: AtomSource, steps: StepRule, record_ids: bool, cfg: SolverConfig, state: SolverState) -> IterateTrace:
     """The iteration loop shared by every run; ``source(x_k, k)`` returns
-    (f_k, grad f(x_k), s_k). The gap row is g . (x_k - s_k), so a source
-    without an objective that returns NaN for f and g gets NaN gaps."""
-    sched = cfg.schedule
+    (f_k, grad f(x_k), s_k) and ``steps(k)`` returns (gamma_k, beta_k).
+    The gap row is g . (x_k - s_k), so a source without an objective that
+    returns NaN for f and g gets NaN gaps."""
     averaged = cfg.variant is Variant.AVGFW
 
     x = state.x
@@ -165,15 +172,14 @@ def _run(source: AtomSource, polyhedral: bool, cfg: SolverConfig, state: SolverS
     for k in range(k_start, k_end):
         f_k, g, atom = source(x, k)
         last_atom = atom
-        b_k = beta(sched, k)
-        g_k = gamma(sched, k)
+        g_k, b_k = steps(k)
         if averaged:
             s_bar = s_bar + b_k * (atom.vector - s_bar)
             direction = s_bar
         else:
             direction = atom.vector
 
-        if polyhedral:
+        if record_ids:
             vids.append(atom.vertex_id)
 
         if k % cfg.trace_every == 0 or k == k_end - 1:
@@ -195,9 +201,7 @@ def _run(source: AtomSource, polyhedral: bool, cfg: SolverConfig, state: SolverS
         disc_err=np.array(rows_disc),
         gamma=np.array(rows_gamma),
         beta=np.array(rows_beta),
-        vertex_ids=np.array(vids, dtype=int) if polyhedral else None,
-        variant=cfg.variant,
-        schedule=sched,
+        vertex_ids=np.array(vids, dtype=int) if record_ids else None,
         state=final,
         k_start=k_start,
     )

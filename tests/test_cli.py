@@ -308,7 +308,6 @@ def test_diag_support_metrics_undefined_on_subsampled_trace(tmp_path, capsys):
     assert run_cli("diag", str(sub / "fw_trace.csv")) == 0
     entries = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
     assert entries["support_first"] == "undefined"
-    assert entries["support_final"] == "undefined"
 
 
 def test_gen_data_round_trips(tmp_path):
@@ -327,6 +326,33 @@ def test_read_trace_csv_round_trip(tmp_path):
     trace = read_trace_csv(str(out / "trace.csv"))
     assert trace.ks[0] == 0
     assert trace.gap[0] == pytest.approx(1.5)
+    assert trace.state is None  # a CSV holds no checkpoint
+
+
+def test_diag_non_ascii_trace_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.ini", SCALAR_CONFIG)
+    out = tmp_path / "out"
+    run_cli("solve", "--config", cfg, "--out", str(out), "--quiet")
+    path = out / "trace.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[-1] = lines[-1].replace(b",", b",\xb5", 1)
+    path.write_bytes(b"".join(lines))
+    assert run_cli("diag", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"line {len(lines)}: non-ASCII byte" in err
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_out_dir_naming_a_file_exits_2(tmp_path, capsys, where):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    text = SCALAR_CONFIG + (f"dir = {afile}\n" if where == "config" else "")
+    argv = ["solve", "--config", write_config(tmp_path / "cfg.ini", text), "--quiet"]
+    if where == "flag":
+        argv += ["--out", str(afile)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory")
 
 
 def test_env_var_default_out_dir(tmp_path, monkeypatch):

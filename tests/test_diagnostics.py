@@ -12,8 +12,7 @@ from avgfw.diagnostics import (
 )
 from avgfw.domains import DomainSet, Kind, enumerate_vertices
 from avgfw.errors import InsufficientData, NoZeroSet, UnsupportedKind
-from avgfw.schedules import Schedule
-from avgfw.solvers import IterateTrace, SolverState, Variant
+from avgfw.solvers import IterateTrace, SolverState
 
 
 def synthetic_trace(ks, series, which=Series.GAP, vertex_ids=None):
@@ -28,10 +27,7 @@ def synthetic_trace(ks, series, which=Series.GAP, vertex_ids=None):
         gamma=nan.copy(),
         beta=nan.copy(),
         vertex_ids=None if vertex_ids is None else np.asarray(vertex_ids, dtype=int),
-        variant=Variant.AVGFW,
-        schedule=Schedule(3.0, 1.0),
         state=SolverState(k=n, x=np.zeros(1), s_last=None, s_bar=np.zeros(1)),
-        f_ref=0.0 if which is Series.F_MINUS_REF else None,
     )
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from avgfw.domains import DomainSet, Kind
-from avgfw.errors import ConfigError, StepTooLarge
+from avgfw.domains import DomainSet, Kind, contains, lmo
+from avgfw.errors import ConfigError, NumericalBlowup, StepTooLarge
 from avgfw.flows import FlowConfig, force_signal, integrate
-from avgfw.objectives import Scalar1D
+from avgfw.objectives import QuadraticLS, Scalar1D
 from avgfw.schedules import Schedule, accumulation, alpha_t
 from avgfw.solvers import SolverConfig, Variant, solve
 
@@ -140,3 +140,26 @@ def test_flow_rejects_dimension_mismatch(small_l1_quadratic):
     obj, _, _ = small_l1_quadratic
     with pytest.raises(ConfigError):
         integrate(obj, DomainSet(Kind.L1_BALL, 1.0, obj.n + 2), FlowConfig(t_end=1.0))
+
+
+def test_averaged_flow_anchors_s_bar_at_the_first_atom(small_l1_quadratic):
+    obj, dom, _ = small_l1_quadratic
+    x0 = np.zeros(dom.n)
+    trace = integrate(
+        obj, dom,
+        FlowConfig(variant=Variant.AVGFW, schedule=Schedule(3.0, 1.0),
+                   t_end=2.0, dt=1e-3, record_every=0.5, x0=x0, f_ref=0.0),
+    )
+    first_atom = lmo(dom, obj.gradient(x0)).vector
+    assert trace.disc_err[0] == pytest.approx(np.linalg.norm(first_atom - x0), rel=1e-12)
+    assert contains(dom, trace.final_s_bar, 1e-9 * dom.alpha)
+
+
+def test_flow_numerical_blowup_reports_step():
+    # f(0) = 0 is finite; the first Euler step leaves 0 and f overflows at step 1
+    obj = QuadraticLS(np.array([[1e200]]), np.array([0.0]))
+    dom = DomainSet(Kind.L1_BALL, 1.0, 1)
+    cfg = FlowConfig(variant=Variant.FW, schedule=Schedule(2.0, 1.0), t_end=1.0, dt=1e-3, x0=np.array([0.0]))
+    with pytest.raises(NumericalBlowup) as err:
+        integrate(obj, dom, cfg)
+    assert err.value.k == 1
