@@ -311,8 +311,9 @@ def read_trace_csv(path: str) -> IterateTrace:
 
     The atom ids of the rows are the per-iteration history only when no
     iteration was skipped, so ``vertex_ids`` is None on subsampled traces
-    (``trace_every > 1``) as well as on traces without ids. The file holds
-    no checkpoint, so ``state`` is None.
+    (``trace_every > 1``) as well as on traces without ids. A full history
+    starts at the run's first iteration, so ``k_start`` is the first row's
+    k (0 otherwise). The file holds no checkpoint, so ``state`` is None.
     """
     if not os.path.isfile(path):
         raise ConfigError(f"trace file not found: {path}")
@@ -347,16 +348,17 @@ def read_trace_csv(path: str) -> IterateTrace:
         beta=beta,
         vertex_ids=np.array(ids, dtype=int) if full_history else None,
         state=None,
+        k_start=ks[0] if full_history else 0,
     )
 
 
 # ---------------------------------------------------------------- commands
 
-def _trace_header(echo, obj, domain, meta, extra: Dict[str, object]) -> Dict[str, object]:
+def _trace_header(echo, lipschitz: float, domain, meta, extra: Dict[str, object]) -> Dict[str, object]:
     header: Dict[str, object] = dict(echo)
     header["alpha"] = _fmt_float(domain.alpha)
     header["dimension"] = domain.n
-    header["lipschitz_estimate"] = _fmt_float(lipschitz_bound(obj))
+    header["lipschitz_estimate"] = _fmt_float(lipschitz)
     if "f_ref" in meta:
         header["f_ref"] = _fmt_float(meta["f_ref"])
     for key, val in meta.items():
@@ -373,7 +375,7 @@ def cmd_solve(args) -> int:
     obj, domain, meta = _build_problem(cfg, seed)
     solver_cfg = _build_solver_config(cfg, domain)
     trace = solve(obj, domain, solver_cfg)
-    header = _trace_header(echo, obj, domain, meta, {"variant": solver_cfg.variant.value, "seed": seed})
+    header = _trace_header(echo, lipschitz_bound(obj), domain, meta, {"variant": solver_cfg.variant.value, "seed": seed})
     path = os.path.join(out_dir, "trace.csv")
     _write_csv(path, header, TRACE_COLUMNS, _trace_rows(trace))
     if not args.quiet:
@@ -395,11 +397,12 @@ def cmd_compare(args) -> int:
     obj, domain, meta = _build_problem(cfg, seed)
     base = _build_solver_config(cfg, domain)
     sched, max_iters = base.schedule, base.max_iters
+    lipschitz = lipschitz_bound(obj)
 
     traces: Dict[str, IterateTrace] = {}
     for variant in (Variant.FW, Variant.AVGFW):
         trace = traces[variant.value] = solve(obj, domain, replace(base, variant=variant))
-        header = _trace_header(echo, obj, domain, meta, {"variant": variant.value, "seed": seed})
+        header = _trace_header(echo, lipschitz, domain, meta, {"variant": variant.value, "seed": seed})
         _write_csv(os.path.join(out_dir, f"{variant.value}_trace.csv"), header, TRACE_COLUMNS, _trace_rows(trace))
 
     lo, hi = cfg["compare"]["window_lo"], cfg["compare"]["window_hi"]
@@ -443,7 +446,7 @@ def cmd_compare(args) -> int:
             # coarse suboptimality scale below which identification should
             # trigger; the constants are heuristic, read it as an order of
             # magnitude only
-            summary["identification_threshold"] = report.delta / (lipschitz_bound(obj) * domain.n)
+            summary["identification_threshold"] = report.delta / (lipschitz * domain.n)
         for variant, trace in traces.items():
             summary[f"support_first_{variant}"] = int(support_trajectory(trace)[0])
 

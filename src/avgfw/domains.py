@@ -137,6 +137,16 @@ def lmo(domain: DomainSet, gradient: np.ndarray) -> Atom:
     return Atom(a * direction, None)
 
 
+def vertex_coordinate(domain: DomainSet, atom: Atom) -> Optional[int]:
+    """The one nonzero coordinate of an l1-ball or simplex vertex, read
+    from its id; None on the box and the l2 ball, whose atoms are dense."""
+    if domain.kind is Kind.L1_BALL:
+        return abs(atom.vertex_id) - 1
+    if domain.kind is Kind.SIMPLEX:
+        return atom.vertex_id
+    return None
+
+
 def enumerate_vertices(domain: DomainSet) -> Iterator[Atom]:
     """Yield every extremal vertex of a polyhedral domain.
 

@@ -112,13 +112,14 @@ def run_scripted_averaging(spec: ScriptedTrajectorySpec, schedule: Schedule) -> 
     else:
         picks = np.arange(spec.steps) % len(pool)
     no_gradient = np.full(n, np.nan)
+    no_image = np.empty(0)  # no objective: the image space is R^0
 
-    def source(x: np.ndarray, k: int) -> Tuple[float, np.ndarray, Atom]:
-        return np.nan, no_gradient, pool[picks[k]]
+    def source(x: np.ndarray, u: np.ndarray, k: int) -> Tuple[float, np.ndarray, Atom, np.ndarray]:
+        return np.nan, no_gradient, pool[picks[k]], no_image
 
     cfg = SolverConfig(Variant.AVGFW, schedule, max_iters=spec.steps)
     start = SolverState(k=0, x=np.zeros(n), s_last=None, s_bar=np.zeros(n))
-    return _run(source, _discrete_steps(schedule), record_ids=True, cfg=cfg, state=start)
+    return _run(source, lambda v: no_image, _discrete_steps(schedule), record_ids=True, cfg=cfg, state=start)
 
 
 L2_UNCONSTRAINED_NORM = 2.44

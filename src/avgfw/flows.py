@@ -79,10 +79,10 @@ def integrate(obj: Objective, domain: DomainSet, cfg: FlowConfig) -> FlowTrace:
     feas_tol = FEASIBILITY_TOL_FACTOR * domain.alpha
     lmo_source = _lmo_source(obj, domain)
 
-    def source(x: np.ndarray, k: int):
+    def source(x: np.ndarray, u: np.ndarray, k: int):
         if k > 0 and not contains(domain, x, feas_tol):
             raise StepTooLarge(dt / 2, f"feasibility drift at t = {(k - 1) * dt:g}; retry with dt <= {dt / 2:g}")
-        return lmo_source(x, k)
+        return lmo_source(x, u, k)
 
     def steps(k: int):
         return dt * gamma_t(sched, k * dt), 1.0 if k == 0 else dt * beta_t(sched, k * dt)
@@ -90,7 +90,7 @@ def integrate(obj: Objective, domain: DomainSet, cfg: FlowConfig) -> FlowTrace:
     stride = max(1, int(round(cfg.record_every / dt)))
     run_cfg = SolverConfig(cfg.variant, sched, max_iters=n_steps + 1, trace_every=stride)
     start = SolverState(k=0, x=x0, s_last=None, s_bar=np.zeros(domain.n))
-    trace = _run(source, steps, False, run_cfg, start)  # a flow has no use for vertex ids
+    trace = _run(source, obj.image, steps, False, run_cfg, start)  # a flow has no use for vertex ids
     return FlowTrace(
         t=trace.ks * dt,
         f=trace.f,

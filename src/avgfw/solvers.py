@@ -16,6 +16,17 @@ scripted runs of ``experiments.run_scripted_averaging``. It takes
 (gamma_k, beta_k) from a step rule: the discrete schedule here, or the
 Euler steps (dt gamma(k dt), dt beta(k dt)) of ``flows.integrate``, which
 runs the continuous-time flow through this same loop.
+
+Every objective is f(x) = phi(M x), and x and sbar move by convex
+combinations with one atom per step, so the loop carries their images
+u = M x and ubar = M sbar with the same two updates, from the atom's
+image M s_k (one column of M for an l1 or simplex vertex). Evaluating f
+and grad f from u then needs M^T only, one matrix product per step
+instead of two. Rounding in the carried images is reset by an exact
+recomputation (M x, M sbar) whenever k % IMAGE_REFRESH == 0 and when a
+state comes without images. The refresh keys on the absolute k and the
+images are part of the checkpoint, so a chunked solve/resume matches
+the uninterrupted run bitwise for any chunk size.
 """
 
 from __future__ import annotations
@@ -30,6 +41,8 @@ from .domains import Atom, DomainSet, lmo
 from .errors import ConfigError, NumericalBlowup
 from .objectives import Objective
 from .schedules import DEFAULT_SCHEDULE, Schedule, beta, gamma
+
+IMAGE_REFRESH = 64  # steps between exact recomputations of the carried images
 
 
 class Variant(enum.Enum):
@@ -60,12 +73,19 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Checkpoint of a run: everything needed to continue it exactly."""
+    """Checkpoint of a run: everything needed to continue it exactly.
+
+    ``x_image`` and ``s_bar_image`` are the carried images M x and M sbar
+    of the objective f = phi(M x). A state without them (None) gets them
+    recomputed exactly at its first step.
+    """
 
     k: int
     x: np.ndarray
     s_last: Optional[Atom]
     s_bar: np.ndarray
+    x_image: Optional[np.ndarray] = None
+    s_bar_image: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -92,7 +112,8 @@ class IterateTrace:
     k_start: int = 0
 
 
-AtomSource = Callable[[np.ndarray, int], Tuple[float, np.ndarray, Atom]]
+AtomSource = Callable[[np.ndarray, np.ndarray, int], Tuple[float, np.ndarray, Atom, np.ndarray]]
+ImageMap = Callable[[np.ndarray], np.ndarray]
 StepRule = Callable[[int], Tuple[float, float]]
 
 
@@ -115,13 +136,15 @@ def _start_point(obj: Objective, domain: DomainSet, x0: Optional[np.ndarray]) ->
 
 
 def _lmo_source(obj: Objective, domain: DomainSet) -> AtomSource:
-    """The atom source of a real run: value, gradient and LMO atom at x_k."""
+    """The atom source of a real run: value and gradient at x_k from its
+    image u_k, the LMO atom there, and the atom's image."""
 
-    def source(x: np.ndarray, k: int) -> Tuple[float, np.ndarray, Atom]:
-        f_k, g = obj.value_and_gradient(x)
+    def source(x: np.ndarray, u: np.ndarray, k: int) -> Tuple[float, np.ndarray, Atom, np.ndarray]:
+        f_k, g = obj.value_and_gradient(x, u)
         if not (np.isfinite(f_k) and np.all(np.isfinite(g))):
             raise NumericalBlowup(k)
-        return f_k, g, lmo(domain, g)
+        atom = lmo(domain, g)
+        return f_k, g, atom, obj.atom_image(domain, atom)
 
     return source
 
@@ -130,13 +153,16 @@ def solve(obj: Objective, domain: DomainSet, cfg: SolverConfig) -> IterateTrace:
     """Run exactly ``cfg.max_iters`` iterations from the configured start."""
     x0 = _start_point(obj, domain, cfg.x0)
     state = SolverState(k=0, x=x0, s_last=None, s_bar=np.zeros(domain.n))
-    return _run(_lmo_source(obj, domain), _discrete_steps(cfg.schedule), domain.is_polyhedral, cfg, state)
+    return _run(_lmo_source(obj, domain), obj.image, _discrete_steps(cfg.schedule), domain.is_polyhedral, cfg, state)
 
 
 def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverConfig) -> IterateTrace:
     """Continue from a checkpoint for ``cfg.max_iters`` further iterations.
 
     Bitwise-identical to the uninterrupted run split at the same point.
+    A state without images gets them recomputed exactly, which matches
+    the uninterrupted run bitwise only at a multiple of IMAGE_REFRESH and
+    to rounding elsewhere.
     """
     if state.x.shape != (domain.n,) or state.s_bar.shape != (domain.n,):
         raise ConfigError("state dimension does not match the domain")
@@ -144,19 +170,26 @@ def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverCon
         raise ConfigError(f"objective dimension {obj.n} != domain dimension {domain.n}")
     if state.k < 0:
         raise ConfigError(f"state iteration must be >= 0, got {state.k}")
-    fresh = SolverState(k=state.k, x=state.x.copy(), s_last=state.s_last, s_bar=state.s_bar.copy())
-    return _run(_lmo_source(obj, domain), _discrete_steps(cfg.schedule), domain.is_polyhedral, cfg, fresh)
+    images = [None if u is None else np.array(u, dtype=float) for u in (state.x_image, state.s_bar_image)]
+    if any(u is not None and u.shape != (obj.m,) for u in images):
+        raise ConfigError(f"state images do not match the objective: expected shape ({obj.m},)")
+    fresh = SolverState(state.k, state.x.copy(), state.s_last, state.s_bar.copy(), *images)
+    return _run(_lmo_source(obj, domain), obj.image, _discrete_steps(cfg.schedule), domain.is_polyhedral, cfg, fresh)
 
 
-def _run(source: AtomSource, steps: StepRule, record_ids: bool, cfg: SolverConfig, state: SolverState) -> IterateTrace:
-    """The iteration loop shared by every run; ``source(x_k, k)`` returns
-    (f_k, grad f(x_k), s_k) and ``steps(k)`` returns (gamma_k, beta_k).
-    The gap row is g . (x_k - s_k), so a source without an objective that
-    returns NaN for f and g gets NaN gaps."""
+def _run(
+    source: AtomSource, image: ImageMap, steps: StepRule, record_ids: bool, cfg: SolverConfig, state: SolverState
+) -> IterateTrace:
+    """The iteration loop shared by every run; ``source(x_k, u_k, k)``
+    returns (f_k, grad f(x_k), s_k, M s_k) given u_k = M x_k, ``image(v)``
+    is M v, and ``steps(k)`` returns (gamma_k, beta_k). The gap row is
+    g . (x_k - s_k), so a source without an objective that returns NaN
+    for f and g gets NaN gaps."""
     averaged = cfg.variant is Variant.AVGFW
 
     x = state.x
     s_bar = state.s_bar
+    u, u_bar = state.x_image, state.s_bar_image
     k_start = state.k
     k_end = k_start + cfg.max_iters
 
@@ -170,14 +203,17 @@ def _run(source: AtomSource, steps: StepRule, record_ids: bool, cfg: SolverConfi
 
     last_atom = state.s_last
     for k in range(k_start, k_end):
-        f_k, g, atom = source(x, k)
+        if u is None or u_bar is None or k % IMAGE_REFRESH == 0:
+            u, u_bar = image(x), image(s_bar)
+        f_k, g, atom, u_s = source(x, u, k)
         last_atom = atom
         g_k, b_k = steps(k)
         if averaged:
             s_bar = s_bar + b_k * (atom.vector - s_bar)
-            direction = s_bar
+            u_bar = u_bar + b_k * (u_s - u_bar)
+            direction, u_dir = s_bar, u_bar
         else:
-            direction = atom.vector
+            direction, u_dir = atom.vector, u_s
 
         if record_ids:
             vids.append(atom.vertex_id)
@@ -192,8 +228,9 @@ def _run(source: AtomSource, steps: StepRule, record_ids: bool, cfg: SolverConfi
             rows_beta.append(b_k)
 
         x = x + g_k * (direction - x)
+        u = u + g_k * (u_dir - u)
 
-    final = SolverState(k=k_end, x=x, s_last=last_atom, s_bar=s_bar)
+    final = SolverState(k=k_end, x=x, s_last=last_atom, s_bar=s_bar, x_image=u, s_bar_image=u_bar)
     return IterateTrace(
         ks=np.array(rows_k, dtype=int),
         f=np.array(rows_f),

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from avgfw.cli import main, read_trace_csv
+from avgfw.diagnostics import identify_manifold
+from avgfw.domains import DomainSet, Kind
+from avgfw.objectives import QuadraticLS
 
 
 def run_cli(*argv):
@@ -327,6 +330,24 @@ def test_read_trace_csv_round_trip(tmp_path):
     assert trace.ks[0] == 0
     assert trace.gap[0] == pytest.approx(1.5)
     assert trace.state is None  # a CSV holds no checkpoint
+
+
+def test_read_trace_csv_keeps_k_start_of_a_resumed_run(tmp_path):
+    # a trace whose rows start at k = 5, as a resumed run writes it
+    path = tmp_path / "trace.csv"
+    rows = [(5, 2), (6, -1), (7, 1), (8, 1), (9, 1)]
+    lines = ["k,f,gap,disc_err,gamma,beta,atom_id"]
+    lines += [f"{k},1.0,1.0,1.0,0.5,0.5,{vid}" for k, vid in rows]
+    path.write_text("\n".join(lines) + "\n")
+    trace = read_trace_csv(str(path))
+    assert trace.k_start == 5
+    assert trace.ks.tolist() == [5, 6, 7, 8, 9]
+    # f = 0.5 ||x - (10, 0)||^2 on the unit l1 ball: x* = e_1, whose
+    # support is the vertex +e_1 (id 1), emitted from k = 7 on
+    obj = QuadraticLS(np.eye(2), np.array([10.0, 0.0]))
+    report = identify_manifold(trace, obj, DomainSet(Kind.L1_BALL, 1.0, 2), np.array([1.0, 0.0]))
+    assert report.support_star == {1}
+    assert report.k_bar == 7
 
 
 def test_diag_non_ascii_trace_exits_2(tmp_path, capsys):

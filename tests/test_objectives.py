@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from avgfw.domains import DomainSet, Kind
+from avgfw.domains import DomainSet, Kind, lmo
 from avgfw.errors import BrokenOracle
 from avgfw.objectives import Logistic, QuadraticLS, Scalar1D, gap, gradient, lipschitz_bound, value
 
@@ -188,3 +188,40 @@ def test_lipschitz_estimate_is_deterministic():
     A = rng.standard_normal((6, 5))
     obj = QuadraticLS(A, np.zeros(6))
     assert obj.lipschitz_bound() == obj.lipschitz_bound()
+
+
+@pytest.mark.parametrize("maker", [random_quadratic, random_logistic])
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("kind", list(Kind))
+def test_image_maps_follow_the_composite_form(maker, sparse, kind):
+    # f = phi(M x): the atom image is M s (one column for l1/simplex
+    # vertices, the same floats), and value_and_gradient from the image
+    # M x is the exact evaluation at x
+    rng = np.random.default_rng(11)
+    obj = maker(rng, sparse=sparse)
+    M = obj.A if isinstance(obj, QuadraticLS) else obj.Z
+    dom = DomainSet(kind, 1.7, obj.n)
+    for _ in range(5):
+        x = rng.standard_normal(obj.n)
+        atom = lmo(dom, rng.standard_normal(obj.n))
+        np.testing.assert_array_equal(obj.atom_image(dom, atom), M @ atom.vector)
+        np.testing.assert_array_equal(obj.image(x), M @ x)
+        assert obj.image(x).shape == (obj.m,)
+        f_u, g_u = obj.value_and_gradient(x, obj.image(x))
+        f_x, g_x = obj.value_and_gradient(x)
+        assert f_u == f_x
+        np.testing.assert_array_equal(g_u, g_x)
+
+
+def test_scalar_image_is_the_identity():
+    obj = Scalar1D()
+    dom = DomainSet(Kind.BOX, 1.0, 1)
+    x = np.array([0.3])
+    u = obj.image(x)
+    np.testing.assert_array_equal(u, x)
+    assert u is not x and obj.m == 1
+    atom = lmo(dom, np.array([2.0]))
+    np.testing.assert_array_equal(obj.atom_image(dom, atom), atom.vector)
+    f, g = obj.value_and_gradient(x, u)
+    assert f == obj.value(x)
+    np.testing.assert_array_equal(g, obj.gradient(x))

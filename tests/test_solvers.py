@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from avgfw.domains import DomainSet, Kind, contains, diameter, l1_vertex, lmo
 from avgfw.errors import ConfigError, NumericalBlowup
-from avgfw.objectives import QuadraticLS, Scalar1D
-from avgfw.schedules import Schedule, apply_weights, gamma, unrolled_weights
-from avgfw.solvers import SolverConfig, SolverState, Variant, resume, solve
+from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
+from avgfw.schedules import Schedule, apply_weights, beta, gamma, unrolled_weights
+from avgfw.solvers import IMAGE_REFRESH, SolverConfig, SolverState, Variant, resume, solve
 from avgfw.diagnostics import Series, fit_rate
 
 BOX1 = DomainSet(Kind.BOX, 1.0, 1)
@@ -168,3 +171,137 @@ def test_solver_is_deterministic():
     b = solve(obj, dom, cfg)
     np.testing.assert_array_equal(a.state.x, b.state.x)
     np.testing.assert_array_equal(a.gap, b.gap)
+
+
+# ---------------------------------------------------------------- carried images
+
+TRACE_FIELDS = ("ks", "f", "gap", "disc_err", "gamma", "beta", "vertex_ids")
+
+
+def chunked(obj, dom, variant, total, chunk):
+    """solve + resume in chunks; the concatenated trace columns and the final state."""
+    cfg = SolverConfig(variant, Schedule(3.0, 1.0), max_iters=chunk)
+    trace = solve(obj, dom, cfg)
+    parts = [trace]
+    while trace.state.k < total:
+        cfg = SolverConfig(variant, Schedule(3.0, 1.0), max_iters=min(chunk, total - trace.state.k))
+        trace = resume(trace.state, obj, dom, cfg)
+        parts.append(trace)
+    return {f: np.concatenate([getattr(p, f) for p in parts]) for f in TRACE_FIELDS}, trace.state
+
+
+@pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
+@pytest.mark.parametrize("chunk", [7, IMAGE_REFRESH + 1])
+def test_chunked_resume_is_bitwise_across_image_refreshes(variant, chunk):
+    obj, dom = small_quadratic()
+    total = 3 * IMAGE_REFRESH + 10
+    full = solve(obj, dom, SolverConfig(variant, Schedule(3.0, 1.0), max_iters=total))
+    cols, state = chunked(obj, dom, variant, total, chunk)
+    for f in TRACE_FIELDS:
+        np.testing.assert_array_equal(cols[f], getattr(full, f))
+    for f in ("x", "s_bar", "x_image", "s_bar_image"):
+        np.testing.assert_array_equal(getattr(state, f), getattr(full.state, f))
+
+
+@pytest.mark.parametrize("k", [10, IMAGE_REFRESH])
+def test_resume_from_a_state_without_images(k):
+    obj, dom = small_quadratic()
+    cfg = SolverConfig(Variant.AVGFW, Schedule(3.0, 1.0), max_iters=k)
+    head = solve(obj, dom, cfg).state
+    bare = SolverState(k=head.k, x=head.x, s_last=head.s_last, s_bar=head.s_bar)
+    a = resume(head, obj, dom, cfg)
+    b = resume(bare, obj, dom, cfg)
+    assert b.ks[0] == k and b.state.k == 2 * k
+    np.testing.assert_allclose(b.state.x_image, obj.A @ b.state.x, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(b.state.s_bar_image, obj.A @ b.state.s_bar, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(a.vertex_ids, b.vertex_ids)
+    if k % IMAGE_REFRESH == 0:  # both recompute the images exactly at their first step
+        np.testing.assert_array_equal(a.f, b.f)
+        np.testing.assert_array_equal(a.state.x_image, b.state.x_image)
+    else:
+        np.testing.assert_allclose(a.f, b.f, rtol=1e-12)
+
+
+def test_resume_rejects_images_of_the_wrong_shape():
+    obj, dom = small_quadratic()
+    cfg = SolverConfig(Variant.AVGFW, Schedule(3.0, 1.0), max_iters=5)
+    state = solve(obj, dom, cfg).state
+    for bad in (dict(x_image=np.zeros(obj.m + 1)), dict(s_bar_image=np.zeros((obj.m, 1)))):
+        with pytest.raises(ConfigError):
+            resume(dataclasses.replace(state, **bad), obj, dom, cfg)
+
+
+def exact_run(obj, dom, variant, iters):
+    """The method with f and grad f evaluated from x on every step: the
+    yardstick for the carried images. Returns (vertex ids, gaps, final x)."""
+    sched = Schedule(3.0, 1.0)
+    x = lmo(dom, obj.gradient(np.zeros(dom.n))).vector.copy()
+    s_bar = np.zeros(dom.n)
+    ids, gaps = [], []
+    for k in range(iters):
+        _, g = obj.value_and_gradient(x)
+        atom = lmo(dom, g)
+        ids.append(atom.vertex_id)
+        gaps.append(max(float(np.dot(g, x - atom.vector)), 0.0))
+        if variant is Variant.AVGFW:
+            s_bar = s_bar + beta(sched, k) * (atom.vector - s_bar)
+        direction = s_bar if variant is Variant.AVGFW else atom.vector
+        x = x + gamma(sched, k) * (direction - x)
+    return ids, np.array(gaps), x
+
+
+def image_cases():
+    rng = np.random.default_rng(5)
+    A, y = rng.standard_normal((12, 40)), rng.standard_normal(12)
+    Z = sp.random(30, 40, density=0.2, random_state=6, format="csr")
+    labels = np.where(rng.standard_normal(30) >= 0, 1.0, -1.0)
+    return {
+        "l1": (QuadraticLS(A, y), DomainSet(Kind.L1_BALL, 2.0, 40)),
+        "simplex": (QuadraticLS(A, y), DomainSet(Kind.SIMPLEX, 2.0, 40)),
+        "box": (QuadraticLS(A, y), DomainSet(Kind.BOX, 0.5, 40)),
+        # the unconstrained minimum-norm solution has norm 0.56: radius 0.5
+        # puts the optimum on the boundary. Inside, the LMO -g/|g| amplifies
+        # any rounding as g -> 0, so two exact evaluations that only sum in
+        # a different order already part ways there.
+        "l2_ball": (QuadraticLS(A, y), DomainSet(Kind.L2_BALL, 0.5, 40)),
+        "csr_l1": (QuadraticLS(sp.csr_matrix(A), y), DomainSet(Kind.L1_BALL, 2.0, 40)),
+        "logistic_csr_l1": (Logistic(Z, labels), DomainSet(Kind.L1_BALL, 5.0, 40)),
+        "logistic_dense_simplex": (Logistic(Z.toarray(), labels), DomainSet(Kind.SIMPLEX, 5.0, 40)),
+    }
+
+
+@pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
+@pytest.mark.parametrize("case", list(image_cases()))
+def test_carried_images_match_exact_evaluation(variant, case):
+    obj, dom = image_cases()[case]
+    iters = 5 * IMAGE_REFRESH + 3
+    trace = solve(obj, dom, SolverConfig(variant, Schedule(3.0, 1.0), max_iters=iters))
+    ids, gaps, x = exact_run(obj, dom, variant, iters)
+    if dom.is_polyhedral:
+        assert trace.vertex_ids.tolist() == ids
+    np.testing.assert_allclose(trace.gap, gaps, rtol=1e-9, atol=1e-12 * gaps[0])
+    np.testing.assert_allclose(trace.state.x, x, rtol=1e-9, atol=1e-12 * dom.alpha)
+
+
+@pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
+def test_carried_images_match_exact_evaluation_where_f_star_is_zero(cs_instance, variant):
+    # noiseless 100x500 at radius ||x0||_1: f -> 0, where an image carried
+    # without refreshes would lose its relative accuracy first
+    _, obj, dom, _ = cs_instance
+    iters = 2000
+    trace = solve(obj, dom, SolverConfig(variant, Schedule(3.0, 1.0), max_iters=iters))
+    ids, gaps, _ = exact_run(obj, dom, variant, iters)
+    assert trace.vertex_ids.tolist() == ids
+    np.testing.assert_allclose(trace.gap, gaps, rtol=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
+def test_overflowing_carried_image_raises_numerical_blowup(variant):
+    # x0 = 0 has a finite image; the first atom's image alpha * A[:, 0]
+    # overflows, so the carried image of x_1 is inf
+    obj = QuadraticLS(np.array([[1e300]]), np.array([0.0]))
+    dom = DomainSet(Kind.L1_BALL, 1e10, 1)
+    with pytest.raises(NumericalBlowup) as err:
+        solve(obj, dom, SolverConfig(variant, Schedule(2.0, 1.0), max_iters=5, x0=np.array([0.0])))
+    assert err.value.k == 1
