@@ -383,10 +383,22 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _fit_window(lo: Optional[int], hi: Optional[int], default: Tuple[int, int], names: str) -> Tuple[int, int]:
+    """The rate-fit window: the given ends, the default for a missing one.
+    A window the user set must satisfy lo < hi; the default one of a very
+    short run may be empty, and then no fit is reported."""
+    window = (default[0] if lo is None else lo, default[1] if hi is None else hi)
+    if (lo is not None or hi is not None) and not window[0] < window[1]:
+        raise ConfigError(f"{names} must satisfy lo < hi, got {window[0]} and {window[1]}")
+    return window
+
+
 def _safe_fit(trace, series, window) -> Optional[object]:
+    if not window[0] < window[1]:
+        return None
     try:
         return fit_rate(trace, series, window)
-    except (InsufficientData, ConfigError):
+    except InsufficientData:
         return None
 
 
@@ -397,6 +409,12 @@ def cmd_compare(args) -> int:
     obj, domain, meta = _build_problem(cfg, seed)
     base = _build_solver_config(cfg, domain)
     sched, max_iters = base.schedule, base.max_iters
+    window = _fit_window(
+        cfg["compare"]["window_lo"],
+        cfg["compare"]["window_hi"],
+        (min(100, max(1, max_iters // 10)), max_iters - 1),
+        "[compare] window_lo and window_hi",
+    )
     lipschitz = lipschitz_bound(obj)
 
     traces: Dict[str, IterateTrace] = {}
@@ -405,11 +423,6 @@ def cmd_compare(args) -> int:
         header = _trace_header(echo, lipschitz, domain, meta, {"variant": variant.value, "seed": seed})
         _write_csv(os.path.join(out_dir, f"{variant.value}_trace.csv"), header, TRACE_COLUMNS, _trace_rows(trace))
 
-    lo, hi = cfg["compare"]["window_lo"], cfg["compare"]["window_hi"]
-    window = (
-        min(100, max(1, max_iters // 10)) if lo is None else lo,
-        max_iters - 1 if hi is None else hi,
-    )
     summary: Dict[str, object] = {
         "c": sched.c,
         "p": sched.p,
@@ -527,8 +540,8 @@ def cmd_flow(args) -> int:
 
 def cmd_diag(args) -> int:
     trace = read_trace_csv(args.trace)
-    k_lo = args.window_lo if args.window_lo is not None else max(1, int(trace.ks[0]) or 1)
-    k_hi = args.window_hi if args.window_hi is not None else int(trace.ks[-1])
+    default = (max(1, int(trace.ks[0]) or 1), int(trace.ks[-1]))
+    k_lo, k_hi = _fit_window(args.window_lo, args.window_hi, default, "--window-lo and --window-hi")
     report: Dict[str, object] = {"trace": os.path.basename(args.trace), "window_lo": k_lo, "window_hi": k_hi}
     for name, series in (("gap", Series.GAP), ("disc", Series.DISC_ERR)):
         fit = _safe_fit(trace, series, (k_lo, k_hi))

@@ -87,7 +87,7 @@ def _check_gradient(domain: DomainSet, gradient: np.ndarray) -> np.ndarray:
     g = np.asarray(gradient, dtype=float)
     if g.shape != (domain.n,):
         raise ConfigError(f"gradient has shape {g.shape}, expected ({domain.n},)")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ConfigError("gradient has non-finite entries")
     return g
 

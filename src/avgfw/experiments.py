@@ -219,13 +219,16 @@ def write_svmlight(data: Logistic, path: str) -> None:
 
 
 def train_val_split(data: Logistic, frac: float, seed: int = 0) -> Tuple[Logistic, Logistic]:
-    """Seeded permutation split into floor(frac * m) and the remainder."""
+    """Seeded permutation split into floor(frac * m) and the remainder;
+    both must be nonempty."""
     if not (0 < frac < 1):
         raise ConfigError(f"frac must lie in (0, 1), got {frac}")
     m = data.m
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m)
     n_train = int(np.floor(frac * m))
+    if not 0 < n_train < m:
+        raise ConfigError(f"frac {frac} of {m} rows leaves an empty split ({n_train} train, {m - n_train} validation)")
     train_idx = np.sort(perm[:n_train])
     val_idx = np.sort(perm[n_train:])
     Z = data.Z

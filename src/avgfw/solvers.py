@@ -32,6 +32,7 @@ the uninterrupted run bitwise for any chunk size.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -141,7 +142,7 @@ def _lmo_source(obj: Objective, domain: DomainSet) -> AtomSource:
 
     def source(x: np.ndarray, u: np.ndarray, k: int) -> Tuple[float, np.ndarray, Atom, np.ndarray]:
         f_k, g = obj.value_and_gradient(x, u)
-        if not (np.isfinite(f_k) and np.all(np.isfinite(g))):
+        if not (math.isfinite(f_k) and np.isfinite(g).all()):
             raise NumericalBlowup(k)
         atom = lmo(domain, g)
         return f_k, g, atom, obj.atom_image(domain, atom)
@@ -186,6 +187,7 @@ def _run(
     g . (x_k - s_k), so a source without an objective that returns NaN
     for f and g gets NaN gaps."""
     averaged = cfg.variant is Variant.AVGFW
+    every = cfg.trace_every
 
     x = state.x
     s_bar = state.s_bar
@@ -205,29 +207,29 @@ def _run(
     for k in range(k_start, k_end):
         if u is None or u_bar is None or k % IMAGE_REFRESH == 0:
             u, u_bar = image(x), image(s_bar)
-        f_k, g, atom, u_s = source(x, u, k)
-        last_atom = atom
+        f_k, g, last_atom, u_s = source(x, u, k)
+        s = last_atom.vector
         g_k, b_k = steps(k)
         if averaged:
-            s_bar = s_bar + b_k * (atom.vector - s_bar)
+            s_bar = s_bar + b_k * (s - s_bar)
             u_bar = u_bar + b_k * (u_s - u_bar)
             direction, u_dir = s_bar, u_bar
         else:
-            direction, u_dir = atom.vector, u_s
+            direction, u_dir = s, u_s
 
         if record_ids:
-            vids.append(atom.vertex_id)
+            vids.append(last_atom.vertex_id)
 
-        if k % cfg.trace_every == 0 or k == k_end - 1:
-            gap_k = float(np.dot(g, x - atom.vector))
+        step = direction - x
+        if k % every == 0 or k == k_end - 1:
             rows_k.append(k)
             rows_f.append(f_k)
-            rows_gap.append(max(gap_k, 0.0))
-            rows_disc.append(float(np.linalg.norm(direction - x)))
+            rows_gap.append(max(float(g.dot(x - s)), 0.0))
+            rows_disc.append(math.sqrt(step.dot(step)))  # what np.linalg.norm computes for a 1-D float vector
             rows_gamma.append(g_k)
             rows_beta.append(b_k)
 
-        x = x + g_k * (direction - x)
+        x = x + g_k * step
         u = u + g_k * (u_dir - u)
 
     final = SolverState(k=k_end, x=x, s_last=last_atom, s_bar=s_bar, x_image=u, s_bar_image=u_bar)

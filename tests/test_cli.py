@@ -273,6 +273,18 @@ BAD_INPUTS = {
     "logistic_density_above_1": (["solve"], SWEEP_CONFIG.replace("density = 0.1", "density = 1.5"), "density in (0, 1]"),
     "logistic_density_negative": (["solve"], SWEEP_CONFIG.replace("density = 0.1", "density = -1"), "density in (0, 1]"),
     "sweep_alpha_lo_zero": (["sweep"], SWEEP_CONFIG.replace("alpha_lo = 1", "alpha_lo = 0"), "[sweep] alpha_lo"),
+    "sweep_train_frac_empty_split": (["sweep"], SWEEP_CONFIG.replace("train_frac = 0.6", "train_frac = 0.0001"), "empty split"),
+    "diag_window_inverted": (
+        ["diag", "{trace}", "--window-lo", "50", "--window-hi", "10"],
+        None,
+        "--window-lo and --window-hi must satisfy lo < hi, got 50 and 10",
+    ),
+    "diag_window_lo_past_the_trace_end": (["diag", "{trace}", "--window-lo", "900"], None, "got 900 and 9"),
+    "compare_window_inverted": (
+        ["compare"],
+        CS_COMPARE_CONFIG.format(plots="false").replace("window_lo = 100", "window_lo = 500").replace("1999", "100"),
+        "[compare] window_lo and window_hi must satisfy lo < hi, got 500 and 100",
+    ),
     "svmlight_non_ascii": (
         ["solve"],
         "[problem]\nkind = svmlight\npath = {data}\nalpha = 1.0\n[solver]\nmax_iters = 5\n",
@@ -284,6 +296,9 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_with_message(tmp_path, capsys, case):
     argv, text, message = BAD_INPUTS[case]
+    trace = tmp_path / "trace.csv"
+    trace.write_text("k,f,gap,disc_err,gamma,beta,atom_id\n" + "".join(f"{k},1.0,1.0,1.0,0.5,0.5,1\n" for k in range(10)))
+    argv = [str(trace) if a == "{trace}" else a for a in argv]
     if text is not None:
         data = tmp_path / "data.svmlight"
         data.write_bytes(b"+1 1:0.5 2:1.0\n-1 1:0.2 2:\xb50.3\n")
@@ -292,6 +307,20 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, case):
     assert run_cli(*argv, "--out", str(tmp_path / "o"), "--quiet") == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+def test_default_window_of_a_very_short_run_reports_no_fit(tmp_path, capsys):
+    # max_iters = 2 gives the default window (1, 1), and a one-row trace
+    # (1, 0): no fit, and no error either, as the user set no window
+    cfg = write_config(tmp_path / "cfg.ini", SCALAR_CONFIG.replace("max_iters = 50", "max_iters = 2"))
+    assert run_cli("compare", "--config", cfg, "--out", str(tmp_path / "c"), "--quiet") == 0
+    summary = dict(line.split(" = ") for line in (tmp_path / "c" / "summary.txt").read_text().splitlines())
+    assert summary["slope_gap_fw"] == summary["slope_disc_avgfw"] == "none"
+    cfg = write_config(tmp_path / "one.ini", SCALAR_CONFIG.replace("max_iters = 50", "max_iters = 1"))
+    assert run_cli("solve", "--config", cfg, "--out", str(tmp_path / "s"), "--quiet") == 0
+    assert run_cli("diag", str(tmp_path / "s" / "trace.csv")) == 0
+    report = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+    assert (report["window_lo"], report["window_hi"], report["slope_gap"]) == ("1", "0", "none")
 
 
 def test_diag_support_metrics_undefined_on_subsampled_trace(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from avgfw.diagnostics import Series, fit_rate
 from avgfw.domains import Kind, l1_vertex
@@ -16,6 +17,7 @@ from avgfw.experiments import (
     train_val_split,
     write_svmlight,
 )
+from avgfw.objectives import Logistic, QuadraticLS
 from avgfw.schedules import Schedule
 from avgfw.solvers import SolverConfig, Variant, solve
 
@@ -196,6 +198,23 @@ def test_train_val_split_sizes_and_disjointness():
     joined = np.vstack([train.Z.toarray(), val.Z.toarray()])
     original = data.Z.toarray()
     assert sorted(map(tuple, joined)) == sorted(map(tuple, original))
+
+
+def test_train_val_split_rejects_an_empty_split():
+    # floor(0.0001 * 800) = 0 training rows: a 0-row problem has no mean loss
+    data = generate_sparse_logistic(m=800, n=1000, density=0.01, seed=0)
+    with pytest.raises(ConfigError, match="empty split"):
+        train_val_split(data, 0.0001, seed=0)
+    train, val = train_val_split(data, 0.002, seed=0)
+    assert train.m == 1 and val.m == 799
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("cls", [Logistic, QuadraticLS])
+def test_objectives_reject_a_data_matrix_without_rows(cls, sparse):
+    M = np.zeros((0, 3))
+    with pytest.raises(ConfigError, match="no rows"):
+        cls(sp.csr_matrix(M) if sparse else M, np.zeros(0))
 
 
 def test_sparse_logistic_generator_shape_and_labels():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import expit
 
 from avgfw.domains import DomainSet, Kind, lmo
 from avgfw.errors import BrokenOracle
@@ -225,3 +226,72 @@ def test_scalar_image_is_the_identity():
     f, g = obj.value_and_gradient(x, u)
     assert f == obj.value(x)
     np.testing.assert_array_equal(g, obj.gradient(x))
+
+
+def textbook_sigma_max_sq(M):
+    # the fixed-budget power iteration of lipschitz_bound, with a fresh M.T
+    v = np.random.default_rng(0).standard_normal(M.shape[1])
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(50):
+        w = M.T @ (M @ v)
+        lam = float(np.linalg.norm(w))
+        v = w / lam
+    return lam
+
+
+def textbook(obj, x):
+    """Value, gradient and smoothness bound from the formulas, with M.T
+    taken afresh on every product."""
+    if isinstance(obj, QuadraticLS):
+        r = obj.A @ x - obj.y
+        return 0.5 * float(np.dot(r, r)), obj.A.T @ r, textbook_sigma_max_sq(obj.A)
+    t = obj.labels * (obj.Z @ x)
+    w = -obj.labels * expit(-t) / obj.m
+    val = float(np.mean(np.logaddexp(0.0, -t)))
+    return val, obj.Z.T @ w, textbook_sigma_max_sq(obj.Z) / (4.0 * obj.m)
+
+
+def sparse_quadratic(rng, sparse):
+    A = sp.random(50, 30, density=0.3, random_state=rng, format="csr")
+    return QuadraticLS(A if sparse else A.toarray(), rng.standard_normal(50))
+
+
+def sparse_logistic(rng, sparse):
+    Z = sp.random(50, 30, density=0.3, random_state=rng, format="csr")
+    labels = np.where(rng.standard_normal(50) >= 0, 1.0, -1.0)
+    return Logistic(Z if sparse else Z.toarray(), labels)
+
+
+@pytest.mark.parametrize("maker", [sparse_quadratic, sparse_logistic])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_evaluations_are_bitwise_the_textbook_formulas(maker, sparse):
+    # M^T is built once; every product must stay the same floats as M.T @ w,
+    # and the loss the same as the formula, down to the last bit. Large
+    # scales reach the overflow-safe branches of the logistic loss.
+    rng = np.random.default_rng(21)
+    obj = maker(rng, sparse)
+    M = obj.A if isinstance(obj, QuadraticLS) else obj.Z
+    for scale in (0.1, 1.0, 1e3):
+        x = scale * rng.standard_normal(obj.n)
+        f, g, lip = textbook(obj, x)
+        for f_obj, g_obj in (obj.value_and_gradient(x), obj.value_and_gradient(x, M @ x)):
+            assert f_obj == f
+            np.testing.assert_array_equal(g_obj, g)
+        assert obj.value(x) == f
+        np.testing.assert_array_equal(obj.gradient(x), g)
+        assert obj.lipschitz_bound() == lip
+
+
+@pytest.mark.parametrize("maker", [sparse_quadratic, sparse_logistic])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_transpose_is_built_once_without_copying_a_dense_matrix(maker, sparse):
+    obj = maker(np.random.default_rng(4), sparse)
+    M = obj.A if isinstance(obj, QuadraticLS) else obj.Z
+    MT = obj._transposed
+    assert MT.shape == (obj.n, obj.m)
+    if sparse:
+        assert MT.format == "csr"
+        np.testing.assert_array_equal(MT.toarray(), M.toarray().T)
+    else:
+        assert np.shares_memory(MT, M)

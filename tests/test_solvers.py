@@ -305,3 +305,23 @@ def test_overflowing_carried_image_raises_numerical_blowup(variant):
     with pytest.raises(NumericalBlowup) as err:
         solve(obj, dom, SolverConfig(variant, Schedule(2.0, 1.0), max_iters=5, x0=np.array([0.0])))
     assert err.value.k == 1
+
+
+def test_csr_logistic_solve_never_transposes(monkeypatch):
+    # scipy builds a new transpose object on every Z.T; the objective keeps
+    # a CSR copy of Z^T from construction, so a run needs no transpose
+    rng = np.random.default_rng(8)
+    Z = sp.random(40, 60, density=0.1, random_state=9, format="csr")
+    obj = Logistic(Z, np.where(rng.standard_normal(40) >= 0, 1.0, -1.0))
+    dom = DomainSet(Kind.L1_BALL, 5.0, 60)
+    cfg = SolverConfig(Variant.AVGFW, Schedule(3.0, 1.0), max_iters=50)
+    reference = solve(obj, dom, cfg)
+
+    def no_transpose(*args, **kwargs):
+        raise AssertionError("transpose built during a solve")
+
+    monkeypatch.setattr(type(obj.Z), "transpose", no_transpose)
+    trace = solve(obj, dom, cfg)
+    assert trace.ks.size == 50
+    np.testing.assert_array_equal(trace.gap, reference.gap)
+    np.testing.assert_array_equal(trace.state.x, reference.state.x)
