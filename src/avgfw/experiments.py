@@ -14,6 +14,7 @@ so they exercise exactly the averaged update that ``solve`` runs.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -151,9 +152,9 @@ def load_svmlight(path: str, n_features_hint: Optional[int] = None) -> Logistic:
     """Parse an svmlight/libsvm text file into a CSR-backed logistic objective.
 
     One sample per line: ``label idx:val idx:val ...`` with 1-based
-    indices. Labels must be -1, 0, or +1; 0 maps to -1. Blank lines and
-    lines starting with '#' are skipped. Features beyond the hint extend
-    the dimension.
+    indices. Labels must be -1, 0, or +1; 0 maps to -1. Feature values
+    must be finite. Blank lines and lines starting with '#' are skipped.
+    Features beyond the hint extend the dimension.
     """
     labels: List[float] = []
     data: List[float] = []
@@ -189,6 +190,8 @@ def load_svmlight(path: str, n_features_hint: Optional[int] = None) -> Logistic:
                     raise ParseError(line_no, f"line {line_no}: bad feature token {tok!r}") from None
                 if idx < 1:
                     raise ParseError(line_no, f"line {line_no}: indices are 1-based, got {idx}")
+                if not math.isfinite(val):
+                    raise ParseError(line_no, f"line {line_no}: non-finite feature value {tok!r}")
                 indices.append(idx - 1)
                 data.append(val)
                 max_col = max(max_col, idx - 1)

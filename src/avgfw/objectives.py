@@ -1,22 +1,23 @@
 """Differentiable objectives: least squares, logistic loss, and a 1-D probe.
 
-Each objective carries its data, evaluates value and gradient (dense or
-CSR-sparse backends transparently), and estimates its own smoothness
-constant.
-
-Every objective has the form f(x) = phi(M x) with an m x n matrix M:
+Every objective is one composite f(x) = phi(M x) with an m x n matrix M:
 M = A for least squares, M = Z for the logistic loss (the margins before
-the labels), and the 1 x 1 identity for the 1-D probe. Three methods
-expose that form, so the solver can carry u = M x along with x:
-``image(v)`` is M v; ``atom_image(domain, atom)`` is M s for an LMO
-atom, one scaled column of M (of a CSC copy when M is sparse) for an l1
-or simplex vertex; and ``value_and_gradient(x, image=u)`` evaluates phi
-at the given image and then needs only M^T, for the gradient.
+the labels), and the 1 x 1 identity for the 1-D probe. The base class
+:class:`Objective` writes that form once. A loss supplies only phi and
+phi' (``_phi(u)`` returns both) and its curvature; value, gradient,
+their images and the smoothness bound sigma_max(M)^2 * sup phi'' follow.
 
-M^T is built once, at construction: a CSR copy of the transpose for a
-sparse M (scipy would otherwise build a new transpose object on every
-``M.T``, which costs more than the product itself at desk scale), and the
-``.T`` view of a dense M, which copies nothing. The products are the same
+The form lets the solver carry u = M x along with x: ``image(v)`` is
+M v; ``atom_image(domain, atom)`` is M s for an LMO atom, one scaled
+column of M for an l1 or simplex vertex; and
+``value_and_gradient(x, image=u)`` evaluates phi at the given image and
+then needs only M^T, for the gradient.
+
+M^T and the column copy are built once, at construction. For a sparse M
+they are a CSR copy of the transpose (scipy would otherwise build a new
+transpose object on every ``M.T``, which costs more than the product
+itself at desk scale) and a CSC copy. For a dense M they are the ``.T``
+view and M itself, which copy nothing. The products are the same
 floating-point operations in the same order as ``M.T @ w``.
 
 The free function :func:`gap` computes the standard projection-free
@@ -58,105 +59,106 @@ def _as_operator(M: MatrixLike) -> MatrixLike:
     return M
 
 
-def _sigma_max_sq(M: MatrixLike, MT: MatrixLike) -> float:
-    """Largest squared singular value via fixed-budget power iteration,
-    given M and its transpose MT.
+class Objective:
+    """f(x) = phi(M x). A subclass calls :meth:`_bind` once at
+    construction and supplies the loss ``_phi(u) -> (phi(u), phi'(u))``
+    and ``_inv_curvature``, the reciprocal of a bound on phi''."""
 
-    50 iterations from a seed-fixed start vector; deterministic across
-    runs so reported constants are reproducible.
-    """
-    n = M.shape[1]
-    rng = np.random.default_rng(POWER_SEED)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(POWER_ITERATIONS):
-        w = MT @ (M @ v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        lam = norm
-        v = w / norm
-    return lam
+    _M: MatrixLike
+    _cols: MatrixLike
+    _transposed: MatrixLike
+    _inv_curvature: float
 
+    def _bind(self, M: MatrixLike, data: np.ndarray, name: str) -> Tuple[MatrixLike, np.ndarray]:
+        """Store M, its column copy and M^T; return M and the data vector
+        as floats, checked to hold one entry per row of M."""
+        M = _as_operator(M)
+        data = np.asarray(data, dtype=float)
+        if data.shape != (M.shape[0],):
+            raise ConfigError(f"{name} has shape {data.shape}, expected ({M.shape[0]},), one entry per row")
+        sparse = sp.issparse(M)
+        object.__setattr__(self, "_M", M)
+        object.__setattr__(self, "_cols", M.tocsc() if sparse else M)
+        object.__setattr__(self, "_transposed", M.T.tocsr() if sparse else M.T)
+        return M, data
 
-def _columns(M: MatrixLike) -> MatrixLike:
-    """Column access to M: a dense M itself (a column is a strided view,
-    no copy), a CSC copy of a sparse one."""
-    return M.tocsc() if sp.issparse(M) else M
+    def _phi(self, u: np.ndarray) -> Tuple[float, np.ndarray]:
+        raise NotImplementedError
 
+    @property
+    def n(self) -> int:
+        return self._M.shape[1]
 
-def _transpose(M: MatrixLike) -> MatrixLike:
-    """M^T for the gradient: a CSR copy of a sparse M's transpose, the
-    ``.T`` view of a dense M (no copy)."""
-    return M.T.tocsr() if sp.issparse(M) else M.T
+    @property
+    def m(self) -> int:
+        return self._M.shape[0]
 
+    def image(self, v: np.ndarray) -> np.ndarray:
+        return self._M @ v
 
-def _atom_image(M: MatrixLike, cols: MatrixLike, domain: DomainSet, atom: Atom) -> np.ndarray:
-    """M s for an LMO atom s. An l1 or simplex vertex has one nonzero
-    coordinate, so one column of M gives the product; it is the same
-    number, as the other terms are exact zeros."""
-    i = vertex_coordinate(domain, atom)
-    if i is None:
-        return M @ atom.vector
-    c = atom.vector[i]
-    if cols is M:
-        return c * M[:, i]
-    lo, hi = cols.indptr[i], cols.indptr[i + 1]
-    return np.bincount(cols.indices[lo:hi], weights=c * cols.data[lo:hi], minlength=M.shape[0])
+    def atom_image(self, domain: DomainSet, atom: Atom) -> np.ndarray:
+        """M s for an LMO atom s. An l1 or simplex vertex has one nonzero
+        coordinate, so one column of M gives the product; it is the same
+        number, as the other terms are exact zeros."""
+        M, cols = self._M, self._cols
+        i = vertex_coordinate(domain, atom)
+        if i is None:
+            return M @ atom.vector
+        c = atom.vector[i]
+        if cols is M:
+            return c * M[:, i]
+        lo, hi = cols.indptr[i], cols.indptr[i + 1]
+        return np.bincount(cols.indices[lo:hi], weights=c * cols.data[lo:hi], minlength=M.shape[0])
+
+    def value(self, x: np.ndarray) -> float:
+        return self._phi(self._M @ x)[0]
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self._transposed @ self._phi(self._M @ x)[1]
+
+    def value_and_gradient(self, x: np.ndarray, image: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
+        """phi(u) and M^T phi'(u) at u = M x, or at ``image`` when given."""
+        f, w = self._phi(self._M @ x if image is None else image)
+        return f, self._transposed @ w
+
+    def lipschitz_bound(self) -> float:
+        """sigma_max(M)^2 / _inv_curvature, sigma_max(M)^2 by a fixed-budget
+        power iteration: 50 steps from a seed-fixed start vector, so the
+        reported constant is reproducible."""
+        rng = np.random.default_rng(POWER_SEED)
+        v = rng.standard_normal(self.n)
+        v /= np.linalg.norm(v)
+        lam = 0.0
+        for _ in range(POWER_ITERATIONS):
+            w = self._transposed @ (self._M @ v)
+            norm = float(np.linalg.norm(w))
+            if norm == 0.0:
+                return 0.0
+            lam = norm
+            v = w / norm
+        return lam / self._inv_curvature
 
 
 @dataclass(frozen=True)
-class QuadraticLS:
+class QuadraticLS(Objective):
     """f(x) = 0.5 * ||A x - y||_2^2 with dense or CSR-sparse A."""
 
     A: MatrixLike
     y: np.ndarray
-    _cols: MatrixLike = field(init=False, repr=False, compare=False)
-    _transposed: MatrixLike = field(init=False, repr=False, compare=False)
+    _inv_curvature = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _as_operator(self.A))
-        object.__setattr__(self, "_cols", _columns(self.A))
-        object.__setattr__(self, "_transposed", _transpose(self.A))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        if self.A.shape[0] != self.y.shape[0]:
-            raise ConfigError(
-                f"A has {self.A.shape[0]} rows but y has length {self.y.shape[0]}"
-            )
+        A, y = self._bind(self.A, self.y, "y")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "y", y)
 
-    @property
-    def n(self) -> int:
-        return self.A.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
-
-    def image(self, v: np.ndarray) -> np.ndarray:
-        return self.A @ v
-
-    def atom_image(self, domain: DomainSet, atom: Atom) -> np.ndarray:
-        return _atom_image(self.A, self._cols, domain, atom)
-
-    def value(self, x: np.ndarray) -> float:
-        r = self.A @ x - self.y
-        return 0.5 * float(np.dot(r, r))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._transposed @ (self.A @ x - self.y)
-
-    def value_and_gradient(self, x: np.ndarray, image: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
-        """0.5 ||u - y||^2 and A^T (u - y) at u = A x, or at ``image`` when given."""
-        r = (self.A @ x if image is None else image) - self.y
-        return 0.5 * float(np.dot(r, r)), self._transposed @ r
-
-    def lipschitz_bound(self) -> float:
-        return _sigma_max_sq(self.A, self._transposed)
+    def _phi(self, u: np.ndarray) -> Tuple[float, np.ndarray]:
+        r = u - self.y
+        return 0.5 * float(np.dot(r, r)), r
 
 
 @dataclass(frozen=True)
-class Logistic:
+class Logistic(Objective):
     """f(x) = (1/m) sum_i log(1 + exp(-y_i z_i^T x)), labels y_i in {-1, +1}.
 
     Evaluated through log(1 + e^{-t}) = logaddexp(0, -t), the overflow-safe
@@ -165,96 +167,41 @@ class Logistic:
 
     Z: MatrixLike
     labels: np.ndarray
-    _cols: MatrixLike = field(init=False, repr=False, compare=False)
-    _transposed: MatrixLike = field(init=False, repr=False, compare=False)
     _neg_labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "Z", _as_operator(self.Z))
-        object.__setattr__(self, "_cols", _columns(self.Z))
-        object.__setattr__(self, "_transposed", _transpose(self.Z))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=float))
-        if self.Z.shape[0] != self.labels.shape[0]:
-            raise ConfigError(
-                f"Z has {self.Z.shape[0]} rows but labels has length {self.labels.shape[0]}"
-            )
-        if not np.all(np.isin(self.labels, (-1.0, 1.0))):
+        Z, labels = self._bind(self.Z, self.labels, "labels")
+        if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ConfigError("labels must all be -1 or +1")
-        object.__setattr__(self, "_neg_labels", -self.labels)
+        object.__setattr__(self, "Z", Z)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_neg_labels", -labels)
 
     @property
-    def n(self) -> int:
-        return self.Z.shape[1]
+    def _inv_curvature(self) -> float:
+        return 4.0 * self.m  # phi'' <= 1/(4m)
 
-    @property
-    def m(self) -> int:
-        return self.Z.shape[0]
-
-    def image(self, v: np.ndarray) -> np.ndarray:
-        return self.Z @ v
-
-    def atom_image(self, domain: DomainSet, atom: Atom) -> np.ndarray:
-        return _atom_image(self.Z, self._cols, domain, atom)
-
-    def _loss(self, nt: np.ndarray) -> float:
-        """(1/m) sum_i log(1 + e^{nt_i}) at the negated margins nt = -y * u."""
-        return float(np.add.reduce(np.logaddexp(0.0, nt)) / self.m)
-
-    def _dloss(self, nt: np.ndarray) -> np.ndarray:
-        """d loss / d u at the negated margins: -y_i expit(nt_i) / m."""
+    def _phi(self, u: np.ndarray) -> Tuple[float, np.ndarray]:
+        """The mean of log(1 + e^{nt_i}) and its derivative -y_i expit(nt_i) / m,
+        at the negated margins nt = -y * u."""
+        nt = self._neg_labels * u
         w = expit(nt)
         w *= self._neg_labels
         w /= self.m
-        return w
-
-    def value(self, x: np.ndarray) -> float:
-        return self._loss(self._neg_labels * (self.Z @ x))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._transposed @ self._dloss(self._neg_labels * (self.Z @ x))
-
-    def value_and_gradient(self, x: np.ndarray, image: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
-        """Value and gradient at x, from the image u = Z x when given."""
-        nt = self._neg_labels * (self.Z @ x if image is None else image)
-        return self._loss(nt), self._transposed @ self._dloss(nt)
-
-    def lipschitz_bound(self) -> float:
-        return _sigma_max_sq(self.Z, self._transposed) / (4.0 * self.m)
+        return float(np.add.reduce(np.logaddexp(0.0, nt)) / self.m), w
 
 
 @dataclass(frozen=True)
-class Scalar1D:
-    """f(x) = x^2 on the real line; the minimal zig-zag demonstration."""
+class Scalar1D(Objective):
+    """f(x) = x^2 on the real line, M = [[1]]; the minimal zig-zag demonstration."""
 
-    @property
-    def n(self) -> int:
-        return 1
+    _inv_curvature = 0.5
 
-    @property
-    def m(self) -> int:
-        return 1
+    def __post_init__(self):
+        self._bind(np.ones((1, 1)), np.zeros(1), "data")
 
-    def image(self, v: np.ndarray) -> np.ndarray:
-        return np.array(v, dtype=float)  # M is the 1 x 1 identity
-
-    def atom_image(self, domain: DomainSet, atom: Atom) -> np.ndarray:
-        return atom.vector
-
-    def value(self, x: np.ndarray) -> float:
-        return float(x[0]) ** 2
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return np.array([2.0 * float(x[0])])
-
-    def value_and_gradient(self, x: np.ndarray, image: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
-        u = x if image is None else image
-        return self.value(u), self.gradient(u)
-
-    def lipschitz_bound(self) -> float:
-        return 2.0
-
-
-Objective = Union[QuadraticLS, Logistic, Scalar1D]
+    def _phi(self, u: np.ndarray) -> Tuple[float, np.ndarray]:
+        return float(u[0]) ** 2, 2.0 * u
 
 
 def value(obj: Objective, x: np.ndarray) -> float:

@@ -257,8 +257,12 @@ def test_sweep_without_points_exits_2(tmp_path, capsys):
     assert "config error: [sweep] points" in capsys.readouterr().err
 
 
+SVMLIGHT_CONFIG = "[problem]\nkind = svmlight\npath = {data}\nalpha = 1.0\n[solver]\nmax_iters = 5\n"
+NON_FINITE_SVMLIGHT = b"+1 1:0.5 2:1.0\n-1 1:nan 2:0.3\n+1 1:0.1 2:inf\n"
+
 # each case: argv with {cfg} for the config path, config text with {data}
-# for an svmlight file holding a non-ASCII byte, and the message expected
+# for an svmlight file (holding a non-ASCII byte unless SVMLIGHT_BODIES
+# names the case), and the message expected
 BAD_INPUTS = {
     "unknown_key": (["solve"], SCALAR_CONFIG.replace("max_iters = 50", "max_iter = 5"), "unknown key [solver] max_iter"),
     "unknown_section": (["solve"], SCALAR_CONFIG + "\n[extra]\nk = 1\n", "unknown section [extra]"),
@@ -285,12 +289,15 @@ BAD_INPUTS = {
         CS_COMPARE_CONFIG.format(plots="false").replace("window_lo = 100", "window_lo = 500").replace("1999", "100"),
         "[compare] window_lo and window_hi must satisfy lo < hi, got 500 and 100",
     ),
-    "svmlight_non_ascii": (
-        ["solve"],
-        "[problem]\nkind = svmlight\npath = {data}\nalpha = 1.0\n[solver]\nmax_iters = 5\n",
-        "line 2: non-ASCII byte",
+    "svmlight_non_ascii": (["solve"], SVMLIGHT_CONFIG, "line 2: non-ASCII byte"),
+    "svmlight_non_finite_solve": (["solve"], SVMLIGHT_CONFIG, "line 2: non-finite feature value '1:nan'"),
+    "svmlight_non_finite_sweep": (
+        ["sweep"],
+        SVMLIGHT_CONFIG + "[sweep]\ntrain_frac = 0.5\n",
+        "line 2: non-finite feature value '1:nan'",
     ),
 }
+SVMLIGHT_BODIES = {"svmlight_non_finite_solve": NON_FINITE_SVMLIGHT, "svmlight_non_finite_sweep": NON_FINITE_SVMLIGHT}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -301,7 +308,7 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, case):
     argv = [str(trace) if a == "{trace}" else a for a in argv]
     if text is not None:
         data = tmp_path / "data.svmlight"
-        data.write_bytes(b"+1 1:0.5 2:1.0\n-1 1:0.2 2:\xb50.3\n")
+        data.write_bytes(SVMLIGHT_BODIES.get(case, b"+1 1:0.5 2:1.0\n-1 1:0.2 2:\xb50.3\n"))
         cfg = write_config(tmp_path / "cfg.ini", text.replace("{data}", str(data)))
         argv = argv + ["--config", cfg]
     assert run_cli(*argv, "--out", str(tmp_path / "o"), "--quiet") == 2

@@ -161,6 +161,15 @@ def test_svmlight_malformed_line_reports_number(tmp_path):
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize("token", ["1:nan", "2:inf", "1:-inf", "2:NaN"])
+def test_svmlight_non_finite_feature_value_reports_line(tmp_path, token):
+    path = tmp_path / "nonfinite.svm"
+    path.write_text(f"+1 1:0.5 2:1.0\n-1 {token}\n")
+    with pytest.raises(ParseError, match=f"line 2: non-finite feature value '{token}'") as err:
+        load_svmlight(str(path))
+    assert err.value.line_no == 2
+
+
 def test_svmlight_bad_label_rejected(tmp_path):
     path = tmp_path / "lab.svm"
     path.write_text("+3 1:1\n")

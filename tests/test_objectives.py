@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.special import expit
 
 from avgfw.domains import DomainSet, Kind, lmo
-from avgfw.errors import BrokenOracle
+from avgfw.errors import BrokenOracle, ConfigError
 from avgfw.objectives import Logistic, QuadraticLS, Scalar1D, gap, gradient, lipschitz_bound, value
 
 
@@ -184,6 +186,14 @@ def test_gap_detects_broken_oracle(monkeypatch):
         gap(Scalar1D(), dom, np.array([0.5]))
 
 
+@pytest.mark.parametrize("cls", [QuadraticLS, Logistic])
+def test_objectives_reject_a_data_vector_of_the_wrong_shape(cls):
+    # a column vector has the right length but would make the value an array
+    for data in (np.ones((3, 1)), np.ones(2)):
+        with pytest.raises(ConfigError, match=re.escape(f"has shape {data.shape}, expected (3,)")):
+            cls(np.eye(3), data)
+
+
 def test_lipschitz_estimate_is_deterministic():
     rng = np.random.default_rng(44)
     A = rng.standard_normal((6, 5))
@@ -243,6 +253,8 @@ def textbook_sigma_max_sq(M):
 def textbook(obj, x):
     """Value, gradient and smoothness bound from the formulas, with M.T
     taken afresh on every product."""
+    if isinstance(obj, Scalar1D):
+        return float(x[0]) ** 2, np.array([2.0 * float(x[0])]), 2.0
     if isinstance(obj, QuadraticLS):
         r = obj.A @ x - obj.y
         return 0.5 * float(np.dot(r, r)), obj.A.T @ r, textbook_sigma_max_sq(obj.A)
@@ -263,15 +275,20 @@ def sparse_logistic(rng, sparse):
     return Logistic(Z if sparse else Z.toarray(), labels)
 
 
-@pytest.mark.parametrize("maker", [sparse_quadratic, sparse_logistic])
+def scalar1d(rng, sparse):
+    return Scalar1D()
+
+
+@pytest.mark.parametrize("maker", [sparse_quadratic, sparse_logistic, scalar1d])
 @pytest.mark.parametrize("sparse", [False, True])
 def test_evaluations_are_bitwise_the_textbook_formulas(maker, sparse):
     # M^T is built once; every product must stay the same floats as M.T @ w,
     # and the loss the same as the formula, down to the last bit. Large
-    # scales reach the overflow-safe branches of the logistic loss.
+    # scales reach the overflow-safe branches of the logistic loss. The 1-D
+    # probe runs the generic path with M = [[1]] and must give x^2, 2x, 2.0.
     rng = np.random.default_rng(21)
     obj = maker(rng, sparse)
-    M = obj.A if isinstance(obj, QuadraticLS) else obj.Z
+    M = obj.A if isinstance(obj, QuadraticLS) else obj.Z if isinstance(obj, Logistic) else np.ones((1, 1))
     for scale in (0.1, 1.0, 1e3):
         x = scale * rng.standard_normal(obj.n)
         f, g, lip = textbook(obj, x)
