@@ -455,11 +455,6 @@ def cmd_compare(args) -> int:
         summary["k_bar"] = "none" if report.k_bar is None else report.k_bar
         summary["delta"] = "none" if report.delta is None else report.delta
         summary["support_star_size"] = len(report.support_star)
-        if report.delta is not None:
-            # coarse suboptimality scale below which identification should
-            # trigger; the constants are heuristic, read it as an order of
-            # magnitude only
-            summary["identification_threshold"] = report.delta / (lipschitz * domain.n)
         for variant, trace in traces.items():
             summary[f"support_first_{variant}"] = int(support_trajectory(trace)[0])
 

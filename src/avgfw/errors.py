@@ -34,7 +34,7 @@ class NumericalBlowup(AvgFWError):
 
 
 class StepTooLarge(AvgFWError):
-    """Euler step too coarse: feasibility drift exceeded tolerance."""
+    """Euler step above the supported maximum flows.MAX_DT."""
 
     def __init__(self, suggested_dt: float, message: str = ""):
         self.suggested_dt = suggested_dt

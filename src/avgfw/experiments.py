@@ -119,7 +119,7 @@ def run_scripted_averaging(spec: ScriptedTrajectorySpec, schedule: Schedule) -> 
         return np.nan, no_gradient, pool[picks[k]], no_image
 
     cfg = SolverConfig(Variant.AVGFW, schedule, max_iters=spec.steps)
-    start = SolverState(k=0, x=np.zeros(n), s_last=None, s_bar=np.zeros(n))
+    start = SolverState(k=0, x=np.zeros(n), s_bar=np.zeros(n))
     return _run(source, lambda v: no_image, _discrete_steps(schedule), record_ids=True, cfg=cfg, state=start)
 
 

@@ -13,12 +13,13 @@ column of M for an l1 or simplex vertex; and
 ``value_and_gradient(x, image=u)`` evaluates phi at the given image and
 then needs only M^T, for the gradient.
 
-M^T and the column copy are built once, at construction. For a sparse M
-they are a CSR copy of the transpose (scipy would otherwise build a new
-transpose object on every ``M.T``, which costs more than the product
-itself at desk scale) and a CSC copy. For a dense M they are the ``.T``
-view and M itself, which copy nothing. The products are the same
-floating-point operations in the same order as ``M.T @ w``.
+M^T is built once, at construction: a CSR copy of the transpose for a
+sparse M (scipy would otherwise build a new transpose object on every
+``M.T``, which costs more than the product itself at desk scale) and
+the ``.T`` view for a dense M, which copies nothing. The products are
+the same floating-point operations in the same order as ``M.T @ w``.
+Row i of M^T is column i of M and gives the image of a vertex atom, so
+no column copy of M is kept.
 
 The free function :func:`gap` computes the standard projection-free
 duality gap, a certified upper bound on suboptimality for convex
@@ -65,21 +66,18 @@ class Objective:
     and ``_inv_curvature``, the reciprocal of a bound on phi''."""
 
     _M: MatrixLike
-    _cols: MatrixLike
     _transposed: MatrixLike
     _inv_curvature: float
 
     def _bind(self, M: MatrixLike, data: np.ndarray, name: str) -> Tuple[MatrixLike, np.ndarray]:
-        """Store M, its column copy and M^T; return M and the data vector
-        as floats, checked to hold one entry per row of M."""
+        """Store M and M^T; return M and the data vector as floats,
+        checked to hold one entry per row of M."""
         M = _as_operator(M)
         data = np.asarray(data, dtype=float)
         if data.shape != (M.shape[0],):
             raise ConfigError(f"{name} has shape {data.shape}, expected ({M.shape[0]},), one entry per row")
-        sparse = sp.issparse(M)
         object.__setattr__(self, "_M", M)
-        object.__setattr__(self, "_cols", M.tocsc() if sparse else M)
-        object.__setattr__(self, "_transposed", M.T.tocsr() if sparse else M.T)
+        object.__setattr__(self, "_transposed", M.T.tocsr() if sp.issparse(M) else M.T)
         return M, data
 
     def _phi(self, u: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -98,17 +96,16 @@ class Objective:
 
     def atom_image(self, domain: DomainSet, atom: Atom) -> np.ndarray:
         """M s for an LMO atom s. An l1 or simplex vertex has one nonzero
-        coordinate, so one column of M gives the product; it is the same
-        number, as the other terms are exact zeros."""
-        M, cols = self._M, self._cols
+        coordinate, so one column of M, row i of M^T, gives the product;
+        it is the same number, as the other terms are exact zeros."""
         i = vertex_coordinate(domain, atom)
         if i is None:
-            return M @ atom.vector
-        c = atom.vector[i]
-        if cols is M:
-            return c * M[:, i]
-        lo, hi = cols.indptr[i], cols.indptr[i + 1]
-        return np.bincount(cols.indices[lo:hi], weights=c * cols.data[lo:hi], minlength=M.shape[0])
+            return self._M @ atom.vector
+        c, T = atom.vector[i], self._transposed
+        if isinstance(T, np.ndarray):
+            return c * T[i]
+        lo, hi = T.indptr[i], T.indptr[i + 1]
+        return np.bincount(T.indices[lo:hi], weights=c * T.data[lo:hi], minlength=T.shape[1])
 
     def value(self, x: np.ndarray) -> float:
         return self._phi(self._M @ x)[0]

@@ -6,10 +6,11 @@ k = 0, so beta_0 = 1 and the running average fully overwrites its zero
 initialization on the first step; under this convention the unrolled
 averaging weights sum to one exactly at every k.
 
-Continuous-time counterparts: alpha_t is the antiderivative of beta(t)
-(p < 1 branch), and accumulation(t) is the closed-form response of the
-averaging ODE  d sbar = beta(t) (s - sbar) dt  to the constant unit
-signal, the yardstick the flow integrator is validated against.
+Continuous-time counterparts: gamma and beta at a real time t >= 0,
+alpha_t the antiderivative of beta(t) (p < 1 branch), and
+accumulation(t), the closed-form response of the averaging ODE
+d sbar = beta(t) (s - sbar) dt  to the constant unit signal, the
+yardstick the flow integrator is validated against.
 """
 
 from __future__ import annotations
@@ -46,15 +47,15 @@ class WeightVector:
     weights: np.ndarray
 
 
-def gamma(s: Schedule, k: int) -> float:
-    """Step size c/(c+k)."""
+def gamma(s: Schedule, k: float) -> float:
+    """Step size c/(c+k); a real k = t >= 0 gives the flow's gamma(t)."""
     if k < 0:
         raise ConfigError(f"iteration index must be >= 0, got {k}")
     return s.c / (s.c + k)
 
 
-def beta(s: Schedule, k: int) -> float:
-    """Averaging weight (c/(c+k))^p; equals 1 at k = 0."""
+def beta(s: Schedule, k: float) -> float:
+    """Averaging weight (c/(c+k))^p, 1 at k = 0; a real k = t gives beta(t)."""
     if k < 0:
         raise ConfigError(f"iteration index must be >= 0, got {k}")
     return (s.c / (s.c + k)) ** s.p
@@ -91,16 +92,6 @@ def apply_weights(w: WeightVector, atoms: np.ndarray) -> np.ndarray:
     if atoms.shape[0] != w.k + 1:
         raise ConfigError(f"atom history has {atoms.shape[0]} rows, expected {w.k + 1}")
     return w.weights @ atoms
-
-
-def gamma_t(s: Schedule, t: float) -> float:
-    """Continuous step size c/(c+t)."""
-    return s.c / (s.c + t)
-
-
-def beta_t(s: Schedule, t: float) -> float:
-    """Continuous averaging weight (c/(c+t))^p = c^p/(c+t)^p."""
-    return (s.c / (s.c + t)) ** s.p
 
 
 def alpha_t(s: Schedule, t: float) -> float:

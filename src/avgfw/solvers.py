@@ -17,6 +17,10 @@ scripted runs of ``experiments.run_scripted_averaging``. It takes
 Euler steps (dt gamma(k dt), dt beta(k dt)) of ``flows.integrate``, which
 runs the continuous-time flow through this same loop.
 
+Feasibility is checked once, where a point enters: an explicit x0 and
+a resumed checkpoint's x. Every step after that is a convex combination
+of feasible points with weights in [0, 1], so it is not checked again.
+
 Every objective is f(x) = phi(M x), and x and sbar move by convex
 combinations with one atom per step, so the loop carries their images
 u = M x and ubar = M sbar with the same two updates, from the atom's
@@ -38,12 +42,13 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .domains import Atom, DomainSet, lmo
+from .domains import Atom, DomainSet, contains, lmo
 from .errors import ConfigError, NumericalBlowup
 from .objectives import Objective
 from .schedules import DEFAULT_SCHEDULE, Schedule, beta, gamma
 
 IMAGE_REFRESH = 64  # steps between exact recomputations of the carried images
+FEASIBILITY_TOL_FACTOR = 1e-6  # a start point may lie this far (times alpha) outside the domain
 
 
 class Variant(enum.Enum):
@@ -76,6 +81,8 @@ class SolverConfig:
 class SolverState:
     """Checkpoint of a run: everything needed to continue it exactly.
 
+    ``x`` must lie in the domain. ``s_bar`` need not: a vanilla run
+    carries zeros there, and beta_0 = 1 overwrites it at k = 0.
     ``x_image`` and ``s_bar_image`` are the carried images M x and M sbar
     of the objective f = phi(M x). A state without them (None) gets them
     recomputed exactly at its first step.
@@ -83,7 +90,6 @@ class SolverState:
 
     k: int
     x: np.ndarray
-    s_last: Optional[Atom]
     s_bar: np.ndarray
     x_image: Optional[np.ndarray] = None
     s_bar_image: Optional[np.ndarray] = None
@@ -123,9 +129,15 @@ def _discrete_steps(sched: Schedule) -> StepRule:
     return lambda k: (gamma(sched, k), beta(sched, k))
 
 
+def _check_feasible(domain: DomainSet, x: np.ndarray, name: str) -> None:
+    """Reject a start point that lies outside the domain."""
+    if not contains(domain, x, FEASIBILITY_TOL_FACTOR * domain.alpha):
+        raise ConfigError(f"{name} lies outside the domain ({domain.kind.value}, alpha = {domain.alpha:g})")
+
+
 def _start_point(obj: Objective, domain: DomainSet, x0: Optional[np.ndarray]) -> np.ndarray:
-    """Check dimensions and return a fresh start: a copy of ``x0``, or
-    LMO(grad f(0)) when it is None."""
+    """Check dimensions and return a fresh start: a copy of ``x0``, which
+    must lie in the domain, or LMO(grad f(0)) when it is None."""
     if obj.n != domain.n:
         raise ConfigError(f"objective dimension {obj.n} != domain dimension {domain.n}")
     if x0 is None:
@@ -133,6 +145,7 @@ def _start_point(obj: Objective, domain: DomainSet, x0: Optional[np.ndarray]) ->
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (domain.n,):
         raise ConfigError(f"x0 has shape {x.shape}, expected ({domain.n},)")
+    _check_feasible(domain, x, "x0")
     return x
 
 
@@ -153,7 +166,7 @@ def _lmo_source(obj: Objective, domain: DomainSet) -> AtomSource:
 def solve(obj: Objective, domain: DomainSet, cfg: SolverConfig) -> IterateTrace:
     """Run exactly ``cfg.max_iters`` iterations from the configured start."""
     x0 = _start_point(obj, domain, cfg.x0)
-    state = SolverState(k=0, x=x0, s_last=None, s_bar=np.zeros(domain.n))
+    state = SolverState(k=0, x=x0, s_bar=np.zeros(domain.n))
     return _run(_lmo_source(obj, domain), obj.image, _discrete_steps(cfg.schedule), domain.is_polyhedral, cfg, state)
 
 
@@ -161,7 +174,8 @@ def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverCon
     """Continue from a checkpoint for ``cfg.max_iters`` further iterations.
 
     Bitwise-identical to the uninterrupted run split at the same point.
-    A state without images gets them recomputed exactly, which matches
+    A state whose x lies outside the domain raises ConfigError. A state
+    without images gets them recomputed exactly, which matches
     the uninterrupted run bitwise only at a multiple of IMAGE_REFRESH and
     to rounding elsewhere.
     """
@@ -171,10 +185,11 @@ def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverCon
         raise ConfigError(f"objective dimension {obj.n} != domain dimension {domain.n}")
     if state.k < 0:
         raise ConfigError(f"state iteration must be >= 0, got {state.k}")
+    _check_feasible(domain, state.x, "checkpoint x")
     images = [None if u is None else np.array(u, dtype=float) for u in (state.x_image, state.s_bar_image)]
     if any(u is not None and u.shape != (obj.m,) for u in images):
         raise ConfigError(f"state images do not match the objective: expected shape ({obj.m},)")
-    fresh = SolverState(state.k, state.x.copy(), state.s_last, state.s_bar.copy(), *images)
+    fresh = SolverState(state.k, state.x.copy(), state.s_bar.copy(), *images)
     return _run(_lmo_source(obj, domain), obj.image, _discrete_steps(cfg.schedule), domain.is_polyhedral, cfg, fresh)
 
 
@@ -203,12 +218,11 @@ def _run(
     rows_beta: List[float] = []
     vids: List[int] = []
 
-    last_atom = state.s_last
     for k in range(k_start, k_end):
         if u is None or u_bar is None or k % IMAGE_REFRESH == 0:
             u, u_bar = image(x), image(s_bar)
-        f_k, g, last_atom, u_s = source(x, u, k)
-        s = last_atom.vector
+        f_k, g, atom, u_s = source(x, u, k)
+        s = atom.vector
         g_k, b_k = steps(k)
         if averaged:
             s_bar = s_bar + b_k * (s - s_bar)
@@ -218,7 +232,7 @@ def _run(
             direction, u_dir = s, u_s
 
         if record_ids:
-            vids.append(last_atom.vertex_id)
+            vids.append(atom.vertex_id)
 
         step = direction - x
         if k % every == 0 or k == k_end - 1:
@@ -232,7 +246,7 @@ def _run(
         x = x + g_k * step
         u = u + g_k * (u_dir - u)
 
-    final = SolverState(k=k_end, x=x, s_last=last_atom, s_bar=s_bar, x_image=u, s_bar_image=u_bar)
+    final = SolverState(k=k_end, x=x, s_bar=s_bar, x_image=u, s_bar_image=u_bar)
     return IterateTrace(
         ks=np.array(rows_k, dtype=int),
         f=np.array(rows_f),

@@ -154,6 +154,7 @@ def test_compare_cs_summary_and_plots(tmp_path):
     slope_fw = float(entries["slope_gap_fw"])
     slope_avg = float(entries["slope_gap_avgfw"])
     assert slope_avg <= slope_fw - 0.2
+    assert "identification_threshold" not in entries
     for name in ("fw_trace.csv", "avgfw_trace.csv", "gap.svg", "disc_err.svg", "support.svg"):
         assert (out / name).exists()
     assert "<svg" in (out / "gap.svg").read_text()
@@ -289,6 +290,8 @@ BAD_INPUTS = {
         CS_COMPARE_CONFIG.format(plots="false").replace("window_lo = 100", "window_lo = 500").replace("1999", "100"),
         "[compare] window_lo and window_hi must satisfy lo < hi, got 500 and 100",
     ),
+    "solve_x0_outside_domain": (["solve"], SCALAR_CONFIG.replace("x0 = 0.5", "x0 = 5"), "x0 lies outside the domain"),
+    "flow_x0_outside_domain": (["flow"], SCALAR_FLOW_CONFIG.replace("x0 = 0.5", "x0 = 5"), "x0 lies outside the domain"),
     "svmlight_non_ascii": (["solve"], SVMLIGHT_CONFIG, "line 2: non-ASCII byte"),
     "svmlight_non_finite_solve": (["solve"], SVMLIGHT_CONFIG, "line 2: non-finite feature value '1:nan'"),
     "svmlight_non_finite_sweep": (

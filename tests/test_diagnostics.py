@@ -27,7 +27,7 @@ def synthetic_trace(ks, series, which=Series.GAP, vertex_ids=None):
         gamma=nan.copy(),
         beta=nan.copy(),
         vertex_ids=None if vertex_ids is None else np.asarray(vertex_ids, dtype=int),
-        state=SolverState(k=n, x=np.zeros(1), s_last=None, s_bar=np.zeros(1)),
+        state=SolverState(k=n, x=np.zeros(1), s_bar=np.zeros(1)),
     )
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import avgfw.flows
 from avgfw.domains import DomainSet, Kind, contains, lmo
 from avgfw.errors import ConfigError, NumericalBlowup, StepTooLarge
 from avgfw.flows import FlowConfig, force_signal, integrate
@@ -153,6 +154,37 @@ def test_averaged_flow_anchors_s_bar_at_the_first_atom(small_l1_quadratic):
     first_atom = lmo(dom, obj.gradient(x0)).vector
     assert trace.disc_err[0] == pytest.approx(np.linalg.norm(first_atom - x0), rel=1e-12)
     assert contains(dom, trace.final_s_bar, 1e-9 * dom.alpha)
+
+
+@pytest.mark.parametrize("dt", [1e-2, 1e-3])
+@pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
+@pytest.mark.parametrize("kind", list(Kind))
+def test_euler_iterates_stay_feasible_without_a_runtime_check(monkeypatch, kind, variant, dt):
+    # dt <= MAX_DT and gamma, beta <= 1 make every Euler step a convex
+    # combination of feasible points, so the flow checks only its start;
+    # here every step's x is checked from outside, far below that tolerance
+    rng = np.random.default_rng(13)
+    dom = DomainSet(kind, 0.5, 30)
+    obj = QuadraticLS(rng.standard_normal((15, 30)), rng.standard_normal(15))
+    real_source = avgfw.flows._lmo_source
+    checked = []
+
+    def checking_source(obj, domain):
+        source = real_source(obj, domain)
+
+        def check(x, u, k):
+            assert contains(domain, x, 1e-9 * domain.alpha), f"x left the domain at step {k}"
+            checked.append(k)
+            return source(x, u, k)
+
+        return check
+
+    monkeypatch.setattr(avgfw.flows, "_lmo_source", checking_source)
+    cfg = FlowConfig(variant=variant, schedule=Schedule(3.0, 1.0), t_end=5.0, dt=dt, record_every=1.0)
+    trace = integrate(obj, dom, cfg)
+    assert checked == list(range(int(round(5.0 / dt)) + 1))
+    if variant is Variant.AVGFW:
+        assert contains(dom, trace.final_s_bar, 1e-9 * dom.alpha)
 
 
 def test_flow_numerical_blowup_reports_step():

@@ -310,5 +310,8 @@ def test_transpose_is_built_once_without_copying_a_dense_matrix(maker, sparse):
     if sparse:
         assert MT.format == "csr"
         np.testing.assert_array_equal(MT.toarray(), M.toarray().T)
+        # M and M^T are the only sparse matrices kept: the rows of M^T
+        # serve as the columns of M, so no second copy is stored
+        assert {id(v) for v in vars(obj).values() if sp.issparse(v)} == {id(M), id(MT)}
     else:
         assert np.shares_memory(MT, M)

@@ -60,7 +60,8 @@ def test_iterates_and_averages_stay_feasible(variant):
     trace = solve(obj, dom, cfg)
     tol = 1e-9 * dom.alpha
     assert contains(dom, trace.state.x, tol)
-    assert contains(dom, trace.state.s_bar if variant is Variant.AVGFW else trace.state.s_last.vector, tol)
+    if variant is Variant.AVGFW:
+        assert contains(dom, trace.state.s_bar, tol)
     # spot-check interior iterates by replaying prefixes
     for k in (10, 100):
         prefix = solve(obj, dom, SolverConfig(variant, Schedule(3.0, 1.0), max_iters=k))
@@ -121,7 +122,7 @@ def test_resume_split_run_is_bitwise_identical():
 def test_resume_from_fresh_state_equals_solve():
     obj, dom = small_quadratic()
     cfg = SolverConfig(Variant.AVGFW, Schedule(3.0, 1.0), max_iters=50, x0=np.zeros(dom.n))
-    fresh = SolverState(k=0, x=np.zeros(dom.n), s_last=None, s_bar=np.zeros(dom.n))
+    fresh = SolverState(k=0, x=np.zeros(dom.n), s_bar=np.zeros(dom.n))
     a = solve(obj, dom, cfg)
     b = resume(fresh, obj, dom, cfg)
     np.testing.assert_array_equal(a.state.x, b.state.x)
@@ -129,9 +130,33 @@ def test_resume_from_fresh_state_equals_solve():
 
 def test_resume_rejects_dimension_mismatch():
     obj, dom = small_quadratic()
-    bad = SolverState(k=0, x=np.zeros(dom.n + 1), s_last=None, s_bar=np.zeros(dom.n + 1))
+    bad = SolverState(k=0, x=np.zeros(dom.n + 1), s_bar=np.zeros(dom.n + 1))
     with pytest.raises(ConfigError):
         resume(bad, obj, dom, SolverConfig(Variant.FW, Schedule(2.0, 1.0), max_iters=1))
+
+
+def outside_point(dom, excess):
+    """A point at distance about ``excess`` outside the domain."""
+    x = np.full(dom.n, dom.alpha) if dom.kind is Kind.BOX else np.zeros(dom.n)
+    x[0] = dom.alpha + excess
+    return x
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_start_point_outside_the_domain_is_rejected_at_entry(kind):
+    # feasibility is checked only where a point enters the loop, within
+    # 1e-6 * alpha: an explicit x0 and a resumed checkpoint's x
+    rng = np.random.default_rng(11)
+    dom = DomainSet(kind, 2.0, 6)
+    obj = QuadraticLS(rng.standard_normal((4, 6)), rng.standard_normal(4))
+    cfg = SolverConfig(Variant.AVGFW, Schedule(3.0, 1.0), max_iters=3)
+    far, near = outside_point(dom, 1e-3 * dom.alpha), outside_point(dom, 1e-7 * dom.alpha)
+    with pytest.raises(ConfigError, match="x0 lies outside the domain"):
+        solve(obj, dom, dataclasses.replace(cfg, x0=far))
+    with pytest.raises(ConfigError, match="checkpoint x lies outside the domain"):
+        resume(SolverState(k=0, x=far, s_bar=np.zeros(dom.n)), obj, dom, cfg)
+    assert solve(obj, dom, dataclasses.replace(cfg, x0=near)).state.k == 3
+    assert resume(SolverState(k=0, x=near, s_bar=np.zeros(dom.n)), obj, dom, cfg).state.k == 3
 
 
 def test_dimension_mismatch_rejected():
@@ -208,7 +233,7 @@ def test_resume_from_a_state_without_images(k):
     obj, dom = small_quadratic()
     cfg = SolverConfig(Variant.AVGFW, Schedule(3.0, 1.0), max_iters=k)
     head = solve(obj, dom, cfg).state
-    bare = SolverState(k=head.k, x=head.x, s_last=head.s_last, s_bar=head.s_bar)
+    bare = SolverState(k=head.k, x=head.x, s_bar=head.s_bar)
     a = resume(head, obj, dom, cfg)
     b = resume(bare, obj, dom, cfg)
     assert b.ks[0] == k and b.state.k == 2 * k

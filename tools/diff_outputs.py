@@ -8,13 +8,15 @@ directory with its own copy of ``configs/``: gen-data, solve on the 1-D
 probe, compare on the three shipped comparison configs, sweep, both
 flows, and diag on the six traces the compares write. Output files,
 stdout, stderr and exit codes are compared byte for byte after the work
-directory's path is replaced by ``<work>``. Exits 1 on any difference,
-0 when all match.
+directory's path is replaced by ``<work>``. A differing text output is
+shown as the first DIFF_LINES lines of its unified diff. Exits 1 on any
+difference, 0 when all match.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import io
 import os
 import shutil
@@ -37,6 +39,7 @@ COMMANDS: List[List[str]] = [
     *(["diag", f"{out}/{variant}_trace.csv"] for _, out in COMPARES for variant in ("fw", "avgfw")),
 ]
 RUN_CLI = "import sys; from avgfw.cli import main; sys.exit(main(sys.argv[1:]))"
+DIFF_LINES = 20
 
 
 def extract(ref: str, dest: str) -> str:
@@ -70,6 +73,17 @@ def run_tree(tree: str, work: str) -> Dict[str, bytes]:
     return {k: v.replace(marker, b"<work>").replace(work.encode(), b"<work>") for k, v in results.items()}
 
 
+def text_diff(old: bytes, new: bytes) -> str:
+    """The first DIFF_LINES lines of the unified diff of two text outputs,
+    or "" when either is not UTF-8 text."""
+    try:
+        a, b = old.decode().splitlines(), new.decode().splitlines()
+    except UnicodeDecodeError:
+        return ""
+    lines = list(difflib.unified_diff(a, b, "reference", "working tree", lineterm=""))
+    return "".join(f"\n    {line}" for line in lines[:DIFF_LINES])
+
+
 def differences(ref: Dict[str, bytes], new: Dict[str, bytes]) -> List[Tuple[str, str]]:
     out = []
     for key in sorted(set(ref) | set(new)):
@@ -78,7 +92,7 @@ def differences(ref: Dict[str, bytes], new: Dict[str, bytes]) -> List[Tuple[str,
         elif key not in ref:
             out.append((key, "only in the working tree"))
         elif ref[key] != new[key]:
-            out.append((key, f"differs ({len(ref[key])} vs {len(new[key])} bytes)"))
+            out.append((key, f"differs ({len(ref[key])} vs {len(new[key])} bytes){text_diff(ref[key], new[key])}"))
     return out
 
 
