@@ -59,7 +59,7 @@ from .experiments import (
 from .flows import FlowConfig, force_signal, integrate
 from .objectives import Logistic, Scalar1D, lipschitz_bound
 from .schedules import Schedule
-from .solvers import IterateTrace, SolverConfig, Variant, solve
+from .solvers import IterateTrace, SolverConfig, Variant, resume, solve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -403,12 +403,21 @@ def _safe_fit(trace, series, window) -> Optional[object]:
 
 
 def cmd_compare(args) -> int:
+    """Run both variants from the same start, write their traces and a
+    summary. On a polyhedral domain the summary also measures working-set
+    identification against a reference x*: the averaged run continued to
+    ``max(reference_iters, max_iters)`` iterations."""
     cfg, echo = _read_config(args.config)
     seed = _resolve_seed(args, cfg["output"]["seed"])
     out_dir = _resolve_out_dir(args, cfg["output"]["dir"])
     obj, domain, meta = _build_problem(cfg, seed)
     base = _build_solver_config(cfg, domain)
     sched, max_iters = base.schedule, base.max_iters
+    reference_iters = cfg["compare"]["reference_iters"]
+    if reference_iters is None:
+        reference_iters = min(100000, 10 * max_iters)
+    if reference_iters < 1:
+        raise ConfigError(f"[compare] reference_iters must be >= 1, got {reference_iters}")
     window = _fit_window(
         cfg["compare"]["window_lo"],
         cfg["compare"]["window_hi"],
@@ -439,17 +448,13 @@ def cmd_compare(args) -> int:
             summary[f"r2_{name}_{variant}"] = "none" if fit is None else fit.r_squared
 
     if domain.is_polyhedral:
-        reference_iters = cfg["compare"]["reference_iters"]
-        if reference_iters is None:
-            reference_iters = min(100000, 10 * max_iters)
-        ref_cfg = SolverConfig(
-            variant=Variant.AVGFW,
-            schedule=sched,
-            max_iters=reference_iters,
-            trace_every=max(1, reference_iters // 10),
-        )
-        reference = solve(obj, domain, ref_cfg)
-        summary["reference_iters"] = reference_iters
+        # resume continues the averaged run bitwise, so the reference is
+        # that run, extended when reference_iters asks for more; only its
+        # last row and final x are read
+        reference, extra = traces["avgfw"], reference_iters - max_iters
+        if extra > 0:
+            reference = resume(reference.state, obj, domain, SolverConfig(Variant.AVGFW, sched, extra, trace_every=extra))
+        summary["reference_iters"] = max(reference_iters, max_iters)
         summary["f_star_estimate"] = reference.f[-1] - reference.gap[-1]
         report = identify_manifold(traces["avgfw"], obj, domain, reference.state.x)
         summary["k_bar"] = "none" if report.k_bar is None else report.k_bar

@@ -6,7 +6,7 @@ import pytest
 
 from avgfw.experiments import SyntheticCSSpec, generate_cs
 from avgfw.schedules import Schedule
-from avgfw.solvers import SolverConfig, Variant, solve
+from avgfw.solvers import SolverConfig, Variant, resume, solve
 
 CS_SEED = 2
 CS_RATE_ITERS = 5001
@@ -39,15 +39,20 @@ def cs_manifold_pipeline(cs_instance):
     """Boundary-regime run of the same data: a deep l1 radius puts the
     optimum on a low-dimensional facet where the working set stabilizes.
 
-    Returns (objective, domain, x_star from the 1e5-iteration reference,
-    analyzed 4000-iteration trace)."""
+    Returns (objective, domain, the 1e5-iteration reference run, whose
+    state.x serves as x_star, analyzed 4000-iteration trace). The
+    reference continues the analyzed run, which resume makes bitwise
+    equal to a fresh 1e5-iteration run."""
     spec, _, _, x0 = cs_instance
     alpha = MANIFOLD_ALPHA_FRAC * float(np.sum(np.abs(x0)))
     obj, domain, _ = generate_cs(spec, alpha=alpha)
-    reference = solve(
-        obj, domain, SolverConfig(Variant.AVGFW, DEFAULT_SCHED, REFERENCE_ITERS, trace_every=10000)
-    )
     analyzed = solve(obj, domain, SolverConfig(Variant.AVGFW, DEFAULT_SCHED, MANIFOLD_ITERS))
+    reference = resume(
+        analyzed.state,
+        obj,
+        domain,
+        SolverConfig(Variant.AVGFW, DEFAULT_SCHED, REFERENCE_ITERS - MANIFOLD_ITERS, trace_every=10000),
+    )
     return obj, domain, reference, analyzed
 
 

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from avgfw.cli import main, read_trace_csv
-from avgfw.diagnostics import identify_manifold
+from avgfw.cli import _build_problem, _build_solver_config, _read_config, main, read_trace_csv
+from avgfw.diagnostics import identify_manifold, render_report
 from avgfw.domains import DomainSet, Kind
-from avgfw.objectives import QuadraticLS
+from avgfw.objectives import Objective, QuadraticLS
+from avgfw.solvers import Variant, solve
 
 
 def run_cli(*argv):
@@ -167,6 +170,67 @@ def test_compare_without_plots_writes_no_svg(tmp_path):
     assert not list(out.glob("*.svg"))
 
 
+SMALL_CS_CONFIG = """
+[problem]
+kind = cs
+n_features = 50
+m_measurements = 20
+noise_std = 0.0
+alpha_scale = 0.5
+
+[solver]
+max_iters = 300
+{x0}
+
+[compare]
+reference_iters = {reference_iters}
+
+[output]
+seed = 2
+"""
+REFERENCE_KEYS = ("reference_iters", "f_star_estimate", "k_bar", "delta", "support_star_size")
+
+
+def fresh_reference_summary(path, reference_iters):
+    """The identification entries of a compare summary, computed from a
+    fresh averaged run of max(reference_iters, max_iters) iterations."""
+    cfg, _ = _read_config(path)
+    obj, domain, _ = _build_problem(cfg, cfg["output"]["seed"])
+    base = replace(_build_solver_config(cfg, domain), variant=Variant.AVGFW)
+    iters = max(reference_iters, base.max_iters)
+    reference = solve(obj, domain, replace(base, max_iters=iters))
+    report = identify_manifold(solve(obj, domain, base), obj, domain, reference.state.x)
+    entries = {
+        "reference_iters": iters,
+        "f_star_estimate": reference.f[-1] - reference.gap[-1],
+        "k_bar": "none" if report.k_bar is None else report.k_bar,
+        "delta": "none" if report.delta is None else report.delta,
+        "support_star_size": len(report.support_star),
+    }
+    return dict(line.split(" = ") for line in render_report(entries).splitlines())
+
+
+@pytest.mark.parametrize("x0", ["", "x0 = " + ",".join(["0"] * 50)], ids=["lmo_start", "explicit_x0"])
+@pytest.mark.parametrize("reference_iters", [500, 300, 120])
+def test_compare_reference_continues_the_averaged_run(tmp_path, monkeypatch, reference_iters, x0):
+    # the reference is the averaged run continued (or, when shorter, the
+    # run itself): the same strings as a fresh run of that length from the
+    # same start, with no averaged iteration computed twice
+    cfg = write_config(tmp_path / "cfg.ini", SMALL_CS_CONFIG.format(x0=x0, reference_iters=reference_iters))
+    calls = []
+    value_and_gradient = Objective.value_and_gradient
+
+    def counted(self, *args):
+        calls.append(1)
+        return value_and_gradient(self, *args)
+
+    monkeypatch.setattr(Objective, "value_and_gradient", counted)
+    assert run_cli("compare", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 0
+    assert len(calls) == 2 * 300 + max(0, reference_iters - 300)
+    summary = dict(line.split(" = ") for line in (tmp_path / "out" / "summary.txt").read_text().splitlines())
+    assert {key: summary[key] for key in REFERENCE_KEYS} == fresh_reference_summary(cfg, reference_iters)
+
+
 def test_flow_forced_signal_matches_closed_form(tmp_path):
     cfg = write_config(tmp_path / "cfg.ini", FORCED_FLOW_CONFIG)
     out = tmp_path / "out"
@@ -289,6 +353,11 @@ BAD_INPUTS = {
         ["compare"],
         CS_COMPARE_CONFIG.format(plots="false").replace("window_lo = 100", "window_lo = 500").replace("1999", "100"),
         "[compare] window_lo and window_hi must satisfy lo < hi, got 500 and 100",
+    ),
+    "compare_reference_iters_zero": (
+        ["compare"],
+        CS_COMPARE_CONFIG.format(plots="false").replace("reference_iters = 4000", "reference_iters = 0"),
+        "[compare] reference_iters must be >= 1, got 0",
     ),
     "solve_x0_outside_domain": (["solve"], SCALAR_CONFIG.replace("x0 = 0.5", "x0 = 5"), "x0 lies outside the domain"),
     "flow_x0_outside_domain": (["flow"], SCALAR_FLOW_CONFIG.replace("x0 = 0.5", "x0 = 5"), "x0 lies outside the domain"),

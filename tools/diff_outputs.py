@@ -4,13 +4,15 @@
 
 extracts ``git archive REF`` to a temporary directory and runs the same
 command set on that tree and on the working tree, each in a fresh work
-directory with its own copy of ``configs/``: gen-data, solve on the 1-D
-probe, compare on the three shipped comparison configs, sweep, both
-flows, and diag on the six traces the compares write. Output files,
-stdout, stderr and exit codes are compared byte for byte after the work
-directory's path is replaced by ``<work>``. A differing text output is
-shown as the first DIFF_LINES lines of its unified diff. Exits 1 on any
-difference, 0 when all match.
+directory with its own copy of ``configs/`` and of ``bench/cs_large.ini``:
+gen-data, solve on the 1-D probe, compare on the three shipped
+comparison configs (whose references run past ``max_iters``) and on
+``bench/cs_large.ini`` at seed 0 (whose reference is the averaged run
+itself), sweep, both flows, and diag on the six traces the shipped
+compares write. Output files, stdout, stderr and exit codes are compared
+byte for byte after the work directory's path is replaced by ``<work>``.
+A differing text output is shown as the first DIFF_LINES lines of its
+unified diff. Exits 1 on any difference, 0 when all match.
 """
 
 from __future__ import annotations
@@ -28,11 +30,13 @@ from typing import Dict, List, Tuple
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+LARGE_CONFIG = "bench/cs_large.ini"  # writes to out/cs_large
 COMPARES = [("cs_compare", "out/cs_compare"), ("cs_manifold", "out/cs_manifold"), ("logistic_synthetic", "out/logistic")]
 COMMANDS: List[List[str]] = [
     ["gen-data", "--out", "out/data"],
     ["solve", "--config", "configs/scalar1d_fw.ini", "--out", "out/scalar1d_fw"],
     *(["compare", "--config", f"configs/{name}.ini", "--out", out] for name, out in COMPARES),
+    ["compare", "--config", LARGE_CONFIG, "--seed", "0"],
     ["sweep", "--config", "configs/logistic_synthetic.ini", "--out", "out/sweep"],
     ["flow", "--config", "configs/flow_accumulation.ini", "--out", "out/flow_accumulation"],
     ["flow", "--config", "configs/flow_scalar1d.ini", "--out", "out/flow_scalar1d"],
@@ -55,6 +59,8 @@ def run_tree(tree: str, work: str) -> Dict[str, bytes]:
     each output file and each command's streams and exit code, keyed by
     name, with the work directory's path normalized."""
     shutil.copytree(os.path.join(tree, "configs"), os.path.join(work, "configs"))
+    os.mkdir(os.path.join(work, "bench"))
+    shutil.copy(os.path.join(tree, LARGE_CONFIG), os.path.join(work, LARGE_CONFIG))
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     env.pop("AVGFW_OUT", None)
     results: Dict[str, bytes] = {}
