@@ -198,6 +198,12 @@ def _resolve_seed(args, configured: int = 0) -> int:
     return seed
 
 
+def _prepare(args) -> Tuple[Config, Dict[str, str], int, str]:
+    """The config and its echo, then the seed, then the output directory."""
+    cfg, echo = _read_config(args.config)
+    return cfg, echo, _resolve_seed(args, cfg["output"]["seed"]), _resolve_out_dir(args, cfg["output"]["dir"])
+
+
 # ---------------------------------------------------------------- problems
 
 def _build_problem(cfg: Config, seed: int):
@@ -293,8 +299,12 @@ def _write_csv(path: str, header: Dict[str, object], columns: str, rows: Iterabl
     lines = [f"# {key} = {val}" for key, val in header.items()]
     lines.append(columns)
     lines.extend(",".join(row) for row in rows)
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def _trace_rows(trace: IterateTrace):
@@ -369,9 +379,7 @@ def _trace_header(echo, lipschitz: float, domain, meta, extra: Dict[str, object]
 
 
 def cmd_solve(args) -> int:
-    cfg, echo = _read_config(args.config)
-    seed = _resolve_seed(args, cfg["output"]["seed"])
-    out_dir = _resolve_out_dir(args, cfg["output"]["dir"])
+    cfg, echo, seed, out_dir = _prepare(args)
     obj, domain, meta = _build_problem(cfg, seed)
     solver_cfg = _build_solver_config(cfg, domain)
     trace = solve(obj, domain, solver_cfg)
@@ -393,26 +401,63 @@ def _fit_window(lo: Optional[int], hi: Optional[int], default: Tuple[int, int], 
     return window
 
 
-def _safe_fit(trace, series, window) -> Optional[object]:
-    if not window[0] < window[1]:
-        return None
-    try:
-        return fit_rate(trace, series, window)
-    except InsufficientData:
-        return None
+def _rate_fits(traces: Dict[str, IterateTrace], window: Tuple[int, int]) -> Dict[str, Optional[float]]:
+    """``slope_{gap,disc}<suffix>`` and ``r2_{gap,disc}<suffix>`` of each
+    trace, keyed by suffix; None where the window holds no fit."""
+    entries: Dict[str, Optional[float]] = {}
+    for name, series in (("gap", Series.GAP), ("disc", Series.DISC_ERR)):
+        for suffix, trace in traces.items():
+            slope = r2 = None
+            if window[0] < window[1]:
+                try:
+                    fit = fit_rate(trace, series, window)
+                    slope, r2 = fit.slope, fit.r_squared
+                except InsufficientData:
+                    pass
+            entries[f"slope_{name}{suffix}"] = slope
+            entries[f"r2_{name}{suffix}"] = r2
+    return entries
+
+
+def compare(
+    obj, domain: DomainSet, base: SolverConfig, window: Tuple[int, int], reference_iters: int
+) -> Tuple[Dict[str, IterateTrace], Dict[str, object]]:
+    """The compare protocol in process: it reads no config and writes no file.
+
+    Runs both variants of ``base`` from one start and fits their rates over
+    ``window``. On a polyhedral domain it measures identification against
+    x*, the averaged run continued to ``max(reference_iters, max_iters)``
+    iterations. Returns the traces keyed by variant ("fw", "avgfw") and the
+    summary entries from ``window_lo`` on, None where one is undefined.
+    """
+    traces = {v.value: solve(obj, domain, replace(base, variant=v)) for v in (Variant.FW, Variant.AVGFW)}
+    entries: Dict[str, object] = {"window_lo": window[0], "window_hi": window[1]}
+    entries.update(_rate_fits({f"_{variant}": trace for variant, trace in traces.items()}, window))
+    if domain.is_polyhedral:
+        # resume continues the averaged run bitwise, so the reference is
+        # that run, extended when reference_iters asks for more; only its
+        # last row and final x are read
+        reference, extra = traces["avgfw"], reference_iters - base.max_iters
+        if extra > 0:
+            reference = resume(reference.state, obj, domain, SolverConfig(Variant.AVGFW, base.schedule, extra, trace_every=extra))
+        entries["reference_iters"] = max(reference_iters, base.max_iters)
+        entries["f_star_estimate"] = reference.f[-1] - reference.gap[-1]
+        report = identify_manifold(traces["avgfw"], obj, domain, reference.state.x)
+        entries["k_bar"] = report.k_bar
+        entries["delta"] = report.delta
+        entries["support_star_size"] = len(report.support_star)
+        for variant, trace in traces.items():
+            entries[f"support_first_{variant}"] = int(support_trajectory(trace)[0])
+    return traces, entries
 
 
 def cmd_compare(args) -> int:
-    """Run both variants from the same start, write their traces and a
-    summary. On a polyhedral domain the summary also measures working-set
-    identification against a reference x*: the averaged run continued to
-    ``max(reference_iters, max_iters)`` iterations."""
-    cfg, echo = _read_config(args.config)
-    seed = _resolve_seed(args, cfg["output"]["seed"])
-    out_dir = _resolve_out_dir(args, cfg["output"]["dir"])
+    """Run ``compare`` on the configured problem, then write both traces, the
+    summary and, when asked, the plots; a failed run writes nothing."""
+    cfg, echo, seed, out_dir = _prepare(args)
     obj, domain, meta = _build_problem(cfg, seed)
     base = _build_solver_config(cfg, domain)
-    sched, max_iters = base.schedule, base.max_iters
+    max_iters = base.max_iters
     reference_iters = cfg["compare"]["reference_iters"]
     if reference_iters is None:
         reference_iters = min(100000, 10 * max_iters)
@@ -425,48 +470,14 @@ def cmd_compare(args) -> int:
         "[compare] window_lo and window_hi",
     )
     lipschitz = lipschitz_bound(obj)
+    traces, entries = compare(obj, domain, base, window, reference_iters)
 
-    traces: Dict[str, IterateTrace] = {}
-    for variant in (Variant.FW, Variant.AVGFW):
-        trace = traces[variant.value] = solve(obj, domain, replace(base, variant=variant))
-        header = _trace_header(echo, lipschitz, domain, meta, {"variant": variant.value, "seed": seed})
-        _write_csv(os.path.join(out_dir, f"{variant.value}_trace.csv"), header, TRACE_COLUMNS, _trace_rows(trace))
-
-    summary: Dict[str, object] = {
-        "c": sched.c,
-        "p": sched.p,
-        "alpha": domain.alpha,
-        "max_iters": max_iters,
-        "seed": seed,
-        "window_lo": window[0],
-        "window_hi": window[1],
-    }
-    for name, series in (("gap", Series.GAP), ("disc", Series.DISC_ERR)):
-        for variant, trace in traces.items():
-            fit = _safe_fit(trace, series, window)
-            summary[f"slope_{name}_{variant}"] = "none" if fit is None else fit.slope
-            summary[f"r2_{name}_{variant}"] = "none" if fit is None else fit.r_squared
-
-    if domain.is_polyhedral:
-        # resume continues the averaged run bitwise, so the reference is
-        # that run, extended when reference_iters asks for more; only its
-        # last row and final x are read
-        reference, extra = traces["avgfw"], reference_iters - max_iters
-        if extra > 0:
-            reference = resume(reference.state, obj, domain, SolverConfig(Variant.AVGFW, sched, extra, trace_every=extra))
-        summary["reference_iters"] = max(reference_iters, max_iters)
-        summary["f_star_estimate"] = reference.f[-1] - reference.gap[-1]
-        report = identify_manifold(traces["avgfw"], obj, domain, reference.state.x)
-        summary["k_bar"] = "none" if report.k_bar is None else report.k_bar
-        summary["delta"] = "none" if report.delta is None else report.delta
-        summary["support_star_size"] = len(report.support_star)
-        for variant, trace in traces.items():
-            summary[f"support_first_{variant}"] = int(support_trajectory(trace)[0])
-
+    for variant, trace in traces.items():
+        header = _trace_header(echo, lipschitz, domain, meta, {"variant": variant, "seed": seed})
+        _write_csv(os.path.join(out_dir, f"{variant}_trace.csv"), header, TRACE_COLUMNS, _trace_rows(trace))
+    summary = {"c": base.schedule.c, "p": base.schedule.p, "alpha": domain.alpha, "max_iters": max_iters, "seed": seed}
     summary_path = os.path.join(out_dir, "summary.txt")
-    with open(summary_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(render_report(summary))
-
+    _write_text(summary_path, render_report({**summary, **entries}))
     if cfg["output"]["emit_plots"]:
         _emit_compare_plots(out_dir, traces, domain)
     if not args.quiet:
@@ -474,34 +485,26 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _support_points(trace: IterateTrace):
+    traj = support_trajectory(trace)
+    return list(range(trace.k_start, trace.k_start + traj.size)), traj.tolist()
+
+
 def _emit_compare_plots(out_dir: str, traces: Dict[str, IterateTrace], domain) -> None:
+    # file, title, y label, log-log axes, [ks], [ys] of a trace
     charts = [
-        ("gap.svg", "duality gap", Series.GAP),
-        ("disc_err.svg", "discretization error", Series.DISC_ERR),
+        ("gap.svg", "duality gap", "duality gap", True, lambda t: (t.ks.tolist(), t.gap.tolist())),
+        ("disc_err.svg", "discretization error", "discretization error", True, lambda t: (t.ks.tolist(), t.disc_err.tolist())),
     ]
-    for filename, title, series in charts:
-        data = []
-        for variant, trace in traces.items():
-            ys = trace.gap if series is Series.GAP else trace.disc_err
-            data.append((variant, trace.ks.tolist(), ys.tolist()))
-        svg = _svg.line_chart(data, title, "iteration", title, loglog=True)
-        with open(os.path.join(out_dir, filename), "w", encoding="ascii", newline="\n") as fh:
-            fh.write(svg)
     if domain.is_polyhedral:
-        data = []
-        for variant, trace in traces.items():
-            traj = support_trajectory(trace)
-            ks = np.arange(trace.k_start, trace.k_start + traj.size)
-            data.append((variant, ks.tolist(), traj.tolist()))
-        svg = _svg.line_chart(data, "working-set size", "iteration", "distinct atoms from k on", loglog=False)
-        with open(os.path.join(out_dir, "support.svg"), "w", encoding="ascii", newline="\n") as fh:
-            fh.write(svg)
+        charts.append(("support.svg", "working-set size", "distinct atoms from k on", False, _support_points))
+    for filename, title, ylabel, loglog, points in charts:
+        data = [(variant, *points(trace)) for variant, trace in traces.items()]
+        _write_text(os.path.join(out_dir, filename), _svg.line_chart(data, title, "iteration", ylabel, loglog=loglog))
 
 
 def cmd_flow(args) -> int:
-    cfg, echo = _read_config(args.config)
-    seed = _resolve_seed(args, cfg["output"]["seed"])
-    out_dir = _resolve_out_dir(args, cfg["output"]["dir"])
+    cfg, echo, seed, out_dir = _prepare(args)
 
     flow = cfg["flow"]
     record_every = flow["record_every"]
@@ -540,25 +543,19 @@ def cmd_flow(args) -> int:
 
 def cmd_diag(args) -> int:
     trace = read_trace_csv(args.trace)
-    default = (max(1, int(trace.ks[0]) or 1), int(trace.ks[-1]))
-    k_lo, k_hi = _fit_window(args.window_lo, args.window_hi, default, "--window-lo and --window-hi")
-    report: Dict[str, object] = {"trace": os.path.basename(args.trace), "window_lo": k_lo, "window_hi": k_hi}
-    for name, series in (("gap", Series.GAP), ("disc", Series.DISC_ERR)):
-        fit = _safe_fit(trace, series, (k_lo, k_hi))
-        report[f"slope_{name}"] = "none" if fit is None else fit.slope
-        report[f"r2_{name}"] = "none" if fit is None else fit.r_squared
+    default = (max(1, int(trace.ks[0])), int(trace.ks[-1]))
+    window = _fit_window(args.window_lo, args.window_hi, default, "--window-lo and --window-hi")
+    report: Dict[str, object] = {"trace": os.path.basename(args.trace), "window_lo": window[0], "window_hi": window[1]}
+    report.update(_rate_fits({"": trace}, window))
     report["support_first"] = "undefined" if trace.vertex_ids is None else int(support_trajectory(trace)[0])
-    text = render_report(report)
-    sys.stdout.write(text)
+    sys.stdout.write(render_report(report))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     """Radius sweep for classification problems: train on a split, report
     validation loss per radius on a log grid. Reported, never asserted."""
-    cfg, echo = _read_config(args.config)
-    seed = _resolve_seed(args, cfg["output"]["seed"])
-    out_dir = _resolve_out_dir(args, cfg["output"]["dir"])
+    cfg, echo, seed, out_dir = _prepare(args)
     obj, domain, _ = _build_problem(cfg, seed)
     if not isinstance(obj, Logistic):
         raise ConfigError("sweep needs a classification problem (svmlight or synthetic_logistic)")

@@ -202,11 +202,11 @@ def identify_manifold(
 
 
 def render_report(entries: Dict[str, object]) -> str:
-    """Flat ``key = value`` text block, one entry per line."""
+    """Flat ``key = value`` text block, one entry per line; None, an
+    undefined entry, prints as ``none``."""
     lines = []
     for key, val in entries.items():
         if isinstance(val, float):
-            lines.append(f"{key} = {float(val)!r}")
-        else:
-            lines.append(f"{key} = {val}")
+            val = repr(float(val))
+        lines.append(f"{key} = {'none' if val is None else val}")
     return "\n".join(lines) + "\n"

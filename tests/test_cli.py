@@ -3,9 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from avgfw import cli
 from avgfw.cli import _build_problem, _build_solver_config, _read_config, main, read_trace_csv
 from avgfw.diagnostics import identify_manifold, render_report
 from avgfw.domains import DomainSet, Kind
+from avgfw.errors import NumericalBlowup
 from avgfw.objectives import Objective, QuadraticLS
 from avgfw.solvers import Variant, solve
 
@@ -231,6 +233,62 @@ def test_compare_reference_continues_the_averaged_run(tmp_path, monkeypatch, ref
     assert {key: summary[key] for key in REFERENCE_KEYS} == fresh_reference_summary(cfg, reference_iters)
 
 
+def resolved_compare(path):
+    """Run cli.compare on the inputs the compare command resolves from the
+    config at ``path``, with the default fit window."""
+    cfg, _ = _read_config(path)
+    obj, domain, _ = _build_problem(cfg, cfg["output"]["seed"])
+    base = _build_solver_config(cfg, domain)
+    window = (min(100, max(1, base.max_iters // 10)), base.max_iters - 1)
+    reference_iters = cfg["compare"]["reference_iters"] or min(100000, 10 * base.max_iters)
+    return base, domain, cli.compare(obj, domain, base, window, reference_iters)
+
+
+def test_compare_core_runs_in_process(tmp_path, monkeypatch):
+    # the protocol of the compare command as a function: it writes nothing,
+    # and the command's summary.txt is the rendering of what it returns
+    cfg = write_config(tmp_path / "cfg.ini", SMALL_CS_CONFIG.format(x0="", reference_iters=500))
+    assert run_cli("compare", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 0
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    base, domain, (traces, entries) = resolved_compare(cfg)
+    assert sorted(tmp_path.rglob("*")) == before
+    assert list(traces) == ["fw", "avgfw"]
+    header = {"c": base.schedule.c, "p": base.schedule.p, "alpha": domain.alpha, "max_iters": 300, "seed": 2}
+    assert render_report({**header, **entries}) == (tmp_path / "out" / "summary.txt").read_text()
+
+
+def test_compare_core_marks_undefined_entries_none(tmp_path):
+    cfg = write_config(tmp_path / "scalar.ini", SCALAR_CONFIG.replace("max_iters = 50", "max_iters = 2"))
+    _, _, (_, entries) = resolved_compare(cfg)
+    slopes = [entries[f"slope_{name}_{variant}"] for name in ("gap", "disc") for variant in ("fw", "avgfw")]
+    assert slopes == [None] * 4
+    assert entries["delta"] is None
+    cfg = write_config(tmp_path / "l2.ini", "[problem]\nkind = l2_quadratic\n[solver]\nmax_iters = 50\n")
+    _, _, (_, entries) = resolved_compare(cfg)
+    assert not {"k_bar", "delta", "reference_iters", "support_first_avgfw"} & set(entries)
+
+
+def test_failed_compare_writes_nothing(tmp_path, monkeypatch, capsys):
+    # both variants run before anything is written, so a blowup in the
+    # second leaves an empty output directory
+    calls = []
+
+    def fails_second(obj, domain, cfg):
+        calls.append(cfg.variant)
+        if len(calls) == 2:
+            raise NumericalBlowup(7)
+        return solve(obj, domain, cfg)
+
+    monkeypatch.setattr(cli, "solve", fails_second)
+    cfg = write_config(tmp_path / "cfg.ini", SMALL_CS_CONFIG.format(x0="", reference_iters=500))
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", cfg, "--out", str(out), "--quiet") == 3
+    assert calls == [Variant.FW, Variant.AVGFW]
+    assert "numerical error: non-finite value encountered at iteration 7" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_flow_forced_signal_matches_closed_form(tmp_path):
     cfg = write_config(tmp_path / "cfg.ini", FORCED_FLOW_CONFIG)
     out = tmp_path / "out"
@@ -270,6 +328,13 @@ def test_diag_refits_existing_csv(tmp_path, capsys):
     entries = dict(line.split(" = ") for line in printed.strip().splitlines())
     assert -1.35 <= float(entries["slope_gap"]) <= -0.75
     assert "support_first" in entries
+    # over [compare]'s window, diag refits each trace to the summary's strings
+    summary = dict(line.split(" = ") for line in (out / "summary.txt").read_text().splitlines())
+    for variant in ("fw", "avgfw"):
+        assert run_cli("diag", str(out / f"{variant}_trace.csv"), "--window-lo", "100", "--window-hi", "1999") == 0
+        entries = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+        for key in ("slope_gap", "r2_gap", "slope_disc", "r2_disc"):
+            assert entries[key] == summary[f"{key}_{variant}"]
 
 
 def test_diag_missing_file_exits_2(tmp_path):

@@ -220,7 +220,8 @@ def test_manifold_pipeline_on_boundary_cs(cs_manifold_pipeline):
 
 
 def test_render_report_is_flat_key_value():
-    txt = render_report({"slope_gap": -1.25, "k_bar": 17})
+    txt = render_report({"slope_gap": -1.25, "k_bar": 17, "delta": None})
     lines = txt.strip().splitlines()
     assert lines[0].startswith("slope_gap = ")
     assert lines[1] == "k_bar = 17"
+    assert lines[2] == "delta = none"

@@ -8,8 +8,10 @@ directory with its own copy of ``configs/`` and of ``bench/cs_large.ini``:
 gen-data, solve on the 1-D probe, compare on the three shipped
 comparison configs (whose references run past ``max_iters``) and on
 ``bench/cs_large.ini`` at seed 0 (whose reference is the averaged run
-itself), sweep, both flows, and diag on the six traces the shipped
-compares write. Output files, stdout, stderr and exit codes are compared
+itself), sweep, both flows, and diag: on the six traces the shipped
+compares write with the default window, on the fw trace of ``cs_compare``
+with the explicit window 100..4999 (the benchmark's desk_small diag),
+and on the box trace of the 1-D solve. Output files, stdout, stderr and exit codes are compared
 byte for byte after the work directory's path is replaced by ``<work>``.
 A differing text output is shown as the first DIFF_LINES lines of its
 unified diff. Exits 1 on any difference, 0 when all match.
@@ -41,6 +43,8 @@ COMMANDS: List[List[str]] = [
     ["flow", "--config", "configs/flow_accumulation.ini", "--out", "out/flow_accumulation"],
     ["flow", "--config", "configs/flow_scalar1d.ini", "--out", "out/flow_scalar1d"],
     *(["diag", f"{out}/{variant}_trace.csv"] for _, out in COMPARES for variant in ("fw", "avgfw")),
+    ["diag", "out/cs_compare/fw_trace.csv", "--window-lo", "100", "--window-hi", "4999"],
+    ["diag", "out/scalar1d_fw/trace.csv"],
 ]
 RUN_CLI = "import sys; from avgfw.cli import main; sys.exit(main(sys.argv[1:]))"
 DIFF_LINES = 20
