@@ -391,14 +391,28 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _fit_window(lo: Optional[int], hi: Optional[int], default: Tuple[int, int], names: str) -> Tuple[int, int]:
+def _fit_window(
+    lo: Optional[int], hi: Optional[int], default: Tuple[int, int], recorded: Tuple[int, int], names: str
+) -> Tuple[int, int]:
     """The rate-fit window: the given ends, the default for a missing one.
-    A window the user set must satisfy lo < hi; the default one of a very
-    short run may be empty, and then no fit is reported."""
+    A window the user set must satisfy lo < hi, and each end the user set
+    is clipped to the ``recorded`` iterations, with a warning on stderr.
+    A clipped window, or the default one of a very short run, may be
+    empty, and then no fit is reported."""
     window = (default[0] if lo is None else lo, default[1] if hi is None else hi)
     if (lo is not None or hi is not None) and not window[0] < window[1]:
         raise ConfigError(f"{names} must satisfy lo < hi, got {window[0]} and {window[1]}")
-    return window
+    clipped = (
+        window[0] if lo is None else min(max(lo, recorded[0]), recorded[1]),
+        window[1] if hi is None else min(max(hi, recorded[0]), recorded[1]),
+    )
+    if clipped != window:
+        print(
+            f"warning: {names} ask for {window[0]}..{window[1]}, outside the recorded iterations"
+            f" {recorded[0]}..{recorded[1]}; fitting over {clipped[0]}..{clipped[1]}",
+            file=sys.stderr,
+        )
+    return clipped
 
 
 def _rate_fits(traces: Dict[str, IterateTrace], window: Tuple[int, int]) -> Dict[str, Optional[float]]:
@@ -467,6 +481,7 @@ def cmd_compare(args) -> int:
         cfg["compare"]["window_lo"],
         cfg["compare"]["window_hi"],
         (min(100, max(1, max_iters // 10)), max_iters - 1),
+        (0, max_iters - 1),
         "[compare] window_lo and window_hi",
     )
     lipschitz = lipschitz_bound(obj)
@@ -543,8 +558,8 @@ def cmd_flow(args) -> int:
 
 def cmd_diag(args) -> int:
     trace = read_trace_csv(args.trace)
-    default = (max(1, int(trace.ks[0])), int(trace.ks[-1]))
-    window = _fit_window(args.window_lo, args.window_hi, default, "--window-lo and --window-hi")
+    first, last = int(trace.ks[0]), int(trace.ks[-1])
+    window = _fit_window(args.window_lo, args.window_hi, (max(1, first), last), (first, last), "--window-lo and --window-hi")
     report: Dict[str, object] = {"trace": os.path.basename(args.trace), "window_lo": window[0], "window_hi": window[1]}
     report.update(_rate_fits({"": trace}, window))
     report["support_first"] = "undefined" if trace.vertex_ids is None else int(support_trajectory(trace)[0])

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domains import Atom, DomainSet, Kind
 from .errors import ConfigError, LabelError, ParseError
@@ -156,6 +155,8 @@ def load_svmlight(path: str, n_features_hint: Optional[int] = None) -> Logistic:
     must be finite. Blank lines and lines starting with '#' are skipped.
     Features beyond the hint extend the dimension.
     """
+    import scipy.sparse as sp
+
     labels: List[float] = []
     data: List[float] = []
     indices: List[int] = []
@@ -210,6 +211,8 @@ def load_svmlight(path: str, n_features_hint: Optional[int] = None) -> Logistic:
 
 def write_svmlight(data: Logistic, path: str) -> None:
     """Inverse of :func:`load_svmlight`; values round-trip bitwise via repr."""
+    import scipy.sparse as sp
+
     Z = data.Z.tocsr() if sp.issparse(data.Z) else sp.csr_matrix(data.Z)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for i in range(Z.shape[0]):
@@ -250,6 +253,8 @@ def generate_sparse_logistic(
     positions; labels come from a planted 20-sparse separator (rows with
     zero margin fall to +1).
     """
+    import scipy.sparse as sp
+
     if m < 1 or n < 20 or not (0 < density <= 1):
         raise ConfigError(f"need m >= 1, n >= 20 (the 20-sparse separator) and density in (0, 1], got {m}, {n}, {density}")
     rng = np.random.default_rng(seed)

@@ -21,6 +21,12 @@ the same floating-point operations in the same order as ``M.T @ w``.
 Row i of M^T is column i of M and gives the image of a vertex atom, so
 no column copy of M is kept.
 
+scipy is loaded on first use only: ``scipy.special`` when a
+:class:`Logistic` is built, and ``scipy.sparse`` by whoever makes a
+sparse matrix (the svmlight reader and the sparse generator in
+:mod:`avgfw.experiments`). Dense least squares and the 1-D probe never
+import it, so a dense CLI process starts without scipy.
+
 The free function :func:`gap` computes the standard projection-free
 duality gap, a certified upper bound on suboptimality for convex
 objectives.
@@ -31,25 +37,34 @@ from any number of threads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
 from .domains import Atom, DomainSet, lmo, vertex_coordinate
 from .errors import BrokenOracle, ConfigError
 
-MatrixLike = Union[np.ndarray, sp.spmatrix, sp.sparray]
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+MatrixLike = Union[np.ndarray, "sp.spmatrix", "sp.sparray"]
 
 POWER_ITERATIONS = 50
 POWER_SEED = 0
 GAP_NEGATIVE_TOL = 1e-12
 
 
+def _issparse(M) -> bool:
+    """scipy.sparse.issparse without importing scipy: no sparse matrix can
+    exist before ``scipy.sparse`` is loaded."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(M)
+
+
 def _as_operator(M: MatrixLike) -> MatrixLike:
-    if sp.issparse(M):
+    if _issparse(M):
         M = M.tocsr()
     else:
         M = np.asarray(M, dtype=float)
@@ -77,7 +92,7 @@ class Objective:
         if data.shape != (M.shape[0],):
             raise ConfigError(f"{name} has shape {data.shape}, expected ({M.shape[0]},), one entry per row")
         object.__setattr__(self, "_M", M)
-        object.__setattr__(self, "_transposed", M.T.tocsr() if sp.issparse(M) else M.T)
+        object.__setattr__(self, "_transposed", M.T.tocsr() if _issparse(M) else M.T)
         return M, data
 
     def _phi(self, u: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -165,14 +180,18 @@ class Logistic(Objective):
     Z: MatrixLike
     labels: np.ndarray
     _neg_labels: np.ndarray = field(init=False, repr=False, compare=False)
+    _expit: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        from scipy.special import expit  # bound once here, as _phi runs every step
+
         Z, labels = self._bind(self.Z, self.labels, "labels")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ConfigError("labels must all be -1 or +1")
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_neg_labels", -labels)
+        object.__setattr__(self, "_expit", expit)
 
     @property
     def _inv_curvature(self) -> float:
@@ -182,7 +201,7 @@ class Logistic(Objective):
         """The mean of log(1 + e^{nt_i}) and its derivative -y_i expit(nt_i) / m,
         at the negated margins nt = -y * u."""
         nt = self._neg_labels * u
-        w = expit(nt)
+        w = self._expit(nt)
         w *= self._neg_labels
         w /= self.m
         return float(np.add.reduce(np.logaddexp(0.0, nt)) / self.m), w

@@ -1,6 +1,10 @@
 """Shared fixtures: the benchmark compressed-sensing instance and the
 expensive reference runs, computed once per session."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,28 @@ MANIFOLD_ALPHA_FRAC = 0.05
 MANIFOLD_ITERS = 4000
 REFERENCE_ITERS = 10**5
 DEFAULT_SCHED = Schedule(3.0, 1.0)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.fixture
+def fresh_python():
+    """Run ``code`` (with ``args`` as sys.argv[1:]) in a new interpreter with
+    src/ first on the path, so nothing this test process has imported is
+    loaded there; assert it exits 0 and return its stdout."""
+
+    def run(code, *args):
+        path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", code, *args],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -484,6 +485,74 @@ def test_diag_support_metrics_undefined_on_subsampled_trace(tmp_path, capsys):
     assert run_cli("diag", str(sub / "fw_trace.csv")) == 0
     entries = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
     assert entries["support_first"] == "undefined"
+
+
+def report_entries(text):
+    return dict(line.split(" = ") for line in text.strip().splitlines())
+
+
+def test_fit_window_past_the_run_is_clipped_with_a_warning(tmp_path, capsys):
+    text = (
+        CS_COMPARE_CONFIG.format(plots="false")
+        .replace("max_iters = 2000", "max_iters = 50")
+        .replace("window_lo = 100", "window_lo = 10")
+        .replace("window_hi = 1999", "window_hi = 500")
+        .replace("reference_iters = 4000", "reference_iters = 100")
+    )
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", write_config(tmp_path / "c.ini", text), "--out", str(out), "--quiet") == 0
+    assert capsys.readouterr().err == (
+        "warning: [compare] window_lo and window_hi ask for 10..500,"
+        " outside the recorded iterations 0..49; fitting over 10..49\n"
+    )
+    summary = report_entries((out / "summary.txt").read_text())
+    assert (summary["window_lo"], summary["window_hi"]) == ("10", "49")
+    trace = str(out / "fw_trace.csv")
+    assert run_cli("diag", trace, "--window-lo", "10", "--window-hi", "49") == 0
+    inside = capsys.readouterr()
+    assert inside.err == ""
+    # the summary's slopes are the fit over the clipped window
+    assert report_entries(inside.out)["slope_gap"] == summary["slope_gap_fw"] != "none"
+    assert run_cli("diag", trace, "--window-lo", "10", "--window-hi", "500") == 0
+    past = capsys.readouterr()
+    assert past.err == (
+        "warning: --window-lo and --window-hi ask for 10..500,"
+        " outside the recorded iterations 0..49; fitting over 10..49\n"
+    )
+    assert past.out == inside.out
+    # a window wholly past the run clips to an empty one: no fit, exit 0
+    assert run_cli("diag", trace, "--window-lo", "60", "--window-hi", "900") == 0
+    report = report_entries(capsys.readouterr().out)
+    assert (report["window_lo"], report["window_hi"], report["slope_gap"], report["r2_disc"]) == ("49", "49", "none", "none")
+
+
+IMPORT_CHECK = """
+import json, sys
+from avgfw.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
+"""
+
+
+def test_dense_commands_never_import_scipy(tmp_path, fresh_python):
+    # scipy is loaded on first use, by sparse data and the logistic loss
+    # only: a scipy import at the top of any module avgfw.cli loads, or on
+    # the dense solve, compare and forced-flow paths, fails this
+    cs = (
+        CS_COMPARE_CONFIG.format(plots="true")
+        .replace("max_iters = 2000", "max_iters = 200")
+        .replace("window_hi = 1999", "window_hi = 199")
+        .replace("reference_iters = 4000", "reference_iters = 400")
+    )
+    runs = [
+        ["solve", "--config", write_config(tmp_path / "scalar.ini", SCALAR_CONFIG)],
+        ["compare", "--config", write_config(tmp_path / "cs.ini", cs)],
+        ["flow", "--config", write_config(tmp_path / "flow.ini", FORCED_FLOW_CONFIG)],
+    ]
+    runs = [argv + ["--out", str(tmp_path / argv[0]), "--quiet"] for argv in runs]
+    assert json.loads(fresh_python(IMPORT_CHECK, json.dumps(runs))) == []
+    assert (tmp_path / "compare" / "gap.svg").exists()
 
 
 def test_gen_data_round_trips(tmp_path):

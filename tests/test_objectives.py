@@ -315,3 +315,52 @@ def test_transpose_is_built_once_without_copying_a_dense_matrix(maker, sparse):
         assert {id(v) for v in vars(obj).values() if sp.issparse(v)} == {id(M), id(MT)}
     else:
         assert np.shares_memory(MT, M)
+
+
+LATE_SPARSE_CHECK = """
+import sys
+import numpy as np
+from avgfw.objectives import Logistic, QuadraticLS
+assert "scipy.sparse" not in sys.modules
+import scipy.sparse as sp
+
+# power-of-two entries and two nonzeros in every row and column of M: each
+# entry of M x and of M^T w is one rounding of a sum of two exact products,
+# so the dense and the sparse products agree bitwise, in any order
+M = 0.5 * np.eye(6) - 2.0 * np.roll(np.eye(6), 1, axis=1)
+x = np.linspace(-1.3, 0.7, 6)
+data = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
+for cls in (QuadraticLS, Logistic):
+    dense, sparse = cls(M, data), cls(sp.csr_matrix(M), data)
+    assert sparse._transposed.format == "csr"
+    (f_d, g_d), (f_s, g_s) = dense.value_and_gradient(x), sparse.value_and_gradient(x)
+    assert f_s == f_d
+    np.testing.assert_array_equal(g_s, g_d)
+"""
+
+
+def test_sparse_matrix_made_after_the_import_is_recognised(fresh_python):
+    # avgfw.objectives imports no scipy; a CSR matrix built once scipy.sparse
+    # is loaded later still takes the sparse path
+    fresh_python(LATE_SPARSE_CHECK)
+
+
+DENSE_LOGISTIC_CHECK = """
+import sys
+import numpy as np
+from avgfw.objectives import Logistic
+
+rng = np.random.default_rng(3)
+Z = rng.standard_normal((9, 6))
+labels = np.where(rng.standard_normal(9) >= 0, 1.0, -1.0)
+x = rng.standard_normal(6)
+f, g = Logistic(Z, labels).value_and_gradient(x)
+t = labels * (Z @ x)
+assert abs(f - np.mean(np.logaddexp(0.0, -t))) <= 1e-15
+np.testing.assert_allclose(g, Z.T @ (-labels / (1.0 + np.exp(t)) / 9), rtol=1e-13)
+assert "scipy.special" in sys.modules and "scipy.sparse" not in sys.modules
+"""
+
+
+def test_dense_logistic_loads_scipy_special_only(fresh_python):
+    fresh_python(DENSE_LOGISTIC_CHECK)
