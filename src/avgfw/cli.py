@@ -11,7 +11,8 @@ Subcommands:
 Configs are flat INI-style ``key = value`` files with [problem], [solver],
 [flow], [compare], [sweep], and [output] sections. ``SCHEMA`` declares every
 accepted key with its type and default; unknown sections and keys are
-rejected (see README for the grammar).
+rejected, as is a [problem] key that the configured kind does not read
+(``PROBLEM_KEYS``; see README for the grammar).
 Exit codes: 0 success, 2 configuration problems, 3 numerical failures.
 """
 
@@ -122,6 +123,15 @@ SCHEMA: Dict[str, Dict[str, Tuple[type, object]]] = {
     },
 }
 
+# The [problem] keys each kind reads besides ``kind``; any other present is an error.
+PROBLEM_KEYS: Dict[str, Tuple[str, ...]] = {
+    "cs": ("n_features", "m_measurements", "sparsity_frac", "noise_std", "alpha", "alpha_scale"),
+    "scalar1d": ("alpha",),
+    "l2_quadratic": ("alpha", "alpha_scale"),
+    "svmlight": ("path", "n_features_hint", "alpha"),
+    "synthetic_logistic": ("m", "n", "density", "alpha"),
+}
+
 Config = Dict[str, Dict[str, object]]
 
 
@@ -172,6 +182,11 @@ def _read_config(path: str) -> Tuple[Config, Dict[str, str]]:
             except (ValueError, KeyError):
                 raise ConfigError(f"[{section}] {key} must be {expected}, got {text!r}") from None
             echo[f"{section}.{key}"] = text
+    kind = (values["problem"]["kind"] or "").strip().lower()
+    if kind in PROBLEM_KEYS:  # an unknown kind is reported where the problem is built
+        for key, _ in raw.get("problem", ()):
+            if key != "kind" and key not in PROBLEM_KEYS[kind]:
+                raise ConfigError(f"[problem] {key} is not read by kind = {kind}, which reads {', '.join(PROBLEM_KEYS[kind])}")
     return values, echo
 
 

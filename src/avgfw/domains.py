@@ -26,12 +26,13 @@ vertex_id encoding:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGradient, UnsupportedKind
+from .errors import ConfigError, DegenerateGradient, NonFiniteGradient, UnsupportedKind
 
 BOX_BRUTEFORCE_MAX_DIM = 20
 BOX_MAX_DIM = 63
@@ -65,6 +66,7 @@ class DomainSet:
             raise ConfigError(f"dimension must be >= 1, got {self.n}")
         if self.kind is Kind.BOX and self.n > BOX_MAX_DIM:
             raise ConfigError(f"box dimension {self.n} exceeds {BOX_MAX_DIM}, the limit of int64 corner codes")
+        object.__setattr__(self, "alpha", float(self.alpha))  # an int alpha would make int box vertices
 
     @property
     def is_polyhedral(self) -> bool:
@@ -83,13 +85,16 @@ class Atom:
     vertex_id: Optional[int] = None
 
 
-def _check_gradient(domain: DomainSet, gradient: np.ndarray) -> np.ndarray:
+def _check_gradient(domain: DomainSet, gradient: np.ndarray) -> Tuple[np.ndarray, int]:
+    """The gradient as floats, checked for shape and finiteness, and the
+    lowest index of its largest magnitude, which the l1 LMO picks."""
     g = np.asarray(gradient, dtype=float)
     if g.shape != (domain.n,):
         raise ConfigError(f"gradient has shape {g.shape}, expected ({domain.n},)")
-    if not np.isfinite(g).all():
-        raise ConfigError("gradient has non-finite entries")
-    return g
+    i = int(np.abs(g).argmax())  # argmax returns the first NaN, else the first inf, so g is finite iff g[i] is
+    if not math.isfinite(g[i]):
+        raise NonFiniteGradient("gradient has non-finite entries")
+    return g, i
 
 
 def lmo(domain: DomainSet, gradient: np.ndarray) -> Atom:
@@ -100,16 +105,17 @@ def lmo(domain: DomainSet, gradient: np.ndarray) -> Atom:
 
     Raises
     ------
+    NonFiniteGradient
+        For a gradient with a NaN or infinite entry, a ConfigError.
     DegenerateGradient
         For an exactly zero gradient on the l2 ball, where the
         minimizing direction is undefined.
     """
-    g = _check_gradient(domain, gradient)
+    g, i = _check_gradient(domain, gradient)
     a = domain.alpha
     n = domain.n
 
     if domain.kind is Kind.L1_BALL:
-        i = int(np.argmax(np.abs(g)))
         v = np.zeros(n)
         if g[i] > 0:
             v[i] = -a
@@ -118,19 +124,17 @@ def lmo(domain: DomainSet, gradient: np.ndarray) -> Atom:
         return Atom(v, i + 1)
 
     if domain.kind is Kind.SIMPLEX:
-        i = int(np.argmin(g))
+        i = int(g.argmin())
         v = np.zeros(n)
         v[i] = a
         return Atom(v, i)
 
     if domain.kind is Kind.BOX:
         neg = g > 0  # -alpha exactly where the gradient is positive; ties go positive
-        v = np.where(neg, -a, a)
-        code = int(np.sum(np.left_shift(1, np.nonzero(neg)[0])))
-        return Atom(v.astype(float), code)
+        return Atom(np.where(neg, -a, a), sum(1 << j for j in neg.nonzero()[0].tolist()))
 
     # l2 ball
-    norm = float(np.linalg.norm(g))
+    norm = math.sqrt(g.dot(g))  # what np.linalg.norm computes for a 1-D float vector
     if norm == 0.0:
         raise DegenerateGradient("zero gradient on the l2 ball")
     direction = -g / norm
@@ -182,7 +186,7 @@ def _vertex_blocks(domain: DomainSet, block: int = 8192):
         for lo in range(0, 1 << n, block):
             codes = np.arange(lo, min(lo + block, 1 << n))
             neg = (codes[:, None] & bits) != 0
-            yield codes, np.where(neg, -a, a).astype(float)
+            yield codes, np.where(neg, -a, a)
     else:
         raise UnsupportedKind("the l2 ball has no vertex enumeration")
 
@@ -196,7 +200,7 @@ def lmo_bruteforce(domain: DomainSet, gradient: np.ndarray) -> Atom:
     """
     if not domain.is_polyhedral:
         raise UnsupportedKind("brute-force LMO requires a polyhedral domain")
-    g = _check_gradient(domain, gradient)
+    g, _ = _check_gradient(domain, gradient)
     best: Optional[Atom] = None
     best_val = np.inf
     for ids, V in _vertex_blocks(domain):

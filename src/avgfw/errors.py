@@ -9,6 +9,10 @@ class ConfigError(AvgFWError):
     """Invalid or inconsistent configuration (dimensions, missing keys, bad values)."""
 
 
+class NonFiniteGradient(ConfigError):
+    """An LMO was handed a gradient with a NaN or infinite entry."""
+
+
 class DegenerateGradient(AvgFWError):
     """The LMO direction is undefined (zero gradient on a smooth ball)."""
 

@@ -166,7 +166,7 @@ class QuadraticLS(Objective):
 
     def _phi(self, u: np.ndarray) -> Tuple[float, np.ndarray]:
         r = u - self.y
-        return 0.5 * float(np.dot(r, r)), r
+        return 0.5 * float(r.dot(r)), r
 
 
 @dataclass(frozen=True)

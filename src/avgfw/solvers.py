@@ -31,6 +31,15 @@ recomputation (M x, M sbar) whenever k % IMAGE_REFRESH == 0 and when a
 state comes without images. The refresh keys on the absolute k and the
 images are part of the checkpoint, so a chunked solve/resume matches
 the uninterrupted run bitwise for any chunk size.
+
+The loop works in two buffers it owns, (x, u) and (sbar, ubar), copied
+from the start state, and updates each in place: one operation moves a
+point and its image together, with the float operations of the plain
+form v + w (target - v). It never writes into an atom, an atom image,
+x0 or the state it was given, and the state it returns holds copies.
+The gradient is checked for finiteness once per step, by ``lmo``; the
+atom source turns that error, like a non-finite f, into
+NumericalBlowup(k).
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .domains import Atom, DomainSet, contains, lmo
-from .errors import ConfigError, NumericalBlowup
+from .errors import ConfigError, NonFiniteGradient, NumericalBlowup
 from .objectives import Objective
 from .schedules import DEFAULT_SCHEDULE, Schedule, beta, gamma
 
@@ -136,13 +145,13 @@ def _check_feasible(domain: DomainSet, x: np.ndarray, name: str) -> None:
 
 
 def _start_point(obj: Objective, domain: DomainSet, x0: Optional[np.ndarray]) -> np.ndarray:
-    """Check dimensions and return a fresh start: a copy of ``x0``, which
-    must lie in the domain, or LMO(grad f(0)) when it is None."""
+    """Check dimensions and return the start: ``x0`` as floats, which must
+    lie in the domain, or LMO(grad f(0)) when it is None. The loop copies it."""
     if obj.n != domain.n:
         raise ConfigError(f"objective dimension {obj.n} != domain dimension {domain.n}")
     if x0 is None:
-        return lmo(domain, obj.gradient(np.zeros(domain.n))).vector.copy()
-    x = np.asarray(x0, dtype=float).copy()
+        return lmo(domain, obj.gradient(np.zeros(domain.n))).vector
+    x = np.asarray(x0, dtype=float)
     if x.shape != (domain.n,):
         raise ConfigError(f"x0 has shape {x.shape}, expected ({domain.n},)")
     _check_feasible(domain, x, "x0")
@@ -155,9 +164,12 @@ def _lmo_source(obj: Objective, domain: DomainSet) -> AtomSource:
 
     def source(x: np.ndarray, u: np.ndarray, k: int) -> Tuple[float, np.ndarray, Atom, np.ndarray]:
         f_k, g = obj.value_and_gradient(x, u)
-        if not (math.isfinite(f_k) and np.isfinite(g).all()):
+        if not math.isfinite(f_k):
             raise NumericalBlowup(k)
-        atom = lmo(domain, g)
+        try:
+            atom = lmo(domain, g)  # lmo's check is the one finiteness test of g
+        except NonFiniteGradient:
+            raise NumericalBlowup(k) from None
         return f_k, g, atom, obj.atom_image(domain, atom)
 
     return source
@@ -186,11 +198,9 @@ def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverCon
     if state.k < 0:
         raise ConfigError(f"state iteration must be >= 0, got {state.k}")
     _check_feasible(domain, state.x, "checkpoint x")
-    images = [None if u is None else np.array(u, dtype=float) for u in (state.x_image, state.s_bar_image)]
-    if any(u is not None and u.shape != (obj.m,) for u in images):
+    if any(u is not None and np.shape(u) != (obj.m,) for u in (state.x_image, state.s_bar_image)):
         raise ConfigError(f"state images do not match the objective: expected shape ({obj.m},)")
-    fresh = SolverState(state.k, state.x.copy(), state.s_bar.copy(), *images)
-    return _run(_lmo_source(obj, domain), obj.image, _discrete_steps(cfg.schedule), domain.is_polyhedral, cfg, fresh)
+    return _run(_lmo_source(obj, domain), obj.image, _discrete_steps(cfg.schedule), domain.is_polyhedral, cfg, state)
 
 
 def _run(
@@ -204,9 +214,17 @@ def _run(
     averaged = cfg.variant is Variant.AVGFW
     every = cfg.trace_every
 
-    x = state.x
-    s_bar = state.s_bar
-    u, u_bar = state.x_image, state.s_bar_image
+    images = state.x_image, state.s_bar_image
+    if images[0] is None or images[1] is None:  # recomputed exactly, as at a refresh
+        images = image(state.x), image(state.s_bar)
+    # The loop owns two buffers, z = (x, u) and z_bar = (sbar, ubar), so that
+    # one in-place operation moves a point and its image together; dz holds
+    # their steps, and its first half d_k - x_k when a row is recorded.
+    n = state.x.shape[0]
+    z = np.concatenate((state.x, images[0])).astype(float, copy=False)
+    z_bar = np.concatenate((state.s_bar, images[1])).astype(float, copy=False)
+    dz = np.empty_like(z)
+    x, u, s_bar, u_bar, step, du = z[:n], z[n:], z_bar[:n], z_bar[n:], dz[:n], dz[n:]
     k_start = state.k
     k_end = k_start + cfg.max_iters
 
@@ -219,22 +237,25 @@ def _run(
     vids: List[int] = []
 
     for k in range(k_start, k_end):
-        if u is None or u_bar is None or k % IMAGE_REFRESH == 0:
-            u, u_bar = image(x), image(s_bar)
+        if k % IMAGE_REFRESH == 0:
+            u[:], u_bar[:] = image(x), image(s_bar)
         f_k, g, atom, u_s = source(x, u, k)
         s = atom.vector
         g_k, b_k = steps(k)
+        # each update is v + w * (target - v), the float operations of the plain form
         if averaged:
-            s_bar = s_bar + b_k * (s - s_bar)
-            u_bar = u_bar + b_k * (u_s - u_bar)
-            direction, u_dir = s_bar, u_bar
+            np.subtract(s, s_bar, out=step)
+            np.subtract(u_s, u_bar, out=du)
+            dz *= b_k
+            z_bar += dz
+            np.subtract(z_bar, z, out=dz)
         else:
-            direction, u_dir = s, u_s
+            np.subtract(s, x, out=step)
+            np.subtract(u_s, u, out=du)
 
         if record_ids:
             vids.append(atom.vertex_id)
 
-        step = direction - x
         if k % every == 0 or k == k_end - 1:
             rows_k.append(k)
             rows_f.append(f_k)
@@ -243,10 +264,10 @@ def _run(
             rows_gamma.append(g_k)
             rows_beta.append(b_k)
 
-        x = x + g_k * step
-        u = u + g_k * (u_dir - u)
+        dz *= g_k
+        z += dz
 
-    final = SolverState(k=k_end, x=x, s_bar=s_bar, x_image=u, s_bar_image=u_bar)
+    final = SolverState(k=k_end, x=x.copy(), s_bar=s_bar.copy(), x_image=u.copy(), s_bar_image=u_bar.copy())
     return IterateTrace(
         ks=np.array(rows_k, dtype=int),
         f=np.array(rows_f),

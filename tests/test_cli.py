@@ -427,6 +427,21 @@ BAD_INPUTS = {
     ),
     "solve_x0_outside_domain": (["solve"], SCALAR_CONFIG.replace("x0 = 0.5", "x0 = 5"), "x0 lies outside the domain"),
     "flow_x0_outside_domain": (["flow"], SCALAR_FLOW_CONFIG.replace("x0 = 0.5", "x0 = 5"), "x0 lies outside the domain"),
+    "cs_with_path": (
+        ["compare"],
+        CS_COMPARE_CONFIG.format(plots="false").replace("kind = cs", "kind = cs\npath = data.svmlight"),
+        "[problem] path is not read by kind = cs",
+    ),
+    "svmlight_with_alpha_scale": (
+        ["solve"],
+        SVMLIGHT_CONFIG.replace("alpha = 1.0", "alpha = 1.0\nalpha_scale = 2"),
+        "[problem] alpha_scale is not read by kind = svmlight",
+    ),
+    "scalar1d_flow_with_n_features": (
+        ["flow"],
+        SCALAR_FLOW_CONFIG.replace("kind = scalar1d", "kind = Scalar1D\nn_features = 5"),
+        "[problem] n_features is not read by kind = scalar1d, which reads alpha",
+    ),
     "svmlight_non_ascii": (["solve"], SVMLIGHT_CONFIG, "line 2: non-ASCII byte"),
     "svmlight_non_finite_solve": (["solve"], SVMLIGHT_CONFIG, "line 2: non-finite feature value '1:nan'"),
     "svmlight_non_finite_sweep": (

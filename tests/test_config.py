@@ -7,7 +7,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from avgfw.cli import SCHEMA, _read_config, main
+from avgfw.cli import PROBLEM_KEYS, SCHEMA, _read_config, main
 from avgfw.experiments import generate_sparse_logistic, write_svmlight
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -65,8 +65,9 @@ GOOD = {
     ("output", "seed"): [None, "0", "3"],
 }
 
-# an unknown key or section in about one example in four
-UNKNOWN = [None] * 6 + [("solver", "max_iter"), ("extra", "k")]
+# an unknown key or section, or a [problem] key the kind may not read, in
+# about one example in three
+UNKNOWN = [None] * 6 + [("solver", "max_iter"), ("extra", "k"), ("problem", "density")]
 
 
 def test_fuzz_pools_cover_the_schema():
@@ -76,6 +77,8 @@ def test_fuzz_pools_cover_the_schema():
 @st.composite
 def configs(draw):
     values = {key: draw(st.sampled_from(pool)) for key, pool in GOOD.items()}
+    kind = values[("problem", "kind")]  # keep only the keys the kind reads, so that examples reach the run
+    values = {(s, k): v for (s, k), v in values.items() if s != "problem" or k == "kind" or k in PROBLEM_KEYS[kind]}
     for key in draw(st.lists(st.sampled_from(sorted(GOOD)), max_size=2, unique=True)):
         values[key] = draw(st.sampled_from(BAD))
     unknown = draw(st.sampled_from(UNKNOWN))

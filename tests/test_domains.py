@@ -11,7 +11,7 @@ from avgfw.domains import (
     lmo,
     lmo_bruteforce,
 )
-from avgfw.errors import ConfigError, DegenerateGradient, UnsupportedKind
+from avgfw.errors import ConfigError, DegenerateGradient, NonFiniteGradient, UnsupportedKind
 
 POLYHEDRAL = [Kind.L1_BALL, Kind.SIMPLEX, Kind.BOX]
 
@@ -172,3 +172,31 @@ def test_l1_vertex_helper_matches_enumeration():
     by_id = {a.vertex_id: a.vector for a in enumerate_vertices(dom)}
     atom = l1_vertex(2.0, 4, 2, -1)
     np.testing.assert_array_equal(atom.vector, by_id[atom.vertex_id])
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_an_int_alpha_gives_float_atoms_with_unchanged_ids(kind):
+    g = np.random.default_rng(4).standard_normal(5)
+    by_int, by_float = lmo(DomainSet(kind, 3, 5), g), lmo(DomainSet(kind, 3.0, 5), g)
+    assert DomainSet(kind, 3, 5).alpha == 3.0 and isinstance(DomainSet(kind, 3, 5).alpha, float)
+    assert by_int.vector.dtype == np.float64
+    assert by_int.vector.tobytes() == by_float.vector.tobytes()
+    assert by_int.vertex_id == by_float.vertex_id
+    if kind is Kind.BOX:
+        assert DomainSet(Kind.BOX, 1, 3) == DomainSet(Kind.BOX, 1.0, 3)
+        assert lmo(DomainSet(Kind.BOX, 1, 3), np.array([1.0, -1.0, 0.0])).vector.dtype == np.float64
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 3, 6])
+def test_lmo_rejects_a_non_finite_gradient_entry(kind, bad, where):
+    # the check reads only the entry of largest magnitude: a huge finite
+    # entry elsewhere, before or after, must not hide the bad one
+    g = np.random.default_rng(5).standard_normal(7)
+    g[6 - where] = -1e308
+    g[where] = bad
+    for oracle in (lmo, lmo_bruteforce) if kind is not Kind.L2_BALL else (lmo,):
+        with pytest.raises(NonFiniteGradient, match="non-finite") as err:
+            oracle(DomainSet(kind, 1.0, 7), g)
+        assert isinstance(err.value, ConfigError)

@@ -1,11 +1,14 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from avgfw.domains import DomainSet, Kind, contains, diameter, l1_vertex, lmo
+from avgfw.domains import Atom, DomainSet, Kind, contains, diameter, l1_vertex, lmo
 from avgfw.errors import ConfigError, NumericalBlowup
+from avgfw.experiments import ScriptedTrajectorySpec, ScriptMode, run_scripted_averaging
+from avgfw.flows import FlowConfig, integrate
 from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
 from avgfw.schedules import Schedule, apply_weights, beta, gamma, unrolled_weights
 from avgfw.solvers import IMAGE_REFRESH, SolverConfig, SolverState, Variant, resume, solve
@@ -350,3 +353,206 @@ def test_csr_logistic_solve_never_transposes(monkeypatch):
     assert trace.ks.size == 50
     np.testing.assert_array_equal(trace.gap, reference.gap)
     np.testing.assert_array_equal(trace.state.x, reference.state.x)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_finite_value_with_an_overflowing_gradient_raises_numerical_blowup():
+    # u = 1e9 gives the finite f = 5e17, but g = 1e300 * u overflows: the
+    # one finiteness check of g, lmo's, reports it as a blowup at k = 0
+    obj = QuadraticLS(np.array([[1e300]]), np.array([0.0]))
+    dom = DomainSet(Kind.L1_BALL, 1.0, 1)
+    with pytest.raises(NumericalBlowup) as err:
+        solve(obj, dom, SolverConfig(Variant.FW, Schedule(2.0, 1.0), max_iters=5, x0=np.array([1e-291])))
+    assert err.value.k == 0 and str(err.value) == "non-finite value encountered at iteration 0"
+
+
+# ---------------------------------------------------------------- the plain recursion
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def plain_lmo(dom, g):
+    """The LMO as (s, vertex id), one fresh array per operation."""
+    a, n = dom.alpha, dom.n
+    if dom.kind is Kind.L1_BALL:
+        i = int(np.argmax(np.abs(g)))
+        v = np.zeros(n)
+        v[i] = -a if g[i] > 0 else a
+        return v, -(i + 1) if g[i] > 0 else i + 1
+    if dom.kind is Kind.SIMPLEX:
+        i = int(np.argmin(g))
+        v = np.zeros(n)
+        v[i] = a
+        return v, i
+    if dom.kind is Kind.BOX:
+        neg = g > 0
+        return np.where(neg, -a, a).astype(float), int(np.sum(np.left_shift(1, np.nonzero(neg)[0])))
+    return a * (-g / float(np.linalg.norm(g))), None
+
+
+def plain_source(obj, dom):
+    def source(x, u, k):
+        f, w = obj._phi(u)
+        g = obj._transposed @ w
+        s, vid = plain_lmo(dom, g)
+        return f, g, s, vid, obj.atom_image(dom, Atom(s, vid))
+
+    return source
+
+
+def plain_run(source, image, steps, variant, every, state, iters):
+    """The iteration loop written plainly, a fresh array for every
+    operation: the trace columns (k, f, gap, disc_err, gamma, beta), the
+    atom ids and the final state."""
+    x, s_bar, u, u_bar = state.x, state.s_bar, state.x_image, state.s_bar_image
+    k_end = state.k + iters
+    rows, ids = [], []
+    for k in range(state.k, k_end):
+        if u is None or u_bar is None or k % IMAGE_REFRESH == 0:
+            u, u_bar = image(x), image(s_bar)
+        f, g, s, vid, u_s = source(x, u, k)
+        g_k, b_k = steps(k)
+        if variant is Variant.AVGFW:
+            s_bar = s_bar + b_k * (s - s_bar)
+            u_bar = u_bar + b_k * (u_s - u_bar)
+            d, u_d = s_bar, u_bar
+        else:
+            d, u_d = s, u_s
+        ids.append(vid)
+        step = d - x
+        if k % every == 0 or k == k_end - 1:
+            rows.append((k, f, max(float(g.dot(x - s)), 0.0), math.sqrt(step.dot(step)), g_k, b_k))
+        x = x + g_k * step
+        u = u + g_k * (u_d - u)
+    return [np.array(col) for col in zip(*rows)], ids, SolverState(k_end, x, s_bar, u, u_bar)
+
+
+def assert_trace_is_plain(trace, plain):
+    cols, ids, state = plain
+    for got, want in zip((trace.ks, trace.f, trace.gap, trace.disc_err, trace.gamma, trace.beta), cols):
+        assert_bitwise(got, want)
+    if trace.vertex_ids is None:
+        assert set(ids) == {None}
+    else:
+        assert_bitwise(trace.vertex_ids, np.array(ids, dtype=int))
+    for f in ("k", "x", "s_bar", "x_image", "s_bar_image"):
+        assert_bitwise(getattr(trace.state, f), getattr(state, f))
+
+
+def guard_cases():
+    """Least squares, dense (column slices of A, so strided) and CSR, on
+    every kind, the box at n = 1 and n = 5; the logistic loss; the 1-D probe."""
+    rng = np.random.default_rng(12)
+    A, y = rng.standard_normal((9, 30)), rng.standard_normal(9)
+    Z = sp.random(25, 30, density=0.2, random_state=13, format="csr")
+    labels = np.where(rng.standard_normal(25) >= 0, 1.0, -1.0)
+    domains = ((Kind.L1_BALL, 30, 2.0), (Kind.SIMPLEX, 30, 2.0), (Kind.BOX, 1, 0.5), (Kind.BOX, 5, 0.5), (Kind.L2_BALL, 30, 0.5))
+    cases = {}
+    for layout, M in (("dense", A), ("csr", sp.csr_matrix(A))):
+        for kind, n, alpha in domains:
+            cases[f"{layout}_{kind.value}_{n}"] = (QuadraticLS(M[:, :n], y), DomainSet(kind, alpha, n))
+    cases["logistic_csr_l1"] = (Logistic(Z, labels), DomainSet(Kind.L1_BALL, 5.0, 30))
+    cases["scalar1d_box"] = (Scalar1D(), DomainSet(Kind.BOX, 1.0, 1))
+    return cases
+
+
+GUARD_CASES = guard_cases()
+SCHED = Schedule(3.0, 1.0)
+
+
+def discrete(k):
+    return gamma(SCHED, k), beta(SCHED, k)
+
+
+def plain_start(obj, dom):
+    return SolverState(0, plain_lmo(dom, obj.gradient(np.zeros(dom.n)))[0], np.zeros(dom.n))
+
+
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
+@pytest.mark.parametrize("case", sorted(GUARD_CASES))
+def test_solve_matches_the_plain_recursion_bitwise(case, variant, every):
+    obj, dom = GUARD_CASES[case]
+    iters = 2 * IMAGE_REFRESH + 11
+    trace = solve(obj, dom, SolverConfig(variant, SCHED, max_iters=iters, trace_every=every))
+    plain = plain_run(plain_source(obj, dom), obj.image, discrete, variant, every, plain_start(obj, dom), iters)
+    assert_trace_is_plain(trace, plain)
+
+
+@pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
+@pytest.mark.parametrize("case", sorted(GUARD_CASES))
+def test_chunked_resume_matches_the_plain_recursion_bitwise(case, variant):
+    # chunks of 50 from k = 0 cross the image refreshes at 64, 128, ...
+    obj, dom = GUARD_CASES[case]
+    cfg = SolverConfig(variant, SCHED, max_iters=50, trace_every=7)
+    trace = solve(obj, dom, cfg)
+    plain = plain_run(plain_source(obj, dom), obj.image, discrete, variant, 7, plain_start(obj, dom), 50)
+    while trace.state.k < 300:
+        assert_trace_is_plain(trace, plain)
+        trace = resume(trace.state, obj, dom, cfg)
+        plain = plain_run(plain_source(obj, dom), obj.image, discrete, variant, 7, plain[2], 50)
+    assert_trace_is_plain(trace, plain)
+
+
+@pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
+@pytest.mark.parametrize("case", ["dense_l1_ball_30", "csr_box_5", "dense_l2_ball_30", "scalar1d_box"])
+def test_flow_matches_the_plain_recursion_with_the_euler_rule_bitwise(case, variant):
+    obj, dom = GUARD_CASES[case]
+    sched, dt = Schedule(2.0, 1.0), 1e-3
+    flow = integrate(obj, dom, FlowConfig(variant, sched, t_end=0.3, dt=dt, record_every=0.01))
+
+    def euler(k):
+        return dt * gamma(sched, k * dt), 1.0 if k == 0 else dt * beta(sched, k * dt)
+
+    start = plain_start(obj, dom)
+    (ks, f, gap, disc, _, _), _, state = plain_run(plain_source(obj, dom), obj.image, euler, variant, 10, start, 301)
+    for got, want in zip((flow.t, flow.f, flow.gap, flow.disc_err, flow.h), (ks * dt, f, gap, disc, f - 0.0)):
+        assert_bitwise(got, want)
+    if variant is Variant.AVGFW:
+        assert_bitwise(flow.final_s_bar, state.s_bar)
+
+
+@pytest.mark.parametrize("mode", list(ScriptMode))
+def test_scripted_run_matches_the_plain_recursion_bitwise(mode):
+    pool = [l1_vertex(1.0, 6, i, sign) for i in range(3) for sign in (1, -1)]
+    steps = 2 * IMAGE_REFRESH + 11
+    trace = run_scripted_averaging(ScriptedTrajectorySpec(mode, pool, steps=steps, seed=4), SCHED)
+    if mode is ScriptMode.RANDOM_VERTEX:
+        picks = np.random.default_rng(4).integers(0, len(pool), size=steps)
+    else:
+        picks = np.arange(steps) % len(pool)
+
+    def source(x, u, k):
+        atom = pool[picks[k]]
+        return np.nan, np.full(6, np.nan), atom.vector, atom.vertex_id, np.empty(0)
+
+    start = SolverState(0, np.zeros(6), np.zeros(6))
+    assert_trace_is_plain(trace, plain_run(source, lambda v: np.empty(0), discrete, Variant.AVGFW, 1, start, steps))
+
+
+def test_runs_write_into_no_array_they_were_given():
+    obj, dom = small_quadratic()
+    x0 = -dom.alpha * np.eye(dom.n)[3]
+    cfg = SolverConfig(Variant.AVGFW, SCHED, max_iters=70, x0=x0)
+    trace = solve(obj, dom, cfg)
+    assert_bitwise(cfg.x0, -dom.alpha * np.eye(dom.n)[3])
+
+    fields = ("x", "s_bar", "x_image", "s_bar_image")
+    kept = {f: getattr(trace.state, f).copy() for f in fields}
+    first = resume(trace.state, obj, dom, cfg)
+    second = resume(trace.state, obj, dom, cfg)
+    for f in fields:
+        assert_bitwise(getattr(trace.state, f), kept[f])
+        assert_bitwise(getattr(first.state, f), getattr(second.state, f))
+
+    flow_x0 = np.full(1, 0.5)
+    integrate(Scalar1D(), BOX1, FlowConfig(Variant.AVGFW, SCHED, t_end=0.1, dt=1e-3, x0=flow_x0))
+    assert_bitwise(flow_x0, np.full(1, 0.5))
+
+    pool = [l1_vertex(1.0, 4, i, 1) for i in range(4)]
+    run_scripted_averaging(ScriptedTrajectorySpec(ScriptMode.REPEATING_CYCLE, pool, steps=30), SCHED)
+    for i, atom in enumerate(pool):
+        assert_bitwise(atom.vector, np.eye(4)[i])

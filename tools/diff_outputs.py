@@ -13,6 +13,16 @@ compares write with the default window, on the fw trace of ``cs_compare``
 with the explicit window 100..4999 (the benchmark's desk_small diag),
 and on the box trace of the 1-D solve. Output files, stdout, stderr and exit codes are compared
 byte for byte after the work directory's path is replaced by ``<work>``.
+
+It also runs :func:`hash_cases` in a fresh interpreter on each tree (this
+file run with ``--hash-cases``, the tree's ``src/`` on the path). That
+covers the loop paths no command reaches: least squares, dense and CSR,
+on the l1 ball, the simplex, the box (n = 1 and n = 5) and the l2 ball,
+the logistic loss and the 1-D probe, both variants at ``trace_every`` 1
+and 7, a chunked solve/resume across image refreshes, the Euler flow
+and both scripted sources. Each case prints the SHA-256 of every trace
+column and of the final x, sbar and both images, compared like an output.
+
 A differing text output is shown as the first DIFF_LINES lines of its
 unified diff. Exits 1 on any difference, 0 when all match.
 """
@@ -74,6 +84,12 @@ def run_tree(tree: str, work: str) -> Dict[str, bytes]:
         results[f"{name}: stdout"] = proc.stdout
         results[f"{name}: stderr"] = proc.stderr
         results[f"{name}: exit code"] = str(proc.returncode).encode()
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--hash-cases"], cwd=work, env=env, capture_output=True)
+    for line in proc.stdout.decode().splitlines():
+        case, digest = line.rsplit(" ", 1)
+        results[f"in-process {case}"] = digest.encode()
+    results["in-process: stderr"] = proc.stderr
+    results["in-process: exit code"] = str(proc.returncode).encode()
     for root, _, files in os.walk(os.path.join(work, "out")):
         for f in files:
             path = os.path.join(root, f)
@@ -106,7 +122,68 @@ def differences(ref: Dict[str, bytes], new: Dict[str, bytes]) -> List[Tuple[str,
     return out
 
 
+def hash_cases() -> None:
+    """Print ``case digest`` for every in-process case, run with the avgfw found on the path."""
+    import hashlib
+
+    import numpy as np
+    import scipy.sparse as sp
+    from avgfw import DomainSet, Kind, Schedule, SolverConfig, Variant, resume, solve
+    from avgfw.domains import l1_vertex
+    from avgfw.experiments import ScriptedTrajectorySpec, ScriptMode, run_scripted_averaging
+    from avgfw.flows import FlowConfig, integrate
+    from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
+
+    def emit(case: str, *arrays) -> None:
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(b"none" if a is None else np.ascontiguousarray(a).tobytes())
+        print(case, h.hexdigest())
+
+    def emit_trace(case: str, t) -> None:
+        st = t.state
+        emit(case, t.ks, t.f, t.gap, t.disc_err, t.gamma, t.beta, t.vertex_ids, st.x, st.s_bar, st.x_image, st.s_bar_image)
+
+    rng = np.random.default_rng(5)
+    A, y = rng.standard_normal((12, 40)), rng.standard_normal(12)
+    Z = sp.random(30, 40, density=0.2, random_state=6, format="csr")
+    labels = np.where(rng.standard_normal(30) >= 0, 1.0, -1.0)
+    problems = {
+        "l1": (QuadraticLS(A, y), DomainSet(Kind.L1_BALL, 2.0, 40)),
+        "csr_l1": (QuadraticLS(sp.csr_matrix(A), y), DomainSet(Kind.L1_BALL, 2.0, 40)),
+        "simplex": (QuadraticLS(A, y), DomainSet(Kind.SIMPLEX, 2.0, 40)),
+        "csr_simplex": (QuadraticLS(sp.csr_matrix(A), y), DomainSet(Kind.SIMPLEX, 2.0, 40)),
+        "box5": (QuadraticLS(A[:, :5], y), DomainSet(Kind.BOX, 0.5, 5)),
+        "csr_box5": (QuadraticLS(sp.csr_matrix(A[:, :5]), y), DomainSet(Kind.BOX, 0.5, 5)),
+        "box1": (QuadraticLS(A[:, :1], y), DomainSet(Kind.BOX, 0.5, 1)),
+        "l2_ball": (QuadraticLS(A, y), DomainSet(Kind.L2_BALL, 0.5, 40)),
+        "csr_l2_ball": (QuadraticLS(sp.csr_matrix(A), y), DomainSet(Kind.L2_BALL, 0.5, 40)),
+        "logistic_csr_l1": (Logistic(Z, labels), DomainSet(Kind.L1_BALL, 5.0, 40)),
+        "logistic_dense_simplex": (Logistic(Z.toarray(), labels), DomainSet(Kind.SIMPLEX, 5.0, 40)),
+        "scalar1d": (Scalar1D(), DomainSet(Kind.BOX, 1.0, 1)),
+    }
+    sched = Schedule(3.0, 1.0)
+    for name, (obj, dom) in problems.items():
+        for variant in Variant:
+            for every in (1, 7):
+                cfg = SolverConfig(variant, sched, max_iters=139, trace_every=every)
+                emit_trace(f"solve {name} {variant.value} every={every}", solve(obj, dom, cfg))
+            trace = solve(obj, dom, SolverConfig(variant, sched, max_iters=50))
+            while trace.state.k < 300:  # chunks of 50 cross the refreshes at 64, 128, ...
+                trace = resume(trace.state, obj, dom, SolverConfig(variant, sched, max_iters=50, trace_every=3))
+                emit_trace(f"resume {name} {variant.value} k={trace.state.k}", trace)
+            flow = integrate(obj, dom, FlowConfig(variant, Schedule(2.0, 1.0), t_end=0.5, dt=1e-3, record_every=0.01))
+            emit(f"flow {name} {variant.value}", flow.t, flow.f, flow.gap, flow.disc_err, flow.h, flow.final_s_bar)
+    pool = [l1_vertex(1.0, 6, i, sign) for i in range(3) for sign in (1, -1)]
+    for mode in ScriptMode:
+        spec = ScriptedTrajectorySpec(mode, pool, steps=200, seed=4)
+        emit_trace(f"scripted {mode.value}", run_scripted_averaging(spec, sched))
+
+
 def main(argv: List[str]) -> int:
+    if argv == ["--hash-cases"]:
+        hash_cases()
+        return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", help="git revision to compare the working tree against, e.g. HEAD~")
     args = parser.parse_args(argv)
@@ -124,8 +201,9 @@ def main(argv: List[str]) -> int:
     for key, code in outputs["working tree"].items():
         if key.endswith(": exit code") and code != b"0":
             print(f"note: {key[: -len(': exit code')]} exits {code.decode()} on the working tree")
-    n_files = sum(1 for k in outputs["working tree"] if not k.startswith("["))
-    print(f"{len(diffs)} differences over {len(COMMANDS)} commands and {n_files} output files")
+    n_files = sum(1 for k in outputs["working tree"] if not k.startswith(("[", "in-process")))
+    n_cases = sum(1 for k in outputs["working tree"] if k.startswith("in-process "))
+    print(f"{len(diffs)} differences over {len(COMMANDS)} commands, {n_files} output files and {n_cases} in-process cases")
     return 1 if diffs else 0
 
 
