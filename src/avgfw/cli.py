@@ -187,6 +187,8 @@ def _read_config(path: str) -> Tuple[Config, Dict[str, str]]:
         for key, _ in raw.get("problem", ()):
             if key != "kind" and key not in PROBLEM_KEYS[kind]:
                 raise ConfigError(f"[problem] {key} is not read by kind = {kind}, which reads {', '.join(PROBLEM_KEYS[kind])}")
+        if {"alpha", "alpha_scale"} <= {key for key, _ in raw.get("problem", ())}:
+            raise ConfigError(f"[problem] alpha and alpha_scale are both set; kind = {kind} reads one or the other")
     return values, echo
 
 

@@ -13,19 +13,19 @@ explicit Euler with a fixed fine step is offered: the LMO makes the
 right-hand side discontinuous in x, so higher-order integrators buy
 nothing and step-halving checks are the honest accuracy instrument.
 
-``force_signal`` integrates the averaging equation alone against a
-prescribed signal from sbar(0) = 0. It is the separate yardstick for the
-closed-form accumulation response (26/27 at c = 3, p = 1, t = 6).
+``force_signal`` integrates the averaging equation alone from sbar(0) = 0
+on the same loop, as vanilla steps toward a prescribed signal with weights
+dt beta(t); it is the closed-form check (26/27 at c = 3, p = 1, t = 6).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .domains import DomainSet
+from .domains import Atom, DomainSet
 from .errors import ConfigError, StepTooLarge
 from .objectives import Objective
 from .schedules import DEFAULT_SCHEDULE, Schedule, beta, gamma
@@ -57,7 +57,10 @@ class FlowConfig:
 
 @dataclass
 class FlowTrace:
-    """Sampled flow metrics: t, value, gap, ||direction - x||, and h = f - f_ref."""
+    """Sampled flow metrics: t, value, gap, ||direction - x||, and h = f - f_ref.
+
+    ``final_s_bar`` is sbar at t_end for ``force_signal`` and sbar after
+    the step from t_end for ``integrate``."""
 
     t: np.ndarray
     f: np.ndarray
@@ -101,32 +104,26 @@ def force_signal(cfg: FlowConfig, signal: Callable[[float], np.ndarray]) -> Flow
     No objective is involved: the f, gap, and h columns are NaN and
     disc_err records ||signal(t) - sbar(t)||, the averaging lag.
     """
-    sched = cfg.schedule
-    dt = cfg.dt
+    sched, dt = cfg.schedule, cfg.dt
     n_steps = int(round(cfg.t_end / dt))
-    rec_stride = max(1, int(round(cfg.record_every / dt)))
+    s_bar = np.zeros_like(np.atleast_1d(np.asarray(signal(0.0), dtype=float)))
+    no_gradient = np.full(s_bar.shape, np.nan)
+    no_image = np.empty(0)  # no objective: the image space is R^0
 
-    s0 = np.atleast_1d(np.asarray(signal(0.0), dtype=float))
-    s_bar = np.zeros_like(s0)
+    def source(x: np.ndarray, u: np.ndarray, k: int) -> Tuple[float, np.ndarray, Atom, np.ndarray]:
+        return np.nan, no_gradient, Atom(np.atleast_1d(np.asarray(signal(k * dt), dtype=float))), no_image
 
-    ts: List[float] = []
-    lags: List[float] = []
-    for step in range(n_steps + 1):
-        t = step * dt
-        sig = np.atleast_1d(np.asarray(signal(t), dtype=float))
-        if step % rec_stride == 0 or step == n_steps:
-            ts.append(t)
-            lags.append(float(np.linalg.norm(sig - s_bar)))
-        if step == n_steps:
-            break
-        s_bar = s_bar + dt * beta(sched, t) * (sig - s_bar)
+    def steps(k: int):
+        return (dt * beta(sched, k * dt), 0.0) if k < n_steps else (0.0, 0.0)  # t_end: a row, no step
 
-    nan = np.full(len(ts), np.nan)
+    stride = max(1, int(round(cfg.record_every / dt)))
+    run_cfg = SolverConfig(Variant.FW, sched, max_iters=n_steps + 1, trace_every=stride)
+    trace = _run(source, lambda v: no_image, steps, False, run_cfg, SolverState(k=0, x=s_bar, s_bar=s_bar))
     return FlowTrace(
-        t=np.array(ts),
-        f=nan.copy(),
-        gap=nan.copy(),
-        disc_err=np.array(lags),
-        h=nan.copy(),
-        final_s_bar=s_bar,
+        t=trace.ks * dt,
+        f=trace.f,
+        gap=trace.gap,
+        disc_err=trace.disc_err,
+        h=trace.f - cfg.f_ref,
+        final_s_bar=trace.state.x,
     )

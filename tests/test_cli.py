@@ -432,6 +432,16 @@ BAD_INPUTS = {
         CS_COMPARE_CONFIG.format(plots="false").replace("kind = cs", "kind = cs\npath = data.svmlight"),
         "[problem] path is not read by kind = cs",
     ),
+    "cs_with_alpha_and_alpha_scale": (
+        ["compare"],
+        CS_COMPARE_CONFIG.format(plots="false").replace("alpha_scale = 1.0", "alpha = 1.0\nalpha_scale = 0.05"),
+        "[problem] alpha and alpha_scale are both set; kind = cs reads one or the other",
+    ),
+    "l2_quadratic_with_alpha_and_default_alpha_scale": (  # keyed on the keys present: 1.0 is the default
+        ["solve"],
+        "[problem]\nkind = l2_quadratic\nalpha_scale = 1.0\nalpha = 1.0\n[solver]\nmax_iters = 5\n",
+        "[problem] alpha and alpha_scale are both set; kind = l2_quadratic",
+    ),
     "svmlight_with_alpha_scale": (
         ["solve"],
         SVMLIGHT_CONFIG.replace("alpha = 1.0", "alpha = 1.0\nalpha_scale = 2"),

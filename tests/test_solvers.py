@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from avgfw.domains import Atom, DomainSet, Kind, contains, diameter, l1_vertex, lmo
 from avgfw.errors import ConfigError, NumericalBlowup
 from avgfw.experiments import ScriptedTrajectorySpec, ScriptMode, run_scripted_averaging
-from avgfw.flows import FlowConfig, integrate
+from avgfw.flows import FlowConfig, force_signal, integrate
 from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
 from avgfw.schedules import Schedule, apply_weights, beta, gamma, unrolled_weights
 from avgfw.solvers import IMAGE_REFRESH, SolverConfig, SolverState, Variant, resume, solve
@@ -513,6 +513,52 @@ def test_flow_matches_the_plain_recursion_with_the_euler_rule_bitwise(case, vari
         assert_bitwise(got, want)
     if variant is Variant.AVGFW:
         assert_bitwise(flow.final_s_bar, state.s_bar)
+
+
+def plain_force_signal(cfg, signal):
+    """``force_signal`` as its own Euler loop: the recorded t and
+    ||signal(t) - sbar(t)||, and sbar at t_end."""
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    every = max(1, int(round(cfg.record_every / cfg.dt)))
+    s_bar = np.zeros_like(np.atleast_1d(np.asarray(signal(0.0), dtype=float)))
+    ts, lags = [], []
+    for k in range(n_steps + 1):
+        t = k * cfg.dt
+        s = np.atleast_1d(np.asarray(signal(t), dtype=float))
+        if k % every == 0 or k == n_steps:
+            ts.append(t)
+            lags.append(float(np.linalg.norm(s - s_bar)))
+        if k < n_steps:
+            s_bar = s_bar + cfg.dt * beta(cfg.schedule, t) * (s - s_bar)
+    return np.array(ts), np.array(lags), s_bar
+
+
+def wave(t):
+    return np.array([np.sin(3.0 * t), -0.0, 1.0 - t])
+
+
+FORCED_CASES = {  # signal, p, t_end, record_every; dt = 1e-3
+    "unit_n1": (lambda t: np.array([1.0]), 1.0, 6.0, 1.0),
+    "wave_n3_with_minus_zero": (wave, 0.5, 0.5, 0.01),
+    "stride_7_does_not_divide_500": (wave, 1.0, 0.5, 0.007),
+    "record_every_past_t_end": (wave, 1.0, 0.2, 1.0),
+    "t_end_below_half_dt": (lambda t: np.array([1.0]), 1.0, 4e-4, 0.1),
+    "scalar_signal": (lambda t: 2.0 - t, 0.5, 0.3, 0.05),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORCED_CASES))
+def test_force_signal_matches_the_plain_euler_recursion_bitwise(case):
+    signal, p, t_end, every = FORCED_CASES[case]
+    cfg = FlowConfig(schedule=Schedule(3.0, p), t_end=t_end, dt=1e-3, record_every=every)
+    calls, plain_calls = [], []
+    trace = force_signal(cfg, lambda t: calls.append(t) or signal(t))
+    t, lags, s_bar = plain_force_signal(cfg, lambda t: plain_calls.append(t) or signal(t))
+    assert calls == plain_calls
+    for got, want in zip((trace.t, trace.disc_err, trace.final_s_bar), (t, lags, s_bar)):
+        assert_bitwise(got, want)
+    for col in (trace.f, trace.gap, trace.h):
+        assert col.shape == t.shape and np.all(np.isnan(col))
 
 
 @pytest.mark.parametrize("mode", list(ScriptMode))

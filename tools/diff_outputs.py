@@ -19,9 +19,13 @@ file run with ``--hash-cases``, the tree's ``src/`` on the path). That
 covers the loop paths no command reaches: least squares, dense and CSR,
 on the l1 ball, the simplex, the box (n = 1 and n = 5) and the l2 ball,
 the logistic loss and the 1-D probe, both variants at ``trace_every`` 1
-and 7, a chunked solve/resume across image refreshes, the Euler flow
-and both scripted sources. Each case prints the SHA-256 of every trace
-column and of the final x, sbar and both images, compared like an output.
+and 7, a chunked solve/resume across image refreshes, the Euler flow,
+both scripted sources, and ``force_signal`` on six forced signals: n = 1
+and n = 3 (with a -0.0 entry), p = 1 and 0.5, a record stride that does
+not divide the step count, a stride past t_end, t_end below dt/2 (no
+step) and a scalar-returning signal. Each case prints the SHA-256 of
+every trace column and of the final x, sbar and both images (for a flow,
+its columns and final sbar), compared like an output.
 
 A differing text output is shown as the first DIFF_LINES lines of its
 unified diff. Exits 1 on any difference, 0 when all match.
@@ -131,7 +135,7 @@ def hash_cases() -> None:
     from avgfw import DomainSet, Kind, Schedule, SolverConfig, Variant, resume, solve
     from avgfw.domains import l1_vertex
     from avgfw.experiments import ScriptedTrajectorySpec, ScriptMode, run_scripted_averaging
-    from avgfw.flows import FlowConfig, integrate
+    from avgfw.flows import FlowConfig, force_signal, integrate
     from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
 
     def emit(case: str, *arrays) -> None:
@@ -178,6 +182,20 @@ def hash_cases() -> None:
     for mode in ScriptMode:
         spec = ScriptedTrajectorySpec(mode, pool, steps=200, seed=4)
         emit_trace(f"scripted {mode.value}", run_scripted_averaging(spec, sched))
+    def wave(t: float) -> np.ndarray:
+        return np.array([np.sin(3.0 * t), -0.0, 1.0 - t])
+
+    forced = (  # name, signal, p, t_end, record_every; dt = 1e-3
+        ("unit", lambda t: np.array([1.0]), 1.0, 6.0, 1.0),
+        ("wave", wave, 0.5, 0.5, 0.01),
+        ("wave stride 7", wave, 1.0, 0.5, 0.007),
+        ("wave one stride", wave, 1.0, 0.2, 1.0),
+        ("unit N=0", lambda t: np.array([1.0]), 1.0, 4e-4, 0.1),
+        ("scalar", lambda t: 2.0 - t, 0.5, 0.3, 0.05),
+    )
+    for name, signal, p, t_end, every in forced:
+        flow = force_signal(FlowConfig(schedule=Schedule(3.0, p), t_end=t_end, dt=1e-3, record_every=every), signal)
+        emit(f"force_signal {name}", flow.t, flow.f, flow.gap, flow.disc_err, flow.h, flow.final_s_bar)
 
 
 def main(argv: List[str]) -> int:
