@@ -593,6 +593,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs a classification problem (svmlight or synthetic_logistic)")
 
     sweep = cfg["sweep"]
+    if not 0 < sweep["train_frac"] < 1:
+        raise ConfigError(f"[sweep] train_frac must lie in (0, 1), got {sweep['train_frac']}")
     train, val = train_val_split(obj, sweep["train_frac"], seed)
     if sweep["points"] < 1:
         raise ConfigError(f"[sweep] points must be >= 1, got {sweep['points']}")
@@ -603,7 +605,9 @@ def cmd_sweep(args) -> int:
     best_alpha, best_loss = None, np.inf
     for alpha in np.geomspace(sweep["alpha_lo"], sweep["alpha_hi"], sweep["points"]):
         dom = DomainSet(Kind.L1_BALL, float(alpha), train.n)
-        trace = solve(train, dom, _build_solver_config(cfg, dom))
+        solver_cfg = _build_solver_config(cfg, dom)
+        # only the final gap and x are read: record k = 0 and the last row alone
+        trace = solve(train, dom, replace(solver_cfg, trace_every=solver_cfg.max_iters))
         x = trace.state.x
         val_loss = val.value(x)
         rows.append([_fmt_float(v) for v in (alpha, train.value(x), val_loss, trace.gap[-1])])

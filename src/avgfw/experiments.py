@@ -114,7 +114,7 @@ def run_scripted_averaging(spec: ScriptedTrajectorySpec, schedule: Schedule) -> 
     no_gradient = np.full(n, np.nan)
     no_image = np.empty(0)  # no objective: the image space is R^0
 
-    def source(x: np.ndarray, u: np.ndarray, k: int) -> Tuple[float, np.ndarray, Atom, np.ndarray]:
+    def source(x: np.ndarray, u: np.ndarray, k: int, record: bool) -> Tuple[float, np.ndarray, Atom, np.ndarray]:
         return np.nan, no_gradient, pool[picks[k]], no_image
 
     cfg = SolverConfig(Variant.AVGFW, schedule, max_iters=spec.steps)

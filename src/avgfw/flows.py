@@ -102,7 +102,9 @@ def force_signal(cfg: FlowConfig, signal: Callable[[float], np.ndarray]) -> Flow
     """Integrate only  d sbar = beta(t) (signal(t) - sbar) dt  from sbar(0) = 0.
 
     No objective is involved: the f, gap, and h columns are NaN and
-    disc_err records ||signal(t) - sbar(t)||, the averaging lag.
+    disc_err records ||signal(t) - sbar(t)||, the averaging lag. The
+    signal is read at t_end too, for the last row, and a non-finite value
+    there makes ``final_s_bar`` NaN (0 times inf in the zero-weight step).
     """
     sched, dt = cfg.schedule, cfg.dt
     n_steps = int(round(cfg.t_end / dt))
@@ -110,7 +112,7 @@ def force_signal(cfg: FlowConfig, signal: Callable[[float], np.ndarray]) -> Flow
     no_gradient = np.full(s_bar.shape, np.nan)
     no_image = np.empty(0)  # no objective: the image space is R^0
 
-    def source(x: np.ndarray, u: np.ndarray, k: int) -> Tuple[float, np.ndarray, Atom, np.ndarray]:
+    def source(x: np.ndarray, u: np.ndarray, k: int, record: bool) -> Tuple[float, np.ndarray, Atom, np.ndarray]:
         return np.nan, no_gradient, Atom(np.atleast_1d(np.asarray(signal(k * dt), dtype=float))), no_image
 
     def steps(k: int):

@@ -11,7 +11,10 @@ The form lets the solver carry u = M x along with x: ``image(v)`` is
 M v; ``atom_image(domain, atom)`` is M s for an LMO atom, one scaled
 column of M for an l1 or simplex vertex; and
 ``value_and_gradient(x, image=u)`` evaluates phi at the given image and
-then needs only M^T, for the gradient.
+then needs only M^T, for the gradient. With ``value=False`` it skips
+phi(u) itself and returns None for f, as ``gradient`` does: the solver
+asks for f only on the rows it records, and the gradient weights phi'(u)
+are the same floats either way.
 
 M^T is built once, at construction: a CSR copy of the transpose for a
 sparse M (scipy would otherwise build a new transpose object on every
@@ -21,8 +24,9 @@ the same floating-point operations in the same order as ``M.T @ w``.
 Row i of M^T is column i of M and gives the image of a vertex atom, so
 no column copy of M is kept.
 
-scipy is loaded on first use only: ``scipy.special`` when a
-:class:`Logistic` is built, and ``scipy.sparse`` by whoever makes a
+scipy is loaded on first use only: ``scipy.special`` at the first
+evaluation of a :class:`Logistic` (building one, as ``gen-data`` does to
+write it, imports nothing), and ``scipy.sparse`` by whoever makes a
 sparse matrix (the svmlight reader and the sparse generator in
 :mod:`avgfw.experiments`). Dense least squares and the 1-D probe never
 import it, so a dense CLI process starts without scipy.
@@ -77,8 +81,9 @@ def _as_operator(M: MatrixLike) -> MatrixLike:
 
 class Objective:
     """f(x) = phi(M x). A subclass calls :meth:`_bind` once at
-    construction and supplies the loss ``_phi(u) -> (phi(u), phi'(u))``
-    and ``_inv_curvature``, the reciprocal of a bound on phi''."""
+    construction and supplies the loss ``_phi(u, value=True) -> (phi(u),
+    phi'(u))``, with None for phi(u) when ``value`` is False, and
+    ``_inv_curvature``, the reciprocal of a bound on phi''."""
 
     _M: MatrixLike
     _transposed: MatrixLike
@@ -95,7 +100,7 @@ class Objective:
         object.__setattr__(self, "_transposed", M.T.tocsr() if _issparse(M) else M.T)
         return M, data
 
-    def _phi(self, u: np.ndarray) -> Tuple[float, np.ndarray]:
+    def _phi(self, u: np.ndarray, value: bool = True) -> Tuple[Optional[float], np.ndarray]:
         raise NotImplementedError
 
     @property
@@ -126,11 +131,14 @@ class Objective:
         return self._phi(self._M @ x)[0]
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._transposed @ self._phi(self._M @ x)[1]
+        return self._transposed @ self._phi(self._M @ x, value=False)[1]
 
-    def value_and_gradient(self, x: np.ndarray, image: Optional[np.ndarray] = None) -> Tuple[float, np.ndarray]:
-        """phi(u) and M^T phi'(u) at u = M x, or at ``image`` when given."""
-        f, w = self._phi(self._M @ x if image is None else image)
+    def value_and_gradient(
+        self, x: np.ndarray, image: Optional[np.ndarray] = None, value: bool = True
+    ) -> Tuple[Optional[float], np.ndarray]:
+        """phi(u) and M^T phi'(u) at u = M x, or at ``image`` when given;
+        None in place of phi(u) when ``value`` is False."""
+        f, w = self._phi(self._M @ x if image is None else image, value)
         return f, self._transposed @ w
 
     def lipschitz_bound(self) -> float:
@@ -164,9 +172,9 @@ class QuadraticLS(Objective):
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
 
-    def _phi(self, u: np.ndarray) -> Tuple[float, np.ndarray]:
+    def _phi(self, u: np.ndarray, value: bool = True) -> Tuple[Optional[float], np.ndarray]:
         r = u - self.y
-        return 0.5 * float(r.dot(r)), r
+        return 0.5 * float(r.dot(r)) if value else None, r
 
 
 @dataclass(frozen=True)
@@ -180,31 +188,34 @@ class Logistic(Objective):
     Z: MatrixLike
     labels: np.ndarray
     _neg_labels: np.ndarray = field(init=False, repr=False, compare=False)
-    _expit: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
+    _expit: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        from scipy.special import expit  # bound once here, as _phi runs every step
-
         Z, labels = self._bind(self.Z, self.labels, "labels")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ConfigError("labels must all be -1 or +1")
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_neg_labels", -labels)
-        object.__setattr__(self, "_expit", expit)
 
     @property
     def _inv_curvature(self) -> float:
         return 4.0 * self.m  # phi'' <= 1/(4m)
 
-    def _phi(self, u: np.ndarray) -> Tuple[float, np.ndarray]:
+    def _phi(self, u: np.ndarray, value: bool = True) -> Tuple[Optional[float], np.ndarray]:
         """The mean of log(1 + e^{nt_i}) and its derivative -y_i expit(nt_i) / m,
-        at the negated margins nt = -y * u."""
+        at the negated margins nt = -y * u. ``expit`` is bound at the first
+        call, so building an instance imports no scipy."""
+        expit = self._expit
+        if expit is None:
+            from scipy.special import expit
+
+            object.__setattr__(self, "_expit", expit)
         nt = self._neg_labels * u
-        w = self._expit(nt)
+        w = expit(nt)
         w *= self._neg_labels
         w /= self.m
-        return float(np.add.reduce(np.logaddexp(0.0, nt)) / self.m), w
+        return float(np.add.reduce(np.logaddexp(0.0, nt)) / self.m) if value else None, w
 
 
 @dataclass(frozen=True)
@@ -216,8 +227,9 @@ class Scalar1D(Objective):
     def __post_init__(self):
         self._bind(np.ones((1, 1)), np.zeros(1), "data")
 
-    def _phi(self, u: np.ndarray) -> Tuple[float, np.ndarray]:
-        return float(u[0]) ** 2, 2.0 * u
+    def _phi(self, u: np.ndarray, value: bool = True) -> Tuple[Optional[float], np.ndarray]:
+        # numpy's product overflows to inf, where the float power raises OverflowError
+        return float(u[0] * u[0]) if value else None, 2.0 * u
 
 
 def value(obj: Objective, x: np.ndarray) -> float:

@@ -37,9 +37,15 @@ from the start state, and updates each in place: one operation moves a
 point and its image together, with the float operations of the plain
 form v + w (target - v). It never writes into an atom, an atom image,
 x0 or the state it was given, and the state it returns holds copies.
-The gradient is checked for finiteness once per step, by ``lmo``; the
-atom source turns that error, like a non-finite f, into
-NumericalBlowup(k).
+
+A step pays only for the row it records: the loop tells the atom source
+whether step k is recorded, and f is evaluated, and checked for
+finiteness, only then. The gradient is checked on every step, once, by
+``lmo``; the atom source turns that error, like a non-finite f, into
+NumericalBlowup(k). So a non-finite f is reported at the first recorded
+row where it occurs, or at the first non-finite gradient, whichever
+comes first. The final row is always recorded, so a run never returns
+a non-finite f without raising.
 """
 
 from __future__ import annotations
@@ -128,7 +134,7 @@ class IterateTrace:
     k_start: int = 0
 
 
-AtomSource = Callable[[np.ndarray, np.ndarray, int], Tuple[float, np.ndarray, Atom, np.ndarray]]
+AtomSource = Callable[[np.ndarray, np.ndarray, int, bool], Tuple[Optional[float], np.ndarray, Atom, np.ndarray]]
 ImageMap = Callable[[np.ndarray], np.ndarray]
 StepRule = Callable[[int], Tuple[float, float]]
 
@@ -159,12 +165,13 @@ def _start_point(obj: Objective, domain: DomainSet, x0: Optional[np.ndarray]) ->
 
 
 def _lmo_source(obj: Objective, domain: DomainSet) -> AtomSource:
-    """The atom source of a real run: value and gradient at x_k from its
-    image u_k, the LMO atom there, and the atom's image."""
+    """The atom source of a real run: the gradient at x_k from its image
+    u_k, with the value when the row is recorded (None otherwise), the
+    LMO atom there, and the atom's image."""
 
-    def source(x: np.ndarray, u: np.ndarray, k: int) -> Tuple[float, np.ndarray, Atom, np.ndarray]:
-        f_k, g = obj.value_and_gradient(x, u)
-        if not math.isfinite(f_k):
+    def source(x: np.ndarray, u: np.ndarray, k: int, record: bool) -> Tuple[Optional[float], np.ndarray, Atom, np.ndarray]:
+        f_k, g = obj.value_and_gradient(x, u, record)  # one call a step, by this name: bench/child.py counts it
+        if record and not math.isfinite(f_k):
             raise NumericalBlowup(k)
         try:
             atom = lmo(domain, g)  # lmo's check is the one finiteness test of g
@@ -206,8 +213,9 @@ def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverCon
 def _run(
     source: AtomSource, image: ImageMap, steps: StepRule, record_ids: bool, cfg: SolverConfig, state: SolverState
 ) -> IterateTrace:
-    """The iteration loop shared by every run; ``source(x_k, u_k, k)``
-    returns (f_k, grad f(x_k), s_k, M s_k) given u_k = M x_k, ``image(v)``
+    """The iteration loop shared by every run; ``source(x_k, u_k, k, record)``
+    returns (f_k, grad f(x_k), s_k, M s_k) given u_k = M x_k, where f_k
+    is read only when ``record`` says step k is a trace row; ``image(v)``
     is M v, and ``steps(k)`` returns (gamma_k, beta_k). The gap row is
     g . (x_k - s_k), so a source without an objective that returns NaN
     for f and g gets NaN gaps."""
@@ -239,7 +247,8 @@ def _run(
     for k in range(k_start, k_end):
         if k % IMAGE_REFRESH == 0:
             u[:], u_bar[:] = image(x), image(s_bar)
-        f_k, g, atom, u_s = source(x, u, k)
+        record = k % every == 0 or k == k_end - 1
+        f_k, g, atom, u_s = source(x, u, k, record)
         s = atom.vector
         g_k, b_k = steps(k)
         # each update is v + w * (target - v), the float operations of the plain form
@@ -256,7 +265,7 @@ def _run(
         if record_ids:
             vids.append(atom.vertex_id)
 
-        if k % every == 0 or k == k_end - 1:
+        if record:
             rows_k.append(k)
             rows_f.append(f_k)
             rows_gap.append(max(float(g.dot(x - s)), 0.0))

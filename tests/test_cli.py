@@ -9,7 +9,7 @@ from avgfw.cli import _build_problem, _build_solver_config, _read_config, main, 
 from avgfw.diagnostics import identify_manifold, render_report
 from avgfw.domains import DomainSet, Kind
 from avgfw.errors import NumericalBlowup
-from avgfw.objectives import Objective, QuadraticLS
+from avgfw.objectives import Logistic, Objective, QuadraticLS
 from avgfw.solvers import Variant, solve
 
 
@@ -290,6 +290,18 @@ def test_failed_compare_writes_nothing(tmp_path, monkeypatch, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("command, config", [("solve", SCALAR_CONFIG), ("flow", SCALAR_FLOW_CONFIG)], ids=["solve", "flow"])
+def test_overflowing_1d_value_exits_3(tmp_path, capsys, command, config):
+    # x moves from 0 toward a vertex at +-1e200, and x^2 overflows: a
+    # numerical error, not a traceback from the float power
+    text = config.replace("alpha = 1.0", "alpha = 1e200").replace("x0 = 0.5", "x0 = 0.0")
+    text = text.replace("max_iters = 50", "max_iters = 10")
+    cfg = write_config(tmp_path / "cfg.ini", text)
+    assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 3
+    assert capsys.readouterr().err.startswith("numerical error: non-finite value encountered at iteration")
+
+
 def test_flow_forced_signal_matches_closed_form(tmp_path):
     cfg = write_config(tmp_path / "cfg.ini", FORCED_FLOW_CONFIG)
     out = tmp_path / "out"
@@ -382,6 +394,23 @@ def test_sweep_rejects_non_classification_problem(tmp_path):
     assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 2
 
 
+def test_sweep_evaluates_the_loss_four_times_per_radius(tmp_path, monkeypatch):
+    # each radius records two rows, k = 0 and its last, whatever the
+    # configured trace_every, and then reads the train and validation loss
+    # at the final x; no other step evaluates the loss
+    phi = Logistic._phi
+    valued = []
+
+    def counted(self, u, value=True):
+        valued.append(value)
+        return phi(self, u, value)
+
+    monkeypatch.setattr(Logistic, "_phi", counted)
+    cfg = write_config(tmp_path / "cfg.ini", SWEEP_CONFIG.replace("max_iters = 150", "max_iters = 150\ntrace_every = 7"))
+    assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 0
+    assert len(valued) == 3 * (1 + 150 + 2) and valued.count(True) == 3 * 4
+
+
 def test_sweep_without_points_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.ini", SWEEP_CONFIG.replace("points = 3", "points = 0"))
     assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 2
@@ -408,6 +437,11 @@ BAD_INPUTS = {
     "logistic_density_above_1": (["solve"], SWEEP_CONFIG.replace("density = 0.1", "density = 1.5"), "density in (0, 1]"),
     "logistic_density_negative": (["solve"], SWEEP_CONFIG.replace("density = 0.1", "density = -1"), "density in (0, 1]"),
     "sweep_alpha_lo_zero": (["sweep"], SWEEP_CONFIG.replace("alpha_lo = 1", "alpha_lo = 0"), "[sweep] alpha_lo"),
+    "sweep_train_frac_one": (
+        ["sweep"],
+        SWEEP_CONFIG.replace("train_frac = 0.6", "train_frac = 1.0"),
+        "[sweep] train_frac must lie in (0, 1), got 1.0",
+    ),
     "sweep_train_frac_empty_split": (["sweep"], SWEEP_CONFIG.replace("train_frac = 0.6", "train_frac = 0.0001"), "empty split"),
     "diag_window_inverted": (
         ["diag", "{trace}", "--window-lo", "50", "--window-hi", "10"],

@@ -172,10 +172,10 @@ def test_euler_iterates_stay_feasible_without_a_runtime_check(monkeypatch, kind,
     def checking_source(obj, domain):
         source = real_source(obj, domain)
 
-        def check(x, u, k):
+        def check(x, u, k, record):
             assert contains(domain, x, 1e-9 * domain.alpha), f"x left the domain at step {k}"
             checked.append(k)
-            return source(x, u, k)
+            return source(x, u, k, record)
 
         return check
 

@@ -364,3 +364,20 @@ assert "scipy.special" in sys.modules and "scipy.sparse" not in sys.modules
 
 def test_dense_logistic_loads_scipy_special_only(fresh_python):
     fresh_python(DENSE_LOGISTIC_CHECK)
+
+
+LAZY_SPECIAL_CHECK = """
+import sys
+import numpy as np
+from avgfw.experiments import generate_sparse_logistic
+
+obj = generate_sparse_logistic(m=30, n=40, density=0.1, seed=1)
+assert "scipy.sparse" in sys.modules and "scipy.special" not in sys.modules
+obj.value_and_gradient(np.zeros(obj.n))
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_logistic_loads_scipy_special_at_its_first_evaluation(fresh_python):
+    # gen-data builds a Logistic only to write it, and pays for no scipy.special
+    fresh_python(LAZY_SPECIAL_CHECK)

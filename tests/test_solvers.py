@@ -602,3 +602,82 @@ def test_runs_write_into_no_array_they_were_given():
     run_scripted_averaging(ScriptedTrajectorySpec(ScriptMode.REPEATING_CYCLE, pool, steps=30), SCHED)
     for i, atom in enumerate(pool):
         assert_bitwise(atom.vector, np.eye(4)[i])
+
+
+# ---------------------------------------------------------------- value only on recorded rows
+
+def assert_rows_of(trace, full):
+    """``trace`` holds the rows of ``full``, a run from k = 0 that records every k."""
+    for col in ("ks", "f", "gap", "disc_err", "gamma", "beta"):
+        assert_bitwise(getattr(trace, col), getattr(full, col)[trace.ks])
+
+
+RECORD_CASES = ["dense_l1_ball_30", "csr_l1_ball_30", "logistic_csr_l1"]
+
+
+@pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
+@pytest.mark.parametrize("case", RECORD_CASES)
+def test_recording_fewer_rows_changes_no_bit_of_the_run(case, variant):
+    # f is evaluated only on the recorded rows; every other float a step
+    # computes, and so the iterates, images and atoms, is the same
+    obj, dom = GUARD_CASES[case]
+    iters = 2 * IMAGE_REFRESH + 11
+    full = solve(obj, dom, SolverConfig(variant, SCHED, max_iters=iters, trace_every=1))
+    for every in (7, iters):
+        trace = solve(obj, dom, SolverConfig(variant, SCHED, max_iters=iters, trace_every=every))
+        assert trace.ks.tolist() == sorted({*range(0, iters, every), iters - 1})
+        assert_rows_of(trace, full)
+        assert_bitwise(trace.vertex_ids, full.vertex_ids)
+        for f in ("k", "x", "s_bar", "x_image", "s_bar_image"):
+            assert_bitwise(getattr(trace.state, f), getattr(full.state, f))
+
+
+@pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
+@pytest.mark.parametrize("case", RECORD_CASES)
+def test_resume_in_chunks_shorter_than_the_record_stride_changes_no_bit(case, variant):
+    # chunks of 5 at trace_every = 7 record k % 7 == 0 and each chunk's last
+    # k; across them, the run is the one that records every row
+    obj, dom = GUARD_CASES[case]
+    full = solve(obj, dom, SolverConfig(variant, SCHED, max_iters=80, trace_every=1))
+    trace = solve(obj, dom, SolverConfig(variant, SCHED, max_iters=20, trace_every=20))
+    ids = trace.vertex_ids.tolist()
+    while trace.state.k < 80:  # crosses the image refresh at 64
+        start = trace.state.k
+        trace = resume(trace.state, obj, dom, SolverConfig(variant, SCHED, max_iters=5, trace_every=7))
+        assert trace.ks.tolist() == sorted({k for k in range(start, start + 5) if k % 7 == 0} | {start + 4})
+        assert_rows_of(trace, full)
+        ids += trace.vertex_ids.tolist()
+    assert ids == full.vertex_ids.tolist()
+    for f in ("k", "x", "s_bar", "x_image", "s_bar_image"):
+        assert_bitwise(getattr(trace.state, f), getattr(full.state, f))
+
+
+def test_logistic_value_is_computed_once_per_recorded_row(monkeypatch):
+    obj, dom = GUARD_CASES["logistic_csr_l1"]
+    phi = Logistic._phi
+    valued = []
+
+    def counted(self, u, value=True):
+        valued.append(value)
+        return phi(self, u, value)
+
+    monkeypatch.setattr(Logistic, "_phi", counted)
+    first = solve(obj, dom, SolverConfig(Variant.AVGFW, SCHED, max_iters=139, trace_every=7))
+    second = resume(first.state, obj, dom, SolverConfig(Variant.AVGFW, SCHED, max_iters=30, trace_every=30))
+    # one _phi for the start gradient and one per step, with f only on the
+    # recorded rows: k = 0, 7, ..., 133, 138, then 150 and 168
+    assert (first.ks.size, second.ks.tolist()) == (21, [150, 168])
+    assert len(valued) == 1 + 139 + 30 and valued.count(True) == 21 + 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("every, k", [(1, 1), (4, 4), (10, 9)])
+def test_non_finite_value_is_reported_at_the_first_recorded_row(every, k):
+    # x_1 = +-1e200 gives f = inf from k = 1 on, while g = 2 x stays
+    # finite: the blowup shows at the first recorded row from k = 1, and
+    # the final row is always recorded
+    dom = DomainSet(Kind.BOX, 1e200, 1)
+    cfg = SolverConfig(Variant.FW, max_iters=10, x0=np.array([0.0]), trace_every=every)
+    with pytest.raises(NumericalBlowup) as err:
+        solve(Scalar1D(), dom, cfg)
+    assert err.value.k == k

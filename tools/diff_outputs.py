@@ -8,19 +8,26 @@ directory with its own copy of ``configs/`` and of ``bench/cs_large.ini``:
 gen-data, solve on the 1-D probe, compare on the three shipped
 comparison configs (whose references run past ``max_iters``) and on
 ``bench/cs_large.ini`` at seed 0 (whose reference is the averaged run
-itself), sweep, both flows, and diag: on the six traces the shipped
-compares write with the default window, on the fw trace of ``cs_compare``
-with the explicit window 100..4999 (the benchmark's desk_small diag),
-and on the box trace of the 1-D solve. Output files, stdout, stderr and exit codes are compared
-byte for byte after the work directory's path is replaced by ``<work>``.
+itself), sweep on the shipped logistic config and on a copy of it with
+``[solver] trace_every = 7`` (whose ``sweep.csv`` must match too, as the
+sweep records only the first and the last row of each radius whatever
+the config says), both flows, and diag: on the six traces the shipped
+compares write with the default window, on the fw trace of
+``cs_compare`` with the explicit window 100..4999 (the benchmark's
+desk_small diag), and on the box trace of the 1-D solve. Output files,
+stdout, stderr and exit codes are compared byte for byte after the work
+directory's path is replaced by ``<work>``.
 
 It also runs :func:`hash_cases` in a fresh interpreter on each tree (this
 file run with ``--hash-cases``, the tree's ``src/`` on the path). That
 covers the loop paths no command reaches: least squares, dense and CSR,
 on the l1 ball, the simplex, the box (n = 1 and n = 5) and the l2 ball,
-the logistic loss and the 1-D probe, both variants at ``trace_every`` 1
-and 7, a chunked solve/resume across image refreshes, the Euler flow,
-both scripted sources, and ``force_signal`` on six forced signals: n = 1
+the logistic loss and the 1-D probe, both variants at ``trace_every`` 1,
+7 and ``max_iters`` (two rows, so f is evaluated twice), a chunked
+solve/resume across image refreshes, a resume in chunks of 5 at
+``trace_every`` 7, which cross the record stride (least squares, dense
+and CSR, and the logistic loss), the Euler flow, both scripted sources,
+and ``force_signal`` on six forced signals: n = 1
 and n = 3 (with a -0.0 entry), p = 1 and 0.5, a record stride that does
 not divide the step count, a stride past t_end, t_end below dt/2 (no
 step) and a scalar-returning signal. Each case prints the SHA-256 of
@@ -47,6 +54,7 @@ from typing import Dict, List, Tuple
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 LARGE_CONFIG = "bench/cs_large.ini"  # writes to out/cs_large
+EVERY7_CONFIG = "configs/logistic_every7.ini"  # the shipped logistic config with [solver] trace_every = 7
 COMPARES = [("cs_compare", "out/cs_compare"), ("cs_manifold", "out/cs_manifold"), ("logistic_synthetic", "out/logistic")]
 COMMANDS: List[List[str]] = [
     ["gen-data", "--out", "out/data"],
@@ -54,6 +62,7 @@ COMMANDS: List[List[str]] = [
     *(["compare", "--config", f"configs/{name}.ini", "--out", out] for name, out in COMPARES),
     ["compare", "--config", LARGE_CONFIG, "--seed", "0"],
     ["sweep", "--config", "configs/logistic_synthetic.ini", "--out", "out/sweep"],
+    ["sweep", "--config", EVERY7_CONFIG, "--out", "out/sweep_every7"],
     ["flow", "--config", "configs/flow_accumulation.ini", "--out", "out/flow_accumulation"],
     ["flow", "--config", "configs/flow_scalar1d.ini", "--out", "out/flow_scalar1d"],
     *(["diag", f"{out}/{variant}_trace.csv"] for _, out in COMPARES for variant in ("fw", "avgfw")),
@@ -79,6 +88,12 @@ def run_tree(tree: str, work: str) -> Dict[str, bytes]:
     shutil.copytree(os.path.join(tree, "configs"), os.path.join(work, "configs"))
     os.mkdir(os.path.join(work, "bench"))
     shutil.copy(os.path.join(tree, LARGE_CONFIG), os.path.join(work, LARGE_CONFIG))
+    with open(os.path.join(work, "configs", "logistic_synthetic.ini"), encoding="ascii") as fh:
+        text = fh.read()
+    if text.count("\n[solver]\n") != 1:
+        raise SystemExit(f"{tree}: configs/logistic_synthetic.ini has no single [solver] section")
+    with open(os.path.join(work, EVERY7_CONFIG), "w", encoding="ascii") as fh:
+        fh.write(text.replace("\n[solver]\n", "\n[solver]\ntrace_every = 7\n"))
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     env.pop("AVGFW_OUT", None)
     results: Dict[str, bytes] = {}
@@ -169,13 +184,18 @@ def hash_cases() -> None:
     sched = Schedule(3.0, 1.0)
     for name, (obj, dom) in problems.items():
         for variant in Variant:
-            for every in (1, 7):
+            for every in (1, 7, 139):
                 cfg = SolverConfig(variant, sched, max_iters=139, trace_every=every)
                 emit_trace(f"solve {name} {variant.value} every={every}", solve(obj, dom, cfg))
             trace = solve(obj, dom, SolverConfig(variant, sched, max_iters=50))
             while trace.state.k < 300:  # chunks of 50 cross the refreshes at 64, 128, ...
                 trace = resume(trace.state, obj, dom, SolverConfig(variant, sched, max_iters=50, trace_every=3))
                 emit_trace(f"resume {name} {variant.value} k={trace.state.k}", trace)
+            if name in ("l1", "csr_l1", "logistic_csr_l1"):
+                trace = solve(obj, dom, SolverConfig(variant, sched, max_iters=20, trace_every=20))
+                while trace.state.k < 75:  # chunks of 5 at stride 7, across the refresh at 64
+                    trace = resume(trace.state, obj, dom, SolverConfig(variant, sched, max_iters=5, trace_every=7))
+                    emit_trace(f"resume {name} {variant.value} every=7 k={trace.state.k}", trace)
             flow = integrate(obj, dom, FlowConfig(variant, Schedule(2.0, 1.0), t_end=0.5, dt=1e-3, record_every=0.01))
             emit(f"flow {name} {variant.value}", flow.t, flow.f, flow.gap, flow.disc_err, flow.h, flow.final_s_bar)
     pool = [l1_vertex(1.0, 6, i, sign) for i in range(3) for sign in (1, -1)]
