@@ -7,9 +7,9 @@ trace diagnostics (``diagnostics``), and benchmark generators
 (``experiments``). The ``avgfw`` command line drives end-to-end runs.
 """
 
-from .domains import Atom, DomainSet, Kind, contains, diameter, lmo, lmo_bruteforce
-from .objectives import Logistic, QuadraticLS, Scalar1D, gap, gradient, lipschitz_bound, value
-from .schedules import Schedule, WeightVector, accumulation, alpha_t, beta, gamma, unrolled_weights
+from .domains import Atom, DomainSet, Kind, contains, lmo
+from .objectives import Logistic, QuadraticLS, Scalar1D, lipschitz_bound
+from .schedules import Schedule, beta, gamma
 from .solvers import IterateTrace, SolverConfig, SolverState, Variant, resume, solve
 from .flows import FlowConfig, FlowTrace, force_signal, integrate
 from .diagnostics import (
@@ -27,23 +27,14 @@ __all__ = [
     "DomainSet",
     "Kind",
     "contains",
-    "diameter",
     "lmo",
-    "lmo_bruteforce",
     "Logistic",
     "QuadraticLS",
     "Scalar1D",
-    "gap",
-    "gradient",
     "lipschitz_bound",
-    "value",
     "Schedule",
-    "WeightVector",
-    "accumulation",
-    "alpha_t",
     "beta",
     "gamma",
-    "unrolled_weights",
     "IterateTrace",
     "SolverConfig",
     "SolverState",

@@ -13,7 +13,10 @@ Configs are flat INI-style ``key = value`` files with [problem], [solver],
 accepted key with its type and default; unknown sections and keys are
 rejected, as is a [problem] key that the configured kind does not read
 (``PROBLEM_KEYS``; see README for the grammar).
-Exit codes: 0 success, 2 configuration problems, 3 numerical failures.
+Exit codes: 0 success; 2 for an ``errors.InputError`` (a bad config, data
+file or request), printed as ``config error:``; 3 for an
+``errors.NumericalError`` (a run that failed numerically), printed as
+``numerical error:`` and nothing else on stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import configparser
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -37,17 +41,7 @@ from .diagnostics import (
     support_trajectory,
 )
 from .domains import DomainSet, Kind
-from .errors import (
-    AvgFWError,
-    BrokenOracle,
-    ConfigError,
-    DegenerateGradient,
-    InsufficientData,
-    LabelError,
-    NumericalBlowup,
-    ParseError,
-    StepTooLarge,
-)
+from .errors import ConfigError, InputError, InsufficientData, NumericalError, ParseError
 from .experiments import (
     SyntheticCSSpec,
     generate_cs,
@@ -669,19 +663,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand. Warnings raised while it runs are held back: an
+    exit-3 run drops them, as they only foreshadow its one-line message,
+    and any other run shows them unchanged when the command is done."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except (ConfigError, ParseError, LabelError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NumericalBlowup, StepTooLarge, BrokenOracle, DegenerateGradient) as err:
-        print(f"numerical error: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except AvgFWError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                return args.fn(args)
+            except InputError as err:
+                message, code = f"config error: {err}", EXIT_CONFIG
+            except NumericalError as err:
+                message, code = f"numerical error: {err}", EXIT_NUMERICAL
+                caught.clear()
+    finally:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

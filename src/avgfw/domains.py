@@ -10,8 +10,9 @@ reproduce the boundary/interior dichotomy experiment.
 
 Tie-breaking is deterministic everywhere: the lowest coordinate index
 wins, and a sign tie at a zero gradient component resolves to the
-positive vertex. ``lmo_bruteforce`` enumerates vertices in an order that
-reproduces exactly this rule, so the two oracles agree atom-for-atom.
+positive vertex. ``_vertex_blocks`` enumerates vertices in an order that
+reproduces exactly this rule, so the brute-force LMO that the tests build
+on it (``tests/oracles.py``) agrees with ``lmo`` atom-for-atom.
 
 vertex_id encoding:
   L1Ball   +alpha*e_i -> +(i+1),  -alpha*e_i -> -(i+1)
@@ -28,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -151,21 +152,11 @@ def vertex_coordinate(domain: DomainSet, atom: Atom) -> Optional[int]:
     return None
 
 
-def enumerate_vertices(domain: DomainSet) -> Iterator[Atom]:
-    """Yield every extremal vertex of a polyhedral domain.
-
-    The order matches the lmo tie-break: for each index the positive
-    vertex precedes the negative one, indices ascending; box corners
-    ascend by corner code.
-    """
-    for ids, V in _vertex_blocks(domain):
-        for vertex_id, v in zip(ids.tolist(), V):
-            yield Atom(v, vertex_id)
-
-
 def _vertex_blocks(domain: DomainSet, block: int = 8192):
-    """Yield (ids, matrix) chunks covering every vertex, in the order of
-    :func:`enumerate_vertices`."""
+    """Yield (ids, matrix) chunks covering every vertex of a polyhedral
+    domain, in the order of the lmo tie-break: for each index the positive
+    vertex precedes the negative one, indices ascending; box corners
+    ascend by corner code."""
     a = domain.alpha
     n = domain.n
     if domain.kind is Kind.L1_BALL:
@@ -191,28 +182,6 @@ def _vertex_blocks(domain: DomainSet, block: int = 8192):
         raise UnsupportedKind("the l2 ball has no vertex enumeration")
 
 
-def lmo_bruteforce(domain: DomainSet, gradient: np.ndarray) -> Atom:
-    """Exact LMO by scanning every vertex; test oracle for ``lmo``.
-
-    Keeps the first vertex attaining the strict minimum, which under the
-    enumeration order of :func:`enumerate_vertices` reproduces lmo's
-    documented tie-break.
-    """
-    if not domain.is_polyhedral:
-        raise UnsupportedKind("brute-force LMO requires a polyhedral domain")
-    g, _ = _check_gradient(domain, gradient)
-    best: Optional[Atom] = None
-    best_val = np.inf
-    for ids, V in _vertex_blocks(domain):
-        vals = V @ g
-        i = int(np.argmin(vals))  # first occurrence wins ties
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best = Atom(V[i].copy(), int(ids[i]))
-    assert best is not None
-    return best
-
-
 def contains(domain: DomainSet, x: np.ndarray, tol: float) -> bool:
     """Membership of ``x`` in the domain within additive tolerance ``tol``."""
     x = np.asarray(x, dtype=float)
@@ -226,24 +195,3 @@ def contains(domain: DomainSet, x: np.ndarray, tol: float) -> bool:
     if domain.kind is Kind.BOX:
         return float(np.max(np.abs(x))) <= a + tol
     return float(np.linalg.norm(x)) <= a + tol
-
-
-def diameter(domain: DomainSet) -> float:
-    """Tight upper bound on ||u - v||_2 over the domain."""
-    a = domain.alpha
-    if domain.kind in (Kind.L1_BALL, Kind.L2_BALL):
-        return 2.0 * a
-    if domain.kind is Kind.SIMPLEX:
-        return a * np.sqrt(2.0)
-    return 2.0 * a * np.sqrt(domain.n)
-
-
-def l1_vertex(alpha: float, n: int, index: int, sign: int) -> Atom:
-    """Convenience constructor for a signed l1-ball vertex with its id."""
-    if sign not in (-1, 1):
-        raise ConfigError("sign must be -1 or +1")
-    if not (0 <= index < n):
-        raise ConfigError(f"index {index} out of range for dimension {n}")
-    v = np.zeros(n)
-    v[index] = sign * alpha
-    return Atom(v, sign * (index + 1))

@@ -1,11 +1,26 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Every concrete error derives from exactly one of two bases, which carry
+the exit-code policy of the command line: an :class:`InputError` (a bad
+configuration, data file or request) exits 2 with ``config error:``, and
+a :class:`NumericalError` (a run that failed numerically) exits 3 with
+``numerical error:``.
+"""
 
 
 class AvgFWError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ConfigError(AvgFWError):
+class InputError(AvgFWError):
+    """Bad input or an undefined request; the command line exits 2."""
+
+
+class NumericalError(AvgFWError):
+    """A run that failed numerically; the command line exits 3."""
+
+
+class ConfigError(InputError):
     """Invalid or inconsistent configuration (dimensions, missing keys, bad values)."""
 
 
@@ -13,23 +28,23 @@ class NonFiniteGradient(ConfigError):
     """An LMO was handed a gradient with a NaN or infinite entry."""
 
 
-class DegenerateGradient(AvgFWError):
+class DegenerateGradient(NumericalError):
     """The LMO direction is undefined (zero gradient on a smooth ball)."""
 
 
-class UnsupportedKind(AvgFWError):
+class UnsupportedKind(InputError):
     """Operation not defined for this constraint-set kind."""
 
 
-class BrokenOracle(AvgFWError):
+class BrokenOracle(NumericalError):
     """The duality gap came out significantly negative; the LMO violated optimality."""
 
 
-class WrongBranch(AvgFWError):
+class WrongBranch(InputError):
     """Closed form requested on the schedule branch where it does not exist."""
 
 
-class NumericalBlowup(AvgFWError):
+class NumericalBlowup(NumericalError):
     """Non-finite objective value or gradient during iteration."""
 
     def __init__(self, k: int, message: str = ""):
@@ -37,7 +52,7 @@ class NumericalBlowup(AvgFWError):
         super().__init__(message or f"non-finite value encountered at iteration {k}")
 
 
-class StepTooLarge(AvgFWError):
+class StepTooLarge(NumericalError):
     """Euler step above the supported maximum flows.MAX_DT."""
 
     def __init__(self, suggested_dt: float, message: str = ""):
@@ -45,15 +60,15 @@ class StepTooLarge(AvgFWError):
         super().__init__(message or f"integration step too large; retry with dt <= {suggested_dt:g}")
 
 
-class InsufficientData(AvgFWError):
+class InsufficientData(InputError):
     """Too few usable points for a rate fit."""
 
 
-class NoZeroSet(AvgFWError):
+class NoZeroSet(InputError):
     """Degeneracy margin undefined: the candidate optimum has no zero coordinates."""
 
 
-class ParseError(AvgFWError):
+class ParseError(InputError):
     """Malformed line in a data file."""
 
     def __init__(self, line_no: int, message: str = ""):
@@ -61,7 +76,7 @@ class ParseError(AvgFWError):
         super().__init__(message or f"malformed line {line_no}")
 
 
-class LabelError(AvgFWError):
+class LabelError(InputError):
     """Label outside the accepted set {-1, 0, +1}."""
 
     def __init__(self, line_no: int, message: str = ""):

@@ -31,10 +31,6 @@ sparse matrix (the svmlight reader and the sparse generator in
 :mod:`avgfw.experiments`). Dense least squares and the 1-D probe never
 import it, so a dense CLI process starts without scipy.
 
-The free function :func:`gap` computes the standard projection-free
-duality gap, a certified upper bound on suboptimality for convex
-objectives.
-
 Objectives are frozen dataclasses: evaluation is pure and safe to call
 from any number of threads.
 """
@@ -47,8 +43,8 @@ from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .domains import Atom, DomainSet, lmo, vertex_coordinate
-from .errors import BrokenOracle, ConfigError
+from .domains import Atom, DomainSet, vertex_coordinate
+from .errors import ConfigError
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -57,7 +53,6 @@ MatrixLike = Union[np.ndarray, "sp.spmatrix", "sp.sparray"]
 
 POWER_ITERATIONS = 50
 POWER_SEED = 0
-GAP_NEGATIVE_TOL = 1e-12
 
 
 def _issparse(M) -> bool:
@@ -232,32 +227,5 @@ class Scalar1D(Objective):
         return float(u[0] * u[0]) if value else None, 2.0 * u
 
 
-def value(obj: Objective, x: np.ndarray) -> float:
-    return obj.value(np.asarray(x, dtype=float))
-
-
-def gradient(obj: Objective, x: np.ndarray) -> np.ndarray:
-    return obj.gradient(np.asarray(x, dtype=float))
-
-
 def lipschitz_bound(obj: Objective) -> float:
     return obj.lipschitz_bound()
-
-
-def gap(obj: Objective, domain: DomainSet, x: np.ndarray) -> Tuple[float, Atom]:
-    """Duality gap grad(x) . (x - s) with s the LMO atom at grad(x).
-
-    Nonnegative for any correct oracle; tiny negative values from
-    floating-point cancellation are clamped to zero, anything below
-    -1e-12 means the oracle violated optimality and raises.
-    """
-    x = np.asarray(x, dtype=float)
-    g = obj.gradient(x)
-    if float(np.linalg.norm(g)) == 0.0 and not domain.is_polyhedral:
-        # Any feasible point minimizes a zero linear form; x itself certifies gap 0.
-        return 0.0, Atom(x.copy(), None)
-    atom = lmo(domain, g)
-    val = float(np.dot(g, x - atom.vector))
-    if val < -GAP_NEGATIVE_TOL:
-        raise BrokenOracle(f"negative duality gap {val:.3e}")
-    return max(val, 0.0), atom

@@ -12,7 +12,7 @@ import numpy as np
 
 from avgfw.cli import main as cli_main
 from avgfw.diagnostics import Series, fit_rate, identify_manifold, support_trajectory
-from avgfw.domains import DomainSet, Kind, l1_vertex, lmo, lmo_bruteforce
+from avgfw.domains import DomainSet, Kind, lmo
 from avgfw.experiments import (
     ScriptMode,
     ScriptedTrajectorySpec,
@@ -26,8 +26,9 @@ from avgfw.experiments import (
 )
 from avgfw.flows import FlowConfig, force_signal, integrate
 from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
-from avgfw.schedules import Schedule, accumulation, apply_weights, beta, unrolled_weights
+from avgfw.schedules import Schedule, beta
 from avgfw.solvers import SolverConfig, Variant, solve
+from oracles import accumulation, apply_weights, l1_vertex, lmo_bruteforce, unrolled_weights
 
 CS_SEED = 2
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from avgfw import cli
 from avgfw.cli import _build_problem, _build_solver_config, _read_config, main, read_trace_csv
 from avgfw.diagnostics import identify_manifold, render_report
 from avgfw.domains import DomainSet, Kind
-from avgfw.errors import NumericalBlowup
+from avgfw.errors import AvgFWError, InputError, NumericalBlowup, NumericalError
 from avgfw.objectives import Logistic, Objective, QuadraticLS
 from avgfw.solvers import Variant, solve
 
@@ -300,6 +301,74 @@ def test_overflowing_1d_value_exits_3(tmp_path, capsys, command, config):
     cfg = write_config(tmp_path / "cfg.ini", text)
     assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 3
     assert capsys.readouterr().err.startswith("numerical error: non-finite value encountered at iteration")
+
+
+STDERR_CHECK = """
+import contextlib, io, json, sys
+from avgfw.cli import main
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = main(sys.argv[1:])
+print(json.dumps([code, err.getvalue()]))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, config, k", [("solve", SCALAR_CONFIG, 1), ("flow", SCALAR_FLOW_CONFIG, 1000)], ids=["solve", "flow"]
+)
+def test_overflowing_1d_value_prints_only_its_message(tmp_path, fresh_python, command, config, k):
+    # in a fresh interpreter, with the default warning filters a user has:
+    # pytest's own warning capture would hide numpy's overflow warnings here
+    text = config.replace("alpha = 1.0", "alpha = 1e200").replace("x0 = 0.5", "x0 = 0.0")
+    text = text.replace("max_iters = 50", "max_iters = 10")
+    argv = [command, "--config", write_config(tmp_path / "cfg.ini", text), "--out", str(tmp_path / "o"), "--quiet"]
+    code, err = json.loads(fresh_python(STDERR_CHECK, *argv))
+    assert (code, err) == (3, f"numerical error: non-finite value encountered at iteration {k}\n")
+
+
+def concrete_errors():
+    """Every subclass of AvgFWError, recursively, but the two exit-code bases."""
+    found, todo = [], [AvgFWError]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls not in (InputError, NumericalError):
+                found.append(cls)
+    return found
+
+
+def test_every_error_has_exactly_one_exit_code_base():
+    for cls in concrete_errors():
+        assert issubclass(cls, InputError) + issubclass(cls, NumericalError) == 1, cls.__name__
+
+
+@pytest.mark.parametrize("cls", concrete_errors(), ids=lambda cls: cls.__name__)
+def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, recwarn, cls):
+    # a warning raised before the error is shown on exit 2 and dropped on
+    # exit 3, whose message is its only stderr line
+    err = cls(1)
+
+    def fails(args):
+        warnings.warn("raised before the error", UserWarning)
+        raise err
+
+    monkeypatch.setattr(cli, "cmd_solve", fails)
+    code, prefix = (2, "config error:") if issubclass(cls, InputError) else (3, "numerical error:")
+    assert run_cli("solve", "--config", "unused.ini") == code
+    assert capsys.readouterr().err == f"{prefix} {err}\n"
+    assert [str(w.message) for w in recwarn] == (["raised before the error"] if code == 2 else [])
+
+
+def test_warnings_of_a_successful_run_are_shown_unchanged(monkeypatch, recwarn):
+    def warns(args):
+        warnings.warn_explicit("kept", RuntimeWarning, "avgfw/somewhere.py", 7)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_solve", warns)
+    assert run_cli("solve", "--config", "unused.ini") == 0
+    assert [(str(w.message), w.category, w.filename, w.lineno) for w in recwarn] == [
+        ("kept", RuntimeWarning, "avgfw/somewhere.py", 7)
+    ]
 
 
 def test_flow_forced_signal_matches_closed_form(tmp_path):

@@ -10,9 +10,10 @@ from avgfw.diagnostics import (
     support_set,
     support_trajectory,
 )
-from avgfw.domains import DomainSet, Kind, enumerate_vertices
+from avgfw.domains import DomainSet, Kind
 from avgfw.errors import InsufficientData, NoZeroSet, UnsupportedKind
 from avgfw.solvers import IterateTrace, SolverState
+from oracles import enumerate_vertices
 
 
 def synthetic_trace(ks, series, which=Series.GAP, vertex_ids=None):

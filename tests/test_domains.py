@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from avgfw.domains import (
-    DomainSet,
-    Kind,
-    contains,
-    diameter,
-    enumerate_vertices,
-    l1_vertex,
-    lmo,
-    lmo_bruteforce,
-)
+from avgfw.domains import DomainSet, Kind, contains, lmo
 from avgfw.errors import ConfigError, DegenerateGradient, NonFiniteGradient, UnsupportedKind
+from oracles import diameter, enumerate_vertices, l1_vertex, lmo_bruteforce
 
 POLYHEDRAL = [Kind.L1_BALL, Kind.SIMPLEX, Kind.BOX]
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from avgfw.diagnostics import Series, fit_rate
-from avgfw.domains import Kind, l1_vertex
+from avgfw.domains import Kind
 from avgfw.errors import ConfigError, LabelError, ParseError
 from avgfw.experiments import (
     ScriptMode,
@@ -20,6 +20,7 @@ from avgfw.experiments import (
 from avgfw.objectives import Logistic, QuadraticLS
 from avgfw.schedules import Schedule
 from avgfw.solvers import SolverConfig, Variant, solve
+from oracles import l1_vertex
 
 L1_POOL = [
     l1_vertex(1.0, 2, 0, +1),

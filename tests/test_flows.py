@@ -6,8 +6,9 @@ from avgfw.domains import DomainSet, Kind, contains, lmo
 from avgfw.errors import ConfigError, NumericalBlowup, StepTooLarge
 from avgfw.flows import FlowConfig, force_signal, integrate
 from avgfw.objectives import QuadraticLS, Scalar1D
-from avgfw.schedules import Schedule, accumulation, alpha_t
+from avgfw.schedules import Schedule
 from avgfw.solvers import SolverConfig, Variant, solve
+from oracles import accumulation, alpha_t
 
 BOX1 = DomainSet(Kind.BOX, 1.0, 1)
 

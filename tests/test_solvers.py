@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from avgfw.domains import Atom, DomainSet, Kind, contains, diameter, l1_vertex, lmo
+from avgfw.domains import Atom, DomainSet, Kind, contains, lmo
 from avgfw.errors import ConfigError, NumericalBlowup
 from avgfw.experiments import ScriptedTrajectorySpec, ScriptMode, run_scripted_averaging
 from avgfw.flows import FlowConfig, force_signal, integrate
 from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
-from avgfw.schedules import Schedule, apply_weights, beta, gamma, unrolled_weights
+from avgfw.schedules import Schedule, beta, gamma
 from avgfw.solvers import IMAGE_REFRESH, SolverConfig, SolverState, Variant, resume, solve
 from avgfw.diagnostics import Series, fit_rate
+from oracles import apply_weights, diameter, l1_vertex, unrolled_weights
 
 BOX1 = DomainSet(Kind.BOX, 1.0, 1)
 

@@ -26,11 +26,13 @@ the logistic loss and the 1-D probe, both variants at ``trace_every`` 1,
 7 and ``max_iters`` (two rows, so f is evaluated twice), a chunked
 solve/resume across image refreshes, a resume in chunks of 5 at
 ``trace_every`` 7, which cross the record stride (least squares, dense
-and CSR, and the logistic loss), the Euler flow, both scripted sources,
-and ``force_signal`` on six forced signals: n = 1
-and n = 3 (with a -0.0 entry), p = 1 and 0.5, a record stride that does
-not divide the step count, a stride past t_end, t_end below dt/2 (no
-step) and a scalar-returning signal. Each case prints the SHA-256 of
+and CSR, and the logistic loss), the Euler flow, both scripted sources
+(on six l1-ball vertices built inline with ``avgfw.Atom``, which every
+tree exports, as the vertex helper now lives in ``tests/oracles.py``),
+and ``force_signal`` on six forced signals: n = 1 and n = 3 (with a -0.0
+entry), p = 1 and 0.5, a record stride that does not divide the step
+count, a stride past t_end, t_end below dt/2 (no step) and a
+scalar-returning signal. Each case prints the SHA-256 of
 every trace column and of the final x, sbar and both images (for a flow,
 its columns and final sbar), compared like an output.
 
@@ -147,8 +149,7 @@ def hash_cases() -> None:
 
     import numpy as np
     import scipy.sparse as sp
-    from avgfw import DomainSet, Kind, Schedule, SolverConfig, Variant, resume, solve
-    from avgfw.domains import l1_vertex
+    from avgfw import Atom, DomainSet, Kind, Schedule, SolverConfig, Variant, resume, solve
     from avgfw.experiments import ScriptedTrajectorySpec, ScriptMode, run_scripted_averaging
     from avgfw.flows import FlowConfig, force_signal, integrate
     from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
@@ -198,7 +199,8 @@ def hash_cases() -> None:
                     emit_trace(f"resume {name} {variant.value} every=7 k={trace.state.k}", trace)
             flow = integrate(obj, dom, FlowConfig(variant, Schedule(2.0, 1.0), t_end=0.5, dt=1e-3, record_every=0.01))
             emit(f"flow {name} {variant.value}", flow.t, flow.f, flow.gap, flow.disc_err, flow.h, flow.final_s_bar)
-    pool = [l1_vertex(1.0, 6, i, sign) for i in range(3) for sign in (1, -1)]
+    # the six signed vertices of the unit l1 ball in R^6 on its first three axes, +0.0 elsewhere
+    pool = [Atom(np.where(np.arange(6) == i, float(sign), 0.0), sign * (i + 1)) for i in range(3) for sign in (1, -1)]
     for mode in ScriptMode:
         spec = ScriptedTrajectorySpec(mode, pool, steps=200, seed=4)
         emit_trace(f"scripted {mode.value}", run_scripted_averaging(spec, sched))
