@@ -2,7 +2,9 @@
 
 Good enough for the offline benchmark figures: straight polylines on a
 fixed canvas, optional log-log axes (nonpositive points dropped), a few
-ticks, and a legend. Output is deterministic text.
+ticks, and a legend. Output is deterministic text. A series may come as
+lists or arrays; while a chart is drawn, each series is held as two lists
+of its drawable coordinates, and each polyline is formatted in one pass.
 """
 
 from __future__ import annotations
@@ -40,6 +42,30 @@ def _fmt(v: float, log: bool) -> str:
     return f"{v:g}"
 
 
+def _drawable(xs: Sequence[float], ys: Sequence[float], loglog: bool) -> Tuple[List[float], List[float]]:
+    """The x and y lists of the points of one series that can be drawn: the
+    finite ones, and on log-log axes the positive ones, in log10. ``xs`` and
+    ``ys`` may be lists or arrays; an array is read as its Python numbers."""
+    px: List[float] = []
+    py: List[float] = []
+    for x, y in zip(_numbers(xs), _numbers(ys)):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            continue
+        if loglog:
+            if x <= 0 or y <= 0:
+                continue
+            px.append(math.log10(x))
+            py.append(math.log10(y))
+        else:
+            px.append(float(x))
+            py.append(float(y))
+    return px, py
+
+
+def _numbers(values: Sequence[float]) -> Sequence[float]:
+    return values.tolist() if hasattr(values, "tolist") else values
+
+
 def line_chart(
     series: Sequence[Tuple[str, Sequence[float], Sequence[float]]],
     title: str,
@@ -47,30 +73,19 @@ def line_chart(
     ylabel: str,
     loglog: bool = False,
 ) -> str:
-    """Render named (x, y) series to an SVG document string."""
-    pts_all: List[Tuple[str, List[Tuple[float, float]]]] = []
-    for name, xs, ys in series:
-        pts = []
-        for x, y in zip(xs, ys):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            if loglog:
-                if x <= 0 or y <= 0:
-                    continue
-                pts.append((math.log10(x), math.log10(y)))
-            else:
-                pts.append((float(x), float(y)))
-        pts_all.append((name, pts))
-
-    flat = [p for _, pts in pts_all for p in pts]
-    if not flat:
+    """Render named (x, y) series, given as lists or arrays, to an SVG
+    document string. Each series is held as two lists of its drawable
+    coordinates, never as one object per point."""
+    drawn = [(name, *_drawable(xs, ys, loglog)) for name, xs, ys in series]
+    nonempty = [(px, py) for _, px, py in drawn if px]
+    if not nonempty:
         body = '<text x="320" y="220" text-anchor="middle">no positive data</text>'
         return _document(title, body)
 
-    x_lo = min(p[0] for p in flat)
-    x_hi = max(p[0] for p in flat)
-    y_lo = min(p[1] for p in flat)
-    y_hi = max(p[1] for p in flat)
+    x_lo = min(min(px) for px, _ in nonempty)
+    x_hi = max(max(px) for px, _ in nonempty)
+    y_lo = min(min(py) for _, py in nonempty)
+    y_hi = max(max(py) for _, py in nonempty)
     if x_hi == x_lo:
         x_hi += 1.0
     if y_hi == y_lo:
@@ -107,11 +122,11 @@ def line_chart(
             f'<text x="{MARGIN_L - 8}" y="{py + 4:.1f}" text-anchor="end" font-size="11">{_fmt(ty, loglog)}</text>'
         )
 
-    for i, (name, pts) in enumerate(pts_all):
-        if not pts:
+    for i, (name, px, py) in enumerate(drawn):
+        if not px:
             continue
         color = COLORS[i % len(COLORS)]
-        path = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+        path = " ".join(map("{:.2f},{:.2f}".format, map(sx, px), map(sy, py)))
         parts.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{WIDTH - MARGIN_R - 8}" y="{MARGIN_T + 16 + 16 * i}" text-anchor="end" '

@@ -27,8 +27,9 @@ import math
 import os
 import sys
 import warnings
+from array import array
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +62,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 TRACE_COLUMNS = "k,f,gap,disc_err,gamma,beta,atom_id"
+CSV_BLOCK = 1024  # rows formatted per write, so a CSV is never held whole in memory
 
 
 # ---------------------------------------------------------------- config
@@ -305,12 +307,18 @@ def _fmt_float(v: float) -> str:
     return repr(float(v))
 
 
-def _write_csv(path: str, header: Dict[str, object], columns: str, rows: Iterable[Iterable[str]]) -> None:
-    """A ``# key = value`` comment header, the column line, then the rows."""
-    lines = [f"# {key} = {val}" for key, val in header.items()]
-    lines.append(columns)
-    lines.extend(",".join(row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, header: Dict[str, object], names: str, columns: Sequence[Optional[np.ndarray]]) -> None:
+    """A ``# key = value`` comment header, the ``names`` line, then the rows
+    of the equal-length ``columns``, formatted and written CSV_BLOCK rows
+    at a time. A value prints as its Python number does, so a float as
+    ``_fmt_float`` prints it; a None column prints empty fields."""
+    size = next(len(col) for col in columns if col is not None)
+    row = ",".join("" if col is None else "{!r}" for col in columns) + "\n"
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("".join(f"# {key} = {val}\n" for key, val in header.items()) + names + "\n")
+        for lo in range(0, size, CSV_BLOCK):
+            block = [col[lo : lo + CSV_BLOCK].tolist() for col in columns if col is not None]
+            fh.write("".join(row.format(*values) for values in zip(*block)))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -318,13 +326,11 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _trace_rows(trace: IterateTrace):
-    """TRACE_COLUMNS rows; atom_id is the vertex id at k, empty on the l2 ball."""
+def _trace_columns(trace: IterateTrace) -> Tuple[Optional[np.ndarray], ...]:
+    """TRACE_COLUMNS; atom_id is the vertex id at k, empty on the l2 ball."""
     ids = trace.vertex_ids
-    for i, k in enumerate(trace.ks):
-        floats = (trace.f[i], trace.gap[i], trace.disc_err[i], trace.gamma[i], trace.beta[i])
-        atom_id = "" if ids is None else str(int(ids[k - trace.k_start]))
-        yield [str(int(k)), *map(_fmt_float, floats), atom_id]
+    atom_ids = None if ids is None else ids[trace.ks - trace.k_start]
+    return trace.ks, trace.f, trace.gap, trace.disc_err, trace.gamma, trace.beta, atom_ids
 
 
 def read_trace_csv(path: str) -> IterateTrace:
@@ -335,10 +341,12 @@ def read_trace_csv(path: str) -> IterateTrace:
     (``trace_every > 1``) as well as on traces without ids. A full history
     starts at the run's first iteration, so ``k_start`` is the first row's
     k (0 otherwise). The file holds no checkpoint, so ``state`` is None.
+    The fields are parsed into packed int64 and float64 buffers, which the
+    trace's arrays view.
     """
     if not os.path.isfile(path):
         raise ConfigError(f"trace file not found: {path}")
-    ks, rows, ids = [], [], []
+    ks, values, ids = array("q"), array("d"), array("q")
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -351,23 +359,24 @@ def read_trace_csv(path: str) -> IterateTrace:
                 raise ParseError(line_no, f"line {line_no}: expected 7 columns, got {len(parts)}")
             try:
                 ks.append(int(parts[0]))
-                rows.append([float(tok) for tok in parts[1:6]])
+                values.extend(map(float, parts[1:6]))
                 if parts[6]:
                     ids.append(int(parts[6]))
-            except ValueError:
+            except (ValueError, OverflowError):  # an integer past int64 overflows
                 raise ParseError(line_no, f"line {line_no}: bad numeric field") from None
     if not ks:
         raise ParseError(0, f"no data rows in {path}")
-    full_history = len(ids) == len(ks) and all(b - a == 1 for a, b in zip(ks, ks[1:]))
-    f, gap, disc_err, gamma, beta = np.array(rows).T
+    k_column = np.frombuffer(ks, dtype=np.int64)
+    full_history = len(ids) == len(ks) and bool(np.all(np.diff(k_column) == 1))
+    f, gap, disc_err, gamma, beta = np.frombuffer(values).reshape(-1, 5).T
     return IterateTrace(
-        ks=np.array(ks, dtype=int),
+        ks=k_column,
         f=f,
         gap=gap,
         disc_err=disc_err,
         gamma=gamma,
         beta=beta,
-        vertex_ids=np.array(ids, dtype=int) if full_history else None,
+        vertex_ids=np.frombuffer(ids, dtype=np.int64) if full_history else None,
         state=None,
         k_start=ks[0] if full_history else 0,
     )
@@ -396,7 +405,7 @@ def cmd_solve(args) -> int:
     trace = solve(obj, domain, solver_cfg)
     header = _trace_header(echo, lipschitz_bound(obj), domain, meta, {"variant": solver_cfg.variant.value, "seed": seed})
     path = os.path.join(out_dir, "trace.csv")
-    _write_csv(path, header, TRACE_COLUMNS, _trace_rows(trace))
+    _write_csv(path, header, TRACE_COLUMNS, _trace_columns(trace))
     if not args.quiet:
         print(f"wrote {path} ({trace.ks.size} rows)")
     return EXIT_OK
@@ -500,7 +509,7 @@ def cmd_compare(args) -> int:
 
     for variant, trace in traces.items():
         header = _trace_header(echo, lipschitz, domain, meta, {"variant": variant, "seed": seed})
-        _write_csv(os.path.join(out_dir, f"{variant}_trace.csv"), header, TRACE_COLUMNS, _trace_rows(trace))
+        _write_csv(os.path.join(out_dir, f"{variant}_trace.csv"), header, TRACE_COLUMNS, _trace_columns(trace))
     summary = {"c": base.schedule.c, "p": base.schedule.p, "alpha": domain.alpha, "max_iters": max_iters, "seed": seed}
     summary_path = os.path.join(out_dir, "summary.txt")
     _write_text(summary_path, render_report({**summary, **entries}))
@@ -513,14 +522,14 @@ def cmd_compare(args) -> int:
 
 def _support_points(trace: IterateTrace):
     traj = support_trajectory(trace)
-    return list(range(trace.k_start, trace.k_start + traj.size)), traj.tolist()
+    return np.arange(trace.k_start, trace.k_start + traj.size), traj
 
 
 def _emit_compare_plots(out_dir: str, traces: Dict[str, IterateTrace], domain) -> None:
-    # file, title, y label, log-log axes, [ks], [ys] of a trace
+    # file, title, y label, log-log axes, (ks, ys) arrays of a trace
     charts = [
-        ("gap.svg", "duality gap", "duality gap", True, lambda t: (t.ks.tolist(), t.gap.tolist())),
-        ("disc_err.svg", "discretization error", "discretization error", True, lambda t: (t.ks.tolist(), t.disc_err.tolist())),
+        ("gap.svg", "duality gap", "duality gap", True, lambda t: (t.ks, t.gap)),
+        ("disc_err.svg", "discretization error", "discretization error", True, lambda t: (t.ks, t.disc_err)),
     ]
     if domain.is_polyhedral:
         charts.append(("support.svg", "working-set size", "distinct atoms from k on", False, _support_points))
@@ -560,8 +569,7 @@ def cmd_flow(args) -> int:
         header["f_ref"] = _fmt_float(flow_cfg.f_ref)
 
     path = os.path.join(out_dir, "flow_trace.csv")
-    rows = (map(_fmt_float, row) for row in zip(trace.t, trace.f, trace.gap, trace.disc_err, trace.h))
-    _write_csv(path, header, "t,f,gap,disc_err,h", rows)
+    _write_csv(path, header, "t,f,gap,disc_err,h", (trace.t, trace.f, trace.gap, trace.disc_err, trace.h))
     if not args.quiet:
         print(f"wrote {path} ({trace.t.size} rows)")
     return EXIT_OK
@@ -604,11 +612,11 @@ def cmd_sweep(args) -> int:
         trace = solve(train, dom, replace(solver_cfg, trace_every=solver_cfg.max_iters))
         x = trace.state.x
         val_loss = val.value(x)
-        rows.append([_fmt_float(v) for v in (alpha, train.value(x), val_loss, trace.gap[-1])])
+        rows.append((alpha, train.value(x), val_loss, trace.gap[-1]))
         if val_loss < best_loss:
             best_alpha, best_loss = float(alpha), float(val_loss)
     path = os.path.join(out_dir, "sweep.csv")
-    _write_csv(path, echo, "alpha,train_loss,val_loss,final_gap", rows)
+    _write_csv(path, echo, "alpha,train_loss,val_loss,final_gap", np.array(rows, dtype=float).T)
     if not args.quiet:
         print(f"wrote {path}; best alpha {best_alpha:g} (validation loss {best_loss:.6g})")
     return EXIT_OK

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .domains import Atom, DomainSet
-from .errors import ConfigError, StepTooLarge
+from .errors import ConfigError, NumericalBlowup, StepTooLarge
 from .objectives import Objective
 from .schedules import DEFAULT_SCHEDULE, Schedule, beta, gamma
 from .solvers import SolverConfig, SolverState, Variant, _lmo_source, _run, _start_point
@@ -75,7 +75,10 @@ def integrate(obj: Objective, domain: DomainSet, cfg: FlowConfig) -> FlowTrace:
 
     Step k runs at t = k dt. An explicit x0 outside the domain raises
     ConfigError; each step is a convex combination of feasible points,
-    so x is not checked again.
+    so x is not checked again. A non-finite value raises NumericalBlowup
+    at the Euler step where it was first seen: f is evaluated only on
+    recorded steps, so that is the first recorded step at or after the
+    one where f overflowed, or the first step with a non-finite gradient.
     """
     x0 = _start_point(obj, domain, cfg.x0)
     sched, dt = cfg.schedule, cfg.dt
@@ -87,7 +90,10 @@ def integrate(obj: Objective, domain: DomainSet, cfg: FlowConfig) -> FlowTrace:
     stride = max(1, int(round(cfg.record_every / dt)))
     run_cfg = SolverConfig(cfg.variant, sched, max_iters=n_steps + 1, trace_every=stride)
     start = SolverState(k=0, x=x0, s_bar=np.zeros(domain.n))
-    trace = _run(_lmo_source(obj, domain), obj.image, steps, False, run_cfg, start)  # a flow records no vertex ids
+    try:
+        trace = _run(_lmo_source(obj, domain), obj.image, steps, False, run_cfg, start)  # a flow records no vertex ids
+    except NumericalBlowup as err:  # f is evaluated only on recorded steps: say where it was seen, in flow terms
+        raise NumericalBlowup(err.k, f"non-finite value first seen at Euler step {err.k} (t = {err.k * dt:g})") from None
     return FlowTrace(
         t=trace.ks * dt,
         f=trace.f,

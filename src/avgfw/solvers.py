@@ -28,9 +28,12 @@ image M s_k (one column of M for an l1 or simplex vertex). Evaluating f
 and grad f from u then needs M^T only, one matrix product per step
 instead of two. Rounding in the carried images is reset by an exact
 recomputation (M x, M sbar) whenever k % IMAGE_REFRESH == 0 and when a
-state comes without images. The refresh keys on the absolute k and the
-images are part of the checkpoint, so a chunked solve/resume matches
-the uninterrupted run bitwise for any chunk size.
+state comes without images; such a state's images are computed once,
+before its first step, which then skips its refresh. A vanilla run
+never moves sbar, so it carries ubar unchanged and refreshes u alone.
+The refresh keys on the absolute k and the images are part of the
+checkpoint, so a chunked solve/resume matches the uninterrupted run
+bitwise for any chunk size.
 
 The loop works in two buffers it owns, (x, u) and (sbar, ubar), copied
 from the start state, and updates each in place: one operation moves a
@@ -46,14 +49,19 @@ NumericalBlowup(k). So a non-finite f is reported at the first recorded
 row where it occurs, or at the first non-finite gradient, whichever
 comes first. The final row is always recorded, so a run never returns
 a non-finite f without raising.
+
+The record is packed: each row value and each vertex id is one 8-byte
+entry of an ``array.array``, and the trace receives these buffers through
+``np.frombuffer``, without a copy.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -119,8 +127,10 @@ class IterateTrace:
     before the step: objective value, duality gap, discretization error
     ||d_k - x_k||, and the step values used. ``vertex_ids`` is the
     full per-iteration atom-id history on polyhedral domains (None on
-    the l2 ball). ``state`` is the checkpoint after the last iteration,
-    None on a trace read back from CSV.
+    the l2 ball). ``ks`` and ``vertex_ids`` are int64, the rest float64;
+    a run's or a CSV reader's arrays are views of its packed buffers.
+    ``state`` is the checkpoint after the last iteration, None on a trace
+    read back from CSV.
     """
 
     ks: np.ndarray
@@ -223,8 +233,10 @@ def _run(
     every = cfg.trace_every
 
     images = state.x_image, state.s_bar_image
+    exact_at = -1  # a step at which the images are already exact, so not refreshed
     if images[0] is None or images[1] is None:  # recomputed exactly, as at a refresh
         images = image(state.x), image(state.s_bar)
+        exact_at = state.k
     # The loop owns two buffers, z = (x, u) and z_bar = (sbar, ubar), so that
     # one in-place operation moves a point and its image together; dz holds
     # their steps, and its first half d_k - x_k when a row is recorded.
@@ -236,17 +248,14 @@ def _run(
     k_start = state.k
     k_end = k_start + cfg.max_iters
 
-    rows_k: List[int] = []
-    rows_f: List[float] = []
-    rows_gap: List[float] = []
-    rows_disc: List[float] = []
-    rows_gamma: List[float] = []
-    rows_beta: List[float] = []
-    vids: List[int] = []
+    rows_k, vids = array("q"), array("q")
+    rows_f, rows_gap, rows_disc, rows_gamma, rows_beta = (array("d") for _ in range(5))
 
     for k in range(k_start, k_end):
-        if k % IMAGE_REFRESH == 0:
-            u[:], u_bar[:] = image(x), image(s_bar)
+        if k % IMAGE_REFRESH == 0 and k != exact_at:
+            u[:] = image(x)
+            if averaged:  # a vanilla run never moves sbar, so ubar stays as it came
+                u_bar[:] = image(s_bar)
         record = k % every == 0 or k == k_end - 1
         f_k, g, atom, u_s = source(x, u, k, record)
         s = atom.vector
@@ -278,13 +287,13 @@ def _run(
 
     final = SolverState(k=k_end, x=x.copy(), s_bar=s_bar.copy(), x_image=u.copy(), s_bar_image=u_bar.copy())
     return IterateTrace(
-        ks=np.array(rows_k, dtype=int),
-        f=np.array(rows_f),
-        gap=np.array(rows_gap),
-        disc_err=np.array(rows_disc),
-        gamma=np.array(rows_gamma),
-        beta=np.array(rows_beta),
-        vertex_ids=np.array(vids, dtype=int) if record_ids else None,
+        ks=np.frombuffer(rows_k, dtype=np.int64),
+        f=np.frombuffer(rows_f),
+        gap=np.frombuffer(rows_gap),
+        disc_err=np.frombuffer(rows_disc),
+        gamma=np.frombuffer(rows_gamma),
+        beta=np.frombuffer(rows_beta),
+        vertex_ids=np.frombuffer(vids, dtype=np.int64) if record_ids else None,
         state=final,
         k_start=k_start,
     )

@@ -1,17 +1,19 @@
 import json
+import os
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from avgfw import cli
+from avgfw import _svg, cli
 from avgfw.cli import _build_problem, _build_solver_config, _read_config, main, read_trace_csv
 from avgfw.diagnostics import identify_manifold, render_report
 from avgfw.domains import DomainSet, Kind
 from avgfw.errors import AvgFWError, InputError, NumericalBlowup, NumericalError
 from avgfw.objectives import Logistic, Objective, QuadraticLS
-from avgfw.solvers import Variant, solve
+from avgfw.solvers import IterateTrace, Variant, solve
 
 
 def run_cli(*argv):
@@ -291,16 +293,24 @@ def test_failed_compare_writes_nothing(tmp_path, monkeypatch, capsys):
     assert list(out.iterdir()) == []
 
 
+# x^2 overflows at step 1 of both runs; the flow evaluates f only on its
+# recorded steps, every 1000 Euler steps, and says where it saw the value
+OVERFLOW_MESSAGES = [
+    ("solve", SCALAR_CONFIG, "non-finite value encountered at iteration 1"),
+    ("flow", SCALAR_FLOW_CONFIG, "non-finite value first seen at Euler step 1000 (t = 1)"),
+]
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
-@pytest.mark.parametrize("command, config", [("solve", SCALAR_CONFIG), ("flow", SCALAR_FLOW_CONFIG)], ids=["solve", "flow"])
-def test_overflowing_1d_value_exits_3(tmp_path, capsys, command, config):
+@pytest.mark.parametrize("command, config, message", OVERFLOW_MESSAGES, ids=["solve", "flow"])
+def test_overflowing_1d_value_exits_3(tmp_path, capsys, command, config, message):
     # x moves from 0 toward a vertex at +-1e200, and x^2 overflows: a
     # numerical error, not a traceback from the float power
     text = config.replace("alpha = 1.0", "alpha = 1e200").replace("x0 = 0.5", "x0 = 0.0")
     text = text.replace("max_iters = 50", "max_iters = 10")
     cfg = write_config(tmp_path / "cfg.ini", text)
     assert run_cli(command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 3
-    assert capsys.readouterr().err.startswith("numerical error: non-finite value encountered at iteration")
+    assert capsys.readouterr().err == f"numerical error: {message}\n"
 
 
 STDERR_CHECK = """
@@ -313,17 +323,15 @@ print(json.dumps([code, err.getvalue()]))
 """
 
 
-@pytest.mark.parametrize(
-    "command, config, k", [("solve", SCALAR_CONFIG, 1), ("flow", SCALAR_FLOW_CONFIG, 1000)], ids=["solve", "flow"]
-)
-def test_overflowing_1d_value_prints_only_its_message(tmp_path, fresh_python, command, config, k):
+@pytest.mark.parametrize("command, config, message", OVERFLOW_MESSAGES, ids=["solve", "flow"])
+def test_overflowing_1d_value_prints_only_its_message(tmp_path, fresh_python, command, config, message):
     # in a fresh interpreter, with the default warning filters a user has:
     # pytest's own warning capture would hide numpy's overflow warnings here
     text = config.replace("alpha = 1.0", "alpha = 1e200").replace("x0 = 0.5", "x0 = 0.0")
     text = text.replace("max_iters = 50", "max_iters = 10")
     argv = [command, "--config", write_config(tmp_path / "cfg.ini", text), "--out", str(tmp_path / "o"), "--quiet"]
     code, err = json.loads(fresh_python(STDERR_CHECK, *argv))
-    assert (code, err) == (3, f"numerical error: non-finite value encountered at iteration {k}\n")
+    assert (code, err) == (3, f"numerical error: {message}\n")
 
 
 def concrete_errors():
@@ -718,6 +726,55 @@ def test_read_trace_csv_keeps_k_start_of_a_resumed_run(tmp_path):
     report = identify_manifold(trace, obj, DomainSet(Kind.L1_BALL, 1.0, 2), np.array([1.0, 0.0]))
     assert report.support_star == {1}
     assert report.k_bar == 7
+
+
+@pytest.mark.parametrize(
+    "row", ["3,1.0,1.0,x,0.5,0.5,1", "9223372036854775808,1.0,1.0,1.0,0.5,0.5,1", "3,1.0,1.0,1.0,0.5,0.5,-9223372036854775809"],
+    ids=["float", "k_past_int64", "atom_id_past_int64"],
+)
+def test_diag_bad_numeric_field_exits_2(tmp_path, capsys, row):
+    path = tmp_path / "trace.csv"
+    path.write_text(f"k,f,gap,disc_err,gamma,beta,atom_id\n2,1.0,1.0,1.0,0.5,0.5,1\n{row}\n")
+    assert run_cli("diag", str(path)) == 2
+    assert capsys.readouterr().err == "config error: line 3: bad numeric field\n"
+
+
+def long_trace(rows):
+    rng = np.random.default_rng(4)
+    ks = np.arange(rows)
+    floats = [rng.standard_normal(rows) for _ in range(5)]
+    return IterateTrace(ks, *floats, vertex_ids=rng.integers(-500, 500, rows), state=None)
+
+
+def test_write_csv_holds_less_than_the_file_it_writes(tmp_path):
+    # rows are formatted and written in blocks, never joined into one text
+    trace, path = long_trace(50000), str(tmp_path / "trace.csv")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cli._write_csv(path, {"seed": 0}, cli.TRACE_COLUMNS, cli._trace_columns(trace))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < os.path.getsize(path)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    assert lines[:2] == ["# seed = 0", cli.TRACE_COLUMNS] and len(lines) == 2 + 50000
+    k, f = 49999, trace.f[49999]
+    assert lines[-1].split(",")[:2] == [str(k), repr(float(f))]
+    assert lines[-1].split(",")[-1] == str(int(trace.vertex_ids[k]))
+
+
+@pytest.mark.parametrize("loglog", [True, False])
+def test_line_chart_draws_the_same_bytes_from_lists_or_arrays(loglog):
+    # int x, and y with non-finite, zero and negative points to drop
+    xs = np.arange(1, 3001)
+    ys = [np.linspace(-1.0, 50.0, 3000) ** 2 - 4.0, 1.0 / xs]
+    ys[0][[5, 70]] = np.nan, np.inf
+    from_arrays = _svg.line_chart([("a", xs, ys[0]), ("b", xs, ys[1])], "t", "x", "y", loglog=loglog)
+    from_lists = _svg.line_chart([("a", xs.tolist(), ys[0].tolist()), ("b", xs.tolist(), ys[1].tolist())], "t", "x", "y", loglog=loglog)
+    assert from_arrays == from_lists
+    assert from_arrays.count("<polyline") == 2
 
 
 def test_diag_non_ascii_trace_exits_2(tmp_path, capsys):

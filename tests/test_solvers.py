@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 
 from avgfw.domains import Atom, DomainSet, Kind, contains, lmo
 from avgfw.errors import ConfigError, NumericalBlowup
-from avgfw.experiments import ScriptedTrajectorySpec, ScriptMode, run_scripted_averaging
+from avgfw.experiments import ScriptedTrajectorySpec, ScriptMode, SyntheticCSSpec, generate_cs, run_scripted_averaging
 from avgfw.flows import FlowConfig, force_signal, integrate
 from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
 from avgfw.schedules import Schedule, beta, gamma
@@ -682,3 +683,58 @@ def test_non_finite_value_is_reported_at_the_first_recorded_row(every, k):
     with pytest.raises(NumericalBlowup) as err:
         solve(Scalar1D(), dom, cfg)
     assert err.value.k == k
+
+
+@pytest.mark.parametrize(
+    "variant, k, iters, images, calls",
+    [
+        # a state without images gets them once, before step k, which skips its refresh
+        (Variant.AVGFW, 0, 10, False, 2),
+        (Variant.AVGFW, 0, 200, False, 2 + 2 * 3),
+        (Variant.AVGFW, IMAGE_REFRESH, 10, False, 2),
+        (Variant.AVGFW, IMAGE_REFRESH, 10, True, 2),
+        # a vanilla run never moves sbar, so it refreshes u alone
+        (Variant.FW, 0, 200, False, 2 + 3),
+        (Variant.FW, IMAGE_REFRESH, 10, True, 1),
+    ],
+)
+def test_each_carried_image_is_computed_only_when_it_can_change(monkeypatch, variant, k, iters, images, calls):
+    obj, dom = small_quadratic()
+    start = solve(obj, dom, SolverConfig(variant, SCHED, max_iters=max(k, 1))).state
+    state = SolverState(k, start.x, start.s_bar, *((start.x_image, start.s_bar_image) if images else ()))
+    image, counted = QuadraticLS.image, []
+
+    def image_counted(self, v):
+        counted.append(v)
+        return image(self, v)
+
+    monkeypatch.setattr(QuadraticLS, "image", image_counted)
+    resume(state, obj, dom, SolverConfig(variant, SCHED, max_iters=iters))
+    assert len(counted) == calls
+
+
+def traced_peak_per_step(run, steps):
+    """tracemalloc's peak while ``run()`` runs, above what was allocated
+    before it, per step; the result stays alive to the end."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result is not None
+    return (peak - before) / steps
+
+
+@pytest.mark.parametrize("every, budget", [(1, 100), (None, 24)], ids=["every_step", "two_rows"])
+def test_a_run_keeps_its_record_packed(every, budget):
+    # a recorded row is six 8-byte values and a vertex id one more, so a
+    # fully recorded step needs 56 bytes and a step past the rows 8; boxed
+    # Python floats and ints take several times that
+    obj, dom, _ = generate_cs(SyntheticCSSpec(n_features=400, m_measurements=10, noise_std=0.0, seed=1))
+    state = solve(obj, dom, SolverConfig(Variant.AVGFW, SCHED, max_iters=1)).state
+    steps = 20000
+    cfg = SolverConfig(Variant.AVGFW, SCHED, max_iters=steps, trace_every=every or steps)
+    per_step = traced_peak_per_step(lambda: resume(state, obj, dom, cfg), steps)
+    assert per_step <= budget, per_step
