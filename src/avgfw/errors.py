@@ -36,28 +36,12 @@ class UnsupportedKind(InputError):
     """Operation not defined for this constraint-set kind."""
 
 
-class BrokenOracle(NumericalError):
-    """The duality gap came out significantly negative; the LMO violated optimality."""
-
-
-class WrongBranch(InputError):
-    """Closed form requested on the schedule branch where it does not exist."""
-
-
 class NumericalBlowup(NumericalError):
     """Non-finite objective value or gradient during iteration."""
 
     def __init__(self, k: int, message: str = ""):
         self.k = k
         super().__init__(message or f"non-finite value encountered at iteration {k}")
-
-
-class StepTooLarge(NumericalError):
-    """Euler step above the supported maximum flows.MAX_DT."""
-
-    def __init__(self, suggested_dt: float, message: str = ""):
-        self.suggested_dt = suggested_dt
-        super().__init__(message or f"integration step too large; retry with dt <= {suggested_dt:g}")
 
 
 class InsufficientData(InputError):
@@ -76,9 +60,5 @@ class ParseError(InputError):
         super().__init__(message or f"malformed line {line_no}")
 
 
-class LabelError(InputError):
+class LabelError(ParseError):
     """Label outside the accepted set {-1, 0, +1}."""
-
-    def __init__(self, line_no: int, message: str = ""):
-        self.line_no = line_no
-        super().__init__(message or f"unsupported label on line {line_no}")

@@ -1,4 +1,4 @@
-"""Problem generators, scripted-trajectory runs, and svmlight ingestion.
+"""Problem generators and svmlight ingestion.
 
 Everything here is seed-deterministic: the same spec produces bitwise
 identical data. The generators cover the three benchmark families at
@@ -6,25 +6,21 @@ desk scale: synthetic compressed sensing (sparse recovery over the l1
 ball), a quadratic over the l2 ball whose constrained optimum sits on
 the boundary or in the interior depending on the radius, and sparse
 logistic regression fed from svmlight files (with a synthetic generator
-standing in for the large public datasets). Scripted-trajectory runs
-feed a prescribed atom stream through the solver's own iteration loop,
-so they exercise exactly the averaged update that ``solve`` runs.
+standing in for the large public datasets).
 """
 
 from __future__ import annotations
 
-import enum
 import math
+import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .domains import Atom, DomainSet, Kind
+from .domains import DomainSet, Kind
 from .errors import ConfigError, LabelError, ParseError
 from .objectives import Logistic, QuadraticLS
-from .schedules import Schedule
-from .solvers import IterateTrace, SolverConfig, SolverState, Variant, _discrete_steps, _run
 
 
 @dataclass(frozen=True)
@@ -71,57 +67,6 @@ def generate_cs(
     return QuadraticLS(A, y), DomainSet(Kind.L1_BALL, radius, n), x0
 
 
-class ScriptMode(enum.Enum):
-    REPEATING_CYCLE = "repeating_cycle"
-    RANDOM_VERTEX = "random_vertex"
-
-
-@dataclass(frozen=True)
-class ScriptedTrajectorySpec:
-    """A prescribed atom stream, decoupled from any objective."""
-
-    mode: ScriptMode
-    vertex_pool: Sequence[Atom]
-    steps: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.vertex_pool:
-            raise ConfigError("vertex_pool must be nonempty")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        norms = [float(np.sum(np.abs(a.vector))) for a in self.vertex_pool]
-        if max(norms) - min(norms) > 1e-12 * max(norms):
-            raise ConfigError("pool atoms must be vertices of one l1 ball")
-
-
-def run_scripted_averaging(spec: ScriptedTrajectorySpec, schedule: Schedule) -> IterateTrace:
-    """Drive the averaged updates with scripted atoms instead of an LMO.
-
-    The run goes through the solver's own iteration loop from x = 0, with
-    an atom source that ignores x. There is no objective, so the f and
-    gap columns are NaN and disc_err = ||sbar_k - x_k|| is the metric of
-    interest. RepeatingCycle walks the pool in order; RandomVertex draws
-    uniformly using the configured seed.
-    """
-    # the trace records vertex ids; a pool atom without one records 0
-    pool = [a if a.vertex_id is not None else Atom(a.vector, 0) for a in spec.vertex_pool]
-    n = pool[0].vector.shape[0]
-    if spec.mode is ScriptMode.RANDOM_VERTEX:
-        picks = np.random.default_rng(spec.seed).integers(0, len(pool), size=spec.steps)
-    else:
-        picks = np.arange(spec.steps) % len(pool)
-    no_gradient = np.full(n, np.nan)
-    no_image = np.empty(0)  # no objective: the image space is R^0
-
-    def source(x: np.ndarray, u: np.ndarray, k: int, record: bool) -> Tuple[float, np.ndarray, Atom, np.ndarray]:
-        return np.nan, no_gradient, pool[picks[k]], no_image
-
-    cfg = SolverConfig(Variant.AVGFW, schedule, max_iters=spec.steps)
-    start = SolverState(k=0, x=np.zeros(n), s_bar=np.zeros(n))
-    return _run(source, lambda v: no_image, _discrete_steps(schedule), record_ids=True, cfg=cfg, state=start)
-
-
 L2_UNCONSTRAINED_NORM = 2.44
 L2_DIM = 20
 L2_ROWS = 30
@@ -153,7 +98,9 @@ def load_svmlight(path: str, n_features_hint: Optional[int] = None) -> Logistic:
     One sample per line: ``label idx:val idx:val ...`` with 1-based
     indices. Labels must be -1, 0, or +1; 0 maps to -1. Feature values
     must be finite. Blank lines and lines starting with '#' are skipped.
-    Features beyond the hint extend the dimension.
+    Features beyond the hint extend the dimension. A line may name a
+    feature index once, and the dimension must leave room in physical
+    memory for a dense float64 vector of that length.
     """
     import scipy.sparse as sp
 
@@ -161,7 +108,7 @@ def load_svmlight(path: str, n_features_hint: Optional[int] = None) -> Logistic:
     data: List[float] = []
     indices: List[int] = []
     indptr: List[int] = [0]
-    max_col = -1
+    max_col, max_line = -1, 0
 
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -180,6 +127,7 @@ def load_svmlight(path: str, n_features_hint: Optional[int] = None) -> Logistic:
             if lab not in (-1.0, 1.0):
                 raise LabelError(line_no, f"line {line_no}: label must be -1, 0, or +1, got {tokens[0]}")
             labels.append(lab)
+            start = len(indices)
             for tok in tokens[1:]:
                 parts = tok.split(":")
                 if len(parts) != 2:
@@ -195,12 +143,21 @@ def load_svmlight(path: str, n_features_hint: Optional[int] = None) -> Logistic:
                     raise ParseError(line_no, f"line {line_no}: non-finite feature value {tok!r}")
                 indices.append(idx - 1)
                 data.append(val)
-                max_col = max(max_col, idx - 1)
+            row = indices[start:]
+            if len(set(row)) < len(row):
+                dup = next(i for i in row if row.count(i) > 1)
+                raise ParseError(line_no, f"line {line_no}: feature index {dup + 1} repeated")
+            if row and max(row) > max_col:
+                max_col, max_line = max(row), line_no
             indptr.append(len(indices))
 
     n = max(max_col + 1, n_features_hint or 0)
     if n == 0:
         raise ParseError(0, "no features found and no dimension hint given")
+    if 8 * n > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        line_no = max_line if n == max_col + 1 else 0  # 0: the hint set the dimension
+        where = f"line {line_no}: feature index" if line_no else "n_features_hint ="
+        raise ParseError(line_no, f"{where} {n} is too large: a dense float64 vector of that length exceeds physical memory")
     Z = sp.csr_matrix(
         (np.array(data), np.array(indices, dtype=int), np.array(indptr, dtype=int)),
         shape=(len(labels), n),

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .domains import Atom, DomainSet
-from .errors import ConfigError, NumericalBlowup, StepTooLarge
+from .errors import ConfigError, NumericalBlowup
 from .objectives import Objective
 from .schedules import DEFAULT_SCHEDULE, Schedule, beta, gamma
 from .solvers import SolverConfig, SolverState, Variant, _lmo_source, _run, _start_point
@@ -46,7 +46,7 @@ class FlowConfig:
 
     def __post_init__(self):
         if self.dt > MAX_DT:
-            raise StepTooLarge(MAX_DT, f"dt = {self.dt:g} exceeds the supported maximum {MAX_DT:g}")
+            raise ConfigError(f"dt = {self.dt:g} exceeds the supported maximum {MAX_DT:g}")
         if self.dt <= 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.t_end <= 0:

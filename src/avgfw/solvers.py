@@ -12,10 +12,10 @@ run can be checkpointed and resumed with bitwise-identical results.
 
 The loop takes its atoms from a source: the LMO at the current gradient
 for :func:`solve` and :func:`resume`, or a prescribed stream for the
-scripted runs of ``experiments.run_scripted_averaging`` and the forced
-signal of ``flows.force_signal``. It takes (gamma_k, beta_k) from a step
-rule: the discrete schedule here, or the Euler steps of ``flows``, which
-run the continuous-time equations through this same loop.
+forced signal of ``flows.force_signal``. It takes (gamma_k, beta_k)
+from a step rule: the discrete schedule here, or the Euler steps of
+``flows``, which run the continuous-time equations through this same
+loop.
 
 Feasibility is checked once, where a point enters: an explicit x0 and
 a resumed checkpoint's x. Every step after that is a convex combination

@@ -18,21 +18,36 @@ two agree:
   of a domain.
 - objectives: the projection-free duality gap ``gap``, a certified upper
   bound on suboptimality for convex objectives.
+- solvers: ``scripted_run`` is a driver, not a second route: it feeds a
+  prescribed atom stream to the loop itself, ``solvers._run``, for the
+  discretization-error dichotomy (acceptance criterion 6).
+
+The two error classes here are raised only by these oracles, so they
+live with them, under the package's exit-code bases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from avgfw.domains import Atom, DomainSet, Kind, _check_gradient, _vertex_blocks, lmo
-from avgfw.errors import BrokenOracle, ConfigError, UnsupportedKind, WrongBranch
+from avgfw.errors import ConfigError, InputError, NumericalError, UnsupportedKind
 from avgfw.objectives import Objective
 from avgfw.schedules import Schedule
+from avgfw.solvers import IterateTrace, SolverConfig, SolverState, Variant, _discrete_steps, _run
 
 GAP_NEGATIVE_TOL = 1e-12
+
+
+class WrongBranch(InputError):
+    """Closed form requested on the schedule branch where it does not exist."""
+
+
+class BrokenOracle(NumericalError):
+    """The duality gap came out significantly negative; the LMO violated optimality."""
 
 
 # ---------------------------------------------------------------- schedules
@@ -179,3 +194,31 @@ def gap(obj: Objective, domain: DomainSet, x: np.ndarray) -> Tuple[float, Atom]:
     if val < -GAP_NEGATIVE_TOL:
         raise BrokenOracle(f"negative duality gap {val:.3e}")
     return max(val, 0.0), atom
+
+
+# ---------------------------------------------------------------- solvers
+
+
+def scripted_run(pool: Sequence[Atom], schedule: Schedule, steps: int, seed: Optional[int] = None) -> IterateTrace:
+    """Averaged updates from x = 0 on a prescribed atom stream instead of an LMO.
+
+    With ``seed`` None the stream walks the pool in order; otherwise it
+    draws uniformly with ``default_rng(seed)``. There is no objective, so
+    the f and gap columns are NaN and disc_err = ||sbar_k - x_k|| is the
+    metric of interest. Every pool atom needs a vertex id, as the trace
+    records them.
+    """
+    if seed is None:
+        picks = np.arange(steps) % len(pool)
+    else:
+        picks = np.random.default_rng(seed).integers(0, len(pool), size=steps)
+    n = pool[0].vector.shape[0]
+    no_gradient = np.full(n, np.nan)
+    no_image = np.empty(0)  # no objective: the image space is R^0
+
+    def source(x, u, k, record):
+        return np.nan, no_gradient, pool[picks[k]], no_image
+
+    cfg = SolverConfig(Variant.AVGFW, schedule, max_iters=steps)
+    start = SolverState(k=0, x=np.zeros(n), s_bar=np.zeros(n))
+    return _run(source, lambda v: no_image, _discrete_steps(schedule), record_ids=True, cfg=cfg, state=start)

@@ -14,21 +14,18 @@ from avgfw.cli import main as cli_main
 from avgfw.diagnostics import Series, fit_rate, identify_manifold, support_trajectory
 from avgfw.domains import DomainSet, Kind, lmo
 from avgfw.experiments import (
-    ScriptMode,
-    ScriptedTrajectorySpec,
     SyntheticCSSpec,
     generate_cs,
     generate_l2ball_quadratic,
     generate_sparse_logistic,
     load_svmlight,
-    run_scripted_averaging,
     write_svmlight,
 )
 from avgfw.flows import FlowConfig, force_signal, integrate
 from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
 from avgfw.schedules import Schedule, beta
 from avgfw.solvers import SolverConfig, Variant, solve
-from oracles import accumulation, apply_weights, l1_vertex, lmo_bruteforce, unrolled_weights
+from oracles import accumulation, apply_weights, l1_vertex, lmo_bruteforce, scripted_run, unrolled_weights
 
 CS_SEED = 2
 
@@ -131,17 +128,11 @@ def test_criterion_06_scripted_trajectory_dichotomy():
     start = time.time()
     pool = [l1_vertex(1.0, 2, 0, +1), l1_vertex(1.0, 2, 1, +1),
             l1_vertex(1.0, 2, 0, -1), l1_vertex(1.0, 2, 1, -1)]
-    cycle = run_scripted_averaging(
-        ScriptedTrajectorySpec(ScriptMode.REPEATING_CYCLE, pool, steps=10**4),
-        Schedule(3.0, 1.0),
-    )
+    cycle = scripted_run(pool, Schedule(3.0, 1.0), steps=10**4)
     slope_cycle = fit_rate(cycle, Series.DISC_ERR, (100, 10**4)).slope
     # the no-decay contrast needs the sub-linear averaging exponent (p < 1):
     # with p = 1 even an iid vertex stream averages out at ~k^-1/2
-    random = run_scripted_averaging(
-        ScriptedTrajectorySpec(ScriptMode.RANDOM_VERTEX, pool, steps=10**4, seed=0),
-        Schedule(3.0, 0.5),
-    )
+    random = scripted_run(pool, Schedule(3.0, 0.5), steps=10**4, seed=0)
     slope_random = fit_rate(random, Series.DISC_ERR, (100, 10**4)).slope
     ok = slope_cycle <= -0.7 and slope_random >= -0.3
     _report(6, "repeating cycle decays, random vertices do not", ok, time.time() - start, 10.0,

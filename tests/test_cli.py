@@ -1,3 +1,5 @@
+import ast
+import glob
 import json
 import os
 import tracemalloc
@@ -7,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from avgfw import _svg, cli
+from avgfw import _svg, cli, errors
 from avgfw.cli import _build_problem, _build_solver_config, _read_config, main, read_trace_csv
 from avgfw.diagnostics import identify_manifold, render_report
 from avgfw.domains import DomainSet, Kind
@@ -335,19 +337,24 @@ def test_overflowing_1d_value_prints_only_its_message(tmp_path, fresh_python, co
 
 
 def concrete_errors():
-    """Every subclass of AvgFWError, recursively, but the two exit-code bases."""
-    found, todo = [], [AvgFWError]
-    while todo:
-        for cls in todo.pop().__subclasses__():
-            todo.append(cls)
-            if cls not in (InputError, NumericalError):
-                found.append(cls)
-    return found
+    """Every error class in ``avgfw.errors`` but the root and the two exit-code bases."""
+    bases = (AvgFWError, InputError, NumericalError)
+    return [cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, AvgFWError) and cls not in bases]
 
 
 def test_every_error_has_exactly_one_exit_code_base():
     for cls in concrete_errors():
         assert issubclass(cls, InputError) + issubclass(cls, NumericalError) == 1, cls.__name__
+
+
+def test_src_raises_every_error_class_it_defines():
+    # a class that no code in src/ raises belongs with the code that does
+    raised = set()
+    for path in glob.glob(os.path.join(os.path.dirname(errors.__file__), "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            raises = [node.exc for node in ast.walk(ast.parse(fh.read())) if isinstance(node, ast.Raise) and node.exc]
+        raised.update(name.id for exc in raises for name in ast.walk(exc) if isinstance(name, ast.Name))
+    assert {cls.__name__ for cls in concrete_errors()} - raised == set()
 
 
 @pytest.mark.parametrize("cls", concrete_errors(), ids=lambda cls: cls.__name__)
@@ -398,9 +405,21 @@ def test_flow_scalar_envelope(tmp_path):
     assert h_end <= 1.05 * h0 * (2.0 / 52.0) ** 2
 
 
-def test_flow_oversized_dt_exits_3(tmp_path):
+def test_flow_oversized_dt_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.ini", SCALAR_FLOW_CONFIG.replace("dt = 1e-3", "dt = 0.5"))
-    assert run_cli("flow", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 3
+    assert run_cli("flow", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 2
+    assert capsys.readouterr().err == "config error: dt = 0.5 exceeds the supported maximum 0.01\n"
+
+
+def test_svmlight_index_too_large_to_allocate_exits_2(tmp_path, fresh_python):
+    # rejected while parsing, so the 7.28 TiB feature vector is never requested
+    data = tmp_path / "huge.svmlight"
+    data.write_text("+1 1:0.5 999999999999:1.0\n-1 2:0.3\n")
+    cfg = write_config(tmp_path / "cfg.ini", SVMLIGHT_CONFIG.replace("{data}", str(data)))
+    argv = ["compare", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]
+    code, err = json.loads(fresh_python(STDERR_CHECK, *argv))
+    assert code == 2 and "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("config error: line 1: feature index 999999999999 is too large")
 
 
 def test_flow_non_numeric_x0_exits_2(tmp_path, capsys):

@@ -6,21 +6,18 @@ from avgfw.diagnostics import Series, fit_rate
 from avgfw.domains import Kind
 from avgfw.errors import ConfigError, LabelError, ParseError
 from avgfw.experiments import (
-    ScriptMode,
-    ScriptedTrajectorySpec,
     SyntheticCSSpec,
     generate_cs,
     generate_l2ball_quadratic,
     generate_sparse_logistic,
     load_svmlight,
-    run_scripted_averaging,
     train_val_split,
     write_svmlight,
 )
 from avgfw.objectives import Logistic, QuadraticLS
 from avgfw.schedules import Schedule
 from avgfw.solvers import SolverConfig, Variant, solve
-from oracles import l1_vertex
+from oracles import l1_vertex, scripted_run
 
 L1_POOL = [
     l1_vertex(1.0, 2, 0, +1),
@@ -68,23 +65,20 @@ def test_noiseless_cs_certifies_f_star_zero(cs_rate_traces):
 
 
 def test_scripted_repeating_cycle_distance_decays():
-    spec = ScriptedTrajectorySpec(ScriptMode.REPEATING_CYCLE, L1_POOL, steps=10**4)
-    trace = run_scripted_averaging(spec, Schedule(3.0, 1.0))
+    trace = scripted_run(L1_POOL, Schedule(3.0, 1.0), steps=10**4)
     fit = fit_rate(trace, Series.DISC_ERR, (100, 10**4))
     assert fit.slope <= -0.7
 
 
 def test_scripted_random_vertices_distance_does_not_decay():
     # sub-linear averaging exponent: an iid vertex stream defeats the average
-    spec = ScriptedTrajectorySpec(ScriptMode.RANDOM_VERTEX, L1_POOL, steps=10**4, seed=0)
-    trace = run_scripted_averaging(spec, Schedule(3.0, 0.5))
+    trace = scripted_run(L1_POOL, Schedule(3.0, 0.5), steps=10**4, seed=0)
     fit = fit_rate(trace, Series.DISC_ERR, (100, 10**4))
     assert fit.slope >= -0.3
 
 
 def test_scripted_single_vertex_pool_collapses():
-    spec = ScriptedTrajectorySpec(ScriptMode.REPEATING_CYCLE, [l1_vertex(1.0, 2, 0, +1)], steps=10**4)
-    trace = run_scripted_averaging(spec, Schedule(3.0, 1.0))
+    trace = scripted_run([l1_vertex(1.0, 2, 0, +1)], Schedule(3.0, 1.0), steps=10**4)
     assert trace.disc_err[-1] < 1e-2
     # geometric envelope (c/(c+k))^c: distance from the vertex contracts by 1-gamma_k
     k = trace.ks[-1]
@@ -92,17 +86,10 @@ def test_scripted_single_vertex_pool_collapses():
 
 
 def test_scripted_trace_has_nan_objective_columns():
-    spec = ScriptedTrajectorySpec(ScriptMode.REPEATING_CYCLE, L1_POOL, steps=10)
-    trace = run_scripted_averaging(spec, Schedule(3.0, 1.0))
+    trace = scripted_run(L1_POOL, Schedule(3.0, 1.0), steps=10)
     assert np.all(np.isnan(trace.f))
     assert np.all(np.isnan(trace.gap))
     assert np.all(np.isfinite(trace.disc_err))
-
-
-def test_scripted_pool_validation():
-    bad = [l1_vertex(1.0, 2, 0, +1), l1_vertex(2.0, 2, 1, +1)]
-    with pytest.raises(ConfigError):
-        ScriptedTrajectorySpec(ScriptMode.REPEATING_CYCLE, bad, steps=5)
 
 
 def test_l2_quadratic_regimes():
@@ -169,6 +156,21 @@ def test_svmlight_non_finite_feature_value_reports_line(tmp_path, token):
     with pytest.raises(ParseError, match=f"line 2: non-finite feature value '{token}'") as err:
         load_svmlight(str(path))
     assert err.value.line_no == 2
+
+
+def test_svmlight_repeated_index_on_one_line_rejected(tmp_path):
+    path = tmp_path / "dup.svm"
+    path.write_text("-1 3:1.0\n+1 1:0.5 3:1.0 3:2.0\n")
+    with pytest.raises(ParseError, match="line 2: feature index 3 repeated") as err:
+        load_svmlight(str(path))
+    assert err.value.line_no == 2
+
+
+def test_svmlight_dimension_hint_too_large_to_allocate_rejected(tmp_path):
+    path = tmp_path / "hint.svm"
+    path.write_text("+1 2:1\n")
+    with pytest.raises(ParseError, match="n_features_hint = 999999999999 is too large"):
+        load_svmlight(str(path), n_features_hint=999999999999)
 
 
 def test_svmlight_bad_label_rejected(tmp_path):

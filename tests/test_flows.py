@@ -3,7 +3,7 @@ import pytest
 
 import avgfw.flows
 from avgfw.domains import DomainSet, Kind, contains, lmo
-from avgfw.errors import ConfigError, NumericalBlowup, StepTooLarge
+from avgfw.errors import ConfigError, NumericalBlowup
 from avgfw.flows import FlowConfig, force_signal, integrate
 from avgfw.objectives import QuadraticLS, Scalar1D
 from avgfw.schedules import Schedule
@@ -61,7 +61,7 @@ def test_forced_zero_signal_stays_zero():
 
 
 def test_oversized_dt_is_rejected():
-    with pytest.raises(StepTooLarge):
+    with pytest.raises(ConfigError):
         FlowConfig(variant=Variant.FW, t_end=1.0, dt=0.5)
 
 

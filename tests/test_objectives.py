@@ -6,9 +6,9 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from avgfw.domains import DomainSet, Kind, lmo
-from avgfw.errors import BrokenOracle, ConfigError
+from avgfw.errors import ConfigError
 from avgfw.objectives import Logistic, QuadraticLS, Scalar1D, lipschitz_bound
-from oracles import gap
+from oracles import BrokenOracle, gap
 
 
 def central_diff(obj, x, h=1e-6):

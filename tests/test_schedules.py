@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from avgfw.errors import ConfigError, WrongBranch
+from avgfw.errors import ConfigError
 from avgfw.schedules import Schedule, beta, gamma
-from oracles import accumulation, alpha_t, apply_weights, unrolled_weights
+from oracles import WrongBranch, accumulation, alpha_t, apply_weights, unrolled_weights
 
 GRID_C = (1.5, 2.0, 3.0, 5.0)
 GRID_P = (0.3, 0.5, 0.9, 1.0)

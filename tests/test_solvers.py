@@ -8,13 +8,13 @@ import scipy.sparse as sp
 
 from avgfw.domains import Atom, DomainSet, Kind, contains, lmo
 from avgfw.errors import ConfigError, NumericalBlowup
-from avgfw.experiments import ScriptedTrajectorySpec, ScriptMode, SyntheticCSSpec, generate_cs, run_scripted_averaging
+from avgfw.experiments import SyntheticCSSpec, generate_cs
 from avgfw.flows import FlowConfig, force_signal, integrate
 from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
 from avgfw.schedules import Schedule, beta, gamma
 from avgfw.solvers import IMAGE_REFRESH, SolverConfig, SolverState, Variant, resume, solve
 from avgfw.diagnostics import Series, fit_rate
-from oracles import apply_weights, diameter, l1_vertex, unrolled_weights
+from oracles import apply_weights, diameter, l1_vertex, scripted_run, unrolled_weights
 
 BOX1 = DomainSet(Kind.BOX, 1.0, 1)
 
@@ -563,15 +563,15 @@ def test_force_signal_matches_the_plain_euler_recursion_bitwise(case):
         assert col.shape == t.shape and np.all(np.isnan(col))
 
 
-@pytest.mark.parametrize("mode", list(ScriptMode))
-def test_scripted_run_matches_the_plain_recursion_bitwise(mode):
+@pytest.mark.parametrize("seed", [None, 4], ids=["repeating_cycle", "random_vertex"])
+def test_scripted_run_matches_the_plain_recursion_bitwise(seed):
     pool = [l1_vertex(1.0, 6, i, sign) for i in range(3) for sign in (1, -1)]
     steps = 2 * IMAGE_REFRESH + 11
-    trace = run_scripted_averaging(ScriptedTrajectorySpec(mode, pool, steps=steps, seed=4), SCHED)
-    if mode is ScriptMode.RANDOM_VERTEX:
-        picks = np.random.default_rng(4).integers(0, len(pool), size=steps)
-    else:
+    trace = scripted_run(pool, SCHED, steps, seed)
+    if seed is None:
         picks = np.arange(steps) % len(pool)
+    else:
+        picks = np.random.default_rng(seed).integers(0, len(pool), size=steps)
 
     def source(x, u, k):
         atom = pool[picks[k]]
@@ -601,7 +601,7 @@ def test_runs_write_into_no_array_they_were_given():
     assert_bitwise(flow_x0, np.full(1, 0.5))
 
     pool = [l1_vertex(1.0, 4, i, 1) for i in range(4)]
-    run_scripted_averaging(ScriptedTrajectorySpec(ScriptMode.REPEATING_CYCLE, pool, steps=30), SCHED)
+    scripted_run(pool, SCHED, steps=30)
     for i, atom in enumerate(pool):
         assert_bitwise(atom.vector, np.eye(4)[i])
 

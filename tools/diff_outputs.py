@@ -26,9 +26,9 @@ the logistic loss and the 1-D probe, both variants at ``trace_every`` 1,
 7 and ``max_iters`` (two rows, so f is evaluated twice), a chunked
 solve/resume across image refreshes, a resume in chunks of 5 at
 ``trace_every`` 7, which cross the record stride (least squares, dense
-and CSR, and the logistic loss), the Euler flow, both scripted sources
-(on six l1-ball vertices built inline with ``avgfw.Atom``, which every
-tree exports, as the vertex helper now lives in ``tests/oracles.py``),
+and CSR, and the logistic loss), the Euler flow, both scripted atom
+streams fed straight to ``solvers._run`` (a repeating cycle and seeded
+iid draws over six l1-ball vertices built inline with ``avgfw.Atom``),
 and ``force_signal`` on six forced signals: n = 1 and n = 3 (with a -0.0
 entry), p = 1 and 0.5, a record stride that does not divide the step
 count, a stride past t_end, t_end below dt/2 (no step) and a
@@ -150,7 +150,7 @@ def hash_cases() -> None:
     import numpy as np
     import scipy.sparse as sp
     from avgfw import Atom, DomainSet, Kind, Schedule, SolverConfig, Variant, resume, solve
-    from avgfw.experiments import ScriptedTrajectorySpec, ScriptMode, run_scripted_averaging
+    from avgfw.solvers import SolverState, _discrete_steps, _run
     from avgfw.flows import FlowConfig, force_signal, integrate
     from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
 
@@ -201,9 +201,15 @@ def hash_cases() -> None:
             emit(f"flow {name} {variant.value}", flow.t, flow.f, flow.gap, flow.disc_err, flow.h, flow.final_s_bar)
     # the six signed vertices of the unit l1 ball in R^6 on its first three axes, +0.0 elsewhere
     pool = [Atom(np.where(np.arange(6) == i, float(sign), 0.0), sign * (i + 1)) for i in range(3) for sign in (1, -1)]
-    for mode in ScriptMode:
-        spec = ScriptedTrajectorySpec(mode, pool, steps=200, seed=4)
-        emit_trace(f"scripted {mode.value}", run_scripted_averaging(spec, sched))
+    streams = {"repeating_cycle": np.arange(200) % 6, "random_vertex": np.random.default_rng(4).integers(0, 6, size=200)}
+    for mode, picks in streams.items():  # the prescribed atoms through the loop, with no objective
+
+        def source(x, u, k, record):
+            return np.nan, np.full(6, np.nan), pool[picks[k]], np.empty(0)
+
+        start = SolverState(k=0, x=np.zeros(6), s_bar=np.zeros(6))
+        cfg = SolverConfig(Variant.AVGFW, sched, max_iters=200)
+        emit_trace(f"scripted {mode}", _run(source, lambda v: np.empty(0), _discrete_steps(sched), True, cfg, start))
     def wave(t: float) -> np.ndarray:
         return np.array([np.sin(3.0 * t), -0.0, 1.0 - t])
 
