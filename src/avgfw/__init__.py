@@ -8,10 +8,10 @@ trace diagnostics (``diagnostics``), and benchmark generators
 """
 
 from .domains import Atom, DomainSet, Kind, contains, lmo
-from .objectives import Logistic, QuadraticLS, Scalar1D, lipschitz_bound
+from .objectives import Logistic, QuadraticLS, Scalar1D
 from .schedules import Schedule, beta, gamma
 from .solvers import IterateTrace, SolverConfig, SolverState, Variant, resume, solve
-from .flows import FlowConfig, FlowTrace, force_signal, integrate
+from .flows import FlowConfig, force_signal, integrate
 from .diagnostics import (
     ManifoldReport,
     RateFit,
@@ -31,7 +31,6 @@ __all__ = [
     "Logistic",
     "QuadraticLS",
     "Scalar1D",
-    "lipschitz_bound",
     "Schedule",
     "beta",
     "gamma",
@@ -42,7 +41,6 @@ __all__ = [
     "resume",
     "solve",
     "FlowConfig",
-    "FlowTrace",
     "force_signal",
     "integrate",
     "ManifoldReport",

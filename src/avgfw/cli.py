@@ -53,7 +53,7 @@ from .experiments import (
     write_svmlight,
 )
 from .flows import FlowConfig, force_signal, integrate
-from .objectives import Logistic, Scalar1D, lipschitz_bound
+from .objectives import Logistic, Scalar1D
 from .schedules import Schedule
 from .solvers import IterateTrace, SolverConfig, Variant, resume, solve
 
@@ -341,12 +341,12 @@ def read_trace_csv(path: str) -> IterateTrace:
     (``trace_every > 1``) as well as on traces without ids. A full history
     starts at the run's first iteration, so ``k_start`` is the first row's
     k (0 otherwise). The file holds no checkpoint, so ``state`` is None.
-    The fields are parsed into packed int64 and float64 buffers, which the
-    trace's arrays view.
+    The fields are parsed into the packed buffers of a run's record,
+    which ``IterateTrace.packed`` views.
     """
     if not os.path.isfile(path):
         raise ConfigError(f"trace file not found: {path}")
-    ks, values, ids = array("q"), array("d"), array("q")
+    ks, rows, ids = array("q"), array("d"), array("q")
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -358,37 +358,26 @@ def read_trace_csv(path: str) -> IterateTrace:
             if len(parts) != 7:
                 raise ParseError(line_no, f"line {line_no}: expected 7 columns, got {len(parts)}")
             try:
+                if "_" in line:  # int() and float() read Python's digit separator, which no field holds
+                    raise ValueError(line)
                 ks.append(int(parts[0]))
-                values.extend(map(float, parts[1:6]))
+                rows.extend(map(float, parts[1:6]))
                 if parts[6]:
                     ids.append(int(parts[6]))
             except (ValueError, OverflowError):  # an integer past int64 overflows
                 raise ParseError(line_no, f"line {line_no}: bad numeric field") from None
     if not ks:
         raise ParseError(0, f"no data rows in {path}")
-    k_column = np.frombuffer(ks, dtype=np.int64)
-    full_history = len(ids) == len(ks) and bool(np.all(np.diff(k_column) == 1))
-    f, gap, disc_err, gamma, beta = np.frombuffer(values).reshape(-1, 5).T
-    return IterateTrace(
-        ks=k_column,
-        f=f,
-        gap=gap,
-        disc_err=disc_err,
-        gamma=gamma,
-        beta=beta,
-        vertex_ids=np.frombuffer(ids, dtype=np.int64) if full_history else None,
-        state=None,
-        k_start=ks[0] if full_history else 0,
-    )
+    full_history = len(ids) == len(ks) and bool(np.all(np.diff(np.frombuffer(ks, dtype=np.int64)) == 1))
+    return IterateTrace.packed(ks, rows, ids if full_history else None, None, ks[0] if full_history else 0)
 
 
 # ---------------------------------------------------------------- commands
 
-def _trace_header(echo, lipschitz: float, domain, meta, extra: Dict[str, object]) -> Dict[str, object]:
+def _trace_header(echo, domain, meta, extra: Dict[str, object]) -> Dict[str, object]:
     header: Dict[str, object] = dict(echo)
     header["alpha"] = _fmt_float(domain.alpha)
     header["dimension"] = domain.n
-    header["lipschitz_estimate"] = _fmt_float(lipschitz)
     if "f_ref" in meta:
         header["f_ref"] = _fmt_float(meta["f_ref"])
     for key, val in meta.items():
@@ -403,7 +392,7 @@ def cmd_solve(args) -> int:
     obj, domain, meta = _build_problem(cfg, seed)
     solver_cfg = _build_solver_config(cfg, domain)
     trace = solve(obj, domain, solver_cfg)
-    header = _trace_header(echo, lipschitz_bound(obj), domain, meta, {"variant": solver_cfg.variant.value, "seed": seed})
+    header = _trace_header(echo, domain, meta, {"variant": solver_cfg.variant.value, "seed": seed})
     path = os.path.join(out_dir, "trace.csv")
     _write_csv(path, header, TRACE_COLUMNS, _trace_columns(trace))
     if not args.quiet:
@@ -504,11 +493,10 @@ def cmd_compare(args) -> int:
         (0, max_iters - 1),
         "[compare] window_lo and window_hi",
     )
-    lipschitz = lipschitz_bound(obj)
     traces, entries = compare(obj, domain, base, window, reference_iters)
 
     for variant, trace in traces.items():
-        header = _trace_header(echo, lipschitz, domain, meta, {"variant": variant, "seed": seed})
+        header = _trace_header(echo, domain, meta, {"variant": variant, "seed": seed})
         _write_csv(os.path.join(out_dir, f"{variant}_trace.csv"), header, TRACE_COLUMNS, _trace_columns(trace))
     summary = {"c": base.schedule.c, "p": base.schedule.p, "alpha": domain.alpha, "max_iters": max_iters, "seed": seed}
     summary_path = os.path.join(out_dir, "summary.txt")
@@ -557,21 +545,23 @@ def cmd_flow(args) -> int:
     )
 
     header: Dict[str, object] = {**echo, "seed": seed}
+    f_ref = 0.0
     if forced == "one":
-        # only the averaging equation runs, so the variant plays no part
+        # only the averaging equation runs, so the variant plays no part; sbar is the run's x
         trace = force_signal(flow_cfg, lambda t: np.array([1.0]))
-        header["final_s_bar"] = _fmt_float(float(trace.final_s_bar[0]))
+        header["final_s_bar"] = _fmt_float(float(trace.state.x[0]))
     else:
         obj, domain, meta = _build_problem(cfg, seed)
-        flow_cfg = replace(flow_cfg, x0=_parse_x0(cfg, domain, "flow"), f_ref=float(meta.get("f_ref", 0.0)))
-        trace = integrate(obj, domain, flow_cfg)
+        f_ref = float(meta.get("f_ref", 0.0))
+        trace = integrate(obj, domain, replace(flow_cfg, x0=_parse_x0(cfg, domain, "flow")))
         header["alpha"] = _fmt_float(domain.alpha)
-        header["f_ref"] = _fmt_float(flow_cfg.f_ref)
+        header["f_ref"] = _fmt_float(f_ref)
 
     path = os.path.join(out_dir, "flow_trace.csv")
-    _write_csv(path, header, "t,f,gap,disc_err,h", (trace.t, trace.f, trace.gap, trace.disc_err, trace.h))
+    columns = (trace.ks * flow_cfg.dt, trace.f, trace.gap, trace.disc_err, trace.f - f_ref)
+    _write_csv(path, header, "t,f,gap,disc_err,h", columns)
     if not args.quiet:
-        print(f"wrote {path} ({trace.t.size} rows)")
+        print(f"wrote {path} ({trace.ks.size} rows)")
     return EXIT_OK
 
 

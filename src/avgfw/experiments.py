@@ -118,6 +118,8 @@ def load_svmlight(path: str, n_features_hint: Optional[int] = None) -> Logistic:
             if not line or line.startswith("#"):
                 continue
             tokens = line.split()
+            if "_" in line:  # int() and float() read Python's digit separator, which svmlight has not
+                raise ParseError(line_no, f"line {line_no}: bad token {next(tok for tok in tokens if '_' in tok)!r}")
             try:
                 lab = float(tokens[0])
             except ValueError:

@@ -16,6 +16,11 @@ nothing and step-halving checks are the honest accuracy instrument.
 ``force_signal`` integrates the averaging equation alone from sbar(0) = 0
 on the same loop, as vanilla steps toward a prescribed signal with weights
 dt beta(t); it is the closed-form check (26/27 at c = 3, p = 1, t = 6).
+
+Both return the loop's own :class:`~avgfw.solvers.IterateTrace`: row k is
+Euler step k, at t = k dt, and ``state`` holds the iterates after the step
+from t_end (the forced run's x is sbar). Times and the gap to a reference
+value, t = ks dt and h = f - f_ref, are derived where they are written.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .domains import Atom, DomainSet
 from .errors import ConfigError, NumericalBlowup
 from .objectives import Objective
 from .schedules import DEFAULT_SCHEDULE, Schedule, beta, gamma
-from .solvers import SolverConfig, SolverState, Variant, _lmo_source, _run, _start_point
+from .solvers import IterateTrace, SolverConfig, SolverState, Variant, _lmo_source, _run, _start_point
 
 MAX_DT = 1e-2
 
@@ -42,7 +47,6 @@ class FlowConfig:
     dt: float = 1e-3
     record_every: float = 0.1
     x0: Optional[np.ndarray] = None
-    f_ref: float = 0.0
 
     def __post_init__(self):
         if self.dt > MAX_DT:
@@ -55,22 +59,16 @@ class FlowConfig:
             raise ConfigError(f"record_every must be positive, got {self.record_every}")
 
 
-@dataclass
-class FlowTrace:
-    """Sampled flow metrics: t, value, gap, ||direction - x||, and h = f - f_ref.
-
-    ``final_s_bar`` is sbar at t_end for ``force_signal`` and sbar after
-    the step from t_end for ``integrate``."""
-
-    t: np.ndarray
-    f: np.ndarray
-    gap: np.ndarray
-    disc_err: np.ndarray
-    h: np.ndarray
-    final_s_bar: Optional[np.ndarray]
+def _euler_steps(cfg: FlowConfig, variant: Variant) -> Tuple[int, SolverConfig]:
+    """The number N of Euler steps to t_end, and the loop's config: N + 1
+    iterations, the last for the row at t_end, with a row every
+    record_every."""
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    stride = max(1, int(round(cfg.record_every / cfg.dt)))
+    return n_steps, SolverConfig(variant, cfg.schedule, max_iters=n_steps + 1, trace_every=stride)
 
 
-def integrate(obj: Objective, domain: DomainSet, cfg: FlowConfig) -> FlowTrace:
+def integrate(obj: Objective, domain: DomainSet, cfg: FlowConfig) -> IterateTrace:
     """Euler-integrate the configured flow to t_end.
 
     Step k runs at t = k dt. An explicit x0 outside the domain raises
@@ -82,38 +80,30 @@ def integrate(obj: Objective, domain: DomainSet, cfg: FlowConfig) -> FlowTrace:
     """
     x0 = _start_point(obj, domain, cfg.x0)
     sched, dt = cfg.schedule, cfg.dt
-    n_steps = int(round(cfg.t_end / dt))
+    _, run_cfg = _euler_steps(cfg, cfg.variant)
 
     def steps(k: int):
         return dt * gamma(sched, k * dt), 1.0 if k == 0 else dt * beta(sched, k * dt)
 
-    stride = max(1, int(round(cfg.record_every / dt)))
-    run_cfg = SolverConfig(cfg.variant, sched, max_iters=n_steps + 1, trace_every=stride)
     start = SolverState(k=0, x=x0, s_bar=np.zeros(domain.n))
     try:
-        trace = _run(_lmo_source(obj, domain), obj.image, steps, False, run_cfg, start)  # a flow records no vertex ids
+        return _run(_lmo_source(obj, domain), obj.image, steps, False, run_cfg, start)  # a flow records no vertex ids
     except NumericalBlowup as err:  # f is evaluated only on recorded steps: say where it was seen, in flow terms
         raise NumericalBlowup(err.k, f"non-finite value first seen at Euler step {err.k} (t = {err.k * dt:g})") from None
-    return FlowTrace(
-        t=trace.ks * dt,
-        f=trace.f,
-        gap=trace.gap,
-        disc_err=trace.disc_err,
-        h=trace.f - cfg.f_ref,
-        final_s_bar=trace.state.s_bar if cfg.variant is Variant.AVGFW else None,
-    )
 
 
-def force_signal(cfg: FlowConfig, signal: Callable[[float], np.ndarray]) -> FlowTrace:
+def force_signal(cfg: FlowConfig, signal: Callable[[float], np.ndarray]) -> IterateTrace:
     """Integrate only  d sbar = beta(t) (signal(t) - sbar) dt  from sbar(0) = 0.
 
-    No objective is involved: the f, gap, and h columns are NaN and
-    disc_err records ||signal(t) - sbar(t)||, the averaging lag. The
-    signal is read at t_end too, for the last row, and a non-finite value
-    there makes ``final_s_bar`` NaN (0 times inf in the zero-weight step).
+    The loop runs vanilla steps, so sbar is the trace's x and
+    ``state.x`` is sbar at t_end. No objective is involved: the f and gap
+    columns are NaN and disc_err records ||signal(t) - sbar(t)||, the
+    averaging lag. The signal is read at t_end too, for the last row, and
+    a non-finite value there makes the final sbar NaN (0 times inf in the
+    zero-weight step).
     """
     sched, dt = cfg.schedule, cfg.dt
-    n_steps = int(round(cfg.t_end / dt))
+    n_steps, run_cfg = _euler_steps(cfg, Variant.FW)
     s_bar = np.zeros_like(np.atleast_1d(np.asarray(signal(0.0), dtype=float)))
     no_gradient = np.full(s_bar.shape, np.nan)
     no_image = np.empty(0)  # no objective: the image space is R^0
@@ -124,14 +114,4 @@ def force_signal(cfg: FlowConfig, signal: Callable[[float], np.ndarray]) -> Flow
     def steps(k: int):
         return (dt * beta(sched, k * dt), 0.0) if k < n_steps else (0.0, 0.0)  # t_end: a row, no step
 
-    stride = max(1, int(round(cfg.record_every / dt)))
-    run_cfg = SolverConfig(Variant.FW, sched, max_iters=n_steps + 1, trace_every=stride)
-    trace = _run(source, lambda v: no_image, steps, False, run_cfg, SolverState(k=0, x=s_bar, s_bar=s_bar))
-    return FlowTrace(
-        t=trace.ks * dt,
-        f=trace.f,
-        gap=trace.gap,
-        disc_err=trace.disc_err,
-        h=trace.f - cfg.f_ref,
-        final_s_bar=trace.state.x,
-    )
+    return _run(source, lambda v: no_image, steps, False, run_cfg, SolverState(k=0, x=s_bar, s_bar=s_bar))

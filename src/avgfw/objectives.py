@@ -4,8 +4,9 @@ Every objective is one composite f(x) = phi(M x) with an m x n matrix M:
 M = A for least squares, M = Z for the logistic loss (the margins before
 the labels), and the 1 x 1 identity for the 1-D probe. The base class
 :class:`Objective` writes that form once. A loss supplies only phi and
-phi' (``_phi(u)`` returns both) and its curvature; value, gradient,
-their images and the smoothness bound sigma_max(M)^2 * sup phi'' follow.
+phi' (``_phi(u)`` returns both) and ``_inv_curvature`` = 1 / sup phi'',
+the reciprocal of phi's exact smoothness constant; value, gradient and
+their images follow.
 
 The form lets the solver carry u = M x along with x: ``image(v)`` is
 M v; ``atom_image(domain, atom)`` is M s for an LMO atom, one scaled
@@ -50,9 +51,6 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 MatrixLike = Union[np.ndarray, "sp.spmatrix", "sp.sparray"]
-
-POWER_ITERATIONS = 50
-POWER_SEED = 0
 
 
 def _issparse(M) -> bool:
@@ -136,23 +134,6 @@ class Objective:
         f, w = self._phi(self._M @ x if image is None else image, value)
         return f, self._transposed @ w
 
-    def lipschitz_bound(self) -> float:
-        """sigma_max(M)^2 / _inv_curvature, sigma_max(M)^2 by a fixed-budget
-        power iteration: 50 steps from a seed-fixed start vector, so the
-        reported constant is reproducible."""
-        rng = np.random.default_rng(POWER_SEED)
-        v = rng.standard_normal(self.n)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(POWER_ITERATIONS):
-            w = self._transposed @ (self._M @ v)
-            norm = float(np.linalg.norm(w))
-            if norm == 0.0:
-                return 0.0
-            lam = norm
-            v = w / norm
-        return lam / self._inv_curvature
-
 
 @dataclass(frozen=True)
 class QuadraticLS(Objective):
@@ -225,7 +206,3 @@ class Scalar1D(Objective):
     def _phi(self, u: np.ndarray, value: bool = True) -> Tuple[Optional[float], np.ndarray]:
         # numpy's product overflows to inf, where the float power raises OverflowError
         return float(u[0] * u[0]) if value else None, 2.0 * u
-
-
-def lipschitz_bound(obj: Objective) -> float:
-    return obj.lipschitz_bound()

@@ -50,9 +50,9 @@ row where it occurs, or at the first non-finite gradient, whichever
 comes first. The final row is always recorded, so a run never returns
 a non-finite f without raising.
 
-The record is packed: each row value and each vertex id is one 8-byte
-entry of an ``array.array``, and the trace receives these buffers through
-``np.frombuffer``, without a copy.
+The record is packed: each row's k and each vertex id are int64 entries
+of an ``array.array``, and the row's f, gap, disc_err, gamma and beta go in
+turn into one float64 one, which :meth:`IterateTrace.packed` views.
 """
 
 from __future__ import annotations
@@ -120,17 +120,18 @@ class SolverState:
 
 @dataclass
 class IterateTrace:
-    """Per-iteration record of a run.
+    """Per-iteration record of every run (:func:`solve`, :func:`resume`
+    and the Euler flows of ``flows``, whose row k is at t = k dt) and of
+    a trace CSV read back by ``cli``.
 
     Row arrays hold the metrics at the recorded iterations (every
     ``trace_every`` steps plus the final one), all evaluated at x_k
     before the step: objective value, duality gap, discretization error
     ||d_k - x_k||, and the step values used. ``vertex_ids`` is the
     full per-iteration atom-id history on polyhedral domains (None on
-    the l2 ball). ``ks`` and ``vertex_ids`` are int64, the rest float64;
-    a run's or a CSV reader's arrays are views of its packed buffers.
-    ``state`` is the checkpoint after the last iteration, None on a trace
-    read back from CSV.
+    the l2 ball and for a flow). ``ks`` and ``vertex_ids`` are int64, the
+    rest float64. ``state`` is the checkpoint after the last iteration,
+    None on a trace read back from CSV.
     """
 
     ks: np.ndarray
@@ -142,6 +143,14 @@ class IterateTrace:
     vertex_ids: Optional[np.ndarray]
     state: Optional[SolverState]
     k_start: int = 0
+
+    @classmethod
+    def packed(cls, ks: array, rows: array, ids: Optional[array], state: Optional[SolverState], k_start: int) -> IterateTrace:
+        """The trace viewing packed buffers without a copy; ``rows`` holds
+        each row's f, gap, disc_err, gamma and beta in turn."""
+        f, gap, disc_err, gamma, beta = np.frombuffer(rows).reshape(-1, 5).T
+        vertex_ids = None if ids is None else np.frombuffer(ids, dtype=np.int64)
+        return cls(np.frombuffer(ks, dtype=np.int64), f, gap, disc_err, gamma, beta, vertex_ids, state, k_start)
 
 
 AtomSource = Callable[[np.ndarray, np.ndarray, int, bool], Tuple[Optional[float], np.ndarray, Atom, np.ndarray]]
@@ -248,8 +257,7 @@ def _run(
     k_start = state.k
     k_end = k_start + cfg.max_iters
 
-    rows_k, vids = array("q"), array("q")
-    rows_f, rows_gap, rows_disc, rows_gamma, rows_beta = (array("d") for _ in range(5))
+    ks, rows, vids = array("q"), array("d"), array("q")
 
     for k in range(k_start, k_end):
         if k % IMAGE_REFRESH == 0 and k != exact_at:
@@ -275,25 +283,12 @@ def _run(
             vids.append(atom.vertex_id)
 
         if record:
-            rows_k.append(k)
-            rows_f.append(f_k)
-            rows_gap.append(max(float(g.dot(x - s)), 0.0))
-            rows_disc.append(math.sqrt(step.dot(step)))  # what np.linalg.norm computes for a 1-D float vector
-            rows_gamma.append(g_k)
-            rows_beta.append(b_k)
+            ks.append(k)
+            # disc_err: what np.linalg.norm computes for a 1-D float vector
+            rows.extend((f_k, max(float(g.dot(x - s)), 0.0), math.sqrt(step.dot(step)), g_k, b_k))
 
         dz *= g_k
         z += dz
 
     final = SolverState(k=k_end, x=x.copy(), s_bar=s_bar.copy(), x_image=u.copy(), s_bar_image=u_bar.copy())
-    return IterateTrace(
-        ks=np.frombuffer(rows_k, dtype=np.int64),
-        f=np.frombuffer(rows_f),
-        gap=np.frombuffer(rows_gap),
-        disc_err=np.frombuffer(rows_disc),
-        gamma=np.frombuffer(rows_gamma),
-        beta=np.frombuffer(rows_beta),
-        vertex_ids=np.frombuffer(vids, dtype=np.int64) if record_ids else None,
-        state=final,
-        k_start=k_start,
-    )
+    return IterateTrace.packed(ks, rows, vids if record_ids else None, final, k_start)

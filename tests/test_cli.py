@@ -589,15 +589,24 @@ BAD_INPUTS = {
         SVMLIGHT_CONFIG + "[sweep]\ntrain_frac = 0.5\n",
         "line 2: non-finite feature value '1:nan'",
     ),
+    # int() and float() read "1_0" as 10: the digit separator is no part of either format
+    "svmlight_digit_separator": (["solve"], SVMLIGHT_CONFIG, "line 1: bad token '1_0:0.5'"),
+    "diag_trace_digit_separator": (["diag", "{trace}"], None, "line 3: bad numeric field"),
 }
-SVMLIGHT_BODIES = {"svmlight_non_finite_solve": NON_FINITE_SVMLIGHT, "svmlight_non_finite_sweep": NON_FINITE_SVMLIGHT}
+SVMLIGHT_BODIES = {
+    "svmlight_non_finite_solve": NON_FINITE_SVMLIGHT,
+    "svmlight_non_finite_sweep": NON_FINITE_SVMLIGHT,
+    "svmlight_digit_separator": b"+1 1_0:0.5 2:1_0.0\n-1 1:0.2 2:0.3\n",
+}
+TRACE_BODIES = {"diag_trace_digit_separator": "0,1.0,1.0,1.0,0.5,0.5,1\n1_0,1.0,1.0,1.0,0.5,0.5,1\n"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_with_message(tmp_path, capsys, case):
     argv, text, message = BAD_INPUTS[case]
     trace = tmp_path / "trace.csv"
-    trace.write_text("k,f,gap,disc_err,gamma,beta,atom_id\n" + "".join(f"{k},1.0,1.0,1.0,0.5,0.5,1\n" for k in range(10)))
+    rows = TRACE_BODIES.get(case, "".join(f"{k},1.0,1.0,1.0,0.5,0.5,1\n" for k in range(10)))
+    trace.write_text("k,f,gap,disc_err,gamma,beta,atom_id\n" + rows)
     argv = [str(trace) if a == "{trace}" else a for a in argv]
     if text is not None:
         data = tmp_path / "data.svmlight"
@@ -727,6 +736,28 @@ def test_read_trace_csv_round_trip(tmp_path):
     assert trace.ks[0] == 0
     assert trace.gap[0] == pytest.approx(1.5)
     assert trace.state is None  # a CSV holds no checkpoint
+
+
+@pytest.mark.parametrize("every", [1, 7])
+def test_read_trace_csv_is_bitwise_the_run_it_was_written_from(tmp_path, every):
+    # both producers build the trace from one packed layout: every column
+    # reads back bitwise, the id history only when no iteration was skipped
+    text = CS_COMPARE_CONFIG.format(plots="false").replace("max_iters = 2000", f"max_iters = 300\ntrace_every = {every}")
+    path = write_config(tmp_path / "cfg.ini", text)
+    assert run_cli("solve", "--config", path, "--out", str(tmp_path), "--quiet") == 0
+    cfg, _ = _read_config(path)
+    obj, domain, _ = _build_problem(cfg, 2)
+    run = solve(obj, domain, _build_solver_config(cfg, domain))
+    read = read_trace_csv(str(tmp_path / "trace.csv"))
+    for name in ("ks", "f", "gap", "disc_err", "gamma", "beta"):
+        got, want = getattr(read, name), getattr(run, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if every == 1:
+        assert read.vertex_ids.dtype == run.vertex_ids.dtype and read.vertex_ids.tobytes() == run.vertex_ids.tobytes()
+        assert read.k_start == run.k_start == 0
+    else:
+        assert read.ks.size < run.vertex_ids.size
+        assert read.vertex_ids is None and read.k_start == 0
 
 
 def test_read_trace_csv_keeps_k_start_of_a_resumed_run(tmp_path):

@@ -7,7 +7,7 @@ from scipy.special import expit
 
 from avgfw.domains import DomainSet, Kind, lmo
 from avgfw.errors import ConfigError
-from avgfw.objectives import Logistic, QuadraticLS, Scalar1D, lipschitz_bound
+from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
 from oracles import BrokenOracle, gap
 
 
@@ -83,26 +83,13 @@ def test_logistic_value_is_overflow_safe():
     assert np.all(np.isfinite(obj.gradient(big)))
 
 
-def test_lipschitz_bound_examples():
-    assert lipschitz_bound(QuadraticLS(np.eye(2), np.zeros(2))) == pytest.approx(1.0, abs=1e-9)
-    assert lipschitz_bound(Scalar1D()) == 2.0
-    diag = lipschitz_bound(QuadraticLS(np.diag([3.0, 1.0]), np.zeros(2)))
-    assert diag == pytest.approx(9.0, abs=1e-6)
-
-
-def test_lipschitz_bound_logistic_matches_spectral_norm():
-    rng = np.random.default_rng(2)
-    Z = rng.standard_normal((12, 7))
-    expected = np.linalg.norm(Z, 2) ** 2 / (4 * 12)
-    # 50 power iterations resolve a random spectrum to ~1e-6 relative
-    assert Logistic(Z, np.ones(12)).lipschitz_bound() == pytest.approx(expected, rel=1e-5)
-
-
 @pytest.mark.parametrize("maker", [random_quadratic, random_logistic])
 def test_lipschitz_dominates_observed_curvature(maker):
+    # L = sigma_max(M)^2 L_phi with the exact L_phi = 1 / _inv_curvature
     rng = np.random.default_rng(8)
     obj = maker(rng)
-    L = obj.lipschitz_bound()
+    M = obj.A if isinstance(obj, QuadraticLS) else obj.Z
+    L = np.linalg.norm(M, 2) ** 2 / obj._inv_curvature
     h = 1e-4
     for _ in range(30):
         x = rng.standard_normal(obj.n)
@@ -195,13 +182,6 @@ def test_objectives_reject_a_data_vector_of_the_wrong_shape(cls):
             cls(np.eye(3), data)
 
 
-def test_lipschitz_estimate_is_deterministic():
-    rng = np.random.default_rng(44)
-    A = rng.standard_normal((6, 5))
-    obj = QuadraticLS(A, np.zeros(6))
-    assert obj.lipschitz_bound() == obj.lipschitz_bound()
-
-
 @pytest.mark.parametrize("maker", [random_quadratic, random_logistic])
 @pytest.mark.parametrize("sparse", [False, True])
 @pytest.mark.parametrize("kind", list(Kind))
@@ -239,30 +219,18 @@ def test_scalar_image_is_the_identity():
     np.testing.assert_array_equal(g, obj.gradient(x))
 
 
-def textbook_sigma_max_sq(M):
-    # the fixed-budget power iteration of lipschitz_bound, with a fresh M.T
-    v = np.random.default_rng(0).standard_normal(M.shape[1])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(50):
-        w = M.T @ (M @ v)
-        lam = float(np.linalg.norm(w))
-        v = w / lam
-    return lam
-
-
 def textbook(obj, x):
-    """Value, gradient and smoothness bound from the formulas, with M.T
-    taken afresh on every product."""
+    """Value, gradient and the smoothness constant L_phi = sup phi'' of
+    the loss from the formulas, with M.T taken afresh on every product."""
     if isinstance(obj, Scalar1D):
         return float(x[0]) ** 2, np.array([2.0 * float(x[0])]), 2.0
     if isinstance(obj, QuadraticLS):
         r = obj.A @ x - obj.y
-        return 0.5 * float(np.dot(r, r)), obj.A.T @ r, textbook_sigma_max_sq(obj.A)
+        return 0.5 * float(np.dot(r, r)), obj.A.T @ r, 1.0
     t = obj.labels * (obj.Z @ x)
     w = -obj.labels * expit(-t) / obj.m
     val = float(np.mean(np.logaddexp(0.0, -t)))
-    return val, obj.Z.T @ w, textbook_sigma_max_sq(obj.Z) / (4.0 * obj.m)
+    return val, obj.Z.T @ w, 1.0 / (4.0 * obj.m)
 
 
 def sparse_quadratic(rng, sparse):
@@ -292,13 +260,13 @@ def test_evaluations_are_bitwise_the_textbook_formulas(maker, sparse):
     M = obj.A if isinstance(obj, QuadraticLS) else obj.Z if isinstance(obj, Logistic) else np.ones((1, 1))
     for scale in (0.1, 1.0, 1e3):
         x = scale * rng.standard_normal(obj.n)
-        f, g, lip = textbook(obj, x)
+        f, g, l_phi = textbook(obj, x)
         for f_obj, g_obj in (obj.value_and_gradient(x), obj.value_and_gradient(x, M @ x)):
             assert f_obj == f
             np.testing.assert_array_equal(g_obj, g)
         assert obj.value(x) == f
         np.testing.assert_array_equal(obj.gradient(x), g)
-        assert obj.lipschitz_bound() == lip
+        assert 1.0 / obj._inv_curvature == l_phi
 
 
 @pytest.mark.parametrize("maker", [sparse_quadratic, sparse_logistic])

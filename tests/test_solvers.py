@@ -90,7 +90,7 @@ def test_fw_smoothness_descent_bound(small_l1_quadratic):
     obj, dom, _ = small_l1_quadratic
     sched = Schedule(2.0, 1.0)
     trace = solve(obj, dom, SolverConfig(Variant.FW, sched, max_iters=400))
-    L = obj.lipschitz_bound()
+    L = np.linalg.norm(obj.A, 2) ** 2
     D = diameter(dom)
     f = trace.f
     g = trace.gamma
@@ -511,10 +511,10 @@ def test_flow_matches_the_plain_recursion_with_the_euler_rule_bitwise(case, vari
 
     start = plain_start(obj, dom)
     (ks, f, gap, disc, _, _), _, state = plain_run(plain_source(obj, dom), obj.image, euler, variant, 10, start, 301)
-    for got, want in zip((flow.t, flow.f, flow.gap, flow.disc_err, flow.h), (ks * dt, f, gap, disc, f - 0.0)):
+    for got, want in zip((flow.ks * dt, flow.f, flow.gap, flow.disc_err, flow.f - 0.0), (ks * dt, f, gap, disc, f - 0.0)):
         assert_bitwise(got, want)
     if variant is Variant.AVGFW:
-        assert_bitwise(flow.final_s_bar, state.s_bar)
+        assert_bitwise(flow.state.s_bar, state.s_bar)
 
 
 def plain_force_signal(cfg, signal):
@@ -557,9 +557,9 @@ def test_force_signal_matches_the_plain_euler_recursion_bitwise(case):
     trace = force_signal(cfg, lambda t: calls.append(t) or signal(t))
     t, lags, s_bar = plain_force_signal(cfg, lambda t: plain_calls.append(t) or signal(t))
     assert calls == plain_calls
-    for got, want in zip((trace.t, trace.disc_err, trace.final_s_bar), (t, lags, s_bar)):
+    for got, want in zip((trace.ks * cfg.dt, trace.disc_err, trace.state.x), (t, lags, s_bar)):
         assert_bitwise(got, want)
-    for col in (trace.f, trace.gap, trace.h):
+    for col in (trace.f, trace.gap, trace.f - 0.0):
         assert col.shape == t.shape and np.all(np.isnan(col))
 
 

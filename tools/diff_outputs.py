@@ -34,7 +34,10 @@ entry), p = 1 and 0.5, a record stride that does not divide the step
 count, a stride past t_end, t_end below dt/2 (no step) and a
 scalar-returning signal. Each case prints the SHA-256 of
 every trace column and of the final x, sbar and both images (for a flow,
-its columns and final sbar), compared like an output.
+the columns t, f, gap, disc_err and h of ``flow_trace.csv`` and the final
+sbar), compared like an output. A flow's columns are read through
+:func:`flow_columns`, so a tree whose flows return a ``FlowTrace`` and one
+whose flows return the loop's ``IterateTrace`` hash alike.
 
 A differing text output is shown as the first DIFF_LINES lines of its
 unified diff. Exits 1 on any difference, 0 when all match.
@@ -143,6 +146,16 @@ def differences(ref: Dict[str, bytes], new: Dict[str, bytes]) -> List[Tuple[str,
     return out
 
 
+def flow_columns(flow, dt: float, final_s_bar):
+    """t, f, gap, disc_err, h and the final sbar of a flow run. A
+    ``FlowTrace`` holds them; an ``IterateTrace`` gives them as the
+    ``flow`` command writes them, ``ks * dt`` and ``f - 0.0`` (f_ref = 0
+    here), with ``final_s_bar(state)`` read from its final state."""
+    if hasattr(flow, "t"):
+        return flow.t, flow.f, flow.gap, flow.disc_err, flow.h, flow.final_s_bar
+    return flow.ks * dt, flow.f, flow.gap, flow.disc_err, flow.f - 0.0, final_s_bar(flow.state)
+
+
 def hash_cases() -> None:
     """Print ``case digest`` for every in-process case, run with the avgfw found on the path."""
     import hashlib
@@ -198,7 +211,8 @@ def hash_cases() -> None:
                     trace = resume(trace.state, obj, dom, SolverConfig(variant, sched, max_iters=5, trace_every=7))
                     emit_trace(f"resume {name} {variant.value} every=7 k={trace.state.k}", trace)
             flow = integrate(obj, dom, FlowConfig(variant, Schedule(2.0, 1.0), t_end=0.5, dt=1e-3, record_every=0.01))
-            emit(f"flow {name} {variant.value}", flow.t, flow.f, flow.gap, flow.disc_err, flow.h, flow.final_s_bar)
+            s_bar = (lambda st: st.s_bar) if variant is Variant.AVGFW else (lambda st: None)  # a vanilla flow reports none
+            emit(f"flow {name} {variant.value}", *flow_columns(flow, 1e-3, s_bar))
     # the six signed vertices of the unit l1 ball in R^6 on its first three axes, +0.0 elsewhere
     pool = [Atom(np.where(np.arange(6) == i, float(sign), 0.0), sign * (i + 1)) for i in range(3) for sign in (1, -1)]
     streams = {"repeating_cycle": np.arange(200) % 6, "random_vertex": np.random.default_rng(4).integers(0, 6, size=200)}
@@ -223,7 +237,7 @@ def hash_cases() -> None:
     )
     for name, signal, p, t_end, every in forced:
         flow = force_signal(FlowConfig(schedule=Schedule(3.0, p), t_end=t_end, dt=1e-3, record_every=every), signal)
-        emit(f"force_signal {name}", flow.t, flow.f, flow.gap, flow.disc_err, flow.h, flow.final_s_bar)
+        emit(f"force_signal {name}", *flow_columns(flow, 1e-3, lambda st: st.x))  # the forced run's x is sbar
 
 
 def main(argv: List[str]) -> int:
