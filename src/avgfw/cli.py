@@ -81,9 +81,6 @@ SCHEMA: Dict[str, Dict[str, Tuple[type, object]]] = {
         "alpha_scale": (float, 1.0),
         "path": (str, None),
         "n_features_hint": (int, None),
-        "m": (int, 800),
-        "n": (int, 1000),
-        "density": (float, 0.01),
     },
     "solver": {
         "variant": (Variant, Variant.AVGFW),
@@ -94,11 +91,9 @@ SCHEMA: Dict[str, Dict[str, Tuple[type, object]]] = {
         "x0": (str, "lmo"),
     },
     "flow": {
-        "variant": (Variant, Variant.AVGFW),
         "t_end": (float, 10.0),
         "dt": (float, 1e-3),
         "record_every": (float, None),
-        "x0": (str, "lmo"),
         "forced_signal": (str, "none"),
     },
     "compare": {
@@ -125,15 +120,21 @@ PROBLEM_KEYS: Dict[str, Tuple[str, ...]] = {
     "scalar1d": ("alpha",),
     "l2_quadratic": ("alpha", "alpha_scale"),
     "svmlight": ("path", "n_features_hint", "alpha"),
-    "synthetic_logistic": ("m", "n", "density", "alpha"),
 }
 
 Config = Dict[str, Dict[str, object]]
 
 
+# The readers of every numeric key and flag: int() and float() read "1_0" as 10.
+def _int(raw: str) -> int:
+    if "_" in raw:
+        raise ValueError(raw)
+    return int(raw)
+
+
 def _finite_float(raw: str) -> float:
     val = float(raw)
-    if not math.isfinite(val):
+    if "_" in raw or not math.isfinite(val):
         raise ValueError(raw)
     return val
 
@@ -141,7 +142,7 @@ def _finite_float(raw: str) -> float:
 # type -> (parser raising ValueError or KeyError, what the error message expects)
 _PARSERS = {
     str: (str, "a string"),
-    int: (int, "an integer"),
+    int: (_int, "an integer"),
     float: (_finite_float, "a finite number"),
     bool: (lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()], "a boolean"),
     Variant: (lambda raw: Variant(raw.strip().lower()), "fw or avgfw"),
@@ -271,23 +272,19 @@ def _build_problem(cfg: Config, seed: int):
         meta["samples"] = data.m
         return data, DomainSet(Kind.L1_BALL, alpha, data.n), meta
 
-    if kind == "synthetic_logistic":
-        data = generate_sparse_logistic(m=prob["m"], n=prob["n"], density=prob["density"], seed=seed)
-        return data, DomainSet(Kind.L1_BALL, 10.0 if alpha is None else alpha, data.n), meta
-
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 
-def _parse_x0(cfg: Config, domain: DomainSet, section: str = "solver") -> Optional[np.ndarray]:
-    raw = cfg[section]["x0"]
+def _parse_x0(cfg: Config, domain: DomainSet) -> Optional[np.ndarray]:
+    raw = cfg["solver"]["x0"]
     if raw.strip().lower() == "lmo":
         return None
     try:
         vals = np.array([_finite_float(tok) for tok in raw.split(",")])
     except ValueError:
-        raise ConfigError(f"[{section}] x0 must be 'lmo' or comma-separated finite floats, got {raw!r}") from None
+        raise ConfigError(f"[solver] x0 must be 'lmo' or comma-separated finite floats, got {raw!r}") from None
     if vals.shape != (domain.n,):
-        raise ConfigError(f"[{section}] x0 has {vals.size} entries, expected {domain.n}")
+        raise ConfigError(f"[solver] x0 has {vals.size} entries, expected {domain.n}")
     return vals
 
 
@@ -327,22 +324,17 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _trace_columns(trace: IterateTrace) -> Tuple[Optional[np.ndarray], ...]:
-    """TRACE_COLUMNS; atom_id is the vertex id at k, empty on the l2 ball."""
-    ids = trace.vertex_ids
-    atom_ids = None if ids is None else ids[trace.ks - trace.k_start]
-    return trace.ks, trace.f, trace.gap, trace.disc_err, trace.gamma, trace.beta, atom_ids
+    """TRACE_COLUMNS; atom_id is empty where the trace has no atom history."""
+    return trace.ks, trace.f, trace.gap, trace.disc_err, trace.gamma, trace.beta, trace.vertex_ids
 
 
 def read_trace_csv(path: str) -> IterateTrace:
-    """Rebuild an analyzable trace from a solve/compare CSV.
+    """Rebuild the trace a solve/compare CSV was written from.
 
-    The atom ids of the rows are the per-iteration history only when no
-    iteration was skipped, so ``vertex_ids`` is None on subsampled traces
-    (``trace_every > 1``) as well as on traces without ids. A full history
-    starts at the run's first iteration, so ``k_start`` is the first row's
-    k (0 otherwise). The file holds no checkpoint, so ``state`` is None.
-    The fields are parsed into the packed buffers of a run's record,
-    which ``IterateTrace.packed`` views.
+    The fields are parsed into the packed buffers of a run's record and
+    viewed by ``IterateTrace.packed``, so every column, ``vertex_ids``
+    included, is bitwise the run's, whatever its ``trace_every`` or first
+    k. The file holds no checkpoint, so ``state`` is None.
     """
     if not os.path.isfile(path):
         raise ConfigError(f"trace file not found: {path}")
@@ -368,8 +360,7 @@ def read_trace_csv(path: str) -> IterateTrace:
                 raise ParseError(line_no, f"line {line_no}: bad numeric field") from None
     if not ks:
         raise ParseError(0, f"no data rows in {path}")
-    full_history = len(ids) == len(ks) and bool(np.all(np.diff(np.frombuffer(ks, dtype=np.int64)) == 1))
-    return IterateTrace.packed(ks, rows, ids if full_history else None, None, ks[0] if full_history else 0)
+    return IterateTrace.packed(ks, rows, ids, None)
 
 
 # ---------------------------------------------------------------- commands
@@ -470,7 +461,7 @@ def compare(
         entries["delta"] = report.delta
         entries["support_star_size"] = len(report.support_star)
         for variant, trace in traces.items():
-            entries[f"support_first_{variant}"] = int(support_trajectory(trace)[0])
+            entries[f"support_first_{variant}"] = None if trace.vertex_ids is None else int(support_trajectory(trace)[0])
     return traces, entries
 
 
@@ -502,25 +493,22 @@ def cmd_compare(args) -> int:
     summary_path = os.path.join(out_dir, "summary.txt")
     _write_text(summary_path, render_report({**summary, **entries}))
     if cfg["output"]["emit_plots"]:
-        _emit_compare_plots(out_dir, traces, domain)
+        _emit_compare_plots(out_dir, traces)
     if not args.quiet:
         print(f"wrote {summary_path}")
     return EXIT_OK
 
 
-def _support_points(trace: IterateTrace):
-    traj = support_trajectory(trace)
-    return np.arange(trace.k_start, trace.k_start + traj.size), traj
-
-
-def _emit_compare_plots(out_dir: str, traces: Dict[str, IterateTrace], domain) -> None:
+def _emit_compare_plots(out_dir: str, traces: Dict[str, IterateTrace]) -> None:
     # file, title, y label, log-log axes, (ks, ys) arrays of a trace
     charts = [
         ("gap.svg", "duality gap", "duality gap", True, lambda t: (t.ks, t.gap)),
         ("disc_err.svg", "discretization error", "discretization error", True, lambda t: (t.ks, t.disc_err)),
     ]
-    if domain.is_polyhedral:
-        charts.append(("support.svg", "working-set size", "distinct atoms from k on", False, _support_points))
+    if all(trace.vertex_ids is not None for trace in traces.values()):
+        charts.append(
+            ("support.svg", "working-set size", "distinct atoms from k on", False, lambda t: (t.ks, support_trajectory(t)))
+        )
     for filename, title, ylabel, loglog, points in charts:
         data = [(variant, *points(trace)) for variant, trace in traces.items()]
         _write_text(os.path.join(out_dir, filename), _svg.line_chart(data, title, "iteration", ylabel, loglog=loglog))
@@ -537,7 +525,7 @@ def cmd_flow(args) -> int:
     if forced not in ("none", "one"):
         raise ConfigError(f"[flow] forced_signal must be none or one, got {forced!r}")
     flow_cfg = FlowConfig(
-        variant=flow["variant"],
+        variant=cfg["solver"]["variant"],
         schedule=Schedule(cfg["solver"]["c"], cfg["solver"]["p"]),
         t_end=flow["t_end"],
         dt=flow["dt"],
@@ -553,7 +541,7 @@ def cmd_flow(args) -> int:
     else:
         obj, domain, meta = _build_problem(cfg, seed)
         f_ref = float(meta.get("f_ref", 0.0))
-        trace = integrate(obj, domain, replace(flow_cfg, x0=_parse_x0(cfg, domain, "flow")))
+        trace = integrate(obj, domain, replace(flow_cfg, x0=_parse_x0(cfg, domain)))
         header["alpha"] = _fmt_float(domain.alpha)
         header["f_ref"] = _fmt_float(f_ref)
 
@@ -582,7 +570,7 @@ def cmd_sweep(args) -> int:
     cfg, echo, seed, out_dir = _prepare(args)
     obj, domain, _ = _build_problem(cfg, seed)
     if not isinstance(obj, Logistic):
-        raise ConfigError("sweep needs a classification problem (svmlight or synthetic_logistic)")
+        raise ConfigError("sweep needs a classification problem (kind = svmlight)")
 
     sweep = cfg["sweep"]
     if not 0 < sweep["train_frac"] < 1:
@@ -630,7 +618,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=None, help="output directory (default: config, then $AVGFW_OUT)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=_int, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true")
 
     for name, fn in (
@@ -646,15 +634,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diag")
     p.add_argument("trace", help="trace CSV produced by solve/compare")
-    p.add_argument("--window-lo", type=int, default=None)
-    p.add_argument("--window-hi", type=int, default=None)
+    p.add_argument("--window-lo", type=_int, default=None)
+    p.add_argument("--window-hi", type=_int, default=None)
     common(p)
     p.set_defaults(fn=cmd_diag)
 
     p = sub.add_parser("gen-data")
-    p.add_argument("--m", type=int, default=800)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--density", type=float, default=0.01)
+    p.add_argument("--m", type=_int, default=800)
+    p.add_argument("--n", type=_int, default=1000)
+    p.add_argument("--density", type=_finite_float, default=0.01)
     common(p)
     p.set_defaults(fn=cmd_gen_data)
     return parser

@@ -180,20 +180,20 @@ def identify_manifold(
     """Locate the iteration after which all emitted atoms live on the
     optimal support.
 
-    k_bar is the smallest iteration index such that every atom from it
-    onward has a vertex id inside the support set of x_star; None when
-    the final atom is already outside it. delta is the degeneracy margin
-    when defined (l1 ball with a nonempty zero set), else None.
+    k_bar is the smallest iteration such that every atom from it onward
+    has a vertex id inside the support set of x_star; None when the final
+    atom is outside it or the trace has no atom history (``vertex_ids``).
+    delta is the degeneracy margin when defined (l1 ball with a nonempty
+    zero set), else None; it and the support set need no history.
     """
-    if trace.vertex_ids is None:
-        raise UnsupportedKind("manifold identification needs polyhedral vertex ids")
     star = support_set(obj, domain, x_star)
     vids = trace.vertex_ids
-    k_bar: Optional[int] = trace.k_start
-    for j in range(vids.size - 1, -1, -1):
-        if int(vids[j]) not in star:
-            k_bar = None if j == vids.size - 1 else trace.k_start + j + 1
-            break
+    k_bar: Optional[int] = None
+    if vids is not None:
+        j = vids.size - 1  # the last atom outside the support, -1 if none is
+        while j >= 0 and int(vids[j]) in star:
+            j -= 1
+        k_bar = None if j == vids.size - 1 else int(trace.ks[j + 1])
     try:
         delta = degeneracy_delta(obj, domain, np.asarray(x_star, dtype=float))
     except (UnsupportedKind, NoZeroSet):

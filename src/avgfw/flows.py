@@ -21,6 +21,8 @@ Both return the loop's own :class:`~avgfw.solvers.IterateTrace`: row k is
 Euler step k, at t = k dt, and ``state`` holds the iterates after the step
 from t_end (the forced run's x is sbar). Times and the gap to a reference
 value, t = ks dt and h = f - f_ref, are derived where they are written.
+Its ``vertex_ids`` are the flow's atom history on a polyhedral domain
+when every Euler step is a row, and None otherwise, as for any run.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def integrate(obj: Objective, domain: DomainSet, cfg: FlowConfig) -> IterateTrac
 
     start = SolverState(k=0, x=x0, s_bar=np.zeros(domain.n))
     try:
-        return _run(_lmo_source(obj, domain), obj.image, steps, False, run_cfg, start)  # a flow records no vertex ids
+        return _run(_lmo_source(obj, domain), obj.image, steps, run_cfg, start)
     except NumericalBlowup as err:  # f is evaluated only on recorded steps: say where it was seen, in flow terms
         raise NumericalBlowup(err.k, f"non-finite value first seen at Euler step {err.k} (t = {err.k * dt:g})") from None
 
@@ -114,4 +116,4 @@ def force_signal(cfg: FlowConfig, signal: Callable[[float], np.ndarray]) -> Iter
     def steps(k: int):
         return (dt * beta(sched, k * dt), 0.0) if k < n_steps else (0.0, 0.0)  # t_end: a row, no step
 
-    return _run(source, lambda v: no_image, steps, False, run_cfg, SolverState(k=0, x=s_bar, s_bar=s_bar))
+    return _run(source, lambda v: no_image, steps, run_cfg, SolverState(k=0, x=s_bar, s_bar=s_bar))

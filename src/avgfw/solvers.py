@@ -50,7 +50,7 @@ row where it occurs, or at the first non-finite gradient, whichever
 comes first. The final row is always recorded, so a run never returns
 a non-finite f without raising.
 
-The record is packed: each row's k and each vertex id are int64 entries
+The record is packed: each row's k and atom id (if any) are int64 entries
 of an ``array.array``, and the row's f, gap, disc_err, gamma and beta go in
 turn into one float64 one, which :meth:`IterateTrace.packed` views.
 """
@@ -127,11 +127,11 @@ class IterateTrace:
     Row arrays hold the metrics at the recorded iterations (every
     ``trace_every`` steps plus the final one), all evaluated at x_k
     before the step: objective value, duality gap, discretization error
-    ||d_k - x_k||, and the step values used. ``vertex_ids`` is the
-    full per-iteration atom-id history on polyhedral domains (None on
-    the l2 ball and for a flow). ``ks`` and ``vertex_ids`` are int64, the
-    rest float64. ``state`` is the checkpoint after the last iteration,
-    None on a trace read back from CSV.
+    ||d_k - x_k||, and the step values used. ``vertex_ids`` is the atom
+    history, the vertex id of every iteration's atom from ``ks[0]`` to
+    ``ks[-1]``: None unless every row has one and no iteration was skipped.
+    ``ks`` and ``vertex_ids`` are int64, the rest float64. ``state`` is the
+    checkpoint after the last iteration, None on a trace read back from CSV.
     """
 
     ks: np.ndarray
@@ -142,15 +142,16 @@ class IterateTrace:
     beta: np.ndarray
     vertex_ids: Optional[np.ndarray]
     state: Optional[SolverState]
-    k_start: int = 0
 
     @classmethod
-    def packed(cls, ks: array, rows: array, ids: Optional[array], state: Optional[SolverState], k_start: int) -> IterateTrace:
+    def packed(cls, ks: array, rows: array, ids: array, state: Optional[SolverState]) -> IterateTrace:
         """The trace viewing packed buffers without a copy; ``rows`` holds
-        each row's f, gap, disc_err, gamma and beta in turn."""
+        each row's f, gap, disc_err, gamma and beta in turn, and ``ids`` the
+        rows' vertex ids, kept only as a history (every row, no k skipped)."""
         f, gap, disc_err, gamma, beta = np.frombuffer(rows).reshape(-1, 5).T
-        vertex_ids = None if ids is None else np.frombuffer(ids, dtype=np.int64)
-        return cls(np.frombuffer(ks, dtype=np.int64), f, gap, disc_err, gamma, beta, vertex_ids, state, k_start)
+        k = np.frombuffer(ks, dtype=np.int64)
+        history = len(ids) == k.size and bool(np.all(np.diff(k) == 1))
+        return cls(k, f, gap, disc_err, gamma, beta, np.frombuffer(ids, dtype=np.int64) if history else None, state)
 
 
 AtomSource = Callable[[np.ndarray, np.ndarray, int, bool], Tuple[Optional[float], np.ndarray, Atom, np.ndarray]]
@@ -205,7 +206,7 @@ def solve(obj: Objective, domain: DomainSet, cfg: SolverConfig) -> IterateTrace:
     """Run exactly ``cfg.max_iters`` iterations from the configured start."""
     x0 = _start_point(obj, domain, cfg.x0)
     state = SolverState(k=0, x=x0, s_bar=np.zeros(domain.n))
-    return _run(_lmo_source(obj, domain), obj.image, _discrete_steps(cfg.schedule), domain.is_polyhedral, cfg, state)
+    return _run(_lmo_source(obj, domain), obj.image, _discrete_steps(cfg.schedule), cfg, state)
 
 
 def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverConfig) -> IterateTrace:
@@ -226,18 +227,16 @@ def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverCon
     _check_feasible(domain, state.x, "checkpoint x")
     if any(u is not None and np.shape(u) != (obj.m,) for u in (state.x_image, state.s_bar_image)):
         raise ConfigError(f"state images do not match the objective: expected shape ({obj.m},)")
-    return _run(_lmo_source(obj, domain), obj.image, _discrete_steps(cfg.schedule), domain.is_polyhedral, cfg, state)
+    return _run(_lmo_source(obj, domain), obj.image, _discrete_steps(cfg.schedule), cfg, state)
 
 
-def _run(
-    source: AtomSource, image: ImageMap, steps: StepRule, record_ids: bool, cfg: SolverConfig, state: SolverState
-) -> IterateTrace:
+def _run(source: AtomSource, image: ImageMap, steps: StepRule, cfg: SolverConfig, state: SolverState) -> IterateTrace:
     """The iteration loop shared by every run; ``source(x_k, u_k, k, record)``
     returns (f_k, grad f(x_k), s_k, M s_k) given u_k = M x_k, where f_k
-    is read only when ``record`` says step k is a trace row; ``image(v)``
-    is M v, and ``steps(k)`` returns (gamma_k, beta_k). The gap row is
-    g . (x_k - s_k), so a source without an objective that returns NaN
-    for f and g gets NaN gaps."""
+    is read only when ``record`` says step k is a trace row (which holds
+    s_k's vertex id, if any); ``image(v)`` is M v, and ``steps(k)`` returns
+    (gamma_k, beta_k). The gap row is g . (x_k - s_k), so a source without
+    an objective that returns NaN for f and g gets NaN gaps."""
     averaged = cfg.variant is Variant.AVGFW
     every = cfg.trace_every
 
@@ -254,12 +253,11 @@ def _run(
     z_bar = np.concatenate((state.s_bar, images[1])).astype(float, copy=False)
     dz = np.empty_like(z)
     x, u, s_bar, u_bar, step, du = z[:n], z[n:], z_bar[:n], z_bar[n:], dz[:n], dz[n:]
-    k_start = state.k
-    k_end = k_start + cfg.max_iters
+    k_end = state.k + cfg.max_iters
 
     ks, rows, vids = array("q"), array("d"), array("q")
 
-    for k in range(k_start, k_end):
+    for k in range(state.k, k_end):
         if k % IMAGE_REFRESH == 0 and k != exact_at:
             u[:] = image(x)
             if averaged:  # a vanilla run never moves sbar, so ubar stays as it came
@@ -279,11 +277,10 @@ def _run(
             np.subtract(s, x, out=step)
             np.subtract(u_s, u, out=du)
 
-        if record_ids:
-            vids.append(atom.vertex_id)
-
         if record:
             ks.append(k)
+            if atom.vertex_id is not None:
+                vids.append(atom.vertex_id)
             # disc_err: what np.linalg.norm computes for a 1-D float vector
             rows.extend((f_k, max(float(g.dot(x - s)), 0.0), math.sqrt(step.dot(step)), g_k, b_k))
 
@@ -291,4 +288,4 @@ def _run(
         z += dz
 
     final = SolverState(k=k_end, x=x.copy(), s_bar=s_bar.copy(), x_image=u.copy(), s_bar_image=u_bar.copy())
-    return IterateTrace.packed(ks, rows, vids if record_ids else None, final, k_start)
+    return IterateTrace.packed(ks, rows, vids, final)

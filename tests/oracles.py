@@ -205,8 +205,8 @@ def scripted_run(pool: Sequence[Atom], schedule: Schedule, steps: int, seed: Opt
     With ``seed`` None the stream walks the pool in order; otherwise it
     draws uniformly with ``default_rng(seed)``. There is no objective, so
     the f and gap columns are NaN and disc_err = ||sbar_k - x_k|| is the
-    metric of interest. Every pool atom needs a vertex id, as the trace
-    records them.
+    metric of interest. The trace holds the atom history when every pool
+    atom has a vertex id.
     """
     if seed is None:
         picks = np.arange(steps) % len(pool)
@@ -221,4 +221,4 @@ def scripted_run(pool: Sequence[Atom], schedule: Schedule, steps: int, seed: Opt
 
     cfg = SolverConfig(Variant.AVGFW, schedule, max_iters=steps)
     start = SolverState(k=0, x=np.zeros(n), s_bar=np.zeros(n))
-    return _run(source, lambda v: no_image, _discrete_steps(schedule), record_ids=True, cfg=cfg, state=start)
+    return _run(source, lambda v: no_image, _discrete_steps(schedule), cfg, start)

@@ -14,8 +14,9 @@ from avgfw.cli import _build_problem, _build_solver_config, _read_config, main, 
 from avgfw.diagnostics import identify_manifold, render_report
 from avgfw.domains import DomainSet, Kind
 from avgfw.errors import AvgFWError, InputError, NumericalBlowup, NumericalError
+from avgfw.experiments import generate_sparse_logistic, write_svmlight
 from avgfw.objectives import Logistic, Objective, QuadraticLS
-from avgfw.solvers import IterateTrace, Variant, solve
+from avgfw.solvers import IterateTrace, Variant, resume, solve
 
 
 def run_cli(*argv):
@@ -74,7 +75,6 @@ c = 3
 p = 1
 
 [flow]
-variant = avgfw
 forced_signal = one
 t_end = 6.0
 dt = 1e-3
@@ -90,15 +90,15 @@ kind = scalar1d
 alpha = 1.0
 
 [solver]
+variant = fw
 c = 2
 p = 1
+x0 = 0.5
 
 [flow]
-variant = fw
 t_end = 50.0
 dt = 1e-3
 record_every = 1.0
-x0 = 0.5
 
 [output]
 seed = 0
@@ -425,7 +425,7 @@ def test_svmlight_index_too_large_to_allocate_exits_2(tmp_path, fresh_python):
 def test_flow_non_numeric_x0_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.ini", SCALAR_FLOW_CONFIG.replace("x0 = 0.5", "x0 = half"))
     assert run_cli("flow", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 2
-    assert "config error: [flow] x0" in capsys.readouterr().err
+    assert "config error: [solver] x0" in capsys.readouterr().err
 
 
 def test_diag_refits_existing_csv(tmp_path, capsys):
@@ -452,10 +452,9 @@ def test_diag_missing_file_exits_2(tmp_path):
 
 SWEEP_CONFIG = """
 [problem]
-kind = synthetic_logistic
-m = 60
-n = 40
-density = 0.1
+kind = svmlight
+path = {logistic}
+alpha = 10.0
 
 [solver]
 variant = avgfw
@@ -474,8 +473,16 @@ seed = 0
 """
 
 
+def sweep_config(tmp_path, text=SWEEP_CONFIG):
+    """Write ``text`` with {logistic} naming the svmlight file that
+    ``gen-data --m 60 --n 40 --density 0.1 --seed 0`` writes."""
+    data = tmp_path / "logistic.svmlight"
+    write_svmlight(generate_sparse_logistic(m=60, n=40, density=0.1, seed=0), str(data))
+    return write_config(tmp_path / "cfg.ini", text.replace("{logistic}", str(data)))
+
+
 def test_sweep_reports_validation_loss_grid(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.ini", SWEEP_CONFIG)
+    cfg = sweep_config(tmp_path)
     out = tmp_path / "out"
     assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 0
     assert "best alpha" in capsys.readouterr().out
@@ -502,13 +509,13 @@ def test_sweep_evaluates_the_loss_four_times_per_radius(tmp_path, monkeypatch):
         return phi(self, u, value)
 
     monkeypatch.setattr(Logistic, "_phi", counted)
-    cfg = write_config(tmp_path / "cfg.ini", SWEEP_CONFIG.replace("max_iters = 150", "max_iters = 150\ntrace_every = 7"))
+    cfg = sweep_config(tmp_path, SWEEP_CONFIG.replace("max_iters = 150", "max_iters = 150\ntrace_every = 7"))
     assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 0
     assert len(valued) == 3 * (1 + 150 + 2) and valued.count(True) == 3 * 4
 
 
 def test_sweep_without_points_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.ini", SWEEP_CONFIG.replace("points = 3", "points = 0"))
+    cfg = sweep_config(tmp_path, SWEEP_CONFIG.replace("points = 3", "points = 0"))
     assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 2
     assert "config error: [sweep] points" in capsys.readouterr().err
 
@@ -516,9 +523,11 @@ def test_sweep_without_points_exits_2(tmp_path, capsys):
 SVMLIGHT_CONFIG = "[problem]\nkind = svmlight\npath = {data}\nalpha = 1.0\n[solver]\nmax_iters = 5\n"
 NON_FINITE_SVMLIGHT = b"+1 1:0.5 2:1.0\n-1 1:nan 2:0.3\n+1 1:0.1 2:inf\n"
 
-# each case: argv with {cfg} for the config path, config text with {data}
+# each case: argv with {trace} for a trace CSV, config text with {data}
 # for an svmlight file (holding a non-ASCII byte unless SVMLIGHT_BODIES
-# names the case), and the message expected
+# names the case) and {logistic} for sweep_config's file, and the message
+# expected; a message naming an argument is argparse's own, after its usage
+# line
 BAD_INPUTS = {
     "unknown_key": (["solve"], SCALAR_CONFIG.replace("max_iters = 50", "max_iter = 5"), "unknown key [solver] max_iter"),
     "unknown_section": (["solve"], SCALAR_CONFIG + "\n[extra]\nk = 1\n", "unknown section [extra]"),
@@ -527,11 +536,10 @@ BAD_INPUTS = {
     "solve_emit_plots_maybe": (["solve"], SCALAR_CONFIG + "emit_plots = maybe\n", "[output] emit_plots"),
     "config_seed_negative": (["solve"], SWEEP_CONFIG.replace("seed = 0", "seed = -1"), "seed must be >= 0"),
     "gen_data_seed_negative": (["gen-data", "--seed", "-3"], None, "seed must be >= 0"),
-    "logistic_n_below_20": (["solve"], SWEEP_CONFIG.replace("n = 40", "n = 19"), "n >= 20"),
     "gen_data_n_below_20": (["gen-data", "--m", "5", "--n", "10"], None, "n >= 20"),
-    "logistic_m_zero": (["solve"], SWEEP_CONFIG.replace("m = 60", "m = 0"), "m >= 1"),
-    "logistic_density_above_1": (["solve"], SWEEP_CONFIG.replace("density = 0.1", "density = 1.5"), "density in (0, 1]"),
-    "logistic_density_negative": (["solve"], SWEEP_CONFIG.replace("density = 0.1", "density = -1"), "density in (0, 1]"),
+    "gen_data_m_zero": (["gen-data", "--m", "0", "--n", "20"], None, "m >= 1"),
+    "gen_data_density_above_1": (["gen-data", "--m", "5", "--n", "20", "--density", "1.5"], None, "density in (0, 1]"),
+    "gen_data_density_negative": (["gen-data", "--m", "5", "--n", "20", "--density", "-1"], None, "density in (0, 1]"),
     "sweep_alpha_lo_zero": (["sweep"], SWEEP_CONFIG.replace("alpha_lo = 1", "alpha_lo = 0"), "[sweep] alpha_lo"),
     "sweep_train_frac_one": (
         ["sweep"],
@@ -592,6 +600,27 @@ BAD_INPUTS = {
     # int() and float() read "1_0" as 10: the digit separator is no part of either format
     "svmlight_digit_separator": (["solve"], SVMLIGHT_CONFIG, "line 1: bad token '1_0:0.5'"),
     "diag_trace_digit_separator": (["diag", "{trace}"], None, "line 3: bad numeric field"),
+    "config_int_digit_separator": (
+        ["solve"],
+        SCALAR_CONFIG.replace("max_iters = 50", "max_iters = 1_0"),
+        "[solver] max_iters must be an integer, got '1_0'",
+    ),
+    "config_float_digit_separator": (
+        ["solve"],
+        SCALAR_CONFIG.replace("alpha = 1.0", "alpha = 1_0"),
+        "[problem] alpha must be a finite number, got '1_0'",
+    ),
+    "x0_digit_separator": (["solve"], SCALAR_CONFIG.replace("x0 = 0.5", "x0 = 0_5"), "[solver] x0 must be 'lmo'"),
+    "seed_digit_separator": (["solve", "--seed", "1_0"], SCALAR_CONFIG, "argument --seed: invalid _int value: '1_0'"),
+    "window_lo_digit_separator": (["diag", "{trace}", "--window-lo", "1_0"], None, "argument --window-lo: invalid"),
+    "window_hi_digit_separator": (["diag", "{trace}", "--window-hi", "1_0"], None, "argument --window-hi: invalid"),
+    "gen_data_m_digit_separator": (["gen-data", "--m", "1_0"], None, "argument --m: invalid _int value: '1_0'"),
+    "gen_data_n_digit_separator": (["gen-data", "--n", "2_0"], None, "argument --n: invalid _int value: '2_0'"),
+    "gen_data_density_digit_separator": (
+        ["gen-data", "--density", "0.0_1"],
+        None,
+        "argument --density: invalid _finite_float value: '0.0_1'",
+    ),
 }
 SVMLIGHT_BODIES = {
     "svmlight_non_finite_solve": NON_FINITE_SVMLIGHT,
@@ -611,11 +640,16 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, case):
     if text is not None:
         data = tmp_path / "data.svmlight"
         data.write_bytes(SVMLIGHT_BODIES.get(case, b"+1 1:0.5 2:1.0\n-1 1:0.2 2:\xb50.3\n"))
-        cfg = write_config(tmp_path / "cfg.ini", text.replace("{data}", str(data)))
+        cfg = sweep_config(tmp_path, text.replace("{data}", str(data)))
         argv = argv + ["--config", cfg]
-    assert run_cli(*argv, "--out", str(tmp_path / "o"), "--quiet") == 2
+    prefix = "config error:"
+    try:
+        code = run_cli(*argv, "--out", str(tmp_path / "o"), "--quiet")
+    except SystemExit as stop:  # argparse rejects a flag's value itself
+        code, prefix = stop.code, f"usage: avgfw {argv[0]}"
+    assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and message in err
+    assert err.startswith(prefix) and message in err
 
 
 def test_default_window_of_a_very_short_run_reports_no_fit(tmp_path, capsys):
@@ -633,22 +667,37 @@ def test_default_window_of_a_very_short_run_reports_no_fit(tmp_path, capsys):
 
 
 def test_diag_support_metrics_undefined_on_subsampled_trace(tmp_path, capsys):
-    text = CS_COMPARE_CONFIG.format(plots="false").replace("max_iters = 2000", "max_iters = 300")
+    # the rows of a trace_every = 7 run skip iterations, so they hold no
+    # atom history: the entries that count atoms are undefined, in compare
+    # and in diag, and no support chart is drawn, while the reference and
+    # the support set of x* need no history; at radius 0.05 ||x0||_1 the
+    # run that records every row has k_bar = 297
+    text = (
+        CS_COMPARE_CONFIG.format(plots="true")
+        .replace("alpha_scale = 1.0", "alpha_scale = 0.05")
+        .replace("max_iters = 2000", "max_iters = 300")
+        .replace("window_hi = 1999", "window_hi = 299")
+        .replace("reference_iters = 4000", "reference_iters = 20000")
+    )
     full, sub = tmp_path / "full", tmp_path / "sub"
-    run_cli("compare", "--config", write_config(tmp_path / "a.ini", text), "--out", str(full), "--quiet")
+    assert run_cli("compare", "--config", write_config(tmp_path / "a.ini", text), "--out", str(full), "--quiet") == 0
     text = text.replace("max_iters = 300", "max_iters = 300\ntrace_every = 7")
-    run_cli("compare", "--config", write_config(tmp_path / "b.ini", text), "--out", str(sub), "--quiet")
-    # the atom_id column of a subsampled trace is the vertex id at each recorded k
-    full_ids = {row[0]: row[6] for row in read_csv_rows(full / "fw_trace.csv")[1]}
+    assert run_cli("compare", "--config", write_config(tmp_path / "b.ini", text), "--out", str(sub), "--quiet") == 0
+    summary = report_entries((sub / "summary.txt").read_text())
+    full_summary = report_entries((full / "summary.txt").read_text())
+    assert full_summary["k_bar"] != "none" and full_summary["support_first_fw"] != "none"
+    assert summary["k_bar"] == summary["support_first_fw"] == summary["support_first_avgfw"] == "none"
+    for key in ("reference_iters", "f_star_estimate", "delta", "support_star_size"):
+        assert summary[key] == full_summary[key]
+    assert (full / "support.svg").exists() and (sub / "gap.svg").exists()
+    assert not (sub / "support.svg").exists()
+    # the atom_id column of a subsampled trace is empty
+    full_rows = read_csv_rows(full / "fw_trace.csv")[1]
     sub_rows = read_csv_rows(sub / "fw_trace.csv")[1]
-    assert len(sub_rows) < len(full_ids)
-    assert all(row[6] == full_ids[row[0]] for row in sub_rows)
-    # the summary still counts from the full history; diag cannot
-    summary = (sub / "summary.txt").read_text()
-    assert int(dict(line.split(" = ") for line in summary.splitlines())["support_first_fw"]) >= 1
+    assert len(sub_rows) < len(full_rows)
+    assert all(row[6] for row in full_rows) and not any(row[6] for row in sub_rows)
     assert run_cli("diag", str(sub / "fw_trace.csv")) == 0
-    entries = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
-    assert entries["support_first"] == "undefined"
+    assert report_entries(capsys.readouterr().out)["support_first"] == "undefined"
 
 
 def report_entries(text):
@@ -738,29 +787,31 @@ def test_read_trace_csv_round_trip(tmp_path):
     assert trace.state is None  # a CSV holds no checkpoint
 
 
-@pytest.mark.parametrize("every", [1, 7])
-def test_read_trace_csv_is_bitwise_the_run_it_was_written_from(tmp_path, every):
-    # both producers build the trace from one packed layout: every column
-    # reads back bitwise, the id history only when no iteration was skipped
+@pytest.mark.parametrize("case", ["every_1", "every_7", "resumed_at_5"])
+def test_read_trace_csv_is_bitwise_the_run_it_was_written_from(tmp_path, case):
+    # both producers build the trace from one packed layout, so a trace CSV
+    # reads back bitwise in every field, the atom history included
+    every = 7 if case == "every_7" else 1
     text = CS_COMPARE_CONFIG.format(plots="false").replace("max_iters = 2000", f"max_iters = 300\ntrace_every = {every}")
     path = write_config(tmp_path / "cfg.ini", text)
-    assert run_cli("solve", "--config", path, "--out", str(tmp_path), "--quiet") == 0
     cfg, _ = _read_config(path)
     obj, domain, _ = _build_problem(cfg, 2)
-    run = solve(obj, domain, _build_solver_config(cfg, domain))
-    read = read_trace_csv(str(tmp_path / "trace.csv"))
-    for name in ("ks", "f", "gap", "disc_err", "gamma", "beta"):
-        got, want = getattr(read, name), getattr(run, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    if every == 1:
-        assert read.vertex_ids.dtype == run.vertex_ids.dtype and read.vertex_ids.tobytes() == run.vertex_ids.tobytes()
-        assert read.k_start == run.k_start == 0
+    base = _build_solver_config(cfg, domain)
+    if case == "resumed_at_5":  # written as cmd_solve writes a trace
+        run = resume(solve(obj, domain, replace(base, max_iters=5)).state, obj, domain, replace(base, max_iters=40))
+        cli._write_csv(str(tmp_path / "trace.csv"), {}, cli.TRACE_COLUMNS, cli._trace_columns(run))
     else:
-        assert read.ks.size < run.vertex_ids.size
-        assert read.vertex_ids is None and read.k_start == 0
+        run = solve(obj, domain, base)
+        assert run_cli("solve", "--config", path, "--out", str(tmp_path), "--quiet") == 0
+    read = read_trace_csv(str(tmp_path / "trace.csv"))
+    assert (read.vertex_ids is None) == (every > 1) and int(read.ks[0]) == (5 if case == "resumed_at_5" else 0)
+    for name in ("ks", "f", "gap", "disc_err", "gamma", "beta", "vertex_ids"):
+        got, want = getattr(read, name), getattr(run, name)
+        assert got is want is None or (got.dtype == want.dtype and got.tobytes() == want.tobytes())
+    assert read.state is None  # a CSV holds no checkpoint
 
 
-def test_read_trace_csv_keeps_k_start_of_a_resumed_run(tmp_path):
+def test_read_trace_csv_keeps_the_first_k_of_a_resumed_run(tmp_path):
     # a trace whose rows start at k = 5, as a resumed run writes it
     path = tmp_path / "trace.csv"
     rows = [(5, 2), (6, -1), (7, 1), (8, 1), (9, 1)]
@@ -768,7 +819,6 @@ def test_read_trace_csv_keeps_k_start_of_a_resumed_run(tmp_path):
     lines += [f"{k},1.0,1.0,1.0,0.5,0.5,{vid}" for k, vid in rows]
     path.write_text("\n".join(lines) + "\n")
     trace = read_trace_csv(str(path))
-    assert trace.k_start == 5
     assert trace.ks.tolist() == [5, 6, 7, 8, 9]
     # f = 0.5 ||x - (10, 0)||^2 on the unit l1 ball: x* = e_1, whose
     # support is the vertex +e_1 (id 1), emitted from k = 7 on

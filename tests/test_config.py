@@ -29,7 +29,7 @@ BAD = ["", "abc", "nan", "inf", "-1", "0", "1,2", "true"]
 # size of a run are always present, so no example goes past desk scale.
 # DATA stands for a small svmlight file.
 GOOD = {
-    ("problem", "kind"): ["cs", "scalar1d", "l2_quadratic", "svmlight", "synthetic_logistic"],
+    ("problem", "kind"): ["cs", "scalar1d", "l2_quadratic", "svmlight"],
     ("problem", "n_features"): ["5", "30"],
     ("problem", "m_measurements"): ["4", "20"],
     ("problem", "sparsity_frac"): [None, "0.1", "1"],
@@ -38,20 +38,15 @@ GOOD = {
     ("problem", "alpha_scale"): [None, "0.05", "1"],
     ("problem", "path"): ["DATA", "absent.svmlight"],
     ("problem", "n_features_hint"): [None, "3", "40"],
-    ("problem", "m"): ["30"],
-    ("problem", "n"): ["20", "25"],
-    ("problem", "density"): [None, "0.2", "1"],
     ("solver", "variant"): [None, "fw", "avgfw"],
     ("solver", "c"): [None, "1", "3"],
     ("solver", "p"): [None, "0.5", "1"],
     ("solver", "max_iters"): ["1", "30"],
     ("solver", "trace_every"): [None, "1", "7"],
     ("solver", "x0"): [None, "lmo", "0.5"],
-    ("flow", "variant"): [None, "fw", "avgfw"],
     ("flow", "t_end"): ["0.5", "2"],
     ("flow", "dt"): [None, "1e-2", "0.5"],
     ("flow", "record_every"): [None, "0.1"],
-    ("flow", "x0"): [None, "lmo", "0.5"],
     ("flow", "forced_signal"): [None, "none", "one"],
     ("compare", "window_lo"): [None, "1", "10"],
     ("compare", "window_hi"): [None, "5", "29"],
@@ -67,7 +62,7 @@ GOOD = {
 
 # an unknown key or section, or a [problem] key the kind may not read, in
 # about one example in three
-UNKNOWN = [None] * 6 + [("solver", "max_iter"), ("extra", "k"), ("problem", "density")]
+UNKNOWN = [None] * 6 + [("solver", "max_iter"), ("extra", "k"), ("problem", "n_features_hint")]
 
 
 def test_fuzz_pools_cover_the_schema():

@@ -32,12 +32,14 @@ iid draws over six l1-ball vertices built inline with ``avgfw.Atom``),
 and ``force_signal`` on six forced signals: n = 1 and n = 3 (with a -0.0
 entry), p = 1 and 0.5, a record stride that does not divide the step
 count, a stride past t_end, t_end below dt/2 (no step) and a
-scalar-returning signal. Each case prints the SHA-256 of
-every trace column and of the final x, sbar and both images (for a flow,
-the columns t, f, gap, disc_err and h of ``flow_trace.csv`` and the final
-sbar), compared like an output. A flow's columns are read through
-:func:`flow_columns`, so a tree whose flows return a ``FlowTrace`` and one
-whose flows return the loop's ``IterateTrace`` hash alike.
+scalar-returning signal. Each case prints the SHA-256 of every row
+column and of the final x, sbar and both images (for a flow, the columns
+t, f, gap, disc_err and h of ``flow_trace.csv`` and the final sbar), and
+a run's ``vertex_ids`` as a second line, ``<case> vertex_ids``, each
+compared like an output; a change to what the record keeps of the atom
+ids then shows on those lines alone. The scripted streams call
+``solvers._run`` with or without the ``record_ids`` flag, as the tree's
+loop takes it.
 
 A differing text output is shown as the first DIFF_LINES lines of its
 unified diff. Exits 1 on any difference, 0 when all match.
@@ -147,18 +149,16 @@ def differences(ref: Dict[str, bytes], new: Dict[str, bytes]) -> List[Tuple[str,
 
 
 def flow_columns(flow, dt: float, final_s_bar):
-    """t, f, gap, disc_err, h and the final sbar of a flow run. A
-    ``FlowTrace`` holds them; an ``IterateTrace`` gives them as the
-    ``flow`` command writes them, ``ks * dt`` and ``f - 0.0`` (f_ref = 0
+    """t, f, gap, disc_err, h and the final sbar of a flow run, as the
+    ``flow`` command writes them: ``ks * dt`` and ``f - 0.0`` (f_ref = 0
     here), with ``final_s_bar(state)`` read from its final state."""
-    if hasattr(flow, "t"):
-        return flow.t, flow.f, flow.gap, flow.disc_err, flow.h, flow.final_s_bar
     return flow.ks * dt, flow.f, flow.gap, flow.disc_err, flow.f - 0.0, final_s_bar(flow.state)
 
 
 def hash_cases() -> None:
     """Print ``case digest`` for every in-process case, run with the avgfw found on the path."""
     import hashlib
+    import inspect
 
     import numpy as np
     import scipy.sparse as sp
@@ -175,7 +175,8 @@ def hash_cases() -> None:
 
     def emit_trace(case: str, t) -> None:
         st = t.state
-        emit(case, t.ks, t.f, t.gap, t.disc_err, t.gamma, t.beta, t.vertex_ids, st.x, st.s_bar, st.x_image, st.s_bar_image)
+        emit(case, t.ks, t.f, t.gap, t.disc_err, t.gamma, t.beta, st.x, st.s_bar, st.x_image, st.s_bar_image)
+        emit(f"{case} vertex_ids", t.vertex_ids)
 
     rng = np.random.default_rng(5)
     A, y = rng.standard_normal((12, 40)), rng.standard_normal(12)
@@ -216,6 +217,7 @@ def hash_cases() -> None:
     # the six signed vertices of the unit l1 ball in R^6 on its first three axes, +0.0 elsewhere
     pool = [Atom(np.where(np.arange(6) == i, float(sign), 0.0), sign * (i + 1)) for i in range(3) for sign in (1, -1)]
     streams = {"repeating_cycle": np.arange(200) % 6, "random_vertex": np.random.default_rng(4).integers(0, 6, size=200)}
+    record_ids = (True,) if "record_ids" in inspect.signature(_run).parameters else ()  # a loop that still takes the flag
     for mode, picks in streams.items():  # the prescribed atoms through the loop, with no objective
 
         def source(x, u, k, record):
@@ -223,7 +225,7 @@ def hash_cases() -> None:
 
         start = SolverState(k=0, x=np.zeros(6), s_bar=np.zeros(6))
         cfg = SolverConfig(Variant.AVGFW, sched, max_iters=200)
-        emit_trace(f"scripted {mode}", _run(source, lambda v: np.empty(0), _discrete_steps(sched), True, cfg, start))
+        emit_trace(f"scripted {mode}", _run(source, lambda v: np.empty(0), _discrete_steps(sched), *record_ids, cfg, start))
     def wave(t: float) -> np.ndarray:
         return np.array([np.sin(3.0 * t), -0.0, 1.0 - t])
 
