@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import sys
 import warnings
@@ -48,7 +47,11 @@ from .experiments import (
     generate_cs,
     generate_l2ball_quadratic,
     generate_sparse_logistic,
+    integer,
     load_svmlight,
+    number,
+    number_text,
+    text_lines,
     train_val_split,
     write_svmlight,
 )
@@ -125,45 +128,28 @@ PROBLEM_KEYS: Dict[str, Tuple[str, ...]] = {
 Config = Dict[str, Dict[str, object]]
 
 
-# The readers of every numeric key and flag: int() and float() read "1_0" as 10.
-def _int(raw: str) -> int:
-    if "_" in raw:
-        raise ValueError(raw)
-    return int(raw)
-
-
-def _finite_float(raw: str) -> float:
-    val = float(raw)
-    if "_" in raw or not math.isfinite(val):
-        raise ValueError(raw)
-    return val
-
-
 # type -> (parser raising ValueError or KeyError, what the error message expects)
 _PARSERS = {
     str: (str, "a string"),
-    int: (_int, "an integer"),
-    float: (_finite_float, "a finite number"),
+    int: (integer, "an integer"),
+    float: (number, "a finite number"),
     bool: (lambda raw: configparser.ConfigParser.BOOLEAN_STATES[raw.lower()], "a boolean"),
     Variant: (lambda raw: Variant(raw.strip().lower()), "fw or avgfw"),
 }
 
 
 def _read_config(path: str) -> Tuple[Config, Dict[str, str]]:
-    """Parse a config file against ``SCHEMA``.
+    """Parse a config file, read by ``text_lines``, against ``SCHEMA``.
 
     Returns (values, echo): ``values[section][key]`` is the typed value of
     every schema key, its default when absent; ``echo`` maps
     ``section.key`` to the raw string of every key present, in file order.
     """
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cp.read_file(fh, source=path)
+        cp.read_file((line for _, line in text_lines(path, "config")), source=path)
         raw = {section: cp.items(section) for section in cp.sections()}
-    except (configparser.Error, UnicodeDecodeError) as err:
+    except configparser.Error as err:
         raise ConfigError(f"cannot parse config {path}: {err}") from None
     values = {section: {key: default for key, (_, default) in keys.items()} for section, keys in SCHEMA.items()}
     echo: Dict[str, str] = {}
@@ -264,10 +250,7 @@ def _build_problem(cfg: Config, seed: int):
         return obj, domain, meta
 
     if kind == "svmlight":
-        path = _required(cfg, "problem", "path")
-        if not os.path.isfile(path):
-            raise ConfigError(f"svmlight file not found: {path}")
-        data = load_svmlight(path, n_features_hint=prob["n_features_hint"])
+        data = load_svmlight(_required(cfg, "problem", "path"), n_features_hint=prob["n_features_hint"])
         alpha = _required(cfg, "problem", "alpha")
         meta["samples"] = data.m
         return data, DomainSet(Kind.L1_BALL, alpha, data.n), meta
@@ -280,7 +263,7 @@ def _parse_x0(cfg: Config, domain: DomainSet) -> Optional[np.ndarray]:
     if raw.strip().lower() == "lmo":
         return None
     try:
-        vals = np.array([_finite_float(tok) for tok in raw.split(",")])
+        vals = np.array([number(tok) for tok in raw.split(",")])
     except ValueError:
         raise ConfigError(f"[solver] x0 must be 'lmo' or comma-separated finite floats, got {raw!r}") from None
     if vals.shape != (domain.n,):
@@ -331,33 +314,27 @@ def _trace_columns(trace: IterateTrace) -> Tuple[Optional[np.ndarray], ...]:
 def read_trace_csv(path: str) -> IterateTrace:
     """Rebuild the trace a solve/compare CSV was written from.
 
-    The fields are parsed into the packed buffers of a run's record and
-    viewed by ``IterateTrace.packed``, so every column, ``vertex_ids``
-    included, is bitwise the run's, whatever its ``trace_every`` or first
-    k. The file holds no checkpoint, so ``state`` is None.
+    Each data row, ``number_text``, is parsed into the packed buffers of a
+    run's record, viewed by ``IterateTrace.packed``, so every column,
+    ``vertex_ids`` included, is bitwise the run's, whatever its
+    ``trace_every`` or first k. ``state`` is None: the file holds no checkpoint.
     """
-    if not os.path.isfile(path):
-        raise ConfigError(f"trace file not found: {path}")
     ks, rows, ids = array("q"), array("d"), array("q")
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line.isascii():
-                raise ParseError(line_no, f"line {line_no}: non-ASCII byte")
-            if not line or line.startswith("#") or line == TRACE_COLUMNS:
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise ParseError(line_no, f"line {line_no}: expected 7 columns, got {len(parts)}")
-            try:
-                if "_" in line:  # int() and float() read Python's digit separator, which no field holds
-                    raise ValueError(line)
-                ks.append(int(parts[0]))
-                rows.extend(map(float, parts[1:6]))
-                if parts[6]:
-                    ids.append(int(parts[6]))
-            except (ValueError, OverflowError):  # an integer past int64 overflows
-                raise ParseError(line_no, f"line {line_no}: bad numeric field") from None
+    for line_no, line in text_lines(path, "trace"):
+        if not line or line.startswith("#") or line == TRACE_COLUMNS:
+            continue
+        parts = line.split(",")
+        if len(parts) != 7:
+            raise ParseError(line_no, f"line {line_no}: expected 7 columns, got {len(parts)}")
+        try:
+            if not number_text(line):
+                raise ValueError(line)
+            ks.append(int(parts[0]))
+            rows.extend(map(float, parts[1:6]))
+            if parts[6]:
+                ids.append(int(parts[6]))
+        except (ValueError, OverflowError):  # an integer past int64 overflows
+            raise ParseError(line_no, f"line {line_no}: bad numeric field") from None
     if not ks:
         raise ParseError(0, f"no data rows in {path}")
     return IterateTrace.packed(ks, rows, ids, None)
@@ -366,16 +343,9 @@ def read_trace_csv(path: str) -> IterateTrace:
 # ---------------------------------------------------------------- commands
 
 def _trace_header(echo, domain, meta, extra: Dict[str, object]) -> Dict[str, object]:
-    header: Dict[str, object] = dict(echo)
-    header["alpha"] = _fmt_float(domain.alpha)
-    header["dimension"] = domain.n
-    if "f_ref" in meta:
-        header["f_ref"] = _fmt_float(meta["f_ref"])
-    for key, val in meta.items():
-        if key != "f_ref":
-            header[key] = val
-    header.update(extra)
-    return header
+    f_ref = {"f_ref": _fmt_float(meta["f_ref"])} if "f_ref" in meta else {}
+    rest = {key: val for key, val in meta.items() if key != "f_ref"}
+    return {**echo, "alpha": _fmt_float(domain.alpha), "dimension": domain.n, **f_ref, **rest, **extra}
 
 
 def cmd_solve(args) -> int:
@@ -618,7 +588,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=None, help="output directory (default: config, then $AVGFW_OUT)")
-        p.add_argument("--seed", type=_int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=integer, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true")
 
     for name, fn in (
@@ -634,15 +604,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diag")
     p.add_argument("trace", help="trace CSV produced by solve/compare")
-    p.add_argument("--window-lo", type=_int, default=None)
-    p.add_argument("--window-hi", type=_int, default=None)
+    p.add_argument("--window-lo", type=integer, default=None)
+    p.add_argument("--window-hi", type=integer, default=None)
     common(p)
     p.set_defaults(fn=cmd_diag)
 
     p = sub.add_parser("gen-data")
-    p.add_argument("--m", type=_int, default=800)
-    p.add_argument("--n", type=_int, default=1000)
-    p.add_argument("--density", type=_finite_float, default=0.01)
+    p.add_argument("--m", type=integer, default=800)
+    p.add_argument("--n", type=integer, default=1000)
+    p.add_argument("--density", type=number, default=0.01)
     common(p)
     p.set_defaults(fn=cmd_gen_data)
     return parser

@@ -1,6 +1,6 @@
-"""Problem generators and svmlight ingestion.
+"""Problem generators, svmlight ingestion, and the one grammar of input text.
 
-Everything here is seed-deterministic: the same spec produces bitwise
+Every generator here is seed-deterministic: the same spec produces bitwise
 identical data. The generators cover the three benchmark families at
 desk scale: synthetic compressed sensing (sparse recovery over the l1
 ball), a quadratic over the l2 ball whose constrained optimum sits on
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,8 +36,8 @@ class SyntheticCSSpec:
     def __post_init__(self):
         if self.n_features < 1 or self.m_measurements < 1:
             raise ConfigError("dimensions must be >= 1")
-        if not (0 < self.sparsity_frac <= 1):
-            raise ConfigError(f"sparsity_frac must lie in (0, 1], got {self.sparsity_frac}")
+        if not (self.sparsity_frac <= 1 and round(self.sparsity_frac * self.n_features) >= 1):
+            raise ConfigError(f"sparsity_frac * n_features must round to 1..n_features: {self.sparsity_frac:g} * {self.n_features}")
         if self.noise_std < 0:
             raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
 
@@ -82,8 +82,6 @@ def generate_l2ball_quadratic(
     oscillation) and alpha above it leaves the optimum interior.
     Returns (objective, domain, x_unc).
     """
-    if alpha <= 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((L2_ROWS, L2_DIM))
     direction = rng.standard_normal(L2_DIM)
@@ -92,15 +90,49 @@ def generate_l2ball_quadratic(
     return QuadraticLS(A, y), DomainSet(Kind.L2_BALL, float(alpha), L2_DIM), x_unc
 
 
+def text_lines(path: str, what: str) -> Iterator[Tuple[int, str]]:
+    """The numbered, stripped lines of an input file: a config, an svmlight
+    file or a trace CSV. A missing file raises ConfigError; every input file
+    is ASCII, and another byte on any line, a comment too, raises ParseError."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what} file not found: {path}")
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise ParseError(line_no, f"line {line_no}: non-ASCII byte")
+            yield line_no, line.strip()
+
+
+def number_text(raw: str) -> bool:
+    """A number is ASCII text without ``_`` (int() and float() read other digits,
+    and 1_0 as 10). Of its readers, only trace-CSV floats take nan and inf (the
+    fits drop them); config values, flags and svmlight values refuse them."""
+    return raw.isascii() and "_" not in raw
+
+
+def integer(raw: str) -> int:
+    """The int that number text spells; ValueError otherwise."""
+    if not number_text(raw):
+        raise ValueError(raw)
+    return int(raw)
+
+
+def number(raw: str) -> float:
+    """The finite float that number text spells; ValueError otherwise."""
+    if not (number_text(raw) and math.isfinite(val := float(raw))):
+        raise ValueError(raw)
+    return val
+
+
 def load_svmlight(path: str, n_features_hint: Optional[int] = None) -> Logistic:
     """Parse an svmlight/libsvm text file into a CSR-backed logistic objective.
 
     One sample per line: ``label idx:val idx:val ...`` with 1-based
     indices. Labels must be -1, 0, or +1; 0 maps to -1. Feature values
-    must be finite. Blank lines and lines starting with '#' are skipped.
-    Features beyond the hint extend the dimension. A line may name a
-    feature index once, and the dimension must leave room in physical
-    memory for a dense float64 vector of that length.
+    must be finite. Blank lines and lines starting with '#' are skipped; a
+    data line is :func:`number_text`. Features beyond the hint extend the
+    dimension. A line may name a feature index once, and the dimension must
+    leave room in physical memory for a dense float64 vector of that length.
     """
     import scipy.sparse as sp
 
@@ -110,48 +142,44 @@ def load_svmlight(path: str, n_features_hint: Optional[int] = None) -> Logistic:
     indptr: List[int] = [0]
     max_col, max_line = -1, 0
 
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line.isascii():
-                raise ParseError(line_no, f"line {line_no}: non-ASCII byte")
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if "_" in line:  # int() and float() read Python's digit separator, which svmlight has not
-                raise ParseError(line_no, f"line {line_no}: bad token {next(tok for tok in tokens if '_' in tok)!r}")
+    for line_no, line in text_lines(path, "svmlight"):
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if not number_text(line):
+            raise ParseError(line_no, f"line {line_no}: bad token {next(tok for tok in tokens if not number_text(tok))!r}")
+        try:
+            lab = float(tokens[0])
+        except ValueError:
+            raise ParseError(line_no, f"line {line_no}: bad label {tokens[0]!r}") from None
+        if lab == 0.0:
+            lab = -1.0
+        if lab not in (-1.0, 1.0):
+            raise LabelError(line_no, f"line {line_no}: label must be -1, 0, or +1, got {tokens[0]}")
+        labels.append(lab)
+        start = len(indices)
+        for tok in tokens[1:]:
+            parts = tok.split(":")
+            if len(parts) != 2:
+                raise ParseError(line_no, f"line {line_no}: bad feature token {tok!r}")
             try:
-                lab = float(tokens[0])
+                idx = int(parts[0])
+                val = float(parts[1])
             except ValueError:
-                raise ParseError(line_no, f"line {line_no}: bad label {tokens[0]!r}") from None
-            if lab == 0.0:
-                lab = -1.0
-            if lab not in (-1.0, 1.0):
-                raise LabelError(line_no, f"line {line_no}: label must be -1, 0, or +1, got {tokens[0]}")
-            labels.append(lab)
-            start = len(indices)
-            for tok in tokens[1:]:
-                parts = tok.split(":")
-                if len(parts) != 2:
-                    raise ParseError(line_no, f"line {line_no}: bad feature token {tok!r}")
-                try:
-                    idx = int(parts[0])
-                    val = float(parts[1])
-                except ValueError:
-                    raise ParseError(line_no, f"line {line_no}: bad feature token {tok!r}") from None
-                if idx < 1:
-                    raise ParseError(line_no, f"line {line_no}: indices are 1-based, got {idx}")
-                if not math.isfinite(val):
-                    raise ParseError(line_no, f"line {line_no}: non-finite feature value {tok!r}")
-                indices.append(idx - 1)
-                data.append(val)
-            row = indices[start:]
-            if len(set(row)) < len(row):
-                dup = next(i for i in row if row.count(i) > 1)
-                raise ParseError(line_no, f"line {line_no}: feature index {dup + 1} repeated")
-            if row and max(row) > max_col:
-                max_col, max_line = max(row), line_no
-            indptr.append(len(indices))
+                raise ParseError(line_no, f"line {line_no}: bad feature token {tok!r}") from None
+            if idx < 1:
+                raise ParseError(line_no, f"line {line_no}: indices are 1-based, got {idx}")
+            if not math.isfinite(val):
+                raise ParseError(line_no, f"line {line_no}: non-finite feature value {tok!r}")
+            indices.append(idx - 1)
+            data.append(val)
+        row = indices[start:]
+        if len(set(row)) < len(row):
+            dup = next(i for i in row if row.count(i) > 1)
+            raise ParseError(line_no, f"line {line_no}: feature index {dup + 1} repeated")
+        if row and max(row) > max_col:
+            max_col, max_line = max(row), line_no
+        indptr.append(len(indices))
 
     n = max(max_col + 1, n_features_hint or 0)
     if n == 0:

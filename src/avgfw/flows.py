@@ -55,10 +55,12 @@ class FlowConfig:
             raise ConfigError(f"dt = {self.dt:g} exceeds the supported maximum {MAX_DT:g}")
         if self.dt <= 0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.t_end <= 0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if self.record_every <= 0:
-            raise ConfigError(f"record_every must be positive, got {self.record_every}")
+        for key in ("t_end", "record_every"):  # each over dt counts Euler steps
+            val = getattr(self, key)
+            if val <= 0:
+                raise ConfigError(f"{key} must be positive, got {val}")
+            if not np.isfinite(val / self.dt):
+                raise ConfigError(f"{key} / dt = {val:g} / {self.dt:g} overflows the Euler step count")
 
 
 def _euler_steps(cfg: FlowConfig, variant: Variant) -> Tuple[int, SolverConfig]:

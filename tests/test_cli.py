@@ -24,7 +24,7 @@ def run_cli(*argv):
 
 
 def write_config(path, text):
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -357,6 +357,29 @@ def test_src_raises_every_error_class_it_defines():
     assert {cls.__name__ for cls in concrete_errors()} - raised == set()
 
 
+def test_src_opens_files_for_reading_in_the_line_source_only():
+    # every file read passes experiments.text_lines, the one ASCII gate
+    def calls(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            if isinstance(child, ast.Call):
+                yield function, child
+            yield from calls(child, inner)
+
+    readers = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(errors.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for function, call in calls(tree, None):
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) != "open":
+                continue
+            modes = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+            mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"  # unknown: counted as a read
+            if "r" in mode or "+" in mode:
+                readers.append((os.path.basename(path), function))
+    assert readers == [("experiments.py", "text_lines")]
+
+
 @pytest.mark.parametrize("cls", concrete_errors(), ids=lambda cls: cls.__name__)
 def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, recwarn, cls):
     # a warning raised before the error is shown on exit 2 and dropped on
@@ -611,23 +634,88 @@ BAD_INPUTS = {
         "[problem] alpha must be a finite number, got '1_0'",
     ),
     "x0_digit_separator": (["solve"], SCALAR_CONFIG.replace("x0 = 0.5", "x0 = 0_5"), "[solver] x0 must be 'lmo'"),
-    "seed_digit_separator": (["solve", "--seed", "1_0"], SCALAR_CONFIG, "argument --seed: invalid _int value: '1_0'"),
+    "seed_digit_separator": (["solve", "--seed", "1_0"], SCALAR_CONFIG, "argument --seed: invalid integer value: '1_0'"),
     "window_lo_digit_separator": (["diag", "{trace}", "--window-lo", "1_0"], None, "argument --window-lo: invalid"),
     "window_hi_digit_separator": (["diag", "{trace}", "--window-hi", "1_0"], None, "argument --window-hi: invalid"),
-    "gen_data_m_digit_separator": (["gen-data", "--m", "1_0"], None, "argument --m: invalid _int value: '1_0'"),
-    "gen_data_n_digit_separator": (["gen-data", "--n", "2_0"], None, "argument --n: invalid _int value: '2_0'"),
+    "gen_data_m_digit_separator": (["gen-data", "--m", "1_0"], None, "argument --m: invalid integer value: '1_0'"),
+    "gen_data_n_digit_separator": (["gen-data", "--n", "2_0"], None, "argument --n: invalid integer value: '2_0'"),
     "gen_data_density_digit_separator": (
         ["gen-data", "--density", "0.0_1"],
         None,
-        "argument --density: invalid _finite_float value: '0.0_1'",
+        "argument --density: invalid number value: '0.0_1'",
+    ),
+    "svmlight_label_digit_separator": (["solve"], SVMLIGHT_CONFIG, "line 1: bad token '1_0'"),
+    "svmlight_value_digit_separator": (["solve"], SVMLIGHT_CONFIG, "line 1: bad token '1:1_0'"),
+    "diag_trace_float_digit_separator": (["diag", "{trace}"], None, "line 3: bad numeric field"),
+    # a missing file keeps the message of the reader that wanted it
+    "config_not_found": (["solve", "--config", "absent.ini"], None, "config file not found: absent.ini"),
+    "svmlight_not_found": (["solve"], SVMLIGHT_CONFIG.replace("{data}", "absent.svmlight"), "svmlight file not found: absent.svmlight"),
+    "diag_trace_not_found": (["diag", "absent.csv"], None, "trace file not found: absent.csv"),
+    # every input file is ASCII, comments included: a config exits 2 before anything runs
+    "config_non_ascii_key": (["solve"], SCALAR_CONFIG.replace("max_iters", "max_it\u00e9rs"), "line 10: non-ASCII byte"),
+    "config_non_ascii_section": (["solve"], SCALAR_CONFIG.replace("[solver]", "[s\u00f6lver]"), "line 6: non-ASCII byte"),
+    "config_non_ascii_value": (["solve"], SCALAR_CONFIG.replace("kind = scalar1d", "kind = scalar1d\u00e9"), "line 3: non-ASCII byte"),
+    "config_non_ascii_comment": (["solve"], SCALAR_CONFIG + "# caf\u00e9\n", "line 16: non-ASCII byte"),
+    # a config line is read stripped: an indented line is no continuation of the value above
+    "config_indented_line": (["solve"], SCALAR_CONFIG + "dir = out\n  sub\n", "cannot parse config"),
+    # a step count that overflows a float is no count
+    "flow_forced_t_end_overflow": (
+        ["flow"],
+        FORCED_FLOW_CONFIG.replace("t_end = 6.0", "t_end = 1e308"),
+        "t_end / dt = 1e+308 / 0.001 overflows the Euler step count",
+    ),
+    "flow_record_every_overflow": (
+        ["flow"],
+        SCALAR_FLOW_CONFIG.replace("record_every = 1.0", "record_every = 1e308"),
+        "record_every / dt = 1e+308 / 0.001 overflows the Euler step count",
+    ),
+    "flow_dt_subnormal": (["flow"], SCALAR_FLOW_CONFIG.replace("dt = 1e-3", "dt = 1e-320"), "t_end / dt = 50 / 9.99989e-321 overflows"),
+    "cs_empty_ground_truth": (
+        ["compare"],
+        CS_COMPARE_CONFIG.format(plots="false").replace("kind = cs", "kind = cs\nsparsity_frac = 0.0001\nn_features = 50"),
+        "sparsity_frac * n_features must round to 1..n_features: 0.0001 * 50",
     ),
 }
 SVMLIGHT_BODIES = {
     "svmlight_non_finite_solve": NON_FINITE_SVMLIGHT,
     "svmlight_non_finite_sweep": NON_FINITE_SVMLIGHT,
     "svmlight_digit_separator": b"+1 1_0:0.5 2:1_0.0\n-1 1:0.2 2:0.3\n",
+    "svmlight_label_digit_separator": b"1_0 1:0.5\n-1 1:0.2\n",
+    "svmlight_value_digit_separator": b"+1 1:1_0\n-1 1:0.2\n",
 }
-TRACE_BODIES = {"diag_trace_digit_separator": "0,1.0,1.0,1.0,0.5,0.5,1\n1_0,1.0,1.0,1.0,0.5,0.5,1\n"}
+TRACE_BODIES = {
+    "diag_trace_digit_separator": "0,1.0,1.0,1.0,0.5,0.5,1\n1_0,1.0,1.0,1.0,0.5,0.5,1\n",
+    "diag_trace_float_digit_separator": "0,1.0,1.0,1.0,0.5,0.5,1\n1,1_0,1.0,1.0,0.5,0.5,1\n",
+}
+
+# int() and float() read other scripts' digits too: each number reader
+# refuses Arabic-Indic 10 and full-width 1, a flag through argparse and a
+# file as a non-ASCII line (the reader, its command line, and the line)
+OTHER_DIGITS = {"arabic_indic": "\u0661\u0660", "fullwidth": "\uff11"}
+NUMBER_READERS = {
+    "config_int": (["solve"], SCALAR_CONFIG.replace("max_iters = 50", "max_iters = {digits}"), "line 10"),
+    "config_float": (["solve"], SCALAR_CONFIG.replace("alpha = 1.0", "alpha = {digits}"), "line 4"),
+    "x0": (["solve"], SCALAR_CONFIG.replace("x0 = 0.5", "x0 = {digits}"), "line 12"),
+    "seed_flag": (["solve", "--seed", "{digits}"], SCALAR_CONFIG, "argument --seed: invalid integer value"),
+    "window_lo_flag": (["diag", "{trace}", "--window-lo", "{digits}"], None, "argument --window-lo: invalid integer value"),
+    "gen_data_m_flag": (["gen-data", "--m", "{digits}"], None, "argument --m: invalid integer value"),
+    "gen_data_density_flag": (["gen-data", "--density", "{digits}"], None, "argument --density: invalid number value"),
+    "svmlight_label": (["solve"], SVMLIGHT_CONFIG, "line 1"),
+    "svmlight_index": (["solve"], SVMLIGHT_CONFIG, "line 1"),
+    "svmlight_value": (["solve"], SVMLIGHT_CONFIG, "line 1"),
+    "diag_trace_k": (["diag", "{trace}"], None, "line 3"),
+    "diag_trace_float": (["diag", "{trace}"], None, "line 3"),
+}
+for form, digits in OTHER_DIGITS.items():
+    for reader, (argv, text, where) in NUMBER_READERS.items():
+        case = f"{reader}_{form}"
+        message = f"{where}: {digits!r}" if where.startswith("argument") else f"{where}: non-ASCII byte"
+        BAD_INPUTS[case] = ([a.replace("{digits}", digits) for a in argv], text and text.replace("{digits}", digits), message)
+    SVMLIGHT_BODIES[f"svmlight_label_{form}"] = f"{digits} 1:0.5\n-1 1:0.2\n".encode()
+    SVMLIGHT_BODIES[f"svmlight_index_{form}"] = f"+1 {digits}:0.5\n-1 1:0.2\n".encode()
+    SVMLIGHT_BODIES[f"svmlight_value_{form}"] = f"+1 1:{digits}\n-1 1:0.2\n".encode()
+    TRACE_BODIES[f"diag_trace_k_{form}"] = f"0,1.0,1.0,1.0,0.5,0.5,1\n{digits},1.0,1.0,1.0,0.5,0.5,1\n"
+    TRACE_BODIES[f"diag_trace_float_{form}"] = f"0,1.0,1.0,1.0,0.5,0.5,1\n1,{digits},1.0,1.0,0.5,0.5,1\n"
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -635,7 +723,7 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, case):
     argv, text, message = BAD_INPUTS[case]
     trace = tmp_path / "trace.csv"
     rows = TRACE_BODIES.get(case, "".join(f"{k},1.0,1.0,1.0,0.5,0.5,1\n" for k in range(10)))
-    trace.write_text("k,f,gap,disc_err,gamma,beta,atom_id\n" + rows)
+    trace.write_text("k,f,gap,disc_err,gamma,beta,atom_id\n" + rows, encoding="utf-8")
     argv = [str(trace) if a == "{trace}" else a for a in argv]
     if text is not None:
         data = tmp_path / "data.svmlight"
@@ -901,6 +989,14 @@ def test_out_dir_naming_a_file_exits_2(tmp_path, capsys, where):
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot create output directory")
+
+
+def test_non_ascii_output_dir_exits_2_and_makes_no_directory(tmp_path, capsys):
+    target = tmp_path / "caf\u00e9"
+    cfg = write_config(tmp_path / "cfg.ini", SCALAR_CONFIG + f"dir = {target}\n")
+    assert run_cli("solve", "--config", cfg, "--quiet") == 2
+    assert capsys.readouterr().err == "config error: line 16: non-ASCII byte\n"
+    assert not target.exists()
 
 
 def test_env_var_default_out_dir(tmp_path, monkeypatch):
