@@ -28,7 +28,7 @@ import sys
 import warnings
 from array import array
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -65,7 +65,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 TRACE_COLUMNS = "k,f,gap,disc_err,gamma,beta,atom_id"
-CSV_BLOCK = 1024  # rows formatted per write, so a CSV is never held whole in memory
+CSV_BLOCK = 128  # rows formatted per write, so a CSV is never held whole in memory
 
 
 # ---------------------------------------------------------------- config
@@ -141,11 +141,12 @@ _PARSERS = {
 def _read_config(path: str) -> Tuple[Config, Dict[str, str]]:
     """Parse a config file, read by ``text_lines``, against ``SCHEMA``.
 
+    A value is the text the file holds: ``%`` is no interpolation syntax.
     Returns (values, echo): ``values[section][key]`` is the typed value of
     every schema key, its default when absent; ``echo`` maps
     ``section.key`` to the raw string of every key present, in file order.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         cp.read_file((line for _, line in text_lines(path, "config")), source=path)
         raw = {section: cp.items(section) for section in cp.sections()}
@@ -183,12 +184,18 @@ def _required(cfg: Config, section: str, key: str):
 
 
 def _resolve_out_dir(args, configured: Optional[str] = None) -> str:
-    out = args.out or configured or os.environ.get("AVGFW_OUT", ".")
+    """The output directory's path; ``_out_path`` makes the directory."""
+    return args.out or configured or os.environ.get("AVGFW_OUT", ".")
+
+
+def _out_path(out_dir: str, filename: str) -> str:
+    """``filename`` in ``out_dir``, which is made here, right before a
+    command's first write, so a run that fails leaves no directory behind."""
     try:
-        os.makedirs(out, exist_ok=True)
+        os.makedirs(out_dir, exist_ok=True)
     except OSError as err:
-        raise ConfigError(f"cannot create output directory {out}: {err.strerror}") from None
-    return out
+        raise ConfigError(f"cannot create output directory {out_dir}: {err.strerror}") from None
+    return os.path.join(out_dir, filename)
 
 
 def _resolve_seed(args, configured: int = 0) -> int:
@@ -199,7 +206,7 @@ def _resolve_seed(args, configured: int = 0) -> int:
 
 
 def _prepare(args) -> Tuple[Config, Dict[str, str], int, str]:
-    """The config and its echo, then the seed, then the output directory."""
+    """The config and its echo, then the seed, then the output directory's path."""
     cfg, echo = _read_config(args.config)
     return cfg, echo, _resolve_seed(args, cfg["output"]["seed"]), _resolve_out_dir(args, cfg["output"]["dir"])
 
@@ -294,16 +301,16 @@ def _write_csv(path: str, header: Dict[str, object], names: str, columns: Sequen
     ``_fmt_float`` prints it; a None column prints empty fields."""
     size = next(len(col) for col in columns if col is not None)
     row = ",".join("" if col is None else "{!r}" for col in columns) + "\n"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write("".join(f"# {key} = {val}\n" for key, val in header.items()) + names + "\n")
         for lo in range(0, size, CSV_BLOCK):
             block = [col[lo : lo + CSV_BLOCK].tolist() for col in columns if col is not None]
             fh.write("".join(row.format(*values) for values in zip(*block)))
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+def _create(path: str) -> TextIO:
+    """``path`` opened for writing ASCII text."""
+    return open(path, "w", encoding="ascii", newline="\n")
 
 
 def _trace_columns(trace: IterateTrace) -> Tuple[Optional[np.ndarray], ...]:
@@ -354,7 +361,7 @@ def cmd_solve(args) -> int:
     solver_cfg = _build_solver_config(cfg, domain)
     trace = solve(obj, domain, solver_cfg)
     header = _trace_header(echo, domain, meta, {"variant": solver_cfg.variant.value, "seed": seed})
-    path = os.path.join(out_dir, "trace.csv")
+    path = _out_path(out_dir, "trace.csv")
     _write_csv(path, header, TRACE_COLUMNS, _trace_columns(trace))
     if not args.quiet:
         print(f"wrote {path} ({trace.ks.size} rows)")
@@ -458,10 +465,11 @@ def cmd_compare(args) -> int:
 
     for variant, trace in traces.items():
         header = _trace_header(echo, domain, meta, {"variant": variant, "seed": seed})
-        _write_csv(os.path.join(out_dir, f"{variant}_trace.csv"), header, TRACE_COLUMNS, _trace_columns(trace))
+        _write_csv(_out_path(out_dir, f"{variant}_trace.csv"), header, TRACE_COLUMNS, _trace_columns(trace))
     summary = {"c": base.schedule.c, "p": base.schedule.p, "alpha": domain.alpha, "max_iters": max_iters, "seed": seed}
-    summary_path = os.path.join(out_dir, "summary.txt")
-    _write_text(summary_path, render_report({**summary, **entries}))
+    summary_path = _out_path(out_dir, "summary.txt")
+    with _create(summary_path) as fh:
+        fh.write(render_report({**summary, **entries}))
     if cfg["output"]["emit_plots"]:
         _emit_compare_plots(out_dir, traces)
     if not args.quiet:
@@ -481,7 +489,8 @@ def _emit_compare_plots(out_dir: str, traces: Dict[str, IterateTrace]) -> None:
         )
     for filename, title, ylabel, loglog, points in charts:
         data = [(variant, *points(trace)) for variant, trace in traces.items()]
-        _write_text(os.path.join(out_dir, filename), _svg.line_chart(data, title, "iteration", ylabel, loglog=loglog))
+        with _create(_out_path(out_dir, filename)) as fh:
+            _svg.line_chart(data, title, "iteration", ylabel, loglog=loglog, out=fh)
 
 
 def cmd_flow(args) -> int:
@@ -515,7 +524,7 @@ def cmd_flow(args) -> int:
         header["alpha"] = _fmt_float(domain.alpha)
         header["f_ref"] = _fmt_float(f_ref)
 
-    path = os.path.join(out_dir, "flow_trace.csv")
+    path = _out_path(out_dir, "flow_trace.csv")
     columns = (trace.ks * flow_cfg.dt, trace.f, trace.gap, trace.disc_err, trace.f - f_ref)
     _write_csv(path, header, "t,f,gap,disc_err,h", columns)
     if not args.quiet:
@@ -563,7 +572,7 @@ def cmd_sweep(args) -> int:
         rows.append((alpha, train.value(x), val_loss, trace.gap[-1]))
         if val_loss < best_loss:
             best_alpha, best_loss = float(alpha), float(val_loss)
-    path = os.path.join(out_dir, "sweep.csv")
+    path = _out_path(out_dir, "sweep.csv")
     _write_csv(path, echo, "alpha,train_loss,val_loss,final_gap", np.array(rows, dtype=float).T)
     if not args.quiet:
         print(f"wrote {path}; best alpha {best_alpha:g} (validation loss {best_loss:.6g})")
@@ -573,7 +582,7 @@ def cmd_sweep(args) -> int:
 def cmd_gen_data(args) -> int:
     out_dir = _resolve_out_dir(args)
     data = generate_sparse_logistic(m=args.m, n=args.n, density=args.density, seed=_resolve_seed(args))
-    path = os.path.join(out_dir, "synthetic_logistic.svmlight")
+    path = _out_path(out_dir, "synthetic_logistic.svmlight")
     write_svmlight(data, path)
     if not args.quiet:
         print(f"wrote {path} ({data.m} samples, {data.n} features)")

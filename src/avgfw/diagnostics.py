@@ -82,7 +82,10 @@ def fit_rate(
     uniform recording does not overweight the tail in log space;
     nonpositive or non-finite entries are dropped, and if subsampling
     would leave fewer than 10 points the fit falls back to all positive
-    points in the window. Raises InsufficientData below 10 usable points.
+    points in the window. The line is the closed-form least-squares one,
+    slope = sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), so no
+    LAPACK routine is called. Raises InsufficientData below 10 usable
+    points, or when they all share one k.
     """
     k_lo, k_hi = window
     if not k_lo < k_hi:
@@ -103,10 +106,16 @@ def fit_rate(
 
     logk = np.log(ks_w.astype(float))
     logv = np.log(vals_w)
-    slope, intercept = np.polyfit(logk, logv, 1)
+    if logk.min() == logk.max():
+        raise InsufficientData(f"the {ks_w.size} points in window {window} share one k; a slope needs two")
+    # the least-squares line in closed form, about the means
+    k_mean, v_mean = np.mean(logk), np.mean(logv)
+    dk = logk - k_mean
+    slope = np.dot(dk, logv - v_mean) / np.dot(dk, dk)
+    intercept = v_mean - slope * k_mean
     pred = slope * logk + intercept
     ss_res = float(np.sum((logv - pred) ** 2))
-    ss_tot = float(np.sum((logv - np.mean(logv)) ** 2))
+    ss_tot = float(np.sum((logv - v_mean) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return RateFit(float(slope), float(intercept), (k_lo, k_hi), r2, int(ks_w.size))
 

@@ -1,5 +1,6 @@
 import ast
 import glob
+import io
 import json
 import os
 import tracemalloc
@@ -277,7 +278,7 @@ def test_compare_core_marks_undefined_entries_none(tmp_path):
 
 def test_failed_compare_writes_nothing(tmp_path, monkeypatch, capsys):
     # both variants run before anything is written, so a blowup in the
-    # second leaves an empty output directory
+    # second leaves no output directory
     calls = []
 
     def fails_second(obj, domain, cfg):
@@ -292,7 +293,7 @@ def test_failed_compare_writes_nothing(tmp_path, monkeypatch, capsys):
     assert run_cli("compare", "--config", cfg, "--out", str(out), "--quiet") == 3
     assert calls == [Variant.FW, Variant.AVGFW]
     assert "numerical error: non-finite value encountered at iteration 7" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 # x^2 overflows at step 1 of both runs; the flow evaluates f only on its
@@ -953,14 +954,79 @@ def test_write_csv_holds_less_than_the_file_it_writes(tmp_path):
     assert lines[-1].split(",")[-1] == str(int(trace.vertex_ids[k]))
 
 
+def traced_peak_rise(call):
+    """How far tracemalloc's peak rises above what is allocated when ``call()`` starts."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def positive_trace(rows, seed):
+    # a run's shape: positive gap and disc_err, every row's atom id
+    rng = np.random.default_rng(seed)
+    ks = np.arange(rows)
+    f, gap, disc_err = (rng.random(rows) + 0.1 for _ in range(3))
+    return IterateTrace(ks, f, gap, disc_err, 1.0 / (ks + 1.0), 1.0 / (ks + 1.0), rng.integers(-500, 500, rows), state=None)
+
+
+def test_compare_plots_hold_no_series_as_python_numbers(tmp_path):
+    # three charts of 2 x 5000 points each: the points are formatted a block
+    # at a time and streamed into the files, never held as lists or one string
+    traces = {"fw": positive_trace(5000, 1), "avgfw": positive_trace(5000, 2)}
+    peak = traced_peak_rise(lambda: cli._emit_compare_plots(str(tmp_path), traces))
+    assert sorted(os.listdir(tmp_path)) == ["disc_err.svg", "gap.svg", "support.svg"]
+    assert peak < 0.25 * 2**20
+
+
+def test_write_csv_of_5000_rows_holds_under_150_kb(tmp_path):
+    trace = long_trace(5000)
+    path = str(tmp_path / "trace.csv")
+    peak = traced_peak_rise(lambda: cli._write_csv(path, {"seed": 0}, cli.TRACE_COLUMNS, cli._trace_columns(trace)))
+    assert read_trace_csv(path).gap.tolist() == trace.gap.tolist()
+    assert peak < 0.15 * 2**20
+
+
+# numpy routines that call LAPACK: ``polyfit`` and these of ``linalg``, with ``eig*``
+LAPACK_LINALG = {"lstsq", "solve", "inv", "pinv", "svd", "qr", "cholesky", "det", "slogdet", "matrix_rank"}
+
+
+def test_src_calls_no_lapack_routine():
+    # the rate fit is closed-form, so no command loads LAPACK; np.linalg.norm calls none
+    def lapack(name, owner):
+        return name == "polyfit" or (owner == "linalg" and (name in LAPACK_LINALG or name.startswith("eig")))
+
+    found = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(errors.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):  # np.polyfit, np.linalg.solve, linalg.svd
+                names = [(node.attr, getattr(node.value, "attr", getattr(node.value, "id", None)))]
+            elif isinstance(node, ast.ImportFrom):  # from numpy.linalg import lstsq
+                names = [(alias.name, (node.module or "").split(".")[-1]) for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [(node.id, None)]
+            else:
+                continue
+            found += [(os.path.basename(path), node.lineno, name) for name, owner in names if lapack(name, owner)]
+    assert found == []
+
+
 @pytest.mark.parametrize("loglog", [True, False])
 def test_line_chart_draws_the_same_bytes_from_lists_or_arrays(loglog):
     # int x, and y with non-finite, zero and negative points to drop
     xs = np.arange(1, 3001)
     ys = [np.linspace(-1.0, 50.0, 3000) ** 2 - 4.0, 1.0 / xs]
     ys[0][[5, 70]] = np.nan, np.inf
-    from_arrays = _svg.line_chart([("a", xs, ys[0]), ("b", xs, ys[1])], "t", "x", "y", loglog=loglog)
-    from_lists = _svg.line_chart([("a", xs.tolist(), ys[0].tolist()), ("b", xs.tolist(), ys[1].tolist())], "t", "x", "y", loglog=loglog)
+    from_arrays, from_lists = io.StringIO(), io.StringIO()
+    _svg.line_chart([("a", xs, ys[0]), ("b", xs, ys[1])], "t", "x", "y", loglog=loglog, out=from_arrays)
+    _svg.line_chart([("a", xs.tolist(), ys[0].tolist()), ("b", xs.tolist(), ys[1].tolist())], "t", "x", "y", loglog=loglog, out=from_lists)
+    from_arrays, from_lists = from_arrays.getvalue(), from_lists.getvalue()
     assert from_arrays == from_lists
     assert from_arrays.count("<polyline") == 2
 
@@ -997,6 +1063,36 @@ def test_non_ascii_output_dir_exits_2_and_makes_no_directory(tmp_path, capsys):
     assert run_cli("solve", "--config", cfg, "--quiet") == 2
     assert capsys.readouterr().err == "config error: line 16: non-ASCII byte\n"
     assert not target.exists()
+
+
+def test_config_percent_sign_is_text(tmp_path):
+    target = tmp_path / "od" / "50%"
+    cfg = write_config(tmp_path / "cfg.ini", SCALAR_CONFIG + f"dir = {target}\n")
+    assert run_cli("solve", "--config", cfg, "--quiet") == 0
+    assert (target / "trace.csv").exists()
+
+
+def test_config_interpolation_syntax_is_no_substitution(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.ini", SCALAR_CONFIG.replace("x0 = 0.5", "x0 = %(max_iters)s"))
+    assert run_cli("solve", "--config", cfg, "--quiet") == 2
+    assert capsys.readouterr().err == (
+        "config error: [solver] x0 must be 'lmo' or comma-separated finite floats, got '%(max_iters)s'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("solve", SCALAR_CONFIG.replace("kind = scalar1d", "kind = nope")),
+        ("compare", SCALAR_CONFIG.replace("x0 = 0.5", "x0 = 5")),
+    ],
+    ids=["unknown_kind", "x0_outside"],
+)
+def test_run_that_exits_2_leaves_no_output_directory(tmp_path, capsys, command, text):
+    out = tmp_path / "od" / "x"
+    assert run_cli(command, "--config", write_config(tmp_path / "cfg.ini", text), "--out", str(out), "--quiet") == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "od").exists()
 
 
 def test_env_var_default_out_dir(tmp_path, monkeypatch):

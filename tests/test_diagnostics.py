@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from avgfw.diagnostics import (
+    MIN_FIT_POINTS,
     Series,
+    _geometric_subsample,
     degeneracy_delta,
     fit_rate,
     identify_manifold,
@@ -48,6 +50,49 @@ def test_fit_rate_drops_nonpositive_entries():
     vals[::7] = 0.0
     fit = fit_rate(synthetic_trace(ks, vals), Series.GAP, (1, 100))
     assert fit.slope == pytest.approx(-1.0, abs=1e-6)
+
+
+def polyfit_reference(trace, series, window):
+    """slope, intercept and r^2 of ``np.polyfit`` (LAPACK's least squares)
+    over the points ``fit_rate`` fits."""
+    vals = trace.gap if series is Series.GAP else trace.disc_err
+    keep = (trace.ks >= max(window[0], 1)) & (trace.ks <= window[1]) & np.isfinite(vals) & (vals > 0)
+    ks, vals = trace.ks[keep], vals[keep]
+    idx = _geometric_subsample(ks)
+    if idx.size >= MIN_FIT_POINTS:
+        ks, vals = ks[idx], vals[idx]
+    logk, logv = np.log(ks.astype(float)), np.log(vals)
+    slope, intercept = np.polyfit(logk, logv, 1)
+    ss_res = np.sum((logv - (slope * logk + intercept)) ** 2)
+    ss_tot = np.sum((logv - np.mean(logv)) ** 2)
+    return slope, intercept, 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+
+
+def test_fit_rate_matches_polyfit_on_cs_traces(cs_rate_traces):
+    for trace in cs_rate_traces:
+        for series in (Series.GAP, Series.DISC_ERR):
+            for window in ((1, 5000), (100, 4999)):
+                fit = fit_rate(trace, series, window)
+                expected = polyfit_reference(trace, series, window)
+                assert np.abs(np.array([fit.slope, fit.intercept, fit.r_squared]) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("slope, noise", [(-1.5, 0.1), (0.7, 0.1), (-1e-9, 0.1), (0.0, 1e-3)])
+def test_fit_rate_matches_polyfit_on_random_series(seed, slope, noise):
+    # noisy power laws on sparse ks, near-flat ones included
+    rng = np.random.default_rng(seed)
+    ks = np.unique(rng.integers(1, 20000, 3000))
+    vals = 3.0 * ks**slope * np.exp(noise * rng.standard_normal(ks.size))
+    fit = fit_rate(synthetic_trace(ks, vals), Series.GAP, (1, 20000))
+    expected = polyfit_reference(synthetic_trace(ks, vals), Series.GAP, (1, 20000))
+    assert np.abs(np.array([fit.slope, fit.intercept, fit.r_squared]) - expected).max() <= 1e-12
+
+
+def test_fit_rate_needs_two_distinct_ks():
+    ks = np.full(12, 5)
+    with pytest.raises(InsufficientData):
+        fit_rate(synthetic_trace(ks, np.linspace(1.0, 2.0, 12)), Series.GAP, (1, 100))
 
 
 def test_fit_rate_insufficient_data():

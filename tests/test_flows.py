@@ -192,6 +192,6 @@ def test_flow_numerical_blowup_reports_step():
     obj = QuadraticLS(np.array([[1e200]]), np.array([0.0]))
     dom = DomainSet(Kind.L1_BALL, 1.0, 1)
     cfg = FlowConfig(variant=Variant.FW, schedule=Schedule(2.0, 1.0), t_end=1.0, dt=1e-3, x0=np.array([0.0]))
-    with pytest.raises(NumericalBlowup) as err:
+    with pytest.raises(NumericalBlowup) as err, pytest.warns(RuntimeWarning, match="overflow"):
         integrate(obj, dom, cfg)
     assert err.value.k == 1
