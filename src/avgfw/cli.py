@@ -40,8 +40,8 @@ from .diagnostics import (
     render_report,
     support_trajectory,
 )
-from .domains import DomainSet, Kind
-from .errors import ConfigError, InputError, InsufficientData, NumericalError, ParseError
+from .domains import DomainSet, Kind, lmo
+from .errors import ConfigError, InputError, NumericalError, ParseError
 from .experiments import (
     SyntheticCSSpec,
     generate_cs,
@@ -398,15 +398,9 @@ def _rate_fits(traces: Dict[str, IterateTrace], window: Tuple[int, int]) -> Dict
     entries: Dict[str, Optional[float]] = {}
     for name, series in (("gap", Series.GAP), ("disc", Series.DISC_ERR)):
         for suffix, trace in traces.items():
-            slope = r2 = None
-            if window[0] < window[1]:
-                try:
-                    fit = fit_rate(trace, series, window)
-                    slope, r2 = fit.slope, fit.r_squared
-                except InsufficientData:
-                    pass
-            entries[f"slope_{name}{suffix}"] = slope
-            entries[f"r2_{name}{suffix}"] = r2
+            fit = fit_rate(trace, series, window)
+            entries[f"slope_{name}{suffix}"] = None if fit is None else fit.slope
+            entries[f"r2_{name}{suffix}"] = None if fit is None else fit.r_squared
     return entries
 
 
@@ -565,11 +559,11 @@ def cmd_sweep(args) -> int:
     for alpha in np.geomspace(sweep["alpha_lo"], sweep["alpha_hi"], sweep["points"]):
         dom = DomainSet(Kind.L1_BALL, float(alpha), train.n)
         solver_cfg = _build_solver_config(cfg, dom)
-        # only the final gap and x are read: record k = 0 and the last row alone
-        trace = solve(train, dom, replace(solver_cfg, trace_every=solver_cfg.max_iters))
-        x = trace.state.x
+        # only the final x is read: record k = 0 and the last row alone
+        x = solve(train, dom, replace(solver_cfg, trace_every=solver_cfg.max_iters)).state.x
+        train_loss, g = train.value_and_gradient(x)
         val_loss = val.value(x)
-        rows.append((alpha, train.value(x), val_loss, trace.gap[-1]))
+        rows.append((alpha, train_loss, val_loss, max(float(g.dot(x - lmo(dom, g).vector)), 0.0)))
         if val_loss < best_loss:
             best_alpha, best_loss = float(alpha), float(val_loss)
     path = _out_path(out_dir, "sweep.csv")

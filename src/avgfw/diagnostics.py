@@ -5,6 +5,9 @@ log metric vs log iteration), the working-set trajectory (distinct atoms
 from each iteration to the end), the degeneracy margin of a candidate
 optimum on the l1 ball, and the identification index after which every
 emitted atom belongs to the optimal support set.
+
+A diagnostic whose data determine no answer returns None; one asked of a
+kind of input it is not defined for raises UnsupportedKind.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Dict, FrozenSet, Optional, Tuple
 import numpy as np
 
 from .domains import DomainSet, Kind, _vertex_blocks
-from .errors import ConfigError, InsufficientData, NoZeroSet, UnsupportedKind
+from .errors import ConfigError, UnsupportedKind
 from .objectives import Objective
 from .solvers import IterateTrace
 
@@ -75,7 +78,7 @@ def fit_rate(
     series: Series,
     window: Tuple[int, int],
     f_ref: Optional[float] = None,
-) -> RateFit:
+) -> Optional[RateFit]:
     """Fit the empirical decay exponent of a trace metric over a window.
 
     Points are geometrically subsampled (ratio 1.1) before the fit so
@@ -84,21 +87,18 @@ def fit_rate(
     would leave fewer than 10 points the fit falls back to all positive
     points in the window. The line is the closed-form least-squares one,
     slope = sum((x - mean x)(y - mean y)) / sum((x - mean x)^2), so no
-    LAPACK routine is called. Raises InsufficientData below 10 usable
-    points, or when they all share one k.
+    LAPACK routine is called. None when the window [max(k_lo, 1), k_hi]
+    holds fewer than 10 usable points (an empty or inverted window holds
+    none), or when they all share one k.
     """
     k_lo, k_hi = window
-    if not k_lo < k_hi:
-        raise ConfigError(f"window must satisfy k_lo < k_hi, got {window}")
     vals = _series_values(trace, series, f_ref)
     ks = trace.ks
     mask = (ks >= max(k_lo, 1)) & (ks <= k_hi) & np.isfinite(vals) & (vals > 0)
     ks_w = ks[mask]
     vals_w = vals[mask]
     if ks_w.size < MIN_FIT_POINTS:
-        raise InsufficientData(
-            f"{ks_w.size} positive points in window {window}; need >= {MIN_FIT_POINTS}"
-        )
+        return None
     idx = _geometric_subsample(ks_w)
     if idx.size >= MIN_FIT_POINTS:
         ks_w = ks_w[idx]
@@ -107,7 +107,7 @@ def fit_rate(
     logk = np.log(ks_w.astype(float))
     logv = np.log(vals_w)
     if logk.min() == logk.max():
-        raise InsufficientData(f"the {ks_w.size} points in window {window} share one k; a slope needs two")
+        return None
     # the least-squares line in closed form, about the means
     k_mean, v_mean = np.mean(logk), np.mean(logv)
     dk = logk - k_mean
@@ -137,20 +137,20 @@ def support_trajectory(trace: IterateTrace) -> np.ndarray:
     return out
 
 
-def degeneracy_delta(obj: Objective, domain: DomainSet, x_star: np.ndarray) -> float:
+def degeneracy_delta(obj: Objective, domain: DomainSet, x_star: np.ndarray) -> Optional[float]:
     """Gradient-magnitude margin of the zero coordinates of x_star.
 
     delta = min over zero coordinates j of  ||g||_inf - |g_j|  with
     g = grad f(x_star); zero iff some zero coordinate ties the maximum,
     i.e. the problem is degenerate. Coordinates below 1e-8 * alpha count
-    as zero.
+    as zero. None when x_star has no zero coordinate.
     """
     if domain.kind is not Kind.L1_BALL:
         raise UnsupportedKind("degeneracy margin is defined on the l1 ball")
     x_star = np.asarray(x_star, dtype=float)
     zero_mask = np.abs(x_star) <= ZERO_COORD_FACTOR * domain.alpha
     if not np.any(zero_mask):
-        raise NoZeroSet("candidate optimum has no zero coordinates")
+        return None
     g = np.abs(obj.gradient(x_star))
     return float(np.max(g) - np.max(g[zero_mask]))
 
@@ -203,10 +203,7 @@ def identify_manifold(
         while j >= 0 and int(vids[j]) in star:
             j -= 1
         k_bar = None if j == vids.size - 1 else int(trace.ks[j + 1])
-    try:
-        delta = degeneracy_delta(obj, domain, np.asarray(x_star, dtype=float))
-    except (UnsupportedKind, NoZeroSet):
-        delta = None
+    delta = degeneracy_delta(obj, domain, x_star) if domain.kind is Kind.L1_BALL else None
     return ManifoldReport(support_star=star, k_bar=k_bar, delta=delta)
 
 

@@ -44,14 +44,6 @@ class NumericalBlowup(NumericalError):
         super().__init__(message or f"non-finite value encountered at iteration {k}")
 
 
-class InsufficientData(InputError):
-    """Too few usable points for a rate fit."""
-
-
-class NoZeroSet(InputError):
-    """Degeneracy margin undefined: the candidate optimum has no zero coordinates."""
-
-
 class ParseError(InputError):
     """Malformed line in a data file."""
 

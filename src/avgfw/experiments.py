@@ -130,11 +130,15 @@ def load_svmlight(path: str, n_features_hint: Optional[int] = None) -> Logistic:
     One sample per line: ``label idx:val idx:val ...`` with 1-based
     indices. Labels must be -1, 0, or +1; 0 maps to -1. Feature values
     must be finite. Blank lines and lines starting with '#' are skipped; a
-    data line is :func:`number_text`. Features beyond the hint extend the
-    dimension. A line may name a feature index once, and the dimension must
-    leave room in physical memory for a dense float64 vector of that length.
+    data line is :func:`number_text`. A hint must be >= 1, and features
+    beyond it extend the dimension. A line may name a feature index once, and
+    the dimension must leave room in physical memory for a dense float64
+    vector of that length.
     """
     import scipy.sparse as sp
+
+    if n_features_hint is not None and n_features_hint < 1:
+        raise ConfigError(f"n_features_hint must be >= 1, got {n_features_hint}")
 
     labels: List[float] = []
     data: List[float] = []

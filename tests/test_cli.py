@@ -15,7 +15,7 @@ from avgfw.cli import _build_problem, _build_solver_config, _read_config, main, 
 from avgfw.diagnostics import identify_manifold, render_report
 from avgfw.domains import DomainSet, Kind
 from avgfw.errors import AvgFWError, InputError, NumericalBlowup, NumericalError
-from avgfw.experiments import generate_sparse_logistic, write_svmlight
+from avgfw.experiments import generate_sparse_logistic, train_val_split, write_svmlight
 from avgfw.objectives import Logistic, Objective, QuadraticLS
 from avgfw.solvers import IterateTrace, Variant, resume, solve
 
@@ -358,6 +358,30 @@ def test_src_raises_every_error_class_it_defines():
     assert {cls.__name__ for cls in concrete_errors()} - raised == set()
 
 
+def test_src_catches_toolkit_errors_in_three_places_only():
+    # a result the data do not determine is None, not an error to catch:
+    # main maps the two bases to exit codes, and the run loops turn a
+    # non-finite gradient or value into a report of where it was seen
+    names = {name for name, cls in vars(errors).items() if isinstance(cls, type) and issubclass(cls, AvgFWError)}
+    caught = set()
+    for path in glob.glob(os.path.join(os.path.dirname(errors.__file__), "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    for name in ast.walk(node.type):
+                        ident = getattr(name, "id", getattr(name, "attr", None))
+                        if isinstance(name, (ast.Name, ast.Attribute)) and ident in names:
+                            caught.add((os.path.basename(path), getattr(top, "name", None), ident))
+    assert caught == {
+        ("cli.py", "main", "InputError"),
+        ("cli.py", "main", "NumericalError"),
+        ("solvers.py", "_lmo_source", "NonFiniteGradient"),
+        ("flows.py", "integrate", "NumericalBlowup"),
+    }
+
+
 def test_src_opens_files_for_reading_in_the_line_source_only():
     # every file read passes experiments.text_lines, the one ASCII gate
     def calls(node, function):
@@ -516,6 +540,24 @@ def test_sweep_reports_validation_loss_grid(tmp_path, capsys):
         assert np.isfinite(float(row[2]))  # validation loss column
 
 
+def test_sweep_reports_the_gap_at_the_x_of_its_losses(tmp_path):
+    # each row's losses and gap are read at one x, the final iterate; on
+    # the l1 ball the gap there is g . x + alpha ||g||_inf
+    cfg = sweep_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg, "--out", str(out), "--quiet") == 0
+    _, rows = read_csv_rows(out / "sweep.csv")
+    config, _ = _read_config(cfg)
+    train, val = train_val_split(_build_problem(config, 0)[0], 0.6, 0)
+    for row in rows:
+        alpha, train_loss, val_loss, final_gap = map(float, row)
+        dom = DomainSet(Kind.L1_BALL, alpha, train.n)
+        x = solve(train, dom, _build_solver_config(config, dom)).state.x
+        g = train.gradient(x)
+        assert (train_loss, val_loss) == (train.value(x), val.value(x))
+        assert final_gap == pytest.approx(g.dot(x) + alpha * np.abs(g).max(), rel=1e-12, abs=0.0)
+
+
 def test_sweep_rejects_non_classification_problem(tmp_path):
     cfg = write_config(tmp_path / "cfg.ini", SCALAR_CONFIG + "\n[sweep]\npoints = 2\n")
     assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 2
@@ -608,6 +650,17 @@ BAD_INPUTS = {
         ["solve"],
         SVMLIGHT_CONFIG.replace("alpha = 1.0", "alpha = 1.0\nalpha_scale = 2"),
         "[problem] alpha_scale is not read by kind = svmlight",
+    ),
+    # checked before the file is read, so its non-ASCII byte is never reached
+    "svmlight_n_features_hint_negative": (
+        ["solve"],
+        SVMLIGHT_CONFIG.replace("alpha = 1.0", "alpha = 1.0\nn_features_hint = -5"),
+        "n_features_hint must be >= 1, got -5",
+    ),
+    "svmlight_n_features_hint_zero": (
+        ["solve"],
+        SVMLIGHT_CONFIG.replace("alpha = 1.0", "alpha = 1.0\nn_features_hint = 0"),
+        "n_features_hint must be >= 1, got 0",
     ),
     "scalar1d_flow_with_n_features": (
         ["flow"],

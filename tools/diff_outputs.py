@@ -37,9 +37,7 @@ column and of the final x, sbar and both images (for a flow, the columns
 t, f, gap, disc_err and h of ``flow_trace.csv`` and the final sbar), and
 a run's ``vertex_ids`` as a second line, ``<case> vertex_ids``, each
 compared like an output; a change to what the record keeps of the atom
-ids then shows on those lines alone. The scripted streams call
-``solvers._run`` with or without the ``record_ids`` flag, as the tree's
-loop takes it.
+ids then shows on those lines alone.
 
 A differing text output is shown as the first DIFF_LINES lines of its
 unified diff. Exits 1 on any difference, 0 when all match.
@@ -158,7 +156,6 @@ def flow_columns(flow, dt: float, final_s_bar):
 def hash_cases() -> None:
     """Print ``case digest`` for every in-process case, run with the avgfw found on the path."""
     import hashlib
-    import inspect
 
     import numpy as np
     import scipy.sparse as sp
@@ -217,7 +214,6 @@ def hash_cases() -> None:
     # the six signed vertices of the unit l1 ball in R^6 on its first three axes, +0.0 elsewhere
     pool = [Atom(np.where(np.arange(6) == i, float(sign), 0.0), sign * (i + 1)) for i in range(3) for sign in (1, -1)]
     streams = {"repeating_cycle": np.arange(200) % 6, "random_vertex": np.random.default_rng(4).integers(0, 6, size=200)}
-    record_ids = (True,) if "record_ids" in inspect.signature(_run).parameters else ()  # a loop that still takes the flag
     for mode, picks in streams.items():  # the prescribed atoms through the loop, with no objective
 
         def source(x, u, k, record):
@@ -225,7 +221,7 @@ def hash_cases() -> None:
 
         start = SolverState(k=0, x=np.zeros(6), s_bar=np.zeros(6))
         cfg = SolverConfig(Variant.AVGFW, sched, max_iters=200)
-        emit_trace(f"scripted {mode}", _run(source, lambda v: np.empty(0), _discrete_steps(sched), *record_ids, cfg, start))
+        emit_trace(f"scripted {mode}", _run(source, lambda v: np.empty(0), _discrete_steps(sched), cfg, start))
     def wave(t: float) -> np.ndarray:
         return np.array([np.sin(3.0 * t), -0.0, 1.0 - t])
 
