@@ -64,7 +64,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-TRACE_COLUMNS = "k,f,gap,disc_err,gamma,beta,atom_id"
+TRACE_COLUMNS = "k,f,gap,disc_err,atom_id"
 CSV_BLOCK = 128  # rows formatted per write, so a CSV is never held whole in memory
 
 
@@ -146,7 +146,13 @@ def _read_config(path: str) -> Tuple[Config, Dict[str, str]]:
     every schema key, its default when absent; ``echo`` maps
     ``section.key`` to the raw string of every key present, in file order.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # The README's grammar: ``key = value`` only, keys case-sensitive, and
+    # no defaults section (no header names the empty one, so [DEFAULT] is
+    # a section like any other and is refused as unknown).
+    cp = configparser.ConfigParser(
+        delimiters=("=",), default_section="", inline_comment_prefixes=("#", ";"), interpolation=None
+    )
+    cp.optionxform = str
     try:
         cp.read_file((line for _, line in text_lines(path, "config")), source=path)
         raw = {section: cp.items(section) for section in cp.sections()}
@@ -315,11 +321,11 @@ def _create(path: str) -> TextIO:
 
 def _trace_columns(trace: IterateTrace) -> Tuple[Optional[np.ndarray], ...]:
     """TRACE_COLUMNS; atom_id is empty where the trace has no atom history."""
-    return trace.ks, trace.f, trace.gap, trace.disc_err, trace.gamma, trace.beta, trace.vertex_ids
+    return trace.ks, trace.f, trace.gap, trace.disc_err, trace.vertex_ids
 
 
 def read_trace_csv(path: str) -> IterateTrace:
-    """Rebuild the trace a solve/compare CSV was written from.
+    """Rebuild the trace a solve, compare or flow CSV was written from.
 
     Each data row, ``number_text``, is parsed into the packed buffers of a
     run's record, viewed by ``IterateTrace.packed``, so every column,
@@ -331,15 +337,15 @@ def read_trace_csv(path: str) -> IterateTrace:
         if not line or line.startswith("#") or line == TRACE_COLUMNS:
             continue
         parts = line.split(",")
-        if len(parts) != 7:
-            raise ParseError(line_no, f"line {line_no}: expected 7 columns, got {len(parts)}")
+        if len(parts) != 5:
+            raise ParseError(line_no, f"line {line_no}: expected 5 columns, got {len(parts)}")
         try:
             if not number_text(line):
                 raise ValueError(line)
             ks.append(int(parts[0]))
-            rows.extend(map(float, parts[1:6]))
-            if parts[6]:
-                ids.append(int(parts[6]))
+            rows.extend(map(float, parts[1:4]))
+            if parts[4]:
+                ids.append(int(parts[4]))
         except (ValueError, OverflowError):  # an integer past int64 overflows
             raise ParseError(line_no, f"line {line_no}: bad numeric field") from None
     if not ks:
@@ -349,10 +355,12 @@ def read_trace_csv(path: str) -> IterateTrace:
 
 # ---------------------------------------------------------------- commands
 
-def _trace_header(echo, domain, meta, extra: Dict[str, object]) -> Dict[str, object]:
+def _trace_header(echo, schedule: Schedule, domain: Optional[DomainSet], meta, extra: Dict[str, object]) -> Dict[str, object]:
+    """Every trace's header: config echo, problem facts (none without a domain), the resolved c and p, ``extra``."""
+    problem = {} if domain is None else {"alpha": _fmt_float(domain.alpha), "dimension": domain.n}
     f_ref = {"f_ref": _fmt_float(meta["f_ref"])} if "f_ref" in meta else {}
     rest = {key: val for key, val in meta.items() if key != "f_ref"}
-    return {**echo, "alpha": _fmt_float(domain.alpha), "dimension": domain.n, **f_ref, **rest, **extra}
+    return {**echo, **problem, **f_ref, **rest, "c": _fmt_float(schedule.c), "p": _fmt_float(schedule.p), **extra}
 
 
 def cmd_solve(args) -> int:
@@ -360,7 +368,7 @@ def cmd_solve(args) -> int:
     obj, domain, meta = _build_problem(cfg, seed)
     solver_cfg = _build_solver_config(cfg, domain)
     trace = solve(obj, domain, solver_cfg)
-    header = _trace_header(echo, domain, meta, {"variant": solver_cfg.variant.value, "seed": seed})
+    header = _trace_header(echo, solver_cfg.schedule, domain, meta, {"variant": solver_cfg.variant.value, "seed": seed})
     path = _out_path(out_dir, "trace.csv")
     _write_csv(path, header, TRACE_COLUMNS, _trace_columns(trace))
     if not args.quiet:
@@ -458,7 +466,7 @@ def cmd_compare(args) -> int:
     traces, entries = compare(obj, domain, base, window, reference_iters)
 
     for variant, trace in traces.items():
-        header = _trace_header(echo, domain, meta, {"variant": variant, "seed": seed})
+        header = _trace_header(echo, base.schedule, domain, meta, {"variant": variant, "seed": seed})
         _write_csv(_out_path(out_dir, f"{variant}_trace.csv"), header, TRACE_COLUMNS, _trace_columns(trace))
     summary = {"c": base.schedule.c, "p": base.schedule.p, "alpha": domain.alpha, "max_iters": max_iters, "seed": seed}
     summary_path = _out_path(out_dir, "summary.txt")
@@ -491,9 +499,6 @@ def cmd_flow(args) -> int:
     cfg, echo, seed, out_dir = _prepare(args)
 
     flow = cfg["flow"]
-    record_every = flow["record_every"]
-    if record_every is None:
-        record_every = max(flow["t_end"] / 200.0, 1e-3)
     forced = flow["forced_signal"].strip().lower()
     if forced not in ("none", "one"):
         raise ConfigError(f"[flow] forced_signal must be none or one, got {forced!r}")
@@ -502,25 +507,20 @@ def cmd_flow(args) -> int:
         schedule=Schedule(cfg["solver"]["c"], cfg["solver"]["p"]),
         t_end=flow["t_end"],
         dt=flow["dt"],
-        record_every=record_every,
+        record_every=flow["record_every"],
     )
 
-    header: Dict[str, object] = {**echo, "seed": seed}
-    f_ref = 0.0
     if forced == "one":
-        # only the averaging equation runs, so the variant plays no part; sbar is the run's x
+        # only the averaging equation runs: no problem and no variant; sbar is the run's x
         trace = force_signal(flow_cfg, lambda t: np.array([1.0]))
-        header["final_s_bar"] = _fmt_float(float(trace.state.x[0]))
+        problem, extra = (None, {}), {"seed": seed, "final_s_bar": _fmt_float(float(trace.state.x[0]))}
     else:
         obj, domain, meta = _build_problem(cfg, seed)
-        f_ref = float(meta.get("f_ref", 0.0))
         trace = integrate(obj, domain, replace(flow_cfg, x0=_parse_x0(cfg, domain)))
-        header["alpha"] = _fmt_float(domain.alpha)
-        header["f_ref"] = _fmt_float(f_ref)
-
+        problem, extra = (domain, meta), {"variant": flow_cfg.variant.value, "seed": seed}
+    header = _trace_header(echo, flow_cfg.schedule, *problem, {"dt": _fmt_float(flow_cfg.dt), **extra})
     path = _out_path(out_dir, "flow_trace.csv")
-    columns = (trace.ks * flow_cfg.dt, trace.f, trace.gap, trace.disc_err, trace.f - f_ref)
-    _write_csv(path, header, "t,f,gap,disc_err,h", columns)
+    _write_csv(path, header, TRACE_COLUMNS, _trace_columns(trace))
     if not args.quiet:
         print(f"wrote {path} ({trace.ks.size} rows)")
     return EXIT_OK
@@ -532,7 +532,7 @@ def cmd_diag(args) -> int:
     window = _fit_window(args.window_lo, args.window_hi, (max(1, first), last), (first, last), "--window-lo and --window-hi")
     report: Dict[str, object] = {"trace": os.path.basename(args.trace), "window_lo": window[0], "window_hi": window[1]}
     report.update(_rate_fits({"": trace}, window))
-    report["support_first"] = "undefined" if trace.vertex_ids is None else int(support_trajectory(trace)[0])
+    report["support_first"] = None if trace.vertex_ids is None else int(support_trajectory(trace)[0])
     sys.stdout.write(render_report(report))
     return EXIT_OK
 
@@ -606,7 +606,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("diag")
-    p.add_argument("trace", help="trace CSV produced by solve/compare")
+    p.add_argument("trace", help="trace CSV produced by solve, compare or flow")
     p.add_argument("--window-lo", type=integer, default=None)
     p.add_argument("--window-hi", type=integer, default=None)
     common(p)

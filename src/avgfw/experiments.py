@@ -40,6 +40,17 @@ class SyntheticCSSpec:
             raise ConfigError(f"sparsity_frac * n_features must round to 1..n_features: {self.sparsity_frac:g} * {self.n_features}")
         if self.noise_std < 0:
             raise ConfigError(f"noise_std must be >= 0, got {self.noise_std}")
+        if exceeds_memory(8 * self.m_measurements * self.n_features):
+            raise ConfigError(
+                f"m_measurements * n_features = {self.m_measurements} * {self.n_features} is too large:"
+                " a dense float64 matrix of that size exceeds physical memory"
+            )
+
+
+def exceeds_memory(nbytes: int) -> bool:
+    """Whether ``nbytes`` is more than the machine's physical memory: the one
+    size rule for data built or read here, checked before it is allocated."""
+    return nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def generate_cs(
@@ -188,7 +199,7 @@ def load_svmlight(path: str, n_features_hint: Optional[int] = None) -> Logistic:
     n = max(max_col + 1, n_features_hint or 0)
     if n == 0:
         raise ParseError(0, "no features found and no dimension hint given")
-    if 8 * n > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+    if exceeds_memory(8 * n):
         line_no = max_line if n == max_col + 1 else 0  # 0: the hint set the dimension
         where = f"line {line_no}: feature index" if line_no else "n_features_hint ="
         raise ParseError(line_no, f"{where} {n} is too large: a dense float64 vector of that length exceeds physical memory")
@@ -248,8 +259,10 @@ def generate_sparse_logistic(
 
     if m < 1 or n < 20 or not (0 < density <= 1):
         raise ConfigError(f"need m >= 1, n >= 20 (the 20-sparse separator) and density in (0, 1], got {m}, {n}, {density}")
-    rng = np.random.default_rng(seed)
     nnz_row = max(1, int(round(density * n)))
+    if exceeds_memory(16 * m * nnz_row):  # a float64 value and an int64 index per entry
+        raise ConfigError(f"m * round(density * n) = {m} * {nnz_row} entries is too large: the data exceeds physical memory")
+    rng = np.random.default_rng(seed)
     indices = np.empty(m * nnz_row, dtype=int)
     data = np.empty(m * nnz_row)
     indptr = np.arange(0, m * nnz_row + 1, nnz_row)

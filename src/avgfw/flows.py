@@ -19,10 +19,9 @@ dt beta(t); it is the closed-form check (26/27 at c = 3, p = 1, t = 6).
 
 Both return the loop's own :class:`~avgfw.solvers.IterateTrace`: row k is
 Euler step k, at t = k dt, and ``state`` holds the iterates after the step
-from t_end (the forced run's x is sbar). Times and the gap to a reference
-value, t = ks dt and h = f - f_ref, are derived where they are written.
-Its ``vertex_ids`` are the flow's atom history on a polyhedral domain
-when every Euler step is a row, and None otherwise, as for any run.
+from t_end (the forced run's x is sbar). Its ``vertex_ids`` are the flow's
+atom history on a polyhedral domain when every Euler step is a row, and
+None otherwise, as for any run.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ class FlowConfig:
     schedule: Schedule = DEFAULT_SCHEDULE
     t_end: float = 10.0
     dt: float = 1e-3
-    record_every: float = 0.1
+    record_every: Optional[float] = None  # None: a row every max(t_end / 200, 1e-3)
     x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -57,6 +56,8 @@ class FlowConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         for key in ("t_end", "record_every"):  # each over dt counts Euler steps
             val = getattr(self, key)
+            if val is None:  # record_every's default
+                continue
             if val <= 0:
                 raise ConfigError(f"{key} must be positive, got {val}")
             if not np.isfinite(val / self.dt):
@@ -68,7 +69,8 @@ def _euler_steps(cfg: FlowConfig, variant: Variant) -> Tuple[int, SolverConfig]:
     iterations, the last for the row at t_end, with a row every
     record_every."""
     n_steps = int(round(cfg.t_end / cfg.dt))
-    stride = max(1, int(round(cfg.record_every / cfg.dt)))
+    every = max(cfg.t_end / 200.0, 1e-3) if cfg.record_every is None else cfg.record_every
+    stride = max(1, int(round(every / cfg.dt)))
     return n_steps, SolverConfig(variant, cfg.schedule, max_iters=n_steps + 1, trace_every=stride)
 
 

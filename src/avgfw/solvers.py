@@ -51,8 +51,9 @@ comes first. The final row is always recorded, so a run never returns
 a non-finite f without raising.
 
 The record is packed: each row's k and atom id (if any) are int64 entries
-of an ``array.array``, and the row's f, gap, disc_err, gamma and beta go in
-turn into one float64 one, which :meth:`IterateTrace.packed` views.
+of an ``array.array``, and the row's f, gap and disc_err go in turn into
+one float64 one, which :meth:`IterateTrace.packed` views; a row's step
+weights follow from its k and are not recorded.
 """
 
 from __future__ import annotations
@@ -126,32 +127,30 @@ class IterateTrace:
 
     Row arrays hold the metrics at the recorded iterations (every
     ``trace_every`` steps plus the final one), all evaluated at x_k
-    before the step: objective value, duality gap, discretization error
-    ||d_k - x_k||, and the step values used. ``vertex_ids`` is the atom
-    history, the vertex id of every iteration's atom from ``ks[0]`` to
-    ``ks[-1]``: None unless every row has one and no iteration was skipped.
-    ``ks`` and ``vertex_ids`` are int64, the rest float64. ``state`` is the
-    checkpoint after the last iteration, None on a trace read back from CSV.
+    before the step: objective value, duality gap and discretization error
+    ||d_k - x_k||. ``vertex_ids`` is the atom history, the vertex id of
+    every iteration's atom from ``ks[0]`` to ``ks[-1]``: None unless every
+    row has one and no iteration was skipped. ``ks`` and ``vertex_ids`` are
+    int64, the rest float64. ``state`` is the checkpoint after the last
+    iteration, None on a trace read back from CSV.
     """
 
     ks: np.ndarray
     f: np.ndarray
     gap: np.ndarray
     disc_err: np.ndarray
-    gamma: np.ndarray
-    beta: np.ndarray
     vertex_ids: Optional[np.ndarray]
     state: Optional[SolverState]
 
     @classmethod
     def packed(cls, ks: array, rows: array, ids: array, state: Optional[SolverState]) -> IterateTrace:
         """The trace viewing packed buffers without a copy; ``rows`` holds
-        each row's f, gap, disc_err, gamma and beta in turn, and ``ids`` the
-        rows' vertex ids, kept only as a history (every row, no k skipped)."""
-        f, gap, disc_err, gamma, beta = np.frombuffer(rows).reshape(-1, 5).T
+        each row's f, gap and disc_err in turn, and ``ids`` the rows' vertex
+        ids, kept only as a history (every row, no k skipped)."""
+        f, gap, disc_err = np.frombuffer(rows).reshape(-1, 3).T
         k = np.frombuffer(ks, dtype=np.int64)
         history = len(ids) == k.size and bool(np.all(np.diff(k) == 1))
-        return cls(k, f, gap, disc_err, gamma, beta, np.frombuffer(ids, dtype=np.int64) if history else None, state)
+        return cls(k, f, gap, disc_err, np.frombuffer(ids, dtype=np.int64) if history else None, state)
 
 
 AtomSource = Callable[[np.ndarray, np.ndarray, int, bool], Tuple[Optional[float], np.ndarray, Atom, np.ndarray]]
@@ -282,7 +281,7 @@ def _run(source: AtomSource, image: ImageMap, steps: StepRule, cfg: SolverConfig
             if atom.vertex_id is not None:
                 vids.append(atom.vertex_id)
             # disc_err: what np.linalg.norm computes for a 1-D float vector
-            rows.extend((f_k, max(float(g.dot(x - s)), 0.0), math.sqrt(step.dot(step)), g_k, b_k))
+            rows.extend((f_k, max(float(g.dot(x - s)), 0.0), math.sqrt(step.dot(step))))
 
         dz *= g_k
         z += dz

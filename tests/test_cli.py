@@ -12,11 +12,13 @@ import pytest
 
 from avgfw import _svg, cli, errors
 from avgfw.cli import _build_problem, _build_solver_config, _read_config, main, read_trace_csv
-from avgfw.diagnostics import identify_manifold, render_report
+from avgfw.diagnostics import Series, fit_rate, identify_manifold, render_report
 from avgfw.domains import DomainSet, Kind
 from avgfw.errors import AvgFWError, InputError, NumericalBlowup, NumericalError
 from avgfw.experiments import generate_sparse_logistic, train_val_split, write_svmlight
-from avgfw.objectives import Logistic, Objective, QuadraticLS
+from avgfw.flows import FlowConfig, force_signal, integrate
+from avgfw.objectives import Logistic, Objective, QuadraticLS, Scalar1D
+from avgfw.schedules import Schedule
 from avgfw.solvers import IterateTrace, Variant, resume, solve
 
 
@@ -150,7 +152,7 @@ def test_trace_csv_format_contract(tmp_path):
     assert b"\r" not in raw
     text = raw.decode("ascii")
     data_lines = [l for l in text.splitlines() if l and not l.startswith("#")]
-    assert data_lines[0] == "k,f,gap,disc_err,gamma,beta,atom_id"
+    assert data_lines[0] == "k,f,gap,disc_err,atom_id"
     assert "," in data_lines[1] and ";" not in data_lines[1]
 
 
@@ -170,6 +172,11 @@ def test_compare_cs_summary_and_plots(tmp_path):
     for name in ("fw_trace.csv", "avgfw_trace.csv", "gap.svg", "disc_err.svg", "support.svg"):
         assert (out / name).exists()
     assert "<svg" in (out / "gap.svg").read_text()
+    # vanilla FW applies no averaging weight, and no trace records a weight:
+    # the header states c and p, from which each row's weights follow
+    header, _ = read_csv_rows(out / "fw_trace.csv")
+    assert (header["c"], header["p"], header["variant"]) == ("3.0", "1.0", "fw")
+    assert (out / "fw_trace.csv").read_text().splitlines()[len(header)] == "k,f,gap,disc_err,atom_id"
 
 
 def test_compare_without_plots_writes_no_svg(tmp_path):
@@ -446,11 +453,51 @@ def test_flow_scalar_envelope(tmp_path):
     cfg = write_config(tmp_path / "cfg.ini", SCALAR_FLOW_CONFIG)
     out = tmp_path / "out"
     assert run_cli("flow", "--config", cfg, "--out", str(out), "--quiet") == 0
-    _, rows = read_csv_rows(out / "flow_trace.csv")
-    h0 = float(rows[0][4])
-    h_end = float(rows[-1][4])
+    header, rows = read_csv_rows(out / "flow_trace.csv")
+    h0 = float(rows[0][1]) - float(header["f_ref"])
+    h_end = float(rows[-1][1]) - float(header["f_ref"])
     assert h0 == pytest.approx(0.25)
     assert h_end <= 1.05 * h0 * (2.0 / 52.0) ** 2
+
+
+FLOW_RUNS = {  # config, the run it writes
+    "scalar": (
+        SCALAR_FLOW_CONFIG,
+        lambda: integrate(
+            Scalar1D(),
+            DomainSet(Kind.BOX, 1.0, 1),
+            FlowConfig(Variant.FW, Schedule(2.0, 1.0), t_end=50.0, dt=1e-3, record_every=1.0, x0=np.array([0.5])),
+        ),
+    ),
+    "forced": (
+        FORCED_FLOW_CONFIG,
+        lambda: force_signal(FlowConfig(schedule=Schedule(3.0, 1.0), t_end=6.0, dt=1e-3, record_every=1.0), lambda t: np.array([1.0])),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOW_RUNS))
+def test_flow_trace_is_the_one_trace_format(tmp_path, capsys, case):
+    # flow writes the trace format of solve and compare, with dt in the
+    # header; it reads back bitwise, and diag fits it as fit_rate does
+    text, run = FLOW_RUNS[case]
+    out = tmp_path / "out"
+    assert run_cli("flow", "--config", write_config(tmp_path / "cfg.ini", text), "--out", str(out), "--quiet") == 0
+    path = out / "flow_trace.csv"
+    header, _ = read_csv_rows(path)
+    assert path.read_text().splitlines()[len(header)] == cli.TRACE_COLUMNS
+    assert header["dt"] == "0.001" and ("variant" in header) == (case == "scalar")
+    trace, read = run(), read_trace_csv(str(path))
+    for name in ("ks", "f", "gap", "disc_err", "vertex_ids"):
+        got, want = getattr(read, name), getattr(trace, name)
+        assert got is want is None or (got.dtype == want.dtype and got.tobytes() == want.tobytes())
+    assert run_cli("diag", str(path)) == 0
+    report = report_entries(capsys.readouterr().out)
+    fit = fit_rate(trace, Series.GAP, (1, int(trace.ks[-1])))
+    assert report["slope_gap"] == ("none" if fit is None else repr(fit.slope))
+    assert report["support_first"] == "none"
+    if case == "scalar":
+        assert fit is not None
 
 
 def test_flow_oversized_dt_exits_2(tmp_path, capsys):
@@ -597,6 +644,21 @@ NON_FINITE_SVMLIGHT = b"+1 1:0.5 2:1.0\n-1 1:nan 2:0.3\n+1 1:0.1 2:inf\n"
 BAD_INPUTS = {
     "unknown_key": (["solve"], SCALAR_CONFIG.replace("max_iters = 50", "max_iter = 5"), "unknown key [solver] max_iter"),
     "unknown_section": (["solve"], SCALAR_CONFIG + "\n[extra]\nk = 1\n", "unknown section [extra]"),
+    # the README's grammar: no defaults section, only "=", case-sensitive keys
+    "config_default_section": (["solve"], "[DEFAULT]\nkind = scalar1d\n\n[problem]\n", "unknown section [DEFAULT]"),
+    "config_colon_delimiter": (["solve"], SCALAR_CONFIG.replace("kind = scalar1d", "kind: scalar1d"), "cannot parse config"),
+    "config_upper_case_key": (["solve"], SCALAR_CONFIG.replace("kind = scalar1d", "KIND = scalar1d"), "unknown key [problem] KIND"),
+    # generated data past physical memory (past the address space, too) is refused before it is allocated
+    "cs_matrix_past_memory": (
+        ["solve"],
+        "[problem]\nkind = cs\nn_features = 1000000\nm_measurements = 10000000000\nsparsity_frac = 1e-6\n",
+        "m_measurements * n_features = 10000000000 * 1000000 is too large",
+    ),
+    "gen_data_past_memory": (
+        ["gen-data", "--m", "10000000000000", "--n", "1000"],
+        None,
+        "m * round(density * n) = 10000000000000 * 10 entries is too large",
+    ),
     "flow_t_end_nan": (["flow"], SCALAR_FLOW_CONFIG.replace("t_end = 50.0", "t_end = nan"), "[flow] t_end"),
     "flow_dt_inf": (["flow"], SCALAR_FLOW_CONFIG.replace("dt = 1e-3", "dt = inf"), "[flow] dt"),
     "solve_emit_plots_maybe": (["solve"], SCALAR_CONFIG + "emit_plots = maybe\n", "[output] emit_plots"),
@@ -738,8 +800,8 @@ SVMLIGHT_BODIES = {
     "svmlight_value_digit_separator": b"+1 1:1_0\n-1 1:0.2\n",
 }
 TRACE_BODIES = {
-    "diag_trace_digit_separator": "0,1.0,1.0,1.0,0.5,0.5,1\n1_0,1.0,1.0,1.0,0.5,0.5,1\n",
-    "diag_trace_float_digit_separator": "0,1.0,1.0,1.0,0.5,0.5,1\n1,1_0,1.0,1.0,0.5,0.5,1\n",
+    "diag_trace_digit_separator": "0,1.0,1.0,1.0,1\n1_0,1.0,1.0,1.0,1\n",
+    "diag_trace_float_digit_separator": "0,1.0,1.0,1.0,1\n1,1_0,1.0,1.0,1\n",
 }
 
 # int() and float() read other scripts' digits too: each number reader
@@ -768,16 +830,16 @@ for form, digits in OTHER_DIGITS.items():
     SVMLIGHT_BODIES[f"svmlight_label_{form}"] = f"{digits} 1:0.5\n-1 1:0.2\n".encode()
     SVMLIGHT_BODIES[f"svmlight_index_{form}"] = f"+1 {digits}:0.5\n-1 1:0.2\n".encode()
     SVMLIGHT_BODIES[f"svmlight_value_{form}"] = f"+1 1:{digits}\n-1 1:0.2\n".encode()
-    TRACE_BODIES[f"diag_trace_k_{form}"] = f"0,1.0,1.0,1.0,0.5,0.5,1\n{digits},1.0,1.0,1.0,0.5,0.5,1\n"
-    TRACE_BODIES[f"diag_trace_float_{form}"] = f"0,1.0,1.0,1.0,0.5,0.5,1\n1,{digits},1.0,1.0,0.5,0.5,1\n"
+    TRACE_BODIES[f"diag_trace_k_{form}"] = f"0,1.0,1.0,1.0,1\n{digits},1.0,1.0,1.0,1\n"
+    TRACE_BODIES[f"diag_trace_float_{form}"] = f"0,1.0,1.0,1.0,1\n1,{digits},1.0,1.0,1\n"
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2_with_message(tmp_path, capsys, case):
     argv, text, message = BAD_INPUTS[case]
     trace = tmp_path / "trace.csv"
-    rows = TRACE_BODIES.get(case, "".join(f"{k},1.0,1.0,1.0,0.5,0.5,1\n" for k in range(10)))
-    trace.write_text("k,f,gap,disc_err,gamma,beta,atom_id\n" + rows, encoding="utf-8")
+    rows = TRACE_BODIES.get(case, "".join(f"{k},1.0,1.0,1.0,1\n" for k in range(10)))
+    trace.write_text("k,f,gap,disc_err,atom_id\n" + rows, encoding="utf-8")
     argv = [str(trace) if a == "{trace}" else a for a in argv]
     if text is not None:
         data = tmp_path / "data.svmlight"
@@ -837,9 +899,9 @@ def test_diag_support_metrics_undefined_on_subsampled_trace(tmp_path, capsys):
     full_rows = read_csv_rows(full / "fw_trace.csv")[1]
     sub_rows = read_csv_rows(sub / "fw_trace.csv")[1]
     assert len(sub_rows) < len(full_rows)
-    assert all(row[6] for row in full_rows) and not any(row[6] for row in sub_rows)
+    assert all(row[4] for row in full_rows) and not any(row[4] for row in sub_rows)
     assert run_cli("diag", str(sub / "fw_trace.csv")) == 0
-    assert report_entries(capsys.readouterr().out)["support_first"] == "undefined"
+    assert report_entries(capsys.readouterr().out)["support_first"] == "none"
 
 
 def report_entries(text):
@@ -947,7 +1009,7 @@ def test_read_trace_csv_is_bitwise_the_run_it_was_written_from(tmp_path, case):
         assert run_cli("solve", "--config", path, "--out", str(tmp_path), "--quiet") == 0
     read = read_trace_csv(str(tmp_path / "trace.csv"))
     assert (read.vertex_ids is None) == (every > 1) and int(read.ks[0]) == (5 if case == "resumed_at_5" else 0)
-    for name in ("ks", "f", "gap", "disc_err", "gamma", "beta", "vertex_ids"):
+    for name in ("ks", "f", "gap", "disc_err", "vertex_ids"):
         got, want = getattr(read, name), getattr(run, name)
         assert got is want is None or (got.dtype == want.dtype and got.tobytes() == want.tobytes())
     assert read.state is None  # a CSV holds no checkpoint
@@ -957,8 +1019,8 @@ def test_read_trace_csv_keeps_the_first_k_of_a_resumed_run(tmp_path):
     # a trace whose rows start at k = 5, as a resumed run writes it
     path = tmp_path / "trace.csv"
     rows = [(5, 2), (6, -1), (7, 1), (8, 1), (9, 1)]
-    lines = ["k,f,gap,disc_err,gamma,beta,atom_id"]
-    lines += [f"{k},1.0,1.0,1.0,0.5,0.5,{vid}" for k, vid in rows]
+    lines = ["k,f,gap,disc_err,atom_id"]
+    lines += [f"{k},1.0,1.0,1.0,{vid}" for k, vid in rows]
     path.write_text("\n".join(lines) + "\n")
     trace = read_trace_csv(str(path))
     assert trace.ks.tolist() == [5, 6, 7, 8, 9]
@@ -971,12 +1033,12 @@ def test_read_trace_csv_keeps_the_first_k_of_a_resumed_run(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "row", ["3,1.0,1.0,x,0.5,0.5,1", "9223372036854775808,1.0,1.0,1.0,0.5,0.5,1", "3,1.0,1.0,1.0,0.5,0.5,-9223372036854775809"],
+    "row", ["3,1.0,1.0,x,1", "9223372036854775808,1.0,1.0,1.0,1", "3,1.0,1.0,1.0,-9223372036854775809"],
     ids=["float", "k_past_int64", "atom_id_past_int64"],
 )
 def test_diag_bad_numeric_field_exits_2(tmp_path, capsys, row):
     path = tmp_path / "trace.csv"
-    path.write_text(f"k,f,gap,disc_err,gamma,beta,atom_id\n2,1.0,1.0,1.0,0.5,0.5,1\n{row}\n")
+    path.write_text(f"k,f,gap,disc_err,atom_id\n2,1.0,1.0,1.0,1\n{row}\n")
     assert run_cli("diag", str(path)) == 2
     assert capsys.readouterr().err == "config error: line 3: bad numeric field\n"
 
@@ -984,7 +1046,7 @@ def test_diag_bad_numeric_field_exits_2(tmp_path, capsys, row):
 def long_trace(rows):
     rng = np.random.default_rng(4)
     ks = np.arange(rows)
-    floats = [rng.standard_normal(rows) for _ in range(5)]
+    floats = [rng.standard_normal(rows) for _ in range(3)]
     return IterateTrace(ks, *floats, vertex_ids=rng.integers(-500, 500, rows), state=None)
 
 
@@ -1024,7 +1086,7 @@ def positive_trace(rows, seed):
     rng = np.random.default_rng(seed)
     ks = np.arange(rows)
     f, gap, disc_err = (rng.random(rows) + 0.1 for _ in range(3))
-    return IterateTrace(ks, f, gap, disc_err, 1.0 / (ks + 1.0), 1.0 / (ks + 1.0), rng.integers(-500, 500, rows), state=None)
+    return IterateTrace(ks, f, gap, disc_err, rng.integers(-500, 500, rows), state=None)
 
 
 def test_compare_plots_hold_no_series_as_python_numbers(tmp_path):

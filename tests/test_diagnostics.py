@@ -27,8 +27,6 @@ def synthetic_trace(ks, series, which=Series.GAP, vertex_ids=None):
         f=vals if which is Series.F_MINUS_REF else nan.copy(),
         gap=vals if which is Series.GAP else nan.copy(),
         disc_err=vals if which is Series.DISC_ERR else nan.copy(),
-        gamma=nan.copy(),
-        beta=nan.copy(),
         vertex_ids=None if vertex_ids is None else np.asarray(vertex_ids, dtype=int),
         state=SolverState(k=n, x=np.zeros(1), s_bar=np.zeros(1)),
     )

@@ -195,3 +195,10 @@ def test_flow_numerical_blowup_reports_step():
     with pytest.raises(NumericalBlowup) as err, pytest.warns(RuntimeWarning, match="overflow"):
         integrate(obj, dom, cfg)
     assert err.value.k == 1
+
+
+@pytest.mark.parametrize("t_end, stride", [(10.0, 50), (0.1, 1)])
+def test_record_every_defaults_to_t_end_over_200_and_at_least_1e_3(t_end, stride):
+    # one rule for every caller, the flow command included: 0.05 at the default t_end
+    trace = force_signal(FlowConfig(t_end=t_end, dt=1e-3), lambda t: np.array([1.0]))
+    np.testing.assert_array_equal(trace.ks, np.arange(0, int(round(t_end / 1e-3)) + 1, stride))

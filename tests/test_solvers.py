@@ -93,7 +93,7 @@ def test_fw_smoothness_descent_bound(small_l1_quadratic):
     L = np.linalg.norm(obj.A, 2) ** 2
     D = diameter(dom)
     f = trace.f
-    g = trace.gamma
+    g = np.array([gamma(sched, k) for k in trace.ks])
     assert np.all(f[1:] <= f[:-1] + L * g[:-1] ** 2 * D**2 / 2 + 1e-9)
 
 
@@ -205,7 +205,7 @@ def test_solver_is_deterministic():
 
 # ---------------------------------------------------------------- carried images
 
-TRACE_FIELDS = ("ks", "f", "gap", "disc_err", "gamma", "beta", "vertex_ids")
+TRACE_FIELDS = ("ks", "f", "gap", "disc_err", "vertex_ids")
 
 
 def chunked(obj, dom, variant, total, chunk):
@@ -407,7 +407,7 @@ def plain_source(obj, dom):
 
 def plain_run(source, image, steps, variant, every, state, iters):
     """The iteration loop written plainly, a fresh array for every
-    operation: the trace columns (k, f, gap, disc_err, gamma, beta), the
+    operation: the trace columns (k, f, gap, disc_err), the
     recorded rows' atom ids and the final state."""
     x, s_bar, u, u_bar = state.x, state.s_bar, state.x_image, state.s_bar_image
     k_end = state.k + iters
@@ -425,7 +425,7 @@ def plain_run(source, image, steps, variant, every, state, iters):
             d, u_d = s, u_s
         step = d - x
         if k % every == 0 or k == k_end - 1:
-            rows.append((k, f, max(float(g.dot(x - s)), 0.0), math.sqrt(step.dot(step)), g_k, b_k))
+            rows.append((k, f, max(float(g.dot(x - s)), 0.0), math.sqrt(step.dot(step))))
             ids.append(vid)
         x = x + g_k * step
         u = u + g_k * (u_d - u)
@@ -434,7 +434,7 @@ def plain_run(source, image, steps, variant, every, state, iters):
 
 def assert_trace_is_plain(trace, plain):
     cols, ids, state = plain
-    for got, want in zip((trace.ks, trace.f, trace.gap, trace.disc_err, trace.gamma, trace.beta), cols):
+    for got, want in zip((trace.ks, trace.f, trace.gap, trace.disc_err), cols):
         assert_bitwise(got, want)
     # the ids are the atom history only on consecutive rows that all have one
     if None in ids or np.any(np.diff(cols[0]) != 1):
@@ -511,7 +511,7 @@ def test_flow_matches_the_plain_recursion_with_the_euler_rule_bitwise(case, vari
         return dt * gamma(sched, k * dt), 1.0 if k == 0 else dt * beta(sched, k * dt)
 
     start = plain_start(obj, dom)
-    (ks, f, gap, disc, _, _), _, state = plain_run(plain_source(obj, dom), obj.image, euler, variant, 10, start, 301)
+    (ks, f, gap, disc), _, state = plain_run(plain_source(obj, dom), obj.image, euler, variant, 10, start, 301)
     for got, want in zip((flow.ks * dt, flow.f, flow.gap, flow.disc_err, flow.f - 0.0), (ks * dt, f, gap, disc, f - 0.0)):
         assert_bitwise(got, want)
     if variant is Variant.AVGFW:
@@ -612,7 +612,7 @@ def test_runs_write_into_no_array_they_were_given():
 def assert_rows_of(trace, full):
     """``trace`` holds the rows of ``full``, a run from k = 0 that records
     every k, and their atom history when the rows are consecutive."""
-    for col in ("ks", "f", "gap", "disc_err", "gamma", "beta"):
+    for col in ("ks", "f", "gap", "disc_err"):
         assert_bitwise(getattr(trace, col), getattr(full, col)[trace.ks])
     if np.all(np.diff(trace.ks) == 1):
         assert_bitwise(trace.vertex_ids, full.vertex_ids[trace.ks])

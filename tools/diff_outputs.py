@@ -16,7 +16,11 @@ compares write with the default window, on the fw trace of
 ``cs_compare`` with the explicit window 100..4999 (the benchmark's
 desk_small diag), and on the box trace of the 1-D solve. Output files,
 stdout, stderr and exit codes are compared byte for byte after the work
-directory's path is replaced by ``<work>``.
+directory's path is replaced by ``<work>``. A CSV whose column line
+differs between the trees is compared in two parts: its header (comment
+lines and column line) byte for byte, and its data rows on the columns
+both name, so a change of trace format shows as a header difference
+alone when the kept columns hold the same bits.
 
 It also runs :func:`hash_cases` in a fresh interpreter on each tree (this
 file run with ``--hash-cases``, the tree's ``src/`` on the path). That
@@ -32,12 +36,12 @@ iid draws over six l1-ball vertices built inline with ``avgfw.Atom``),
 and ``force_signal`` on six forced signals: n = 1 and n = 3 (with a -0.0
 entry), p = 1 and 0.5, a record stride that does not divide the step
 count, a stride past t_end, t_end below dt/2 (no step) and a
-scalar-returning signal. Each case prints the SHA-256 of every row
-column and of the final x, sbar and both images (for a flow, the columns
-t, f, gap, disc_err and h of ``flow_trace.csv`` and the final sbar), and
-a run's ``vertex_ids`` as a second line, ``<case> vertex_ids``, each
-compared like an output; a change to what the record keeps of the atom
-ids then shows on those lines alone.
+scalar-returning signal. Each case prints the SHA-256 of the record
+fields every tree since 583eb98 holds: the k, f, gap and disc_err columns
+and the final x, sbar and both images (for a flow, the same columns and
+the final sbar), and a run's ``vertex_ids`` as a second line, ``<case>
+vertex_ids``, each compared like an output; a change to what the record
+keeps of the atom ids then shows on those lines alone.
 
 A differing text output is shown as the first DIFF_LINES lines of its
 unified diff. Exits 1 on any difference, 0 when all match.
@@ -134,6 +138,31 @@ def text_diff(old: bytes, new: bytes) -> str:
     return "".join(f"\n    {line}" for line in lines[:DIFF_LINES])
 
 
+def split_csv(data: bytes) -> Tuple[List[str], List[str], List[List[str]]]:
+    """The header lines (comments, then the column line), the column names
+    and the data rows of a CSV."""
+    lines = data.decode("ascii").splitlines()
+    start = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return lines[: start + 1], lines[start].split(","), [line.split(",") for line in lines[start + 1 :]]
+
+
+def csv_differences(key: str, old: bytes, new: bytes) -> List[Tuple[str, str]]:
+    """A CSV whose column line changed, compared as its header and as its
+    data rows on the columns both trees write."""
+    (old_head, old_names, old_rows), (new_head, new_names, new_rows) = split_csv(old), split_csv(new)
+    shared = [name for name in old_names if name in new_names]
+
+    def project(names: List[str], rows: List[List[str]]) -> bytes:
+        cols = [names.index(name) for name in shared]
+        return "\n".join(",".join(row[j] for j in cols) for row in rows).encode()
+
+    parts = (
+        (f"{key} header", "\n".join(old_head).encode(), "\n".join(new_head).encode()),
+        (f"{key} rows {','.join(shared)}", project(old_names, old_rows), project(new_names, new_rows)),
+    )
+    return [(name, f"differs{text_diff(a, b)}") for name, a, b in parts if a != b]
+
+
 def differences(ref: Dict[str, bytes], new: Dict[str, bytes]) -> List[Tuple[str, str]]:
     out = []
     for key in sorted(set(ref) | set(new)):
@@ -142,15 +171,11 @@ def differences(ref: Dict[str, bytes], new: Dict[str, bytes]) -> List[Tuple[str,
         elif key not in ref:
             out.append((key, "only in the working tree"))
         elif ref[key] != new[key]:
-            out.append((key, f"differs ({len(ref[key])} vs {len(new[key])} bytes){text_diff(ref[key], new[key])}"))
+            if key.endswith(".csv") and split_csv(ref[key])[1] != split_csv(new[key])[1]:
+                out += csv_differences(key, ref[key], new[key])
+            else:
+                out.append((key, f"differs ({len(ref[key])} vs {len(new[key])} bytes){text_diff(ref[key], new[key])}"))
     return out
-
-
-def flow_columns(flow, dt: float, final_s_bar):
-    """t, f, gap, disc_err, h and the final sbar of a flow run, as the
-    ``flow`` command writes them: ``ks * dt`` and ``f - 0.0`` (f_ref = 0
-    here), with ``final_s_bar(state)`` read from its final state."""
-    return flow.ks * dt, flow.f, flow.gap, flow.disc_err, flow.f - 0.0, final_s_bar(flow.state)
 
 
 def hash_cases() -> None:
@@ -172,7 +197,7 @@ def hash_cases() -> None:
 
     def emit_trace(case: str, t) -> None:
         st = t.state
-        emit(case, t.ks, t.f, t.gap, t.disc_err, t.gamma, t.beta, st.x, st.s_bar, st.x_image, st.s_bar_image)
+        emit(case, t.ks, t.f, t.gap, t.disc_err, st.x, st.s_bar, st.x_image, st.s_bar_image)
         emit(f"{case} vertex_ids", t.vertex_ids)
 
     rng = np.random.default_rng(5)
@@ -209,8 +234,8 @@ def hash_cases() -> None:
                     trace = resume(trace.state, obj, dom, SolverConfig(variant, sched, max_iters=5, trace_every=7))
                     emit_trace(f"resume {name} {variant.value} every=7 k={trace.state.k}", trace)
             flow = integrate(obj, dom, FlowConfig(variant, Schedule(2.0, 1.0), t_end=0.5, dt=1e-3, record_every=0.01))
-            s_bar = (lambda st: st.s_bar) if variant is Variant.AVGFW else (lambda st: None)  # a vanilla flow reports none
-            emit(f"flow {name} {variant.value}", *flow_columns(flow, 1e-3, s_bar))
+            s_bar = flow.state.s_bar if variant is Variant.AVGFW else None  # a vanilla flow reports none
+            emit(f"flow {name} {variant.value}", flow.ks, flow.f, flow.gap, flow.disc_err, s_bar)
     # the six signed vertices of the unit l1 ball in R^6 on its first three axes, +0.0 elsewhere
     pool = [Atom(np.where(np.arange(6) == i, float(sign), 0.0), sign * (i + 1)) for i in range(3) for sign in (1, -1)]
     streams = {"repeating_cycle": np.arange(200) % 6, "random_vertex": np.random.default_rng(4).integers(0, 6, size=200)}
@@ -235,7 +260,7 @@ def hash_cases() -> None:
     )
     for name, signal, p, t_end, every in forced:
         flow = force_signal(FlowConfig(schedule=Schedule(3.0, p), t_end=t_end, dt=1e-3, record_every=every), signal)
-        emit(f"force_signal {name}", *flow_columns(flow, 1e-3, lambda st: st.x))  # the forced run's x is sbar
+        emit(f"force_signal {name}", flow.ks, flow.f, flow.gap, flow.disc_err, flow.state.x)  # the forced run's x is sbar
 
 
 def main(argv: List[str]) -> int:
