@@ -173,7 +173,9 @@ def _read_config(path: str) -> Tuple[Config, Dict[str, str]]:
                 raise ConfigError(f"[{section}] {key} must be {expected}, got {text!r}") from None
             echo[f"{section}.{key}"] = text
     kind = (values["problem"]["kind"] or "").strip().lower()
-    if kind in PROBLEM_KEYS:  # an unknown kind is reported where the problem is built
+    if values["problem"]["kind"] is not None and kind not in PROBLEM_KEYS:
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    if kind in PROBLEM_KEYS:  # a missing kind is reported where the problem is built
         for key, _ in raw.get("problem", ()):
             if key != "kind" and key not in PROBLEM_KEYS[kind]:
                 raise ConfigError(f"[problem] {key} is not read by kind = {kind}, which reads {', '.join(PROBLEM_KEYS[kind])}")
@@ -262,13 +264,11 @@ def _build_problem(cfg: Config, seed: int):
         meta["unconstrained_norm"] = norm
         return obj, domain, meta
 
-    if kind == "svmlight":
-        data = load_svmlight(_required(cfg, "problem", "path"), n_features_hint=prob["n_features_hint"])
-        alpha = _required(cfg, "problem", "alpha")
-        meta["samples"] = data.m
-        return data, DomainSet(Kind.L1_BALL, alpha, data.n), meta
-
-    raise ConfigError(f"unknown problem kind {kind!r}")
+    # svmlight, the last kind _read_config accepts
+    data = load_svmlight(_required(cfg, "problem", "path"), n_features_hint=prob["n_features_hint"])
+    alpha = _required(cfg, "problem", "alpha")
+    meta["samples"] = data.m
+    return data, DomainSet(Kind.L1_BALL, alpha, data.n), meta
 
 
 def _parse_x0(cfg: Config, domain: DomainSet) -> Optional[np.ndarray]:
@@ -327,10 +327,11 @@ def _trace_columns(trace: IterateTrace) -> Tuple[Optional[np.ndarray], ...]:
 def read_trace_csv(path: str) -> IterateTrace:
     """Rebuild the trace a solve, compare or flow CSV was written from.
 
-    Each data row, ``number_text``, is parsed into the packed buffers of a
-    run's record, viewed by ``IterateTrace.packed``, so every column,
-    ``vertex_ids`` included, is bitwise the run's, whatever its
-    ``trace_every`` or first k. ``state`` is None: the file holds no checkpoint.
+    Each data row, ``number_text`` with a k of 0 or more above the previous
+    row's, is parsed into the packed buffers of a run's record, viewed by
+    ``IterateTrace.packed``, so every column, ``vertex_ids`` included, is
+    bitwise the run's, whatever its ``trace_every`` or first k. ``state``
+    is None: the file holds no checkpoint.
     """
     ks, rows, ids = array("q"), array("d"), array("q")
     for line_no, line in text_lines(path, "trace"):
@@ -348,6 +349,8 @@ def read_trace_csv(path: str) -> IterateTrace:
                 ids.append(int(parts[4]))
         except (ValueError, OverflowError):  # an integer past int64 overflows
             raise ParseError(line_no, f"line {line_no}: bad numeric field") from None
+        if ks[-1] < 0 or len(ks) > 1 and ks[-1] <= ks[-2]:
+            raise ParseError(line_no, f"line {line_no}: k = {ks[-1]} must be >= 0 and above the previous row's k")
     if not ks:
         raise ParseError(0, f"no data rows in {path}")
     return IterateTrace.packed(ks, rows, ids, None)
@@ -376,28 +379,19 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _fit_window(
-    lo: Optional[int], hi: Optional[int], default: Tuple[int, int], recorded: Tuple[int, int], names: str
-) -> Tuple[int, int]:
-    """The rate-fit window: the given ends, the default for a missing one.
-    A window the user set must satisfy lo < hi, and each end the user set
-    is clipped to the ``recorded`` iterations, with a warning on stderr.
-    A clipped window, or the default one of a very short run, may be
-    empty, and then no fit is reported."""
-    window = (default[0] if lo is None else lo, default[1] if hi is None else hi)
-    if (lo is not None or hi is not None) and not window[0] < window[1]:
-        raise ConfigError(f"{names} must satisfy lo < hi, got {window[0]} and {window[1]}")
-    clipped = (
-        window[0] if lo is None else min(max(lo, recorded[0]), recorded[1]),
-        window[1] if hi is None else min(max(hi, recorded[0]), recorded[1]),
-    )
-    if clipped != window:
-        print(
-            f"warning: {names} ask for {window[0]}..{window[1]}, outside the recorded iterations"
-            f" {recorded[0]}..{recorded[1]}; fitting over {clipped[0]}..{clipped[1]}",
-            file=sys.stderr,
-        )
-    return clipped
+def _fit_window(lo: Optional[int], hi: Optional[int], first: int, last: int, names: str) -> Tuple[int, int]:
+    """The rate-fit window ``(lo, hi)`` of a run recorded over iterations
+    ``first..last``, one rule for ``compare`` and ``diag``. A missing end
+    takes its default: hi is ``last``, and lo a tenth of the iterations
+    up to ``last``, at least 1 and at most 100, and not before ``first``,
+    so ``diag`` on a compare trace fits the summary's window. A window the
+    user set, at either end, must satisfy ``first <= lo < hi <= last``;
+    the default one of a very short run may be empty, and then no fit is
+    reported."""
+    window = (max(first, min(100, max(1, (last + 1) // 10))) if lo is None else lo, last if hi is None else hi)
+    if (lo is not None or hi is not None) and not first <= window[0] < window[1] <= last:
+        raise ConfigError(f"{names} must satisfy {first} <= lo < hi <= {last}, got {window[0]} and {window[1]}")
+    return window
 
 
 def _rate_fits(traces: Dict[str, IterateTrace], window: Tuple[int, int]) -> Dict[str, Optional[float]]:
@@ -456,13 +450,8 @@ def cmd_compare(args) -> int:
         reference_iters = min(100000, 10 * max_iters)
     if reference_iters < 1:
         raise ConfigError(f"[compare] reference_iters must be >= 1, got {reference_iters}")
-    window = _fit_window(
-        cfg["compare"]["window_lo"],
-        cfg["compare"]["window_hi"],
-        (min(100, max(1, max_iters // 10)), max_iters - 1),
-        (0, max_iters - 1),
-        "[compare] window_lo and window_hi",
-    )
+    lo, hi = cfg["compare"]["window_lo"], cfg["compare"]["window_hi"]
+    window = _fit_window(lo, hi, 0, max_iters - 1, "[compare] window_lo and window_hi")
     traces, entries = compare(obj, domain, base, window, reference_iters)
 
     for variant, trace in traces.items():
@@ -529,7 +518,7 @@ def cmd_flow(args) -> int:
 def cmd_diag(args) -> int:
     trace = read_trace_csv(args.trace)
     first, last = int(trace.ks[0]), int(trace.ks[-1])
-    window = _fit_window(args.window_lo, args.window_hi, (max(1, first), last), (first, last), "--window-lo and --window-hi")
+    window = _fit_window(args.window_lo, args.window_hi, first, last, "--window-lo and --window-hi")
     report: Dict[str, object] = {"trace": os.path.basename(args.trace), "window_lo": window[0], "window_hi": window[1]}
     report.update(_rate_fits({"": trace}, window))
     report["support_first"] = None if trace.vertex_ids is None else int(support_trajectory(trace)[0])

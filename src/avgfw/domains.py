@@ -61,8 +61,8 @@ class DomainSet:
     n: int
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
         if self.n < 1:
             raise ConfigError(f"dimension must be >= 1, got {self.n}")
         if self.kind is Kind.BOX and self.n > BOX_MAX_DIM:

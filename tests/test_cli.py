@@ -253,7 +253,7 @@ def resolved_compare(path):
     cfg, _ = _read_config(path)
     obj, domain, _ = _build_problem(cfg, cfg["output"]["seed"])
     base = _build_solver_config(cfg, domain)
-    window = (min(100, max(1, base.max_iters // 10)), base.max_iters - 1)
+    window = cli._fit_window(cfg["compare"]["window_lo"], cfg["compare"]["window_hi"], 0, base.max_iters - 1, "window")
     reference_iters = cfg["compare"]["reference_iters"] or min(100000, 10 * base.max_iters)
     return base, domain, cli.compare(obj, domain, base, window, reference_iters)
 
@@ -678,13 +678,40 @@ BAD_INPUTS = {
     "diag_window_inverted": (
         ["diag", "{trace}", "--window-lo", "50", "--window-hi", "10"],
         None,
-        "--window-lo and --window-hi must satisfy lo < hi, got 50 and 10",
+        "--window-lo and --window-hi must satisfy 0 <= lo < hi <= 9, got 50 and 10",
     ),
     "diag_window_lo_past_the_trace_end": (["diag", "{trace}", "--window-lo", "900"], None, "got 900 and 9"),
+    # a window the user set lies within the recorded iterations, or exits 2
+    "diag_window_hi_past_the_trace_end": (
+        ["diag", "{trace}", "--window-lo", "2", "--window-hi", "10"],
+        None,
+        "--window-lo and --window-hi must satisfy 0 <= lo < hi <= 9, got 2 and 10",
+    ),
+    "diag_window_lo_before_the_first_row": (
+        ["diag", "{trace}", "--window-lo", "3"],
+        None,
+        "--window-lo and --window-hi must satisfy 5 <= lo < hi <= 9, got 3 and 9",
+    ),
     "compare_window_inverted": (
         ["compare"],
         CS_COMPARE_CONFIG.format(plots="false").replace("window_lo = 100", "window_lo = 500").replace("1999", "100"),
-        "[compare] window_lo and window_hi must satisfy lo < hi, got 500 and 100",
+        "[compare] window_lo and window_hi must satisfy 0 <= lo < hi <= 1999, got 500 and 100",
+    ),
+    "compare_window_past_the_run": (
+        ["compare"],
+        CS_COMPARE_CONFIG.format(plots="false").replace("window_hi = 1999", "window_hi = 2000"),
+        "[compare] window_lo and window_hi must satisfy 0 <= lo < hi <= 1999, got 100 and 2000",
+    ),
+    # a trace's k counts up from 0 or more
+    "diag_trace_k_decreasing": (["diag", "{trace}"], None, "line 3: k = 3 must be >= 0 and above the previous row's k"),
+    "diag_trace_k_repeated": (["diag", "{trace}"], None, "line 3: k = 0 must be >= 0 and above the previous row's k"),
+    "diag_trace_k_negative": (["diag", "{trace}"], None, "line 2: k = -3 must be >= 0 and above the previous row's k"),
+    # the kind is checked where the config is read, so a forced flow, which builds no problem, refuses it too
+    "flow_forced_unknown_kind": (["flow"], FORCED_FLOW_CONFIG.replace("kind = scalar1d", "kind = nope"), "unknown problem kind 'nope'"),
+    "cs_radius_overflow": (
+        ["compare"],
+        CS_COMPARE_CONFIG.format(plots="false").replace("alpha_scale = 1.0", "alpha_scale = 1e308"),
+        "alpha must be positive and finite, got inf",
     ),
     "compare_reference_iters_zero": (
         ["compare"],
@@ -800,6 +827,10 @@ SVMLIGHT_BODIES = {
     "svmlight_value_digit_separator": b"+1 1:1_0\n-1 1:0.2\n",
 }
 TRACE_BODIES = {
+    "diag_window_lo_before_the_first_row": "".join(f"{k},1.0,1.0,1.0,1\n" for k in range(5, 10)),
+    "diag_trace_k_decreasing": "5,1.0,1.0,1.0,1\n3,1.0,1.0,1.0,1\n4,1.0,1.0,1.0,1\n",
+    "diag_trace_k_repeated": "0,1.0,1.0,1.0,1\n0,1.0,1.0,1.0,1\n",
+    "diag_trace_k_negative": "-3,1.0,1.0,1.0,1\n-2,1.0,1.0,1.0,1\n",
     "diag_trace_digit_separator": "0,1.0,1.0,1.0,1\n1_0,1.0,1.0,1.0,1\n",
     "diag_trace_float_digit_separator": "0,1.0,1.0,1.0,1\n1,1_0,1.0,1.0,1\n",
 }
@@ -908,39 +939,35 @@ def report_entries(text):
     return dict(line.split(" = ") for line in text.strip().splitlines())
 
 
-def test_fit_window_past_the_run_is_clipped_with_a_warning(tmp_path, capsys):
-    text = (
-        CS_COMPARE_CONFIG.format(plots="false")
-        .replace("max_iters = 2000", "max_iters = 50")
-        .replace("window_lo = 100", "window_lo = 10")
-        .replace("window_hi = 1999", "window_hi = 500")
-        .replace("reference_iters = 4000", "reference_iters = 100")
-    )
+def test_compare_window_outside_the_run_exits_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("compare solved before it checked its window"))
+    text = SCALAR_CONFIG + "\n[compare]\nwindow_lo = 10\nwindow_hi = 50\n"
     out = tmp_path / "out"
-    assert run_cli("compare", "--config", write_config(tmp_path / "c.ini", text), "--out", str(out), "--quiet") == 0
+    assert run_cli("compare", "--config", write_config(tmp_path / "c.ini", text), "--out", str(out), "--quiet") == 2
     assert capsys.readouterr().err == (
-        "warning: [compare] window_lo and window_hi ask for 10..500,"
-        " outside the recorded iterations 0..49; fitting over 10..49\n"
+        "config error: [compare] window_lo and window_hi must satisfy 0 <= lo < hi <= 49, got 10 and 50\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("problem", ["cs", "logistic"])
+def test_diag_without_a_window_reprints_the_summary(tmp_path, capsys, problem):
+    # compare and diag share one default window, so diag on either trace of
+    # a compare prints the summary's window and fits for that variant
+    if problem == "cs":
+        cfg = write_config(tmp_path / "cfg.ini", SMALL_CS_CONFIG.format(x0="", reference_iters=500))
+    else:
+        cfg = sweep_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_cli("compare", "--config", cfg, "--out", str(out), "--quiet") == 0
     summary = report_entries((out / "summary.txt").read_text())
-    assert (summary["window_lo"], summary["window_hi"]) == ("10", "49")
-    trace = str(out / "fw_trace.csv")
-    assert run_cli("diag", trace, "--window-lo", "10", "--window-hi", "49") == 0
-    inside = capsys.readouterr()
-    assert inside.err == ""
-    # the summary's slopes are the fit over the clipped window
-    assert report_entries(inside.out)["slope_gap"] == summary["slope_gap_fw"] != "none"
-    assert run_cli("diag", trace, "--window-lo", "10", "--window-hi", "500") == 0
-    past = capsys.readouterr()
-    assert past.err == (
-        "warning: --window-lo and --window-hi ask for 10..500,"
-        " outside the recorded iterations 0..49; fitting over 10..49\n"
-    )
-    assert past.out == inside.out
-    # a window wholly past the run clips to an empty one: no fit, exit 0
-    assert run_cli("diag", trace, "--window-lo", "60", "--window-hi", "900") == 0
-    report = report_entries(capsys.readouterr().out)
-    assert (report["window_lo"], report["window_hi"], report["slope_gap"], report["r2_disc"]) == ("49", "49", "none", "none")
+    keys = ("window_lo", "window_hi", "slope_gap", "r2_gap", "slope_disc", "r2_disc")
+    for variant in ("fw", "avgfw"):
+        assert run_cli("diag", str(out / f"{variant}_trace.csv")) == 0
+        report = report_entries(capsys.readouterr().out)
+        expected = {key: summary[key if key.startswith("window") else f"{key}_{variant}"] for key in keys}
+        assert {key: report[key] for key in keys} == expected
+        assert "none" not in expected.values()
 
 
 IMPORT_CHECK = """

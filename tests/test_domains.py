@@ -153,6 +153,8 @@ def test_box_vertex_ids_at_the_dimension_cap():
 def test_domain_validation():
     with pytest.raises(ConfigError):
         DomainSet(Kind.L1_BALL, 0.0, 3)
+    with pytest.raises(ConfigError, match="alpha must be positive and finite, got inf"):
+        DomainSet(Kind.BOX, float("inf"), 1)
     with pytest.raises(ConfigError):
         DomainSet(Kind.L1_BALL, 1.0, 0)
     with pytest.raises(ConfigError):

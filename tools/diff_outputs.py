@@ -14,13 +14,13 @@ sweep records only the first and the last row of each radius whatever
 the config says), both flows, and diag: on the six traces the shipped
 compares write with the default window, on the fw trace of
 ``cs_compare`` with the explicit window 100..4999 (the benchmark's
-desk_small diag), and on the box trace of the 1-D solve. Output files,
-stdout, stderr and exit codes are compared byte for byte after the work
-directory's path is replaced by ``<work>``. A CSV whose column line
-differs between the trees is compared in two parts: its header (comment
-lines and column line) byte for byte, and its data rows on the columns
-both name, so a change of trace format shows as a header difference
-alone when the kept columns hold the same bits.
+desk_small diag), on the box trace of the 1-D solve, and on both flow
+traces. Output files, stdout, stderr and exit codes are compared byte
+for byte after the work directory's path is replaced by ``<work>``. A
+CSV whose column line differs between the trees is compared in two
+parts: its header (comment lines and column line) byte for byte, and its
+data rows on the columns both name, so a change of trace format shows as
+a header difference alone when the kept columns hold the same bits.
 
 It also runs :func:`hash_cases` in a fresh interpreter on each tree (this
 file run with ``--hash-cases``, the tree's ``src/`` on the path). That
@@ -77,6 +77,7 @@ COMMANDS: List[List[str]] = [
     *(["diag", f"{out}/{variant}_trace.csv"] for _, out in COMPARES for variant in ("fw", "avgfw")),
     ["diag", "out/cs_compare/fw_trace.csv", "--window-lo", "100", "--window-hi", "4999"],
     ["diag", "out/scalar1d_fw/trace.csv"],
+    *(["diag", f"out/{name}/flow_trace.csv"] for name in ("flow_accumulation", "flow_scalar1d")),
 ]
 RUN_CLI = "import sys; from avgfw.cli import main; sys.exit(main(sys.argv[1:]))"
 DIFF_LINES = 20
