@@ -9,7 +9,7 @@ Subcommands:
   gen-data  emit a synthetic sparse svmlight file
 
 Configs are flat INI-style ``key = value`` files with [problem], [solver],
-[flow], [compare], [sweep], and [output] sections. ``SCHEMA`` declares every
+[flow], [compare] and [output] sections. ``SCHEMA`` declares every
 accepted key with its type and default; unknown sections and keys are
 rejected, as is a [problem] key that the configured kind does not read
 (``PROBLEM_KEYS``; see README for the grammar).
@@ -90,7 +90,6 @@ SCHEMA: Dict[str, Dict[str, Tuple[type, object]]] = {
         "c": (float, 3.0),
         "p": (float, 1.0),
         "max_iters": (int, 1000),
-        "trace_every": (int, 1),
         "x0": (str, "lmo"),
     },
     "flow": {
@@ -104,12 +103,6 @@ SCHEMA: Dict[str, Dict[str, Tuple[type, object]]] = {
         "window_hi": (int, None),
         "reference_iters": (int, None),
     },
-    "sweep": {
-        "train_frac": (float, 0.6),
-        "alpha_lo": (float, 1.0),
-        "alpha_hi": (float, 100.0),
-        "points": (int, 10),
-    },
     "output": {
         "dir": (str, None),
         "emit_plots": (bool, False),
@@ -119,9 +112,9 @@ SCHEMA: Dict[str, Dict[str, Tuple[type, object]]] = {
 
 # The [problem] keys each kind reads besides ``kind``; any other present is an error.
 PROBLEM_KEYS: Dict[str, Tuple[str, ...]] = {
-    "cs": ("n_features", "m_measurements", "sparsity_frac", "noise_std", "alpha", "alpha_scale"),
+    "cs": ("n_features", "m_measurements", "sparsity_frac", "noise_std", "alpha_scale"),
     "scalar1d": ("alpha",),
-    "l2_quadratic": ("alpha", "alpha_scale"),
+    "l2_quadratic": ("alpha_scale",),
     "svmlight": ("path", "n_features_hint", "alpha"),
 }
 
@@ -143,7 +136,8 @@ def _read_config(path: str) -> Tuple[Config, Dict[str, str]]:
 
     A value is the text the file holds: ``%`` is no interpolation syntax.
     Returns (values, echo): ``values[section][key]`` is the typed value of
-    every schema key, its default when absent; ``echo`` maps
+    every schema key, its default when absent, and the kind is stripped
+    and lower-cased; ``echo`` maps
     ``section.key`` to the raw string of every key present, in file order.
     """
     # The README's grammar: ``key = value`` only, keys case-sensitive, and
@@ -172,15 +166,13 @@ def _read_config(path: str) -> Tuple[Config, Dict[str, str]]:
             except (ValueError, KeyError):
                 raise ConfigError(f"[{section}] {key} must be {expected}, got {text!r}") from None
             echo[f"{section}.{key}"] = text
-    kind = (values["problem"]["kind"] or "").strip().lower()
-    if values["problem"]["kind"] is not None and kind not in PROBLEM_KEYS:
-        raise ConfigError(f"unknown problem kind {kind!r}")
-    if kind in PROBLEM_KEYS:  # a missing kind is reported where the problem is built
+    if values["problem"]["kind"] is not None:  # a missing kind is reported where the problem is built
+        kind = values["problem"]["kind"] = values["problem"]["kind"].strip().lower()
+        if kind not in PROBLEM_KEYS:
+            raise ConfigError(f"unknown problem kind {kind!r}")
         for key, _ in raw.get("problem", ()):
             if key != "kind" and key not in PROBLEM_KEYS[kind]:
                 raise ConfigError(f"[problem] {key} is not read by kind = {kind}, which reads {', '.join(PROBLEM_KEYS[kind])}")
-        if {"alpha", "alpha_scale"} <= {key for key, _ in raw.get("problem", ())}:
-            raise ConfigError(f"[problem] alpha and alpha_scale are both set; kind = {kind} reads one or the other")
     return values, echo
 
 
@@ -193,7 +185,7 @@ def _required(cfg: Config, section: str, key: str):
 
 def _resolve_out_dir(args, configured: Optional[str] = None) -> str:
     """The output directory's path; ``_out_path`` makes the directory."""
-    return args.out or configured or os.environ.get("AVGFW_OUT", ".")
+    return args.out or configured or "."
 
 
 def _out_path(out_dir: str, filename: str) -> str:
@@ -229,8 +221,7 @@ def _build_problem(cfg: Config, seed: int):
     generator facts.
     """
     prob = cfg["problem"]
-    kind = _required(cfg, "problem", "kind").strip().lower()
-    alpha = prob["alpha"]
+    kind = _required(cfg, "problem", "kind")
     meta: Dict[str, object] = {"problem.kind": kind}
 
     if kind == "cs":
@@ -242,8 +233,7 @@ def _build_problem(cfg: Config, seed: int):
             seed=seed,
         )
         obj, domain, x0 = generate_cs(spec)
-        if alpha is None:
-            alpha = prob["alpha_scale"] * domain.alpha
+        alpha = prob["alpha_scale"] * domain.alpha
         domain = DomainSet(Kind.L1_BALL, alpha, domain.n)
         meta["ground_truth_nnz"] = int(np.count_nonzero(x0))
         meta["ground_truth_l1"] = float(np.sum(np.abs(x0)))
@@ -253,22 +243,19 @@ def _build_problem(cfg: Config, seed: int):
 
     if kind == "scalar1d":
         meta["f_ref"] = 0.0
-        return Scalar1D(), DomainSet(Kind.BOX, 1.0 if alpha is None else alpha, 1), meta
+        return Scalar1D(), DomainSet(Kind.BOX, 1.0 if prob["alpha"] is None else prob["alpha"], 1), meta
 
     if kind == "l2_quadratic":
         obj, domain, x_unc = generate_l2ball_quadratic(1.0, seed=seed)
         norm = float(np.linalg.norm(x_unc))
-        if alpha is None:
-            alpha = prob["alpha_scale"] * norm
-        domain = DomainSet(Kind.L2_BALL, alpha, domain.n)
+        domain = DomainSet(Kind.L2_BALL, prob["alpha_scale"] * norm, domain.n)
         meta["unconstrained_norm"] = norm
         return obj, domain, meta
 
     # svmlight, the last kind _read_config accepts
     data = load_svmlight(_required(cfg, "problem", "path"), n_features_hint=prob["n_features_hint"])
-    alpha = _required(cfg, "problem", "alpha")
     meta["samples"] = data.m
-    return data, DomainSet(Kind.L1_BALL, alpha, data.n), meta
+    return data, DomainSet(Kind.L1_BALL, _required(cfg, "problem", "alpha"), data.n), meta
 
 
 def _parse_x0(cfg: Config, domain: DomainSet) -> Optional[np.ndarray]:
@@ -290,7 +277,6 @@ def _build_solver_config(cfg: Config, domain: DomainSet) -> SolverConfig:
         schedule=Schedule(cfg["solver"]["c"], cfg["solver"]["p"]),
         max_iters=cfg["solver"]["max_iters"],
         x0=_parse_x0(cfg, domain),
-        trace_every=cfg["solver"]["trace_every"],
     )
 
 
@@ -407,16 +393,22 @@ def _rate_fits(traces: Dict[str, IterateTrace], window: Tuple[int, int]) -> Dict
 
 
 def compare(
-    obj, domain: DomainSet, base: SolverConfig, window: Tuple[int, int], reference_iters: int
+    obj, domain: DomainSet, base: SolverConfig, window: Tuple[int, int], reference_iters: Optional[int]
 ) -> Tuple[Dict[str, IterateTrace], Dict[str, object]]:
     """The compare protocol in process: it reads no config and writes no file.
 
     Runs both variants of ``base`` from one start and fits their rates over
     ``window``. On a polyhedral domain it measures identification against
     x*, the averaged run continued to ``max(reference_iters, max_iters)``
-    iterations. Returns the traces keyed by variant ("fw", "avgfw") and the
-    summary entries from ``window_lo`` on, None where one is undefined.
+    iterations; a None ``reference_iters`` is ``min(100000, 10 * max_iters)``,
+    and one below 1 raises ``ConfigError`` before any solve. Returns the
+    traces keyed by variant ("fw", "avgfw") and the summary entries from
+    ``window_lo`` on, None where one is undefined.
     """
+    if reference_iters is None:
+        reference_iters = min(100000, 10 * base.max_iters)
+    if reference_iters < 1:
+        raise ConfigError(f"[compare] reference_iters must be >= 1, got {reference_iters}")
     traces = {v.value: solve(obj, domain, replace(base, variant=v)) for v in (Variant.FW, Variant.AVGFW)}
     entries: Dict[str, object] = {"window_lo": window[0], "window_hi": window[1]}
     entries.update(_rate_fits({f"_{variant}": trace for variant, trace in traces.items()}, window))
@@ -445,14 +437,9 @@ def cmd_compare(args) -> int:
     obj, domain, meta = _build_problem(cfg, seed)
     base = _build_solver_config(cfg, domain)
     max_iters = base.max_iters
-    reference_iters = cfg["compare"]["reference_iters"]
-    if reference_iters is None:
-        reference_iters = min(100000, 10 * max_iters)
-    if reference_iters < 1:
-        raise ConfigError(f"[compare] reference_iters must be >= 1, got {reference_iters}")
     lo, hi = cfg["compare"]["window_lo"], cfg["compare"]["window_hi"]
     window = _fit_window(lo, hi, 0, max_iters - 1, "[compare] window_lo and window_hi")
-    traces, entries = compare(obj, domain, base, window, reference_iters)
+    traces, entries = compare(obj, domain, base, window, cfg["compare"]["reference_iters"])
 
     for variant, trace in traces.items():
         header = _trace_header(echo, base.schedule, domain, meta, {"variant": variant, "seed": seed})
@@ -527,25 +514,18 @@ def cmd_diag(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Radius sweep for classification problems: train on a split, report
-    validation loss per radius on a log grid. Reported, never asserted."""
+    """Radius sweep for classification problems: train on a seeded 60% of
+    the rows, report the validation loss on the rest at each of ten radii
+    log-spaced from 1 to 100. Reported, never asserted."""
     cfg, echo, seed, out_dir = _prepare(args)
     obj, domain, _ = _build_problem(cfg, seed)
     if not isinstance(obj, Logistic):
         raise ConfigError("sweep needs a classification problem (kind = svmlight)")
 
-    sweep = cfg["sweep"]
-    if not 0 < sweep["train_frac"] < 1:
-        raise ConfigError(f"[sweep] train_frac must lie in (0, 1), got {sweep['train_frac']}")
-    train, val = train_val_split(obj, sweep["train_frac"], seed)
-    if sweep["points"] < 1:
-        raise ConfigError(f"[sweep] points must be >= 1, got {sweep['points']}")
-    if not (sweep["alpha_lo"] > 0 and sweep["alpha_hi"] > 0):
-        raise ConfigError(f"[sweep] alpha_lo and alpha_hi must be > 0, got {sweep['alpha_lo']} and {sweep['alpha_hi']}")
-
+    train, val = train_val_split(obj, 0.6, seed)
     rows = []
     best_alpha, best_loss = None, np.inf
-    for alpha in np.geomspace(sweep["alpha_lo"], sweep["alpha_hi"], sweep["points"]):
+    for alpha in np.geomspace(1.0, 100.0, 10):
         dom = DomainSet(Kind.L1_BALL, float(alpha), train.n)
         solver_cfg = _build_solver_config(cfg, dom)
         # only the final x is read: record k = 0 and the last row alone
@@ -579,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--out", default=None, help="output directory (default: config, then $AVGFW_OUT)")
+        p.add_argument("--out", default=None, help="output directory (default: [output] dir, then .)")
         p.add_argument("--seed", type=integer, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true")
 

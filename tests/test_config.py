@@ -42,7 +42,6 @@ GOOD = {
     ("solver", "c"): [None, "1", "3"],
     ("solver", "p"): [None, "0.5", "1"],
     ("solver", "max_iters"): ["1", "30"],
-    ("solver", "trace_every"): [None, "1", "7"],
     ("solver", "x0"): [None, "lmo", "0.5"],
     ("flow", "t_end"): ["0.5", "2"],
     ("flow", "dt"): [None, "1e-2", "0.5"],
@@ -51,10 +50,6 @@ GOOD = {
     ("compare", "window_lo"): [None, "1", "10"],
     ("compare", "window_hi"): [None, "5", "29"],
     ("compare", "reference_iters"): [None, "10", "100"],
-    ("sweep", "train_frac"): [None, "0.5"],
-    ("sweep", "alpha_lo"): [None, "0.1", "1"],
-    ("sweep", "alpha_hi"): [None, "10"],
-    ("sweep", "points"): ["1", "3"],
     ("output", "dir"): [None, "unused"],
     ("output", "emit_plots"): [None, "true", "false"],
     ("output", "seed"): [None, "0", "3"],

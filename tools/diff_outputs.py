@@ -8,14 +8,11 @@ directory with its own copy of ``configs/`` and of ``bench/cs_large.ini``:
 gen-data, solve on the 1-D probe, compare on the three shipped
 comparison configs (whose references run past ``max_iters``) and on
 ``bench/cs_large.ini`` at seed 0 (whose reference is the averaged run
-itself), sweep on the shipped logistic config and on a copy of it with
-``[solver] trace_every = 7`` (whose ``sweep.csv`` must match too, as the
-sweep records only the first and the last row of each radius whatever
-the config says), both flows, and diag: on the six traces the shipped
-compares write with the default window, on the fw trace of
-``cs_compare`` with the explicit window 100..4999 (the benchmark's
-desk_small diag), on the box trace of the 1-D solve, and on both flow
-traces. Output files, stdout, stderr and exit codes are compared byte
+itself), sweep on the shipped logistic config, both flows, and diag: on
+the six traces the shipped compares write with the default window, on
+the fw trace of ``cs_compare`` with the explicit window 100..4999 (the
+benchmark's desk_small diag), on the box trace of the 1-D solve, and on
+both flow traces. Output files, stdout, stderr and exit codes are compared byte
 for byte after the work directory's path is replaced by ``<work>``. A
 CSV whose column line differs between the trees is compared in two
 parts: its header (comment lines and column line) byte for byte, and its
@@ -63,7 +60,6 @@ from typing import Dict, List, Tuple
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 LARGE_CONFIG = "bench/cs_large.ini"  # writes to out/cs_large
-EVERY7_CONFIG = "configs/logistic_every7.ini"  # the shipped logistic config with [solver] trace_every = 7
 COMPARES = [("cs_compare", "out/cs_compare"), ("cs_manifold", "out/cs_manifold"), ("logistic_synthetic", "out/logistic")]
 COMMANDS: List[List[str]] = [
     ["gen-data", "--out", "out/data"],
@@ -71,7 +67,6 @@ COMMANDS: List[List[str]] = [
     *(["compare", "--config", f"configs/{name}.ini", "--out", out] for name, out in COMPARES),
     ["compare", "--config", LARGE_CONFIG, "--seed", "0"],
     ["sweep", "--config", "configs/logistic_synthetic.ini", "--out", "out/sweep"],
-    ["sweep", "--config", EVERY7_CONFIG, "--out", "out/sweep_every7"],
     ["flow", "--config", "configs/flow_accumulation.ini", "--out", "out/flow_accumulation"],
     ["flow", "--config", "configs/flow_scalar1d.ini", "--out", "out/flow_scalar1d"],
     *(["diag", f"{out}/{variant}_trace.csv"] for _, out in COMPARES for variant in ("fw", "avgfw")),
@@ -98,14 +93,7 @@ def run_tree(tree: str, work: str) -> Dict[str, bytes]:
     shutil.copytree(os.path.join(tree, "configs"), os.path.join(work, "configs"))
     os.mkdir(os.path.join(work, "bench"))
     shutil.copy(os.path.join(tree, LARGE_CONFIG), os.path.join(work, LARGE_CONFIG))
-    with open(os.path.join(work, "configs", "logistic_synthetic.ini"), encoding="ascii") as fh:
-        text = fh.read()
-    if text.count("\n[solver]\n") != 1:
-        raise SystemExit(f"{tree}: configs/logistic_synthetic.ini has no single [solver] section")
-    with open(os.path.join(work, EVERY7_CONFIG), "w", encoding="ascii") as fh:
-        fh.write(text.replace("\n[solver]\n", "\n[solver]\ntrace_every = 7\n"))
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    env.pop("AVGFW_OUT", None)
     results: Dict[str, bytes] = {}
     for i, argv in enumerate(COMMANDS):
         proc = subprocess.run([sys.executable, "-c", RUN_CLI, *argv], cwd=work, env=env, capture_output=True)
