@@ -400,11 +400,15 @@ def compare(
     Runs both variants of ``base`` from one start and fits their rates over
     ``window``. On a polyhedral domain it measures identification against
     x*, the averaged run continued to ``max(reference_iters, max_iters)``
-    iterations; a None ``reference_iters`` is ``min(100000, 10 * max_iters)``,
-    and one below 1 raises ``ConfigError`` before any solve. Returns the
-    traces keyed by variant ("fw", "avgfw") and the summary entries from
-    ``window_lo`` on, None where one is undefined.
+    iterations; a None ``reference_iters`` is ``min(100000, 10 * max_iters)``.
+    A ``reference_iters`` below 1, or a ``base`` that does not record every
+    iteration (``trace_every`` != 1), whose rows hold no atom history,
+    raises ``ConfigError`` before any solve. Returns the traces keyed by
+    variant ("fw", "avgfw") and the summary entries from ``window_lo`` on,
+    None where one is undefined.
     """
+    if base.trace_every != 1:
+        raise ConfigError(f"compare records every iteration: trace_every must be 1, got {base.trace_every}")
     if reference_iters is None:
         reference_iters = min(100000, 10 * base.max_iters)
     if reference_iters < 1:
@@ -426,7 +430,7 @@ def compare(
         entries["delta"] = report.delta
         entries["support_star_size"] = len(report.support_star)
         for variant, trace in traces.items():
-            entries[f"support_first_{variant}"] = None if trace.vertex_ids is None else int(support_trajectory(trace)[0])
+            entries[f"support_first_{variant}"] = int(support_trajectory(trace)[0])
     return traces, entries
 
 

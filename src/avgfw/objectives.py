@@ -8,14 +8,22 @@ phi' (``_phi(u)`` returns both) and ``_inv_curvature`` = 1 / sup phi'',
 the reciprocal of phi's exact smoothness constant; value, gradient and
 their images follow.
 
-The form lets the solver carry u = M x along with x: ``image(v)`` is
-M v; ``atom_image(domain, atom)`` is M s for an LMO atom, one scaled
-column of M for an l1 or simplex vertex; and
-``value_and_gradient(x, image=u)`` evaluates phi at the given image and
-then needs only M^T, for the gradient. With ``value=False`` it skips
-phi(u) itself and returns None for f, as ``gradient`` does: the solver
-asks for f only on the rows it records, and the gradient weights phi'(u)
-are the same floats either way.
+The form lets the solver carry an image of x along with x: an affine
+map of x that the objective chooses, which a convex combination of
+points carries to the same combination of their images. ``image(v)``
+maps a point, ``image_size`` is the image's length, and
+``atom_image(domain, atom)`` maps an LMO atom, from one scaled column of
+M for an l1 or simplex vertex. ``value_and_gradient(x, image=w)``
+evaluates f and grad f from the given image. The base class carries
+u = M x (length m): phi is evaluated at u, and the gradient then needs
+M^T only, one product. Least squares carries (A x, A^T (A x - y)) of
+length m + n instead: f is read from the first block, as from u, and the
+gradient is the second block itself, with no product; the product moves
+into ``image`` and ``atom_image``, which the solver calls only at exact
+refreshes and for atoms it has not seen. With ``value=False``
+``value_and_gradient`` skips phi(u) and returns None for f, as
+``gradient`` does: the solver asks for f only on the rows it records,
+and the gradient is the same floats either way.
 
 M^T is built once, at construction: a CSR copy of the transpose for a
 sparse M (scipy would otherwise build a new transpose object on every
@@ -104,6 +112,11 @@ class Objective:
     def m(self) -> int:
         return self._M.shape[0]
 
+    @property
+    def image_size(self) -> int:
+        """Length of the carried image: m, for u = M x."""
+        return self.m
+
     def image(self, v: np.ndarray) -> np.ndarray:
         return self._M @ v
 
@@ -151,6 +164,40 @@ class QuadraticLS(Objective):
     def _phi(self, u: np.ndarray, value: bool = True) -> Tuple[Optional[float], np.ndarray]:
         r = u - self.y
         return 0.5 * float(r.dot(r)) if value else None, r
+
+    @property
+    def image_size(self) -> int:
+        """Length of the carried image (A x, A^T (A x - y)): m + n."""
+        return self.m + self.n
+
+    def _with_gradient(self, u: np.ndarray) -> np.ndarray:
+        """(u, A^T (u - y)) in one new array: one product with A^T."""
+        m = self.m
+        w = np.empty(m + self.n)
+        w[:m] = u
+        w[m:] = self._transposed @ (u - self.y)
+        return w
+
+    def image(self, v: np.ndarray) -> np.ndarray:
+        """(A v, A^T (A v - y)), affine in v: the residual's image and the
+        gradient at v, the same floats as ``value_and_gradient(v)``."""
+        return self._with_gradient(self.A @ v)
+
+    def atom_image(self, domain: DomainSet, atom: Atom) -> np.ndarray:
+        """(A s, A^T (A s - y)) for an LMO atom s, with A s from
+        :meth:`Objective.atom_image` (one column for a vertex)."""
+        return self._with_gradient(super().atom_image(domain, atom))
+
+    def value_and_gradient(
+        self, x: np.ndarray, image: Optional[np.ndarray] = None, value: bool = True
+    ) -> Tuple[Optional[float], np.ndarray]:
+        """f and grad f at x, or read from ``image`` = (A x, A^T (A x - y))
+        when given: f from its first block, and its second block, a view,
+        as the gradient, with no matrix product."""
+        if image is None:
+            return super().value_and_gradient(x, value=value)
+        m = self.m
+        return self._phi(image[:m])[0] if value else None, image[m:]
 
 
 @dataclass(frozen=True)

@@ -21,19 +21,33 @@ Feasibility is checked once, where a point enters: an explicit x0 and
 a resumed checkpoint's x. Every step after that is a convex combination
 of feasible points with weights in [0, 1], so it is not checked again.
 
-Every objective is f(x) = phi(M x), and x and sbar move by convex
-combinations with one atom per step, so the loop carries their images
-u = M x and ubar = M sbar with the same two updates, from the atom's
-image M s_k (one column of M for an l1 or simplex vertex). Evaluating f
-and grad f from u then needs M^T only, one matrix product per step
-instead of two. Rounding in the carried images is reset by an exact
-recomputation (M x, M sbar) whenever k % IMAGE_REFRESH == 0 and when a
-state comes without images; such a state's images are computed once,
-before its first step, which then skips its refresh. A vanilla run
-never moves sbar, so it carries ubar unchanged and refreshes u alone.
-The refresh keys on the absolute k and the images are part of the
-checkpoint, so a chunked solve/resume matches the uninterrupted run
-bitwise for any chunk size.
+x and sbar move by convex combinations with one atom per step, so the
+loop carries their images u = T(x) and ubar = T(sbar) under an affine
+map T that the objective chooses (``Objective.image``), with the same
+two updates, from the atom's image T(s_k); f and grad f are then
+evaluated from u. For f = phi(M x), T is M, and a step costs one product
+with M^T. For least squares T(x) = (A x, A^T (A x - y)) carries the
+gradient too, and a step needs no product at all once its atom's image
+is known.
+
+The atom source keeps the images of the first ATOM_CACHE distinct
+vertices a run meets, by vertex id; it then stops growing and evicts
+nothing, and a step whose vertex is kept reuses its image. Atoms
+without an id (the l2 ball) are never kept. The store belongs to one
+run's source, so it lives as long as that run: at most ATOM_CACHE
+images of ``image_size`` floats each (2.8 MB at 1000 x 10000 least
+squares), freed when the run returns. An image is a function of its
+atom, so a kept image is the same floats as a fresh one, and a run
+computes the same with or without the store.
+
+Rounding in the carried images is reset by an exact recomputation
+(T(x), T(sbar)) whenever k % IMAGE_REFRESH == 0 and when a state comes
+without images; such a state's images are computed once, before its
+first step, which then skips its refresh. A vanilla run never moves
+sbar, so it carries ubar unchanged and refreshes u alone. The refresh
+keys on the absolute k and the images are part of the checkpoint, so a
+chunked solve/resume matches the uninterrupted run bitwise for any
+chunk size.
 
 The loop works in two buffers it owns, (x, u) and (sbar, ubar), copied
 from the start state, and updates each in place: one operation moves a
@@ -62,7 +76,7 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -72,6 +86,7 @@ from .objectives import Objective
 from .schedules import DEFAULT_SCHEDULE, Schedule, beta, gamma
 
 IMAGE_REFRESH = 64  # steps between exact recomputations of the carried images
+ATOM_CACHE = 32  # vertex images a run keeps: the first ones it meets, never evicted
 FEASIBILITY_TOL_FACTOR = 1e-6  # a start point may lie this far (times alpha) outside the domain
 
 
@@ -107,9 +122,9 @@ class SolverState:
 
     ``x`` must lie in the domain. ``s_bar`` need not: a vanilla run
     carries zeros there, and beta_0 = 1 overwrites it at k = 0.
-    ``x_image`` and ``s_bar_image`` are the carried images M x and M sbar
-    of the objective f = phi(M x). A state without them (None) gets them
-    recomputed exactly at its first step.
+    ``x_image`` and ``s_bar_image`` are the carried images of x and sbar
+    under the objective's ``image`` map. A state without them (None) gets
+    them recomputed exactly at its first step.
     """
 
     k: int
@@ -186,7 +201,9 @@ def _start_point(obj: Objective, domain: DomainSet, x0: Optional[np.ndarray]) ->
 def _lmo_source(obj: Objective, domain: DomainSet) -> AtomSource:
     """The atom source of a real run: the gradient at x_k from its image
     u_k, with the value when the row is recorded (None otherwise), the
-    LMO atom there, and the atom's image."""
+    LMO atom there, and the atom's image, kept for the first ATOM_CACHE
+    vertex ids the run meets."""
+    kept: Dict[int, np.ndarray] = {}
 
     def source(x: np.ndarray, u: np.ndarray, k: int, record: bool) -> Tuple[Optional[float], np.ndarray, Atom, np.ndarray]:
         f_k, g = obj.value_and_gradient(x, u, record)  # one call a step, by this name: bench/child.py counts it
@@ -196,7 +213,12 @@ def _lmo_source(obj: Objective, domain: DomainSet) -> AtomSource:
             atom = lmo(domain, g)  # lmo's check is the one finiteness test of g
         except NonFiniteGradient:
             raise NumericalBlowup(k) from None
-        return f_k, g, atom, obj.atom_image(domain, atom)
+        u_s = kept.get(atom.vertex_id)
+        if u_s is None:
+            u_s = obj.atom_image(domain, atom)
+            if atom.vertex_id is not None and len(kept) < ATOM_CACHE:
+                kept[atom.vertex_id] = u_s
+        return f_k, g, atom, u_s
 
     return source
 
@@ -224,18 +246,20 @@ def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverCon
     if state.k < 0:
         raise ConfigError(f"state iteration must be >= 0, got {state.k}")
     _check_feasible(domain, state.x, "checkpoint x")
-    if any(u is not None and np.shape(u) != (obj.m,) for u in (state.x_image, state.s_bar_image)):
-        raise ConfigError(f"state images do not match the objective: expected shape ({obj.m},)")
+    size = obj.image_size
+    if any(u is not None and np.shape(u) != (size,) for u in (state.x_image, state.s_bar_image)):
+        raise ConfigError(f"state images do not match the objective: expected shape ({size},)")
     return _run(_lmo_source(obj, domain), obj.image, _discrete_steps(cfg.schedule), cfg, state)
 
 
 def _run(source: AtomSource, image: ImageMap, steps: StepRule, cfg: SolverConfig, state: SolverState) -> IterateTrace:
     """The iteration loop shared by every run; ``source(x_k, u_k, k, record)``
-    returns (f_k, grad f(x_k), s_k, M s_k) given u_k = M x_k, where f_k
+    returns (f_k, grad f(x_k), s_k, T(s_k)) given u_k = T(x_k), where f_k
     is read only when ``record`` says step k is a trace row (which holds
-    s_k's vertex id, if any); ``image(v)`` is M v, and ``steps(k)`` returns
-    (gamma_k, beta_k). The gap row is g . (x_k - s_k), so a source without
-    an objective that returns NaN for f and g gets NaN gaps."""
+    s_k's vertex id, if any); ``image(v)`` is the affine T(v), and
+    ``steps(k)`` returns (gamma_k, beta_k). The gap row is
+    g . (x_k - s_k), so a source without an objective that returns NaN
+    for f and g gets NaN gaps."""
     averaged = cfg.variant is Variant.AVGFW
     every = cfg.trace_every
 

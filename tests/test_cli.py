@@ -14,10 +14,10 @@ from avgfw import _svg, cli, errors
 from avgfw.cli import _build_problem, _build_solver_config, _read_config, main, read_trace_csv
 from avgfw.diagnostics import Series, fit_rate, identify_manifold, render_report
 from avgfw.domains import DomainSet, Kind
-from avgfw.errors import AvgFWError, InputError, NumericalBlowup, NumericalError
+from avgfw.errors import AvgFWError, ConfigError, InputError, NumericalBlowup, NumericalError
 from avgfw.experiments import generate_sparse_logistic, train_val_split, write_svmlight
 from avgfw.flows import FlowConfig, force_signal, integrate
-from avgfw.objectives import Logistic, Objective, QuadraticLS, Scalar1D
+from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
 from avgfw.schedules import Schedule
 from avgfw.solvers import IterateTrace, Variant, resume, solve
 
@@ -230,13 +230,13 @@ def test_compare_reference_continues_the_averaged_run(tmp_path, monkeypatch, ref
     # same start, with no averaged iteration computed twice
     cfg = write_config(tmp_path / "cfg.ini", SMALL_CS_CONFIG.format(x0=x0, reference_iters=reference_iters))
     calls = []
-    value_and_gradient = Objective.value_and_gradient
+    value_and_gradient = QuadraticLS.value_and_gradient
 
     def counted(self, *args):
         calls.append(1)
         return value_and_gradient(self, *args)
 
-    monkeypatch.setattr(Objective, "value_and_gradient", counted)
+    monkeypatch.setattr(QuadraticLS, "value_and_gradient", counted)
     assert run_cli("compare", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 0
     assert len(calls) == 2 * 300 + max(0, reference_iters - 300)
     summary = dict(line.split(" = ") for line in (tmp_path / "out" / "summary.txt").read_text().splitlines())
@@ -899,37 +899,64 @@ def test_default_window_of_a_very_short_run_reports_no_fit(tmp_path, capsys):
     assert (report["window_lo"], report["window_hi"], report["slope_gap"]) == ("1", "0", "none")
 
 
-def test_diag_support_metrics_undefined_on_subsampled_trace(tmp_path, capsys):
-    # the rows of a trace_every = 7 run, which only an in-process run
-    # records, skip iterations, so they hold no atom history: the entries
-    # that count atoms are undefined, in compare and in diag, and no support
-    # chart is drawn, while the reference and the support set of x* need no
-    # history; at radius 0.05 ||x0||_1 the run that records every row has
-    # k_bar = 297
+def test_compare_refuses_a_subsampled_base(tmp_path, monkeypatch):
+    # the rows of a trace_every = 7 run skip iterations and hold no atom
+    # history, which the support entries need: refused before any solve;
+    # the same base recording every row identifies the support at radius
+    # 0.05 ||x0||_1 at k_bar = 297
     text = CS_COMPARE_CONFIG.format(plots="false").replace("alpha_scale = 1.0", "alpha_scale = 0.05")
     cfg, _ = _read_config(write_config(tmp_path / "cfg.ini", text.replace("max_iters = 2000", "max_iters = 300")))
     obj, domain, _ = _build_problem(cfg, 2)
     base = _build_solver_config(cfg, domain)
-    full_traces, full_summary = cli.compare(obj, domain, base, (100, 299), 20000)
-    traces, summary = cli.compare(obj, domain, replace(base, trace_every=7), (100, 299), 20000)
-    assert full_summary["k_bar"] == 297 and full_summary["support_first_fw"] is not None
-    assert summary["k_bar"] is summary["support_first_fw"] is summary["support_first_avgfw"] is None
-    for key in ("reference_iters", "f_star_estimate", "delta", "support_star_size"):
-        assert summary[key] == full_summary[key]
-    full, sub = tmp_path / "full", tmp_path / "sub"
-    cli._emit_compare_plots(str(full), full_traces)
-    cli._emit_compare_plots(str(sub), traces)
-    assert (full / "support.svg").exists() and (sub / "gap.svg").exists()
-    assert not (sub / "support.svg").exists()
-    # the atom_id column of a subsampled trace is empty
-    for out, run in ((full, full_traces["fw"]), (sub, traces["fw"])):
-        cli._write_csv(str(out / "fw_trace.csv"), {}, cli.TRACE_COLUMNS, cli._trace_columns(run))
-    full_rows = read_csv_rows(full / "fw_trace.csv")[1]
-    sub_rows = read_csv_rows(sub / "fw_trace.csv")[1]
+    _, summary = cli.compare(obj, domain, base, (100, 299), 20000)
+    assert summary["k_bar"] == 297
+    assert isinstance(summary["support_first_fw"], int) and isinstance(summary["support_first_avgfw"], int)
+    monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("compare solved a subsampled base"))
+    with pytest.raises(ConfigError, match="trace_every must be 1, got 7"):
+        cli.compare(obj, domain, replace(base, trace_every=7), (100, 299), 20000)
+
+
+SUBSAMPLED_FLOW_CONFIG = """
+[problem]
+kind = cs
+n_features = 50
+m_measurements = 20
+noise_std = 0.0
+alpha_scale = 0.5
+
+[flow]
+t_end = 0.3
+dt = 1e-3
+record_every = {record_every}
+
+[output]
+seed = 2
+"""
+
+
+def test_diag_support_metrics_undefined_on_subsampled_trace(tmp_path, capsys):
+    # a flow recorded every 7 Euler steps skips iterations, so its rows hold
+    # no atom history: its atom_id column is empty, diag reports the entry
+    # that counts atoms as undefined, and no support chart is drawn; the
+    # flow recorded at every step has all three
+    traces = {}
+    for name, every in (("full", "1e-3"), ("sub", "7e-3")):
+        cfg = write_config(tmp_path / f"{name}.ini", SUBSAMPLED_FLOW_CONFIG.format(record_every=every))
+        assert run_cli("flow", "--config", cfg, "--out", str(tmp_path / name), "--quiet") == 0
+        traces[name] = read_trace_csv(str(tmp_path / name / "flow_trace.csv"))
+    full_rows = read_csv_rows(tmp_path / "full" / "flow_trace.csv")[1]
+    sub_rows = read_csv_rows(tmp_path / "sub" / "flow_trace.csv")[1]
     assert len(sub_rows) < len(full_rows)
     assert all(row[4] for row in full_rows) and not any(row[4] for row in sub_rows)
-    assert run_cli("diag", str(sub / "fw_trace.csv")) == 0
-    assert report_entries(capsys.readouterr().out)["support_first"] == "none"
+    support_first = {}
+    for name in traces:
+        assert run_cli("diag", str(tmp_path / name / "flow_trace.csv")) == 0
+        support_first[name] = report_entries(capsys.readouterr().out)["support_first"]
+    assert support_first["full"] != "none" and support_first["sub"] == "none"
+    for name, trace in traces.items():
+        cli._emit_compare_plots(str(tmp_path / name), {"avgfw": trace})
+    assert (tmp_path / "full" / "support.svg").exists() and (tmp_path / "sub" / "gap.svg").exists()
+    assert not (tmp_path / "sub" / "support.svg").exists()
 
 
 def report_entries(text):

@@ -182,23 +182,31 @@ def test_objectives_reject_a_data_vector_of_the_wrong_shape(cls):
             cls(np.eye(3), data)
 
 
+def composite_image(obj, u):
+    """The carried image of a point with M v = u: u for f = phi(M x), and
+    (A v, A^T (A v - y)) for least squares, with M.T taken afresh."""
+    return np.concatenate((u, obj.A.T @ (u - obj.y))) if isinstance(obj, QuadraticLS) else u
+
+
 @pytest.mark.parametrize("maker", [random_quadratic, random_logistic])
 @pytest.mark.parametrize("sparse", [False, True])
 @pytest.mark.parametrize("kind", list(Kind))
 def test_image_maps_follow_the_composite_form(maker, sparse, kind):
-    # f = phi(M x): the atom image is M s (one column for l1/simplex
-    # vertices, the same floats), and value_and_gradient from the image
-    # M x is the exact evaluation at x
+    # f = phi(M x): the atom image starts from M s (one column for
+    # l1/simplex vertices, the same floats), least squares appends its
+    # gradient block, and value_and_gradient from the image of x is the
+    # exact evaluation at x
     rng = np.random.default_rng(11)
     obj = maker(rng, sparse=sparse)
     M = obj.A if isinstance(obj, QuadraticLS) else obj.Z
     dom = DomainSet(kind, 1.7, obj.n)
+    assert obj.image_size == (obj.m + obj.n if isinstance(obj, QuadraticLS) else obj.m)
     for _ in range(5):
         x = rng.standard_normal(obj.n)
         atom = lmo(dom, rng.standard_normal(obj.n))
-        np.testing.assert_array_equal(obj.atom_image(dom, atom), M @ atom.vector)
-        np.testing.assert_array_equal(obj.image(x), M @ x)
-        assert obj.image(x).shape == (obj.m,)
+        np.testing.assert_array_equal(obj.atom_image(dom, atom), composite_image(obj, M @ atom.vector))
+        np.testing.assert_array_equal(obj.image(x), composite_image(obj, M @ x))
+        assert obj.image(x).shape == (obj.image_size,)
         f_u, g_u = obj.value_and_gradient(x, obj.image(x))
         f_x, g_x = obj.value_and_gradient(x)
         assert f_u == f_x
@@ -261,7 +269,10 @@ def test_evaluations_are_bitwise_the_textbook_formulas(maker, sparse):
     for scale in (0.1, 1.0, 1e3):
         x = scale * rng.standard_normal(obj.n)
         f, g, l_phi = textbook(obj, x)
-        for f_obj, g_obj in (obj.value_and_gradient(x), obj.value_and_gradient(x, M @ x)):
+        # least squares carries (A x, A^T (A x - y)), the rest M x
+        image = np.concatenate((M @ x, g)) if isinstance(obj, QuadraticLS) else M @ x
+        np.testing.assert_array_equal(obj.image(x), image)
+        for f_obj, g_obj in (obj.value_and_gradient(x), obj.value_and_gradient(x, image)):
             assert f_obj == f
             np.testing.assert_array_equal(g_obj, g)
         assert obj.value(x) == f

@@ -12,7 +12,7 @@ from avgfw.experiments import SyntheticCSSpec, generate_cs
 from avgfw.flows import FlowConfig, force_signal, integrate
 from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
 from avgfw.schedules import Schedule, beta, gamma
-from avgfw.solvers import IMAGE_REFRESH, SolverConfig, SolverState, Variant, resume, solve
+from avgfw.solvers import ATOM_CACHE, IMAGE_REFRESH, SolverConfig, SolverState, Variant, resume, solve
 from avgfw.diagnostics import Series, fit_rate
 from oracles import apply_weights, diameter, l1_vertex, scripted_run, unrolled_weights
 
@@ -233,6 +233,12 @@ def test_chunked_resume_is_bitwise_across_image_refreshes(variant, chunk):
         np.testing.assert_array_equal(getattr(state, f), getattr(full.state, f))
 
 
+def exact_image(obj, v):
+    """The least-squares image of v from the formula: (A v, A^T (A v - y))."""
+    u = obj.A @ v
+    return np.concatenate((u, obj.A.T @ (u - obj.y)))
+
+
 @pytest.mark.parametrize("k", [10, IMAGE_REFRESH])
 def test_resume_from_a_state_without_images(k):
     obj, dom = small_quadratic()
@@ -242,8 +248,8 @@ def test_resume_from_a_state_without_images(k):
     a = resume(head, obj, dom, cfg)
     b = resume(bare, obj, dom, cfg)
     assert b.ks[0] == k and b.state.k == 2 * k
-    np.testing.assert_allclose(b.state.x_image, obj.A @ b.state.x, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(b.state.s_bar_image, obj.A @ b.state.s_bar, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(b.state.x_image, exact_image(obj, b.state.x), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(b.state.s_bar_image, exact_image(obj, b.state.s_bar), rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(a.vertex_ids, b.vertex_ids)
     if k % IMAGE_REFRESH == 0:  # both recompute the images exactly at their first step
         np.testing.assert_array_equal(a.f, b.f)
@@ -325,6 +331,81 @@ def test_carried_images_match_exact_evaluation_where_f_star_is_zero(cs_instance,
     np.testing.assert_allclose(trace.gap, gaps, rtol=1e-9)
 
 
+def count_atom_images(monkeypatch):
+    """The vertex ids of the atoms whose image a least-squares run computes, in order."""
+    calls = []
+    atom_image = QuadraticLS.atom_image
+
+    def counted(self, domain, atom):
+        calls.append(atom.vertex_id)
+        return atom_image(self, domain, atom)
+
+    monkeypatch.setattr(QuadraticLS, "atom_image", counted)
+    return calls
+
+
+@pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
+@pytest.mark.parametrize("layout", ["dense", "csr"])
+def test_kept_atom_images_leave_a_run_bitwise_unchanged(cs_instance, monkeypatch, layout, variant):
+    # noiseless 100x500 at radius ||x0||_1 meets more than ATOM_CACHE
+    # vertices in 2000 steps, so the store fills and then stops growing;
+    # a kept image is the same floats as a fresh one, so the run equals
+    # the run that keeps none
+    _, obj, dom, _ = cs_instance
+    if layout == "csr":
+        obj = QuadraticLS(sp.csr_matrix(obj.A), obj.y)
+    cfg = SolverConfig(variant, Schedule(3.0, 1.0), max_iters=2000)
+    calls = count_atom_images(monkeypatch)
+    kept = solve(obj, dom, cfg)
+    distinct = np.unique(kept.vertex_ids).size
+    assert distinct > ATOM_CACHE and distinct < len(calls) < cfg.max_iters
+    del calls[:]
+    monkeypatch.setattr("avgfw.solvers.ATOM_CACHE", 0)
+    fresh = solve(obj, dom, cfg)
+    assert len(calls) == cfg.max_iters
+    for f in TRACE_FIELDS:
+        assert_bitwise(getattr(kept, f), getattr(fresh, f))
+    for f in ("k", "x", "s_bar", "x_image", "s_bar_image"):
+        assert_bitwise(getattr(kept.state, f), getattr(fresh.state, f))
+
+
+@pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
+def test_atom_image_is_computed_once_per_distinct_atom(cs_manifold_pipeline, monkeypatch, variant):
+    # the 4000-step runs at radius 0.05 ||x0||_1 meet fewer than ATOM_CACHE
+    # vertices, so every atom's image is computed once, at its first step
+    obj, dom, _, analyzed = cs_manifold_pipeline
+    calls = count_atom_images(monkeypatch)
+    trace = solve(obj, dom, SolverConfig(variant, Schedule(3.0, 1.0), max_iters=analyzed.ks.size))
+    ids = trace.vertex_ids.tolist()
+    assert len(set(ids)) <= ATOM_CACHE
+    assert calls == list(dict.fromkeys(ids))
+
+
+@pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
+def test_resume_computes_products_only_at_refreshes_and_first_atoms(cs_manifold_pipeline, monkeypatch, variant):
+    # A 200-step resume from k = 300 crosses the refreshes at 320, 384 and
+    # 448. resume builds no image, and a step computes no product: A and
+    # A^T run only in the exact images of a refresh (x alone for a vanilla
+    # run) and, for A^T, once for each atom the resume's own store has not
+    # kept yet. The CSR copy of the instance makes the products countable.
+    dense, dom, _, _ = cs_manifold_pipeline
+    obj = QuadraticLS(sp.csr_matrix(dense.A), dense.y)
+    cfg = SolverConfig(variant, Schedule(3.0, 1.0), max_iters=300)
+    state = solve(obj, dom, cfg).state
+    calls = []
+    matmul = type(obj.A).__matmul__
+
+    def counted(self, other):
+        calls.append("A" if self.shape == obj.A.shape else "A^T")
+        return matmul(self, other)
+
+    monkeypatch.setattr(type(obj.A), "__matmul__", counted)
+    trace = resume(state, obj, dom, dataclasses.replace(cfg, max_iters=200))
+    images = 3 * (2 if variant is Variant.AVGFW else 1)
+    assert calls.count("A") == images
+    assert calls.count("A^T") == images + np.unique(trace.vertex_ids).size
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 @pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
 def test_overflowing_carried_image_raises_numerical_blowup(variant):
@@ -397,8 +478,12 @@ def plain_lmo(dom, g):
 
 def plain_source(obj, dom):
     def source(x, u, k):
-        f, w = obj._phi(u)
-        g = obj._transposed @ w
+        if isinstance(obj, QuadraticLS):  # u = (A x, A^T (A x - y)) carries the gradient
+            r = u[: obj.m] - obj.y
+            f, g = 0.5 * float(r.dot(r)), u[obj.m :]
+        else:
+            f, w = obj._phi(u)
+            g = obj._transposed @ w
         s, vid = plain_lmo(dom, g)
         return f, g, s, vid, obj.atom_image(dom, Atom(s, vid))
 

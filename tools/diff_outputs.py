@@ -41,7 +41,12 @@ vertex_ids``, each compared like an output; a change to what the record
 keeps of the atom ids then shows on those lines alone.
 
 A differing text output is shown as the first DIFF_LINES lines of its
-unified diff. Exits 1 on any difference, 0 when all match.
+unified diff. A differing CSV (its data, by column) or ``key = value``
+report (``summary.txt``, diag's stdout, by key) is first summarized by
+the largest relative change |a - b| / max(|a|, |b|) of each column or key
+both trees write: 0 where it is identical, as the integer ones (``k``,
+``atom_id``, ``k_bar``, the support sizes) should be, and "differs" where
+text changed. Exits 1 on any difference, 0 when all match.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -135,9 +140,9 @@ def split_csv(data: bytes) -> Tuple[List[str], List[str], List[List[str]]]:
     return lines[: start + 1], lines[start].split(","), [line.split(",") for line in lines[start + 1 :]]
 
 
-def csv_differences(key: str, old: bytes, new: bytes) -> List[Tuple[str, str]]:
+def csv_differences(key: str, old: bytes, new: bytes, summary: str) -> List[Tuple[str, str]]:
     """A CSV whose column line changed, compared as its header and as its
-    data rows on the columns both trees write."""
+    data rows on the columns both trees write, the rows with ``summary``."""
     (old_head, old_names, old_rows), (new_head, new_names, new_rows) = split_csv(old), split_csv(new)
     shared = [name for name in old_names if name in new_names]
 
@@ -146,10 +151,56 @@ def csv_differences(key: str, old: bytes, new: bytes) -> List[Tuple[str, str]]:
         return "\n".join(",".join(row[j] for j in cols) for row in rows).encode()
 
     parts = (
-        (f"{key} header", "\n".join(old_head).encode(), "\n".join(new_head).encode()),
-        (f"{key} rows {','.join(shared)}", project(old_names, old_rows), project(new_names, new_rows)),
+        (f"{key} header", "\n".join(old_head).encode(), "\n".join(new_head).encode(), ""),
+        (f"{key} rows {','.join(shared)}", project(old_names, old_rows), project(new_names, new_rows), summary),
     )
-    return [(name, f"differs{text_diff(a, b)}") for name, a, b in parts if a != b]
+    return [(name, f"differs{note}{text_diff(a, b)}") for name, a, b, note in parts if a != b]
+
+
+def value_table(key: str, data: bytes) -> Optional[Dict[str, List[str]]]:
+    """A CSV's data rows by column, or a ``key = value`` report by key;
+    None for any other output."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError:
+        return None
+    if key.endswith(".csv"):
+        _, names, rows = split_csv(data)
+        return {name: [row[j] for row in rows] for j, name in enumerate(names)}
+    pairs = [line.split(" = ", 1) for line in text.splitlines()]
+    if not pairs or any(len(pair) != 2 for pair in pairs):
+        return None
+    return {name: [value] for name, value in pairs}
+
+
+def relative_change(a: str, b: str) -> Optional[float]:
+    """|a - b| / max(|a|, |b|) of two printed floats, 0 for the same text,
+    None when they differ and are not both finite numbers."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    scale = max(abs(x), abs(y))
+    return abs(x - y) / scale if 0 < scale < float("inf") else None
+
+
+def value_changes(old: Dict[str, List[str]], new: Dict[str, List[str]]) -> str:
+    """The largest relative change of each column or key both tables hold:
+    0 where it is identical, "differs" where a changed pair is not two
+    finite numbers (such as a number against none)."""
+    changes = []
+    for name, a in old.items():
+        b = new.get(name)
+        if b is None:
+            continue
+        if len(a) != len(b):
+            changes.append(f"{name} {len(a)} vs {len(b)} rows")
+            continue
+        rel = [relative_change(x, y) for x, y in zip(a, b)]
+        changes.append(f"{name} differs" if None in rel else f"{name} {max(rel, default=0.0):.3g}")
+    return f"\n    largest relative change: {', '.join(changes)}" if changes else ""
 
 
 def differences(ref: Dict[str, bytes], new: Dict[str, bytes]) -> List[Tuple[str, str]]:
@@ -160,10 +211,12 @@ def differences(ref: Dict[str, bytes], new: Dict[str, bytes]) -> List[Tuple[str,
         elif key not in ref:
             out.append((key, "only in the working tree"))
         elif ref[key] != new[key]:
+            tables = value_table(key, ref[key]), value_table(key, new[key])
+            summary = "" if None in tables else value_changes(*tables)
             if key.endswith(".csv") and split_csv(ref[key])[1] != split_csv(new[key])[1]:
-                out += csv_differences(key, ref[key], new[key])
+                out += csv_differences(key, ref[key], new[key], summary)
             else:
-                out.append((key, f"differs ({len(ref[key])} vs {len(new[key])} bytes){text_diff(ref[key], new[key])}"))
+                out.append((key, f"differs ({len(ref[key])} vs {len(new[key])} bytes){summary}{text_diff(ref[key], new[key])}"))
     return out
 
 
