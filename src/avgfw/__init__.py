@@ -8,7 +8,7 @@ trace diagnostics (``diagnostics``), and benchmark generators
 """
 
 from .domains import Atom, DomainSet, Kind, contains, lmo
-from .objectives import Logistic, QuadraticLS, Scalar1D
+from .objectives import Logistic, QuadraticLS
 from .schedules import Schedule, beta, gamma
 from .solvers import IterateTrace, SolverConfig, SolverState, Variant, resume, solve
 from .flows import FlowConfig, force_signal, integrate
@@ -30,7 +30,6 @@ __all__ = [
     "lmo",
     "Logistic",
     "QuadraticLS",
-    "Scalar1D",
     "Schedule",
     "beta",
     "gamma",

@@ -56,7 +56,7 @@ from .experiments import (
     write_svmlight,
 )
 from .flows import FlowConfig, force_signal, integrate
-from .objectives import Logistic, Scalar1D
+from .objectives import Logistic, QuadraticLS
 from .schedules import Schedule
 from .solvers import IterateTrace, SolverConfig, Variant, resume, solve
 
@@ -241,9 +241,9 @@ def _build_problem(cfg: Config, seed: int):
             meta["f_ref"] = 0.0
         return obj, domain, meta
 
-    if kind == "scalar1d":
+    if kind == "scalar1d":  # f(x) = x^2 / 2, least squares with A = [[1]] and y = [0]
         meta["f_ref"] = 0.0
-        return Scalar1D(), DomainSet(Kind.BOX, 1.0 if prob["alpha"] is None else prob["alpha"], 1), meta
+        return QuadraticLS(np.ones((1, 1)), np.zeros(1)), DomainSet(Kind.BOX, 1.0 if prob["alpha"] is None else prob["alpha"], 1), meta
 
     if kind == "l2_quadratic":
         obj, domain, x_unc = generate_l2ball_quadratic(1.0, seed=seed)
@@ -316,8 +316,10 @@ def read_trace_csv(path: str) -> IterateTrace:
     Each data row, ``number_text`` with a k of 0 or more above the previous
     row's, is parsed into the packed buffers of a run's record, viewed by
     ``IterateTrace.packed``, so every column, ``vertex_ids`` included, is
-    bitwise the run's, whatever its ``trace_every`` or first k. ``state``
-    is None: the file holds no checkpoint.
+    bitwise the run's, whatever its ``trace_every`` or first k. Writers
+    fill atom_id as a history or not at all, so it must be set on every
+    row, each k one above the previous row's, or on none. ``state`` is
+    None: the file holds no checkpoint.
     """
     ks, rows, ids = array("q"), array("d"), array("q")
     for line_no, line in text_lines(path, "trace"):
@@ -337,6 +339,11 @@ def read_trace_csv(path: str) -> IterateTrace:
             raise ParseError(line_no, f"line {line_no}: bad numeric field") from None
         if ks[-1] < 0 or len(ks) > 1 and ks[-1] <= ks[-2]:
             raise ParseError(line_no, f"line {line_no}: k = {ks[-1]} must be >= 0 and above the previous row's k")
+        if len(ids) not in (0, len(ks)):
+            what = "set, but earlier rows have none" if parts[4] else "empty, but earlier rows have one"
+            raise ParseError(line_no, f"line {line_no}: atom_id is {what}")
+        if ids and len(ks) > 1 and ks[-1] != ks[-2] + 1:
+            raise ParseError(line_no, f"line {line_no}: atom_id is set, but k = {ks[-1]} is not one above the previous row's k")
     if not ks:
         raise ParseError(0, f"no data rows in {path}")
     return IterateTrace.packed(ks, rows, ids, None)
@@ -540,7 +547,7 @@ def cmd_sweep(args) -> int:
         if val_loss < best_loss:
             best_alpha, best_loss = float(alpha), float(val_loss)
     path = _out_path(out_dir, "sweep.csv")
-    _write_csv(path, echo, "alpha,train_loss,val_loss,final_gap", np.array(rows, dtype=float).T)
+    _write_csv(path, {**echo, "seed": seed}, "alpha,train_loss,val_loss,final_gap", np.array(rows, dtype=float).T)
     if not args.quiet:
         print(f"wrote {path}; best alpha {best_alpha:g} (validation loss {best_loss:.6g})")
     return EXIT_OK
@@ -582,8 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace", help="trace CSV produced by solve, compare or flow")
     p.add_argument("--window-lo", type=integer, default=None)
     p.add_argument("--window-hi", type=integer, default=None)
-    common(p)
-    p.set_defaults(fn=cmd_diag)
+    p.set_defaults(fn=cmd_diag)  # it writes nothing and reads no seed: no --out, --seed or --quiet
 
     p = sub.add_parser("gen-data")
     p.add_argument("--m", type=integer, default=800)

@@ -1,8 +1,9 @@
-"""Differentiable objectives: least squares, logistic loss, and a 1-D probe.
+"""Differentiable objectives: least squares and the logistic loss.
 
 Every objective is one composite f(x) = phi(M x) with an m x n matrix M:
-M = A for least squares, M = Z for the logistic loss (the margins before
-the labels), and the 1 x 1 identity for the 1-D probe. The base class
+M = A for least squares and M = Z for the logistic loss (the margins
+before the labels). The 1-D probe, f(x) = x^2 / 2, is least squares
+with A = [[1]] and y = [0] and has no class of its own. The base class
 :class:`Objective` writes that form once. A loss supplies only phi and
 phi' (``_phi(u)`` returns both) and ``_inv_curvature`` = 1 / sup phi'',
 the reciprocal of phi's exact smoothness constant; value, gradient and
@@ -37,8 +38,8 @@ scipy is loaded on first use only: ``scipy.special`` at the first
 evaluation of a :class:`Logistic` (building one, as ``gen-data`` does to
 write it, imports nothing), and ``scipy.sparse`` by whoever makes a
 sparse matrix (the svmlight reader and the sparse generator in
-:mod:`avgfw.experiments`). Dense least squares and the 1-D probe never
-import it, so a dense CLI process starts without scipy.
+:mod:`avgfw.experiments`). Dense least squares, the 1-D probe included,
+never imports it, so a dense CLI process starts without scipy.
 
 Objectives are frozen dataclasses: evaluation is pure and safe to call
 from any number of threads.
@@ -240,16 +241,3 @@ class Logistic(Objective):
         w /= self.m
         return float(np.add.reduce(np.logaddexp(0.0, nt)) / self.m) if value else None, w
 
-
-@dataclass(frozen=True)
-class Scalar1D(Objective):
-    """f(x) = x^2 on the real line, M = [[1]]; the minimal zig-zag demonstration."""
-
-    _inv_curvature = 0.5
-
-    def __post_init__(self):
-        self._bind(np.ones((1, 1)), np.zeros(1), "data")
-
-    def _phi(self, u: np.ndarray, value: bool = True) -> Tuple[Optional[float], np.ndarray]:
-        # numpy's product overflows to inf, where the float power raises OverflowError
-        return float(u[0] * u[0]) if value else None, 2.0 * u

@@ -17,7 +17,10 @@ two agree:
   with its id; and ``diameter``, a bound on the distance between points
   of a domain.
 - objectives: the projection-free duality gap ``gap``, a certified upper
-  bound on suboptimality for convex objectives.
+  bound on suboptimality for convex objectives; and ``scalar_probe``, no
+  second route but the one place the tests build the 1-D probe
+  f(x) = x^2 / 2, least squares with A = [[1]] and y = [0], as the CLI
+  builds ``kind = scalar1d``.
 - solvers: ``scripted_run`` is a driver, not a second route: it feeds a
   prescribed atom stream to the loop itself, ``solvers._run``, for the
   discretization-error dichotomy (acceptance criterion 6).
@@ -35,7 +38,7 @@ import numpy as np
 
 from avgfw.domains import Atom, DomainSet, Kind, _check_gradient, _vertex_blocks, lmo
 from avgfw.errors import ConfigError, InputError, NumericalError, UnsupportedKind
-from avgfw.objectives import Objective
+from avgfw.objectives import Objective, QuadraticLS
 from avgfw.schedules import Schedule
 from avgfw.solvers import IterateTrace, SolverConfig, SolverState, Variant, _discrete_steps, _run
 
@@ -175,6 +178,11 @@ def l1_vertex(alpha: float, n: int, index: int, sign: int) -> Atom:
 
 
 # ---------------------------------------------------------------- objectives
+
+
+def scalar_probe() -> QuadraticLS:
+    """The 1-D probe f(x) = x^2 / 2: grad f(x) = x, f_ref = 0."""
+    return QuadraticLS(np.ones((1, 1)), np.zeros(1))
 
 
 def gap(obj: Objective, domain: DomainSet, x: np.ndarray) -> Tuple[float, Atom]:

@@ -22,10 +22,10 @@ from avgfw.experiments import (
     write_svmlight,
 )
 from avgfw.flows import FlowConfig, force_signal, integrate
-from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
+from avgfw.objectives import Logistic, QuadraticLS
 from avgfw.schedules import Schedule, beta
 from avgfw.solvers import SolverConfig, Variant, solve
-from oracles import accumulation, apply_weights, l1_vertex, lmo_bruteforce, scripted_run, unrolled_weights
+from oracles import accumulation, apply_weights, l1_vertex, lmo_bruteforce, scalar_probe, scripted_run, unrolled_weights
 
 CS_SEED = 2
 
@@ -108,7 +108,7 @@ def test_criterion_04_gradient_checks():
         x = rng.standard_normal(6)
         g = obj.gradient(x)
         ok &= np.linalg.norm(_central_diff(obj, x) - g) <= 1e-5 * max(1.0, np.linalg.norm(g))
-    scalar = Scalar1D()
+    scalar = scalar_probe()
     for _ in range(100):
         x = rng.standard_normal(1)
         g = scalar.gradient(x)
@@ -119,7 +119,7 @@ def test_criterion_04_gradient_checks():
 def test_criterion_05_fw_discretization_error_never_decays():
     start = time.time()
     cfg = SolverConfig(Variant.FW, Schedule(2.0, 1.0), max_iters=200, x0=np.array([0.5]))
-    trace = solve(Scalar1D(), DomainSet(Kind.BOX, 1.0, 1), cfg)
+    trace = solve(scalar_probe(), DomainSet(Kind.BOX, 1.0, 1), cfg)
     ok = bool(np.all(trace.disc_err >= 1.0))
     _report(5, "1-D box run keeps ||x_k - s_k|| >= 1 at all 200 steps", ok, time.time() - start, 10.0)
 
@@ -156,7 +156,7 @@ def test_criterion_08_flow_polynomial_envelope():
     start = time.time()
     cfg = FlowConfig(variant=Variant.FW, schedule=Schedule(2.0, 1.0), t_end=50.0,
                      dt=1e-3, record_every=1.0, x0=np.array([0.5]))
-    h = integrate(Scalar1D(), DomainSet(Kind.BOX, 1.0, 1), cfg).f  # h = f - f_ref, f_ref = 0
+    h = integrate(scalar_probe(), DomainSet(Kind.BOX, 1.0, 1), cfg).f  # h = f - f_ref, f_ref = 0
     bound = 1.05 * h[0] * (2.0 / 52.0) ** 2
     ok = h[-1] <= bound
     _report(8, "vanilla flow meets h(0)(c/(c+t))^c envelope at t=50", ok,

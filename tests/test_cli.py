@@ -17,9 +17,10 @@ from avgfw.domains import DomainSet, Kind
 from avgfw.errors import AvgFWError, ConfigError, InputError, NumericalBlowup, NumericalError
 from avgfw.experiments import generate_sparse_logistic, train_val_split, write_svmlight
 from avgfw.flows import FlowConfig, force_signal, integrate
-from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
+from avgfw.objectives import Logistic, QuadraticLS
 from avgfw.schedules import Schedule
 from avgfw.solvers import IterateTrace, Variant, resume, solve
+from oracles import scalar_probe
 
 
 def run_cli(*argv):
@@ -124,7 +125,7 @@ def test_solve_scalar_demo_gap_at_k0(tmp_path):
     assert run_cli("solve", "--config", cfg, "--out", str(out), "--quiet") == 0
     header, rows = read_csv_rows(out / "trace.csv")
     assert rows[0][0] == "0"
-    assert float(rows[0][2]) == pytest.approx(1.5)
+    assert float(rows[0][2]) == pytest.approx(0.75)
     assert header["variant"] == "fw"
 
 
@@ -286,7 +287,7 @@ def test_compare_core_resolves_and_checks_reference_iters(tmp_path, monkeypatch)
     assert entries["reference_iters"] == 500
     monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("compare solved before it checked reference_iters"))
     with pytest.raises(errors.ConfigError, match=r"^\[compare\] reference_iters must be >= 1, got 0$"):
-        cli.compare(Scalar1D(), domain, base, (5, 49), 0)
+        cli.compare(scalar_probe(), domain, base, (5, 49), 0)
 
 
 def test_failed_compare_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -462,7 +463,7 @@ def test_flow_scalar_envelope(tmp_path):
     header, rows = read_csv_rows(out / "flow_trace.csv")
     h0 = float(rows[0][1]) - float(header["f_ref"])
     h_end = float(rows[-1][1]) - float(header["f_ref"])
-    assert h0 == pytest.approx(0.25)
+    assert h0 == pytest.approx(0.125)
     assert h_end <= 1.05 * h0 * (2.0 / 52.0) ** 2
 
 
@@ -470,7 +471,7 @@ FLOW_RUNS = {  # config, the run it writes
     "scalar": (
         SCALAR_FLOW_CONFIG,
         lambda: integrate(
-            Scalar1D(),
+            scalar_probe(),
             DomainSet(Kind.BOX, 1.0, 1),
             FlowConfig(Variant.FW, Schedule(2.0, 1.0), t_end=50.0, dt=1e-3, record_every=1.0, x0=np.array([0.5])),
         ),
@@ -585,6 +586,16 @@ def test_sweep_reports_validation_loss_grid(tmp_path, capsys):
     assert [float(row[0]) for row in rows] == np.geomspace(1.0, 100.0, 10).tolist()
     for row in rows:
         assert np.isfinite(float(row[2]))  # validation loss column
+
+
+def test_sweep_header_records_the_seed_it_ran_with(tmp_path):
+    # the config echo alone reads output.seed = 0 under --seed 5 too
+    cfg = sweep_config(tmp_path)
+    for flags, seed in (((), "0"), (("--seed", "5"), "5")):
+        out = tmp_path / f"out{seed}"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out), "--quiet", *flags) == 0
+        header, _ = read_csv_rows(out / "sweep.csv")
+        assert (header["output.seed"], header["seed"]) == ("0", seed)
 
 
 def test_sweep_reports_the_gap_at_the_x_of_its_losses(tmp_path):
@@ -706,6 +717,10 @@ BAD_INPUTS = {
     "diag_trace_k_decreasing": (["diag", "{trace}"], None, "line 3: k = 3 must be >= 0 and above the previous row's k"),
     "diag_trace_k_repeated": (["diag", "{trace}"], None, "line 3: k = 0 must be >= 0 and above the previous row's k"),
     "diag_trace_k_negative": (["diag", "{trace}"], None, "line 2: k = -3 must be >= 0 and above the previous row's k"),
+    # writers fill atom_id on every row of a history (one row per k) or on none
+    "diag_trace_atom_id_partial": (["diag", "{trace}"], None, "line 9: atom_id is empty, but earlier rows have one"),
+    "diag_trace_atom_id_late": (["diag", "{trace}"], None, "line 3: atom_id is set, but earlier rows have none"),
+    "diag_trace_atom_id_strided": (["diag", "{trace}"], None, "line 3: atom_id is set, but k = 2 is not one above the previous row's k"),
     # the kind is checked where the config is read, so a forced flow, which builds no problem, refuses it too
     "flow_forced_unknown_kind": (["flow"], FORCED_FLOW_CONFIG + "[problem]\nkind = nope\n", "unknown problem kind 'nope'"),
     "cs_radius_overflow": (
@@ -754,7 +769,7 @@ BAD_INPUTS = {
     ),
     "scalar1d_flow_with_n_features": (
         ["flow"],
-        SCALAR_FLOW_CONFIG.replace("kind = scalar1d", "kind = Scalar1D\nn_features = 5"),
+        SCALAR_FLOW_CONFIG.replace("kind = scalar1d", "kind = SCALAR1D\nn_features = 5"),
         "[problem] n_features is not read by kind = scalar1d, which reads alpha",
     ),
     "svmlight_non_ascii": (["solve"], SVMLIGHT_CONFIG, "line 2: non-ASCII byte"),
@@ -791,6 +806,10 @@ BAD_INPUTS = {
     "config_not_found": (["solve", "--config", "absent.ini"], None, "config file not found: absent.ini"),
     "svmlight_not_found": (["solve"], SVMLIGHT_CONFIG.replace("{data}", "absent.svmlight"), "svmlight file not found: absent.svmlight"),
     "diag_trace_not_found": (["diag", "absent.csv"], None, "trace file not found: absent.csv"),
+    # diag writes nothing and reads no seed, so it takes none of the global flags
+    "diag_out_flag": (["diag", "{trace}", "--out", "dir"], None, "unrecognized arguments: --out dir"),
+    "diag_seed_flag": (["diag", "{trace}", "--seed", "5"], None, "unrecognized arguments: --seed 5"),
+    "diag_quiet_flag": (["diag", "{trace}", "--quiet"], None, "unrecognized arguments: --quiet"),
     # every input file is ASCII, comments included: a config exits 2 before anything runs
     "config_non_ascii_key": (["solve"], SCALAR_CONFIG.replace("max_iters", "max_it\u00e9rs"), "line 10: non-ASCII byte"),
     "config_non_ascii_section": (["solve"], SCALAR_CONFIG.replace("[solver]", "[s\u00f6lver]"), "line 6: non-ASCII byte"),
@@ -829,6 +848,9 @@ TRACE_BODIES = {
     "diag_trace_k_decreasing": "5,1.0,1.0,1.0,1\n3,1.0,1.0,1.0,1\n4,1.0,1.0,1.0,1\n",
     "diag_trace_k_repeated": "0,1.0,1.0,1.0,1\n0,1.0,1.0,1.0,1\n",
     "diag_trace_k_negative": "-3,1.0,1.0,1.0,1\n-2,1.0,1.0,1.0,1\n",
+    "diag_trace_atom_id_partial": "".join(f"{k},1.0,1.0,1.0,{'' if k == 7 else 1}\n" for k in range(30)),
+    "diag_trace_atom_id_late": "0,1.0,1.0,1.0,\n1,1.0,1.0,1.0,1\n",
+    "diag_trace_atom_id_strided": "".join(f"{k},1.0,1.0,1.0,1\n" for k in range(0, 20, 2)),
     "diag_trace_digit_separator": "0,1.0,1.0,1.0,1\n1_0,1.0,1.0,1.0,1\n",
     "diag_trace_float_digit_separator": "0,1.0,1.0,1.0,1\n1,1_0,1.0,1.0,1\n",
 }
@@ -876,10 +898,12 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, case):
         cfg = sweep_config(tmp_path, text.replace("{data}", str(data)))
         argv = argv + ["--config", cfg]
     prefix = "config error:"
+    if argv[0] != "diag":  # diag takes none of the global flags
+        argv = argv + ["--out", str(tmp_path / "o"), "--quiet"]
     try:
-        code = run_cli(*argv, "--out", str(tmp_path / "o"), "--quiet")
-    except SystemExit as stop:  # argparse rejects a flag's value itself
-        code, prefix = stop.code, f"usage: avgfw {argv[0]}"
+        code = run_cli(*argv)
+    except SystemExit as stop:  # argparse rejects a flag's value itself, and the top parser an unknown flag
+        code, prefix = stop.code, "usage: avgfw [-h]" if "unrecognized arguments" in message else f"usage: avgfw {argv[0]}"
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(prefix) and message in err
@@ -1038,7 +1062,7 @@ def test_read_trace_csv_round_trip(tmp_path):
     run_cli("solve", "--config", cfg, "--out", str(out), "--quiet")
     trace = read_trace_csv(str(out / "trace.csv"))
     assert trace.ks[0] == 0
-    assert trace.gap[0] == pytest.approx(1.5)
+    assert trace.gap[0] == pytest.approx(0.75)
     assert trace.state is None  # a CSV holds no checkpoint
 
 

@@ -5,10 +5,10 @@ import avgfw.flows
 from avgfw.domains import DomainSet, Kind, contains, lmo
 from avgfw.errors import ConfigError, NumericalBlowup
 from avgfw.flows import FlowConfig, force_signal, integrate
-from avgfw.objectives import QuadraticLS, Scalar1D
+from avgfw.objectives import QuadraticLS
 from avgfw.schedules import Schedule
 from avgfw.solvers import SolverConfig, Variant, solve
-from oracles import accumulation, alpha_t
+from oracles import accumulation, alpha_t, scalar_probe
 
 BOX1 = DomainSet(Kind.BOX, 1.0, 1)
 
@@ -22,9 +22,9 @@ def test_fw_flow_scalar_obeys_polynomial_envelope():
         record_every=1.0,
         x0=np.array([0.5]),
     )
-    h = integrate(Scalar1D(), BOX1, cfg).f  # h = f - f_ref, f_ref = 0
+    h = integrate(scalar_probe(), BOX1, cfg).f  # h = f - f_ref, f_ref = 0
     h0 = h[0]
-    assert h0 == pytest.approx(0.25)
+    assert h0 == pytest.approx(0.125)
     assert h[-1] <= 1.05 * h0 * (2.0 / 52.0) ** 2
 
 

@@ -7,8 +7,8 @@ from scipy.special import expit
 
 from avgfw.domains import DomainSet, Kind, lmo
 from avgfw.errors import ConfigError
-from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
-from oracles import BrokenOracle, gap
+from avgfw.objectives import Logistic, QuadraticLS
+from oracles import BrokenOracle, gap, scalar_probe
 
 
 def central_diff(obj, x, h=1e-6):
@@ -35,7 +35,7 @@ def random_logistic(rng, m=9, n=6, sparse=False):
 def test_value_examples():
     q = QuadraticLS(np.eye(2), np.array([1.0, 0.0]))
     assert q.value(np.zeros(2)) == pytest.approx(0.5)
-    assert Scalar1D().value(np.array([0.5])) == pytest.approx(0.25)
+    assert scalar_probe().value(np.array([0.5])) == pytest.approx(0.125)
     logi = Logistic(np.zeros((1, 1)), np.array([1.0]))
     assert logi.value(np.zeros(1)) == pytest.approx(np.log(2.0))
 
@@ -43,7 +43,7 @@ def test_value_examples():
 def test_gradient_examples():
     q = QuadraticLS(np.eye(2), np.array([1.0, 0.0]))
     np.testing.assert_allclose(q.gradient(np.zeros(2)), [-1.0, 0.0])
-    np.testing.assert_allclose(Scalar1D().gradient(np.array([0.5])), [1.0])
+    np.testing.assert_allclose(scalar_probe().gradient(np.array([0.5])), [0.5])
 
 
 def test_logistic_gradient_matches_finite_differences():
@@ -67,7 +67,7 @@ def test_gradient_consistency_100_fixtures(maker):
 
 def test_scalar_gradient_consistency():
     rng = np.random.default_rng(3)
-    obj = Scalar1D()
+    obj = scalar_probe()
     for _ in range(100):
         x = rng.standard_normal(1)
         assert abs(central_diff(obj, x)[0] - obj.gradient(x)[0]) <= 1e-5 * max(1.0, abs(obj.gradient(x)[0]))
@@ -126,8 +126,8 @@ def test_dense_and_sparse_backends_agree(maker):
 
 def test_gap_scalar_example():
     dom = DomainSet(Kind.BOX, 1.0, 1)
-    g, atom = gap(Scalar1D(), dom, np.array([0.5]))
-    assert g == pytest.approx(1.5)
+    g, atom = gap(scalar_probe(), dom, np.array([0.5]))
+    assert g == pytest.approx(0.75)
     np.testing.assert_array_equal(atom.vector, [-1.0])
 
 
@@ -171,7 +171,7 @@ def test_gap_detects_broken_oracle(monkeypatch):
     dom = DomainSet(Kind.BOX, 1.0, 1)
     monkeypatch.setattr(mod, "lmo", lambda d, g: Atom(np.array([1.0]), 0))  # wrong corner
     with pytest.raises(BrokenOracle):
-        gap(Scalar1D(), dom, np.array([0.5]))
+        gap(scalar_probe(), dom, np.array([0.5]))
 
 
 @pytest.mark.parametrize("cls", [QuadraticLS, Logistic])
@@ -213,15 +213,16 @@ def test_image_maps_follow_the_composite_form(maker, sparse, kind):
         np.testing.assert_array_equal(g_u, g_x)
 
 
-def test_scalar_image_is_the_identity():
-    obj = Scalar1D()
+def test_scalar_image_is_x_twice():
+    # with A = [[1]] and y = [0] the image (A x, A^T (A x - y)) is (x, x)
+    obj = scalar_probe()
     dom = DomainSet(Kind.BOX, 1.0, 1)
     x = np.array([0.3])
     u = obj.image(x)
-    np.testing.assert_array_equal(u, x)
-    assert u is not x and obj.m == 1
+    np.testing.assert_array_equal(u, [0.3, 0.3])
+    assert obj.image_size == 2
     atom = lmo(dom, np.array([2.0]))
-    np.testing.assert_array_equal(obj.atom_image(dom, atom), atom.vector)
+    np.testing.assert_array_equal(obj.atom_image(dom, atom), [-1.0, -1.0])
     f, g = obj.value_and_gradient(x, u)
     assert f == obj.value(x)
     np.testing.assert_array_equal(g, obj.gradient(x))
@@ -230,8 +231,6 @@ def test_scalar_image_is_the_identity():
 def textbook(obj, x):
     """Value, gradient and the smoothness constant L_phi = sup phi'' of
     the loss from the formulas, with M.T taken afresh on every product."""
-    if isinstance(obj, Scalar1D):
-        return float(x[0]) ** 2, np.array([2.0 * float(x[0])]), 2.0
     if isinstance(obj, QuadraticLS):
         r = obj.A @ x - obj.y
         return 0.5 * float(np.dot(r, r)), obj.A.T @ r, 1.0
@@ -253,7 +252,7 @@ def sparse_logistic(rng, sparse):
 
 
 def scalar1d(rng, sparse):
-    return Scalar1D()
+    return scalar_probe()
 
 
 @pytest.mark.parametrize("maker", [sparse_quadratic, sparse_logistic, scalar1d])
@@ -262,10 +261,10 @@ def test_evaluations_are_bitwise_the_textbook_formulas(maker, sparse):
     # M^T is built once; every product must stay the same floats as M.T @ w,
     # and the loss the same as the formula, down to the last bit. Large
     # scales reach the overflow-safe branches of the logistic loss. The 1-D
-    # probe runs the generic path with M = [[1]] and must give x^2, 2x, 2.0.
+    # probe is 1 x 1 least squares and must give x^2 / 2, x, 1.0.
     rng = np.random.default_rng(21)
     obj = maker(rng, sparse)
-    M = obj.A if isinstance(obj, QuadraticLS) else obj.Z if isinstance(obj, Logistic) else np.ones((1, 1))
+    M = obj.A if isinstance(obj, QuadraticLS) else obj.Z
     for scale in (0.1, 1.0, 1e3):
         x = scale * rng.standard_normal(obj.n)
         f, g, l_phi = textbook(obj, x)

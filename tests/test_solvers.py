@@ -10,11 +10,11 @@ from avgfw.domains import Atom, DomainSet, Kind, contains, lmo
 from avgfw.errors import ConfigError, NumericalBlowup
 from avgfw.experiments import SyntheticCSSpec, generate_cs
 from avgfw.flows import FlowConfig, force_signal, integrate
-from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
+from avgfw.objectives import Logistic, QuadraticLS
 from avgfw.schedules import Schedule, beta, gamma
 from avgfw.solvers import ATOM_CACHE, IMAGE_REFRESH, SolverConfig, SolverState, Variant, resume, solve
 from avgfw.diagnostics import Series, fit_rate
-from oracles import apply_weights, diameter, l1_vertex, scripted_run, unrolled_weights
+from oracles import apply_weights, diameter, l1_vertex, scalar_probe, scripted_run, unrolled_weights
 
 BOX1 = DomainSet(Kind.BOX, 1.0, 1)
 
@@ -27,14 +27,14 @@ def small_quadratic(seed=3, m=10, n=20, alpha=2.0):
 
 def test_fw_scalar_discretization_error_never_decays():
     cfg = SolverConfig(Variant.FW, Schedule(2.0, 1.0), max_iters=200, x0=np.array([0.5]))
-    trace = solve(Scalar1D(), BOX1, cfg)
+    trace = solve(scalar_probe(), BOX1, cfg)
     assert trace.ks.size == 200
     assert np.all(trace.disc_err >= 1.0)
 
 
 def test_avgfw_scalar_discretization_error_decays_sampled():
     cfg = SolverConfig(Variant.AVGFW, Schedule(3.0, 1.0), max_iters=501, x0=np.array([0.5]))
-    trace = solve(Scalar1D(), BOX1, cfg)
+    trace = solve(scalar_probe(), BOX1, cfg)
     d = dict(zip(trace.ks.tolist(), trace.disc_err))
     assert d[500] < d[50] < d[5]
 
@@ -370,12 +370,20 @@ def test_kept_atom_images_leave_a_run_bitwise_unchanged(cs_instance, monkeypatch
 
 
 @pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
-def test_atom_image_is_computed_once_per_distinct_atom(cs_manifold_pipeline, monkeypatch, variant):
+@pytest.mark.parametrize("run", ["cs_solve", "probe_flow"])
+def test_atom_image_is_computed_once_per_distinct_atom(cs_manifold_pipeline, monkeypatch, run, variant):
     # the 4000-step runs at radius 0.05 ||x0||_1 meet fewer than ATOM_CACHE
-    # vertices, so every atom's image is computed once, at its first step
-    obj, dom, _, analyzed = cs_manifold_pipeline
+    # vertices, so every atom's image is computed once, at its first step;
+    # the 1-D probe's flow, recorded at each of its 50 001 steps, meets
+    # the box's two corners and computes two images
     calls = count_atom_images(monkeypatch)
-    trace = solve(obj, dom, SolverConfig(variant, Schedule(3.0, 1.0), max_iters=analyzed.ks.size))
+    if run == "cs_solve":
+        obj, dom, _, analyzed = cs_manifold_pipeline
+        trace = solve(obj, dom, SolverConfig(variant, Schedule(3.0, 1.0), max_iters=analyzed.ks.size))
+    else:
+        cfg = FlowConfig(variant, Schedule(2.0, 1.0), t_end=50.0, dt=1e-3, record_every=1e-3, x0=np.array([0.5]))
+        trace = integrate(scalar_probe(), BOX1, cfg)
+        assert trace.ks.size == 50001 and len(calls) == 2
     ids = trace.vertex_ids.tolist()
     assert len(set(ids)) <= ATOM_CACHE
     assert calls == list(dict.fromkeys(ids))
@@ -543,7 +551,7 @@ def guard_cases():
         for kind, n, alpha in domains:
             cases[f"{layout}_{kind.value}_{n}"] = (QuadraticLS(M[:, :n], y), DomainSet(kind, alpha, n))
     cases["logistic_csr_l1"] = (Logistic(Z, labels), DomainSet(Kind.L1_BALL, 5.0, 30))
-    cases["scalar1d_box"] = (Scalar1D(), DomainSet(Kind.BOX, 1.0, 1))
+    cases["scalar1d_box"] = (scalar_probe(), DomainSet(Kind.BOX, 1.0, 1))
     return cases
 
 
@@ -683,7 +691,7 @@ def test_runs_write_into_no_array_they_were_given():
         assert_bitwise(getattr(first.state, f), getattr(second.state, f))
 
     flow_x0 = np.full(1, 0.5)
-    integrate(Scalar1D(), BOX1, FlowConfig(Variant.AVGFW, SCHED, t_end=0.1, dt=1e-3, x0=flow_x0))
+    integrate(scalar_probe(), BOX1, FlowConfig(Variant.AVGFW, SCHED, t_end=0.1, dt=1e-3, x0=flow_x0))
     assert_bitwise(flow_x0, np.full(1, 0.5))
 
     pool = [l1_vertex(1.0, 4, i, 1) for i in range(4)]
@@ -764,13 +772,13 @@ def test_logistic_value_is_computed_once_per_recorded_row(monkeypatch):
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.parametrize("every, k", [(1, 1), (4, 4), (10, 9)])
 def test_non_finite_value_is_reported_at_the_first_recorded_row(every, k):
-    # x_1 = +-1e200 gives f = inf from k = 1 on, while g = 2 x stays
+    # x_1 = +-1e200 gives f = inf from k = 1 on, while g = x stays
     # finite: the blowup shows at the first recorded row from k = 1, and
     # the final row is always recorded
     dom = DomainSet(Kind.BOX, 1e200, 1)
     cfg = SolverConfig(Variant.FW, max_iters=10, x0=np.array([0.0]), trace_every=every)
     with pytest.raises(NumericalBlowup) as err:
-        solve(Scalar1D(), dom, cfg)
+        solve(scalar_probe(), dom, cfg)
     assert err.value.k == k
 
 

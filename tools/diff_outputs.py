@@ -8,11 +8,12 @@ directory with its own copy of ``configs/`` and of ``bench/cs_large.ini``:
 gen-data, solve on the 1-D probe, compare on the three shipped
 comparison configs (whose references run past ``max_iters``) and on
 ``bench/cs_large.ini`` at seed 0 (whose reference is the averaged run
-itself), sweep on the shipped logistic config, both flows, and diag: on
-the six traces the shipped compares write with the default window, on
-the fw trace of ``cs_compare`` with the explicit window 100..4999 (the
-benchmark's desk_small diag), on the box trace of the 1-D solve, and on
-both flow traces. Output files, stdout, stderr and exit codes are compared byte
+itself), sweep on the shipped logistic config at its own seed and at
+``--seed 3``, both flows, and diag: on the six traces the shipped
+compares write with the default window, on the fw trace of
+``cs_compare`` with the explicit window 100..4999 (the benchmark's
+desk_small diag), on the box trace of the 1-D solve, and on both flow
+traces. Output files, stdout, stderr and exit codes are compared byte
 for byte after the work directory's path is replaced by ``<work>``. A
 CSV whose column line differs between the trees is compared in two
 parts: its header (comment lines and column line) byte for byte, and its
@@ -23,11 +24,12 @@ It also runs :func:`hash_cases` in a fresh interpreter on each tree (this
 file run with ``--hash-cases``, the tree's ``src/`` on the path). That
 covers the loop paths no command reaches: least squares, dense and CSR,
 on the l1 ball, the simplex, the box (n = 1 and n = 5) and the l2 ball,
-the logistic loss and the 1-D probe, both variants at ``trace_every`` 1,
-7 and ``max_iters`` (two rows, so f is evaluated twice), a chunked
-solve/resume across image refreshes, a resume in chunks of 5 at
-``trace_every`` 7, which cross the record stride (least squares, dense
-and CSR, and the logistic loss), the Euler flow, both scripted atom
+the logistic loss and the 1-D probe (1 x 1 least squares, as the CLI
+builds it), both variants at ``trace_every`` 1, 7 and ``max_iters``
+(two rows, so f is evaluated twice), a chunked solve/resume across
+image refreshes, a resume in chunks of 5 at ``trace_every`` 7, which
+cross the record stride (least squares, dense and CSR, and the logistic
+loss), the Euler flow, both scripted atom
 streams fed straight to ``solvers._run`` (a repeating cycle and seeded
 iid draws over six l1-ball vertices built inline with ``avgfw.Atom``),
 and ``force_signal`` on six forced signals: n = 1 and n = 3 (with a -0.0
@@ -72,6 +74,7 @@ COMMANDS: List[List[str]] = [
     *(["compare", "--config", f"configs/{name}.ini", "--out", out] for name, out in COMPARES),
     ["compare", "--config", LARGE_CONFIG, "--seed", "0"],
     ["sweep", "--config", "configs/logistic_synthetic.ini", "--out", "out/sweep"],
+    ["sweep", "--config", "configs/logistic_synthetic.ini", "--out", "out/sweep_seed3", "--seed", "3"],
     ["flow", "--config", "configs/flow_accumulation.ini", "--out", "out/flow_accumulation"],
     ["flow", "--config", "configs/flow_scalar1d.ini", "--out", "out/flow_scalar1d"],
     *(["diag", f"{out}/{variant}_trace.csv"] for _, out in COMPARES for variant in ("fw", "avgfw")),
@@ -229,7 +232,7 @@ def hash_cases() -> None:
     from avgfw import Atom, DomainSet, Kind, Schedule, SolverConfig, Variant, resume, solve
     from avgfw.solvers import SolverState, _discrete_steps, _run
     from avgfw.flows import FlowConfig, force_signal, integrate
-    from avgfw.objectives import Logistic, QuadraticLS, Scalar1D
+    from avgfw.objectives import Logistic, QuadraticLS
 
     def emit(case: str, *arrays) -> None:
         h = hashlib.sha256()
@@ -258,7 +261,7 @@ def hash_cases() -> None:
         "csr_l2_ball": (QuadraticLS(sp.csr_matrix(A), y), DomainSet(Kind.L2_BALL, 0.5, 40)),
         "logistic_csr_l1": (Logistic(Z, labels), DomainSet(Kind.L1_BALL, 5.0, 40)),
         "logistic_dense_simplex": (Logistic(Z.toarray(), labels), DomainSet(Kind.SIMPLEX, 5.0, 40)),
-        "scalar1d": (Scalar1D(), DomainSet(Kind.BOX, 1.0, 1)),
+        "scalar1d": (QuadraticLS(np.ones((1, 1)), np.zeros(1)), DomainSet(Kind.BOX, 1.0, 1)),
     }
     sched = Schedule(3.0, 1.0)
     for name, (obj, dom) in problems.items():
