@@ -15,7 +15,6 @@ from .flows import FlowConfig, force_signal, integrate
 from .diagnostics import (
     ManifoldReport,
     RateFit,
-    Series,
     degeneracy_delta,
     fit_rate,
     identify_manifold,
@@ -44,7 +43,6 @@ __all__ = [
     "integrate",
     "ManifoldReport",
     "RateFit",
-    "Series",
     "degeneracy_delta",
     "fit_rate",
     "identify_manifold",

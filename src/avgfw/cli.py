@@ -33,13 +33,7 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 import numpy as np
 
 from . import _svg
-from .diagnostics import (
-    Series,
-    fit_rate,
-    identify_manifold,
-    render_report,
-    support_trajectory,
-)
+from .diagnostics import fit_rate, identify_manifold, render_report, support_trajectory
 from .domains import DomainSet, Kind, lmo
 from .errors import ConfigError, InputError, NumericalError, ParseError
 from .experiments import (
@@ -391,9 +385,9 @@ def _rate_fits(traces: Dict[str, IterateTrace], window: Tuple[int, int]) -> Dict
     """``slope_{gap,disc}<suffix>`` and ``r2_{gap,disc}<suffix>`` of each
     trace, keyed by suffix; None where the window holds no fit."""
     entries: Dict[str, Optional[float]] = {}
-    for name, series in (("gap", Series.GAP), ("disc", Series.DISC_ERR)):
+    for name in ("gap", "disc"):
         for suffix, trace in traces.items():
-            fit = fit_rate(trace, series, window)
+            fit = fit_rate(trace.ks, trace.gap if name == "gap" else trace.disc_err, window)
             entries[f"slope_{name}{suffix}"] = None if fit is None else fit.slope
             entries[f"r2_{name}{suffix}"] = None if fit is None else fit.r_squared
     return entries
@@ -408,14 +402,17 @@ def compare(
     ``window``. On a polyhedral domain it measures identification against
     x*, the averaged run continued to ``max(reference_iters, max_iters)``
     iterations; a None ``reference_iters`` is ``min(100000, 10 * max_iters)``.
-    A ``reference_iters`` below 1, or a ``base`` that does not record every
-    iteration (``trace_every`` != 1), whose rows hold no atom history,
-    raises ``ConfigError`` before any solve. Returns the traces keyed by
+    A ``reference_iters`` below 1 or set on a domain that is not
+    polyhedral, or a ``base`` that does not record every iteration
+    (``trace_every`` != 1), whose rows hold no atom history, raises
+    ``ConfigError`` before any solve. Returns the traces keyed by
     variant ("fw", "avgfw") and the summary entries from ``window_lo`` on,
     None where one is undefined.
     """
     if base.trace_every != 1:
         raise ConfigError(f"compare records every iteration: trace_every must be 1, got {base.trace_every}")
+    if reference_iters is not None and not domain.is_polyhedral:
+        raise ConfigError(f"[compare] reference_iters is not read on a {domain.kind.value} domain: it has no identification to measure")
     if reference_iters is None:
         reference_iters = min(100000, 10 * base.max_iters)
     if reference_iters < 1:
@@ -437,7 +434,7 @@ def compare(
         entries["delta"] = report.delta
         entries["support_star_size"] = len(report.support_star)
         for variant, trace in traces.items():
-            entries[f"support_first_{variant}"] = int(support_trajectory(trace)[0])
+            entries[f"support_first_{variant}"] = int(support_trajectory(trace.vertex_ids)[0])
     return traces, entries
 
 
@@ -474,7 +471,7 @@ def _emit_compare_plots(out_dir: str, traces: Dict[str, IterateTrace]) -> None:
     ]
     if all(trace.vertex_ids is not None for trace in traces.values()):
         charts.append(
-            ("support.svg", "working-set size", "distinct atoms from k on", False, lambda t: (t.ks, support_trajectory(t)))
+            ("support.svg", "working-set size", "distinct atoms from k on", False, lambda t: (t.ks, support_trajectory(t.vertex_ids)))
         )
     for filename, title, ylabel, loglog, points in charts:
         data = [(variant, *points(trace)) for variant, trace in traces.items()]
@@ -499,6 +496,10 @@ def cmd_flow(args) -> int:
 
     if forced == "one":
         # only the averaging equation runs: no problem and no variant; sbar is the run's x
+        unread = next((key for key in echo if key.startswith("problem.") or key in ("solver.variant", "solver.x0")), None)
+        if unread is not None:
+            section, key = unread.split(".")
+            raise ConfigError(f"[{section}] {key} is not read by forced_signal = one, which builds no problem")
         trace = force_signal(flow_cfg, lambda t: np.array([1.0]))
         problem, extra = (None, {}), {"seed": seed, "final_s_bar": _fmt_float(float(trace.state.x[0]))}
     else:
@@ -519,7 +520,7 @@ def cmd_diag(args) -> int:
     window = _fit_window(args.window_lo, args.window_hi, first, last, "--window-lo and --window-hi")
     report: Dict[str, object] = {"trace": os.path.basename(args.trace), "window_lo": window[0], "window_hi": window[1]}
     report.update(_rate_fits({"": trace}, window))
-    report["support_first"] = None if trace.vertex_ids is None else int(support_trajectory(trace)[0])
+    report["support_first"] = None if trace.vertex_ids is None else int(support_trajectory(trace.vertex_ids)[0])
     sys.stdout.write(render_report(report))
     return EXIT_OK
 

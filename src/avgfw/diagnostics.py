@@ -4,7 +4,9 @@ Four instruments: empirical decay-rate fitting (least-squares slope of
 log metric vs log iteration), the working-set trajectory (distinct atoms
 from each iteration to the end), the degeneracy margin of a candidate
 optimum on the l1 ball, and the identification index after which every
-emitted atom belongs to the optimal support set.
+emitted atom belongs to the optimal support set. The rate fit and the
+trajectory take the arrays they read, so a caller passes a trace's
+column or any series derived from one.
 
 A diagnostic whose data determine no answer returns None; one asked of a
 kind of input it is not defined for raises UnsupportedKind.
@@ -12,14 +14,13 @@ kind of input it is not defined for raises UnsupportedKind.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
 from .domains import DomainSet, Kind, _vertex_blocks
-from .errors import ConfigError, UnsupportedKind
+from .errors import UnsupportedKind
 from .objectives import Objective
 from .solvers import IterateTrace
 
@@ -29,21 +30,13 @@ ZERO_COORD_FACTOR = 1e-8
 MIN_FIT_POINTS = 10
 
 
-class Series(enum.Enum):
-    GAP = "gap"
-    DISC_ERR = "disc_err"
-    F_MINUS_REF = "f_minus_ref"
-
-
 @dataclass(frozen=True)
 class RateFit:
-    """OLS fit of log(series) on log(k): series ~ exp(intercept) * k^slope."""
+    """OLS fit of log(value) on log(k): value ~ exp(intercept) * k^slope."""
 
     slope: float
     intercept: float
-    window: Tuple[int, int]
     r_squared: float
-    n_points: int
 
 
 @dataclass(frozen=True)
@@ -51,16 +44,6 @@ class ManifoldReport:
     support_star: FrozenSet[int]
     k_bar: Optional[int]
     delta: Optional[float]
-
-
-def _series_values(trace: IterateTrace, series: Series, f_ref: Optional[float]) -> np.ndarray:
-    if series is Series.GAP:
-        return trace.gap
-    if series is Series.DISC_ERR:
-        return trace.disc_err
-    if f_ref is None:
-        raise ConfigError("F_MINUS_REF fit needs a reference value f_ref")
-    return trace.f - f_ref
 
 
 def _geometric_subsample(ks: np.ndarray) -> np.ndarray:
@@ -73,13 +56,10 @@ def _geometric_subsample(ks: np.ndarray) -> np.ndarray:
     return np.array(keep, dtype=int)
 
 
-def fit_rate(
-    trace: IterateTrace,
-    series: Series,
-    window: Tuple[int, int],
-    f_ref: Optional[float] = None,
-) -> Optional[RateFit]:
-    """Fit the empirical decay exponent of a trace metric over a window.
+def fit_rate(ks: np.ndarray, values: np.ndarray, window: Tuple[int, int]) -> Optional[RateFit]:
+    """Fit the empirical decay exponent of ``values``, recorded at the
+    iterations ``ks``, over a window; ``values`` is a trace column or a
+    series derived from one, such as ``trace.f - f_star``.
 
     Points are geometrically subsampled (ratio 1.1) before the fit so
     uniform recording does not overweight the tail in log space;
@@ -92,11 +72,9 @@ def fit_rate(
     none), or when they all share one k.
     """
     k_lo, k_hi = window
-    vals = _series_values(trace, series, f_ref)
-    ks = trace.ks
-    mask = (ks >= max(k_lo, 1)) & (ks <= k_hi) & np.isfinite(vals) & (vals > 0)
+    mask = (ks >= max(k_lo, 1)) & (ks <= k_hi) & np.isfinite(values) & (values > 0)
     ks_w = ks[mask]
-    vals_w = vals[mask]
+    vals_w = values[mask]
     if ks_w.size < MIN_FIT_POINTS:
         return None
     idx = _geometric_subsample(ks_w)
@@ -117,22 +95,20 @@ def fit_rate(
     ss_res = float(np.sum((logv - pred) ** 2))
     ss_tot = float(np.sum((logv - v_mean) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(float(slope), float(intercept), (k_lo, k_hi), r2, int(ks_w.size))
+    return RateFit(float(slope), float(intercept), r2)
 
 
-def support_trajectory(trace: IterateTrace) -> np.ndarray:
-    """Distinct atom count from each iteration to the end of the run.
+def support_trajectory(vertex_ids: np.ndarray) -> np.ndarray:
+    """Distinct atom count from each iteration to the end of the run,
+    given its atom history (a trace's ``vertex_ids``).
 
     Entry j counts the unique vertex ids among s_j, s_{j+1}, ..., so the
     sequence is non-increasing and starts at the total distinct count.
     """
-    if trace.vertex_ids is None:
-        raise UnsupportedKind("support trajectory needs polyhedral vertex ids")
-    vids = trace.vertex_ids
-    out = np.empty(vids.size, dtype=int)
+    out = np.empty(vertex_ids.size, dtype=int)
     seen = set()
-    for j in range(vids.size - 1, -1, -1):
-        seen.add(int(vids[j]))
+    for j in range(vertex_ids.size - 1, -1, -1):
+        seen.add(int(vertex_ids[j]))
         out[j] = len(seen)
     return out
 

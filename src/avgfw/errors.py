@@ -50,7 +50,3 @@ class ParseError(InputError):
     def __init__(self, line_no: int, message: str = ""):
         self.line_no = line_no
         super().__init__(message or f"malformed line {line_no}")
-
-
-class LabelError(ParseError):
-    """Label outside the accepted set {-1, 0, +1}."""

@@ -19,7 +19,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from .domains import DomainSet, Kind
-from .errors import ConfigError, LabelError, ParseError
+from .errors import ConfigError, ParseError
 from .objectives import Logistic, QuadraticLS
 
 
@@ -170,7 +170,7 @@ def load_svmlight(path: str, n_features_hint: Optional[int] = None) -> Logistic:
         if lab == 0.0:
             lab = -1.0
         if lab not in (-1.0, 1.0):
-            raise LabelError(line_no, f"line {line_no}: label must be -1, 0, or +1, got {tokens[0]}")
+            raise ParseError(line_no, f"line {line_no}: label must be -1, 0, or +1, got {tokens[0]}")
         labels.append(lab)
         start = len(indices)
         for tok in tokens[1:]:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from avgfw.cli import main as cli_main
-from avgfw.diagnostics import Series, fit_rate, identify_manifold, support_trajectory
+from avgfw.diagnostics import fit_rate, identify_manifold, support_trajectory
 from avgfw.domains import DomainSet, Kind, lmo
 from avgfw.experiments import (
     SyntheticCSSpec,
@@ -129,11 +129,11 @@ def test_criterion_06_scripted_trajectory_dichotomy():
     pool = [l1_vertex(1.0, 2, 0, +1), l1_vertex(1.0, 2, 1, +1),
             l1_vertex(1.0, 2, 0, -1), l1_vertex(1.0, 2, 1, -1)]
     cycle = scripted_run(pool, Schedule(3.0, 1.0), steps=10**4)
-    slope_cycle = fit_rate(cycle, Series.DISC_ERR, (100, 10**4)).slope
+    slope_cycle = fit_rate(cycle.ks, cycle.disc_err, (100, 10**4)).slope
     # the no-decay contrast needs the sub-linear averaging exponent (p < 1):
     # with p = 1 even an iid vertex stream averages out at ~k^-1/2
     random = scripted_run(pool, Schedule(3.0, 0.5), steps=10**4, seed=0)
-    slope_random = fit_rate(random, Series.DISC_ERR, (100, 10**4)).slope
+    slope_random = fit_rate(random.ks, random.disc_err, (100, 10**4)).slope
     ok = slope_cycle <= -0.7 and slope_random >= -0.3
     _report(6, "repeating cycle decays, random vertices do not", ok, time.time() - start, 10.0,
             detail=f"cycle {slope_cycle:+.2f}, random {slope_random:+.2f}")
@@ -145,8 +145,8 @@ def test_criterion_07_global_rates_on_cs():
     sched = Schedule(3.0, 1.0)
     fw = solve(obj, domain, SolverConfig(Variant.FW, sched, 5001))
     avg = solve(obj, domain, SolverConfig(Variant.AVGFW, sched, 5001))
-    slope_fw = fit_rate(fw, Series.GAP, (100, 5000)).slope
-    slope_avg = fit_rate(avg, Series.GAP, (100, 5000)).slope
+    slope_fw = fit_rate(fw.ks, fw.gap, (100, 5000)).slope
+    slope_avg = fit_rate(avg.ks, avg.gap, (100, 5000)).slope
     ok = -1.35 <= slope_fw <= -0.75 and slope_avg <= slope_fw - 0.2
     _report(7, "gap decay: averaged run beats vanilla by >= 0.2 in slope", ok,
             time.time() - start, 60.0, detail=f"fw {slope_fw:+.2f}, avgfw {slope_avg:+.2f}")
@@ -176,7 +176,7 @@ def test_criterion_09_manifold_identification():
     max_iters = 4000
     analyzed = solve(obj, domain, SolverConfig(Variant.AVGFW, sched, max_iters))
     report = identify_manifold(analyzed, obj, domain, reference.state.x)
-    traj = support_trajectory(analyzed)
+    traj = support_trajectory(analyzed.vertex_ids)
     ok = (
         report.k_bar is not None
         and report.k_bar < max_iters / 2
@@ -195,11 +195,11 @@ def test_criterion_10_l2_ball_dichotomy():
     obj, domain, x_unc = generate_l2ball_quadratic(1.0, seed=0)
     norm = float(np.linalg.norm(x_unc))
     obj_b, dom_b, _ = generate_l2ball_quadratic(0.5 * norm, seed=0)
-    slope_b = fit_rate(solve(obj_b, dom_b, SolverConfig(Variant.FW, sched, 3000)),
-                       Series.DISC_ERR, (100, 3000)).slope
+    boundary = solve(obj_b, dom_b, SolverConfig(Variant.FW, sched, 3000))
+    slope_b = fit_rate(boundary.ks, boundary.disc_err, (100, 3000)).slope
     obj_i, dom_i, _ = generate_l2ball_quadratic(2.0 * norm, seed=0)
-    slope_i = fit_rate(solve(obj_i, dom_i, SolverConfig(Variant.FW, sched, 3000)),
-                       Series.DISC_ERR, (100, 3000)).slope
+    interior = solve(obj_i, dom_i, SolverConfig(Variant.FW, sched, 3000))
+    slope_i = fit_rate(interior.ks, interior.disc_err, (100, 3000)).slope
     ok = slope_b <= -0.4 and slope_i >= -0.1
     _report(10, "smooth-ball boundary decays, interior does not", ok,
             time.time() - start, 30.0, detail=f"boundary {slope_b:+.2f}, interior {slope_i:+.2f}")

@@ -12,7 +12,7 @@ import pytest
 
 from avgfw import _svg, cli, errors
 from avgfw.cli import _build_problem, _build_solver_config, _read_config, main, read_trace_csv
-from avgfw.diagnostics import Series, fit_rate, identify_manifold, render_report
+from avgfw.diagnostics import fit_rate, identify_manifold, render_report
 from avgfw.domains import DomainSet, Kind
 from avgfw.errors import AvgFWError, ConfigError, InputError, NumericalBlowup, NumericalError
 from avgfw.experiments import generate_sparse_logistic, train_val_split, write_svmlight
@@ -500,7 +500,7 @@ def test_flow_trace_is_the_one_trace_format(tmp_path, capsys, case):
         assert got is want is None or (got.dtype == want.dtype and got.tobytes() == want.tobytes())
     assert run_cli("diag", str(path)) == 0
     report = report_entries(capsys.readouterr().out)
-    fit = fit_rate(trace, Series.GAP, (1, int(trace.ks[-1])))
+    fit = fit_rate(trace.ks, trace.gap, (1, int(trace.ks[-1])))
     assert report["slope_gap"] == ("none" if fit is None else repr(fit.slope))
     assert report["support_first"] == "none"
     if case == "scalar":
@@ -723,6 +723,28 @@ BAD_INPUTS = {
     "diag_trace_atom_id_strided": (["diag", "{trace}"], None, "line 3: atom_id is set, but k = 2 is not one above the previous row's k"),
     # the kind is checked where the config is read, so a forced flow, which builds no problem, refuses it too
     "flow_forced_unknown_kind": (["flow"], FORCED_FLOW_CONFIG + "[problem]\nkind = nope\n", "unknown problem kind 'nope'"),
+    # a forced flow reads no [problem] key, variant or x0: the first one set is named
+    "flow_forced_problem_refused": (
+        ["flow"],
+        FORCED_FLOW_CONFIG + "[problem]\nkind = cs\nn_features = 7\n",
+        "[problem] kind is not read by forced_signal = one, which builds no problem",
+    ),
+    "flow_forced_variant_refused": (
+        ["flow"],
+        FORCED_FLOW_CONFIG.replace("p = 1", "p = 1\nvariant = fw\nx0 = 0.5") + "[problem]\nkind = cs\n",
+        "[solver] variant is not read by forced_signal = one, which builds no problem",
+    ),
+    "flow_forced_x0_refused": (
+        ["flow"],
+        FORCED_FLOW_CONFIG.replace("p = 1", "p = 1\nx0 = 0.5"),
+        "[solver] x0 is not read by forced_signal = one, which builds no problem",
+    ),
+    # the reference solve serves identification alone, which the l2 ball has none of
+    "compare_l2_reference_iters_refused": (
+        ["compare"],
+        "[problem]\nkind = l2_quadratic\n[solver]\nmax_iters = 5\n[compare]\nreference_iters = 5000\n",
+        "[compare] reference_iters is not read on a l2_ball domain",
+    ),
     "cs_radius_overflow": (
         ["compare"],
         CS_COMPARE_CONFIG.format(plots="false").replace("alpha_scale = 1.0", "alpha_scale = 1e308"),

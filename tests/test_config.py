@@ -66,9 +66,14 @@ def test_fuzz_pools_cover_the_schema():
 
 @st.composite
 def configs(draw):
+    command = draw(st.sampled_from(["solve", "compare", "flow", "sweep"]))
     values = {key: draw(st.sampled_from(pool)) for key, pool in GOOD.items()}
-    kind = values[("problem", "kind")]  # keep only the keys the kind reads, so that examples reach the run
+    kind = values[("problem", "kind")]  # keep only the keys the run reads, so that examples reach it
     values = {(s, k): v for (s, k), v in values.items() if s != "problem" or k == "kind" or k in PROBLEM_KEYS[kind]}
+    if command == "flow" and values[("flow", "forced_signal")] == "one":  # builds no problem
+        values = {(s, k): v for (s, k), v in values.items() if s != "problem" and k not in ("variant", "x0")}
+    if command == "compare" and kind == "l2_quadratic":  # no identification, so no reference solve
+        values[("compare", "reference_iters")] = None
     for key in draw(st.lists(st.sampled_from(sorted(GOOD)), max_size=2, unique=True)):
         values[key] = draw(st.sampled_from(BAD))
     unknown = draw(st.sampled_from(UNKNOWN))
@@ -78,7 +83,6 @@ def configs(draw):
     for (section, key), val in values.items():
         if val is not None:
             sections.setdefault(section, []).append(f"{key} = {val}")
-    command = draw(st.sampled_from(["solve", "compare", "flow", "sweep"]))
     return command, "".join(f"[{s}]\n" + "\n".join(lines) + "\n\n" for s, lines in sections.items())
 
 

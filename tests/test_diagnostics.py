@@ -3,7 +3,6 @@ import pytest
 
 from avgfw.diagnostics import (
     MIN_FIT_POINTS,
-    Series,
     _geometric_subsample,
     degeneracy_delta,
     fit_rate,
@@ -13,31 +12,31 @@ from avgfw.diagnostics import (
     support_trajectory,
 )
 from avgfw.domains import DomainSet, Kind
-from avgfw.errors import ConfigError, UnsupportedKind
+from avgfw.errors import UnsupportedKind
 from avgfw.solvers import IterateTrace, SolverState
 from oracles import enumerate_vertices
 
 
-def synthetic_trace(ks, series, which=Series.GAP, vertex_ids=None):
+def synthetic_trace(ks, vertex_ids):
+    """A trace of atom history ``vertex_ids`` at iterations ``ks``; its
+    f, gap and disc_err columns are NaN."""
     n = len(ks)
-    vals = np.asarray(series, dtype=float)
-    nan = np.full(n, np.nan)
     return IterateTrace(
         ks=np.asarray(ks, dtype=int),
-        f=vals if which is Series.F_MINUS_REF else nan.copy(),
-        gap=vals if which is Series.GAP else nan.copy(),
-        disc_err=vals if which is Series.DISC_ERR else nan.copy(),
-        vertex_ids=None if vertex_ids is None else np.asarray(vertex_ids, dtype=int),
+        f=np.full(n, np.nan),
+        gap=np.full(n, np.nan),
+        disc_err=np.full(n, np.nan),
+        vertex_ids=np.asarray(vertex_ids, dtype=int),
         state=SolverState(k=n, x=np.zeros(1), s_bar=np.zeros(1)),
     )
 
 
 def test_fit_rate_recovers_exact_power_laws():
     ks = np.arange(1, 2001)
-    fit = fit_rate(synthetic_trace(ks, 1.0 / ks), Series.GAP, (1, 2000))
+    fit = fit_rate(ks, 1.0 / ks, (1, 2000))
     assert fit.slope == pytest.approx(-1.0, abs=1e-6)
     assert fit.r_squared >= 0.999999
-    fit = fit_rate(synthetic_trace(ks, 5.0 / ks**1.5), Series.GAP, (1, 2000))
+    fit = fit_rate(ks, 5.0 / ks**1.5, (1, 2000))
     assert fit.slope == pytest.approx(-1.5, abs=1e-6)
     assert fit.intercept == pytest.approx(np.log(5.0), abs=1e-6)
 
@@ -46,16 +45,15 @@ def test_fit_rate_drops_nonpositive_entries():
     ks = np.arange(1, 101)
     vals = 1.0 / ks
     vals[::7] = 0.0
-    fit = fit_rate(synthetic_trace(ks, vals), Series.GAP, (1, 100))
+    fit = fit_rate(ks, vals, (1, 100))
     assert fit.slope == pytest.approx(-1.0, abs=1e-6)
 
 
-def polyfit_reference(trace, series, window):
+def polyfit_reference(ks, vals, window):
     """slope, intercept and r^2 of ``np.polyfit`` (LAPACK's least squares)
     over the points ``fit_rate`` fits."""
-    vals = trace.gap if series is Series.GAP else trace.disc_err
-    keep = (trace.ks >= max(window[0], 1)) & (trace.ks <= window[1]) & np.isfinite(vals) & (vals > 0)
-    ks, vals = trace.ks[keep], vals[keep]
+    keep = (ks >= max(window[0], 1)) & (ks <= window[1]) & np.isfinite(vals) & (vals > 0)
+    ks, vals = ks[keep], vals[keep]
     idx = _geometric_subsample(ks)
     if idx.size >= MIN_FIT_POINTS:
         ks, vals = ks[idx], vals[idx]
@@ -68,10 +66,10 @@ def polyfit_reference(trace, series, window):
 
 def test_fit_rate_matches_polyfit_on_cs_traces(cs_rate_traces):
     for trace in cs_rate_traces:
-        for series in (Series.GAP, Series.DISC_ERR):
+        for vals in (trace.gap, trace.disc_err):
             for window in ((1, 5000), (100, 4999)):
-                fit = fit_rate(trace, series, window)
-                expected = polyfit_reference(trace, series, window)
+                fit = fit_rate(trace.ks, vals, window)
+                expected = polyfit_reference(trace.ks, vals, window)
                 assert np.abs(np.array([fit.slope, fit.intercept, fit.r_squared]) - expected).max() <= 1e-12
 
 
@@ -82,63 +80,49 @@ def test_fit_rate_matches_polyfit_on_random_series(seed, slope, noise):
     rng = np.random.default_rng(seed)
     ks = np.unique(rng.integers(1, 20000, 3000))
     vals = 3.0 * ks**slope * np.exp(noise * rng.standard_normal(ks.size))
-    fit = fit_rate(synthetic_trace(ks, vals), Series.GAP, (1, 20000))
-    expected = polyfit_reference(synthetic_trace(ks, vals), Series.GAP, (1, 20000))
+    fit = fit_rate(ks, vals, (1, 20000))
+    expected = polyfit_reference(ks, vals, (1, 20000))
     assert np.abs(np.array([fit.slope, fit.intercept, fit.r_squared]) - expected).max() <= 1e-12
 
 
 def test_fit_rate_needs_two_distinct_ks():
     ks = np.full(12, 5)
-    assert fit_rate(synthetic_trace(ks, np.linspace(1.0, 2.0, 12)), Series.GAP, (1, 100)) is None
+    assert fit_rate(ks, np.linspace(1.0, 2.0, 12), (1, 100)) is None
 
 
 def test_fit_rate_insufficient_data():
     ks = np.arange(1, 9)
-    assert fit_rate(synthetic_trace(ks, 1.0 / ks), Series.GAP, (1, 100)) is None
+    assert fit_rate(ks, 1.0 / ks, (1, 100)) is None
 
 
 def test_fit_rate_uses_f_minus_ref():
+    # a derived series is one more array: h_k = f_k - f_ref
     ks = np.arange(1, 501)
-    tr = synthetic_trace(ks, 2.0 / ks + 1.0, which=Series.F_MINUS_REF)
-    fit = fit_rate(tr, Series.F_MINUS_REF, (1, 500), f_ref=1.0)
+    f = 2.0 / ks + 1.0
+    fit = fit_rate(ks, f - 1.0, (1, 500))
     assert fit.slope == pytest.approx(-1.0, abs=1e-6)
-
-
-def test_fit_rate_of_f_minus_ref_needs_f_ref():
-    ks = np.arange(1, 501)
-    tr = synthetic_trace(ks, 2.0 / ks + 1.0, which=Series.F_MINUS_REF)
-    with pytest.raises(ConfigError, match="f_ref"):
-        fit_rate(tr, Series.F_MINUS_REF, (1, 500))
 
 
 def test_fit_rate_window_validation():
     # an empty or inverted window holds no points, so it determines no fit
-    tr = synthetic_trace(np.arange(1, 100), 1.0 / np.arange(1, 100))
-    assert fit_rate(tr, Series.GAP, (50, 50)) is None
-    assert fit_rate(tr, Series.GAP, (60, 50)) is None
+    ks = np.arange(1, 100)
+    assert fit_rate(ks, 1.0 / ks, (50, 50)) is None
+    assert fit_rate(ks, 1.0 / ks, (60, 50)) is None
 
 
 def test_support_trajectory_hand_example():
-    tr = synthetic_trace([0, 1, 2, 3], np.ones(4), vertex_ids=[5, 9, 5, 5])
-    np.testing.assert_array_equal(support_trajectory(tr), [2, 2, 1, 1])
+    np.testing.assert_array_equal(support_trajectory(np.array([5, 9, 5, 5])), [2, 2, 1, 1])
 
 
 def test_support_trajectory_constant_sequence():
-    tr = synthetic_trace(range(6), np.ones(6), vertex_ids=[3] * 6)
-    np.testing.assert_array_equal(support_trajectory(tr), [1] * 6)
+    np.testing.assert_array_equal(support_trajectory(np.full(6, 3)), [1] * 6)
 
 
 def test_support_trajectory_is_monotone_and_starts_at_total(cs_manifold_pipeline):
     _, _, _, analyzed = cs_manifold_pipeline
-    traj = support_trajectory(analyzed)
+    traj = support_trajectory(analyzed.vertex_ids)
     assert np.all(np.diff(traj) <= 0)
     assert traj[0] == np.unique(analyzed.vertex_ids).size
-
-
-def test_support_trajectory_requires_vertex_ids():
-    tr = synthetic_trace([0, 1], np.ones(2))
-    with pytest.raises(UnsupportedKind):
-        support_trajectory(tr)
 
 
 class _FixedGradient:
@@ -181,7 +165,7 @@ def test_degeneracy_delta_requires_l1_ball():
 def test_identify_manifold_all_inside_gives_zero():
     dom = DomainSet(Kind.L1_BALL, 1.0, 3)
     obj = _FixedGradient([3.0, -1.0, 0.2])  # argmax coord 0, so S* = {-1}
-    tr = synthetic_trace(range(4), np.ones(4), vertex_ids=[-1, -1, -1, -1])
+    tr = synthetic_trace(range(4), [-1, -1, -1, -1])
     rep = identify_manifold(tr, obj, dom, np.array([-0.9, 0.0, 0.0]))
     assert rep.k_bar == 0
     assert -1 in rep.support_star
@@ -190,7 +174,7 @@ def test_identify_manifold_all_inside_gives_zero():
 def test_identify_manifold_out_then_in():
     dom = DomainSet(Kind.L1_BALL, 1.0, 3)
     obj = _FixedGradient([3.0, -1.0, 0.2])
-    tr = synthetic_trace(range(4), np.ones(4), vertex_ids=[2, -1, -1, -1])
+    tr = synthetic_trace(range(4), [2, -1, -1, -1])
     rep = identify_manifold(tr, obj, dom, np.array([-0.9, 0.0, 0.0]))
     assert rep.k_bar == 1
 
@@ -198,7 +182,7 @@ def test_identify_manifold_out_then_in():
 def test_identify_manifold_absent_when_last_atom_outside():
     dom = DomainSet(Kind.L1_BALL, 1.0, 3)
     obj = _FixedGradient([3.0, -1.0, 0.2])
-    tr = synthetic_trace(range(3), np.ones(3), vertex_ids=[-1, -1, 2])
+    tr = synthetic_trace(range(3), [-1, -1, 2])
     rep = identify_manifold(tr, obj, dom, np.array([-0.9, 0.0, 0.0]))
     assert rep.k_bar is None
 
@@ -208,8 +192,8 @@ def test_identify_manifold_prefix_monotone():
     dom = DomainSet(Kind.L1_BALL, 1.0, 3)
     obj = _FixedGradient([3.0, -1.0, 0.2])
     vids = [2, 3, -1, -1, -1, -1]
-    full = identify_manifold(synthetic_trace(range(6), np.ones(6), vertex_ids=vids), obj, dom, np.array([-0.9, 0, 0]))
-    prefix = identify_manifold(synthetic_trace(range(4), np.ones(4), vertex_ids=vids[:4]), obj, dom, np.array([-0.9, 0, 0]))
+    full = identify_manifold(synthetic_trace(range(6), vids), obj, dom, np.array([-0.9, 0, 0]))
+    prefix = identify_manifold(synthetic_trace(range(4), vids[:4]), obj, dom, np.array([-0.9, 0, 0]))
     assert full.k_bar == prefix.k_bar == 2
 
 

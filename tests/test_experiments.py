@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from avgfw.diagnostics import Series, fit_rate
+from avgfw.diagnostics import fit_rate
 from avgfw.domains import Kind
-from avgfw.errors import ConfigError, LabelError, ParseError
+from avgfw.errors import ConfigError, ParseError
 from avgfw.experiments import (
     SyntheticCSSpec,
     generate_cs,
@@ -66,14 +66,14 @@ def test_noiseless_cs_certifies_f_star_zero(cs_rate_traces):
 
 def test_scripted_repeating_cycle_distance_decays():
     trace = scripted_run(L1_POOL, Schedule(3.0, 1.0), steps=10**4)
-    fit = fit_rate(trace, Series.DISC_ERR, (100, 10**4))
+    fit = fit_rate(trace.ks, trace.disc_err, (100, 10**4))
     assert fit.slope <= -0.7
 
 
 def test_scripted_random_vertices_distance_does_not_decay():
     # sub-linear averaging exponent: an iid vertex stream defeats the average
     trace = scripted_run(L1_POOL, Schedule(3.0, 0.5), steps=10**4, seed=0)
-    fit = fit_rate(trace, Series.DISC_ERR, (100, 10**4))
+    fit = fit_rate(trace.ks, trace.disc_err, (100, 10**4))
     assert fit.slope >= -0.3
 
 
@@ -96,14 +96,12 @@ def test_l2_quadratic_regimes():
     sched = Schedule(3.0, 1.0)
     obj, dom, x_unc = generate_l2ball_quadratic(0.5 * 2.44, seed=0)
     assert np.linalg.norm(x_unc) == pytest.approx(2.44)
-    boundary = fit_rate(
-        solve(obj, dom, SolverConfig(Variant.FW, sched, 3000)), Series.DISC_ERR, (100, 3000)
-    )
+    trace = solve(obj, dom, SolverConfig(Variant.FW, sched, 3000))
+    boundary = fit_rate(trace.ks, trace.disc_err, (100, 3000))
     assert boundary.slope <= -0.4
     obj, dom, _ = generate_l2ball_quadratic(2.0 * 2.44, seed=0)
-    interior = fit_rate(
-        solve(obj, dom, SolverConfig(Variant.FW, sched, 3000)), Series.DISC_ERR, (100, 3000)
-    )
+    trace = solve(obj, dom, SolverConfig(Variant.FW, sched, 3000))
+    interior = fit_rate(trace.ks, trace.disc_err, (100, 3000))
     assert interior.slope >= -0.1
 
 
@@ -176,8 +174,9 @@ def test_svmlight_dimension_hint_too_large_to_allocate_rejected(tmp_path):
 def test_svmlight_bad_label_rejected(tmp_path):
     path = tmp_path / "lab.svm"
     path.write_text("+3 1:1\n")
-    with pytest.raises(LabelError):
+    with pytest.raises(ParseError, match="label must be -1, 0, or \\+1") as err:
         load_svmlight(str(path))
+    assert err.value.line_no == 1
 
 
 def test_svmlight_dimension_hint_extends(tmp_path):

@@ -13,7 +13,7 @@ from avgfw.flows import FlowConfig, force_signal, integrate
 from avgfw.objectives import Logistic, QuadraticLS
 from avgfw.schedules import Schedule, beta, gamma
 from avgfw.solvers import ATOM_CACHE, IMAGE_REFRESH, SolverConfig, SolverState, Variant, resume, solve
-from avgfw.diagnostics import Series, fit_rate
+from avgfw.diagnostics import fit_rate
 from oracles import apply_weights, diameter, l1_vertex, scalar_probe, scripted_run, unrolled_weights
 
 BOX1 = DomainSet(Kind.BOX, 1.0, 1)
@@ -99,8 +99,8 @@ def test_fw_smoothness_descent_bound(small_l1_quadratic):
 
 def test_gap_rates_on_cs_instance(cs_rate_traces):
     fw, avg = cs_rate_traces
-    fit_fw = fit_rate(fw, Series.GAP, (100, 5000))
-    fit_avg = fit_rate(avg, Series.GAP, (100, 5000))
+    fit_fw = fit_rate(fw.ks, fw.gap, (100, 5000))
+    fit_avg = fit_rate(avg.ks, avg.gap, (100, 5000))
     assert -1.35 <= fit_fw.slope <= -0.75
     assert fit_avg.slope <= fit_fw.slope - 0.2
 

@@ -48,13 +48,15 @@ report (``summary.txt``, diag's stdout, by key) is first summarized by
 the largest relative change |a - b| / max(|a|, |b|) of each column or key
 both trees write: 0 where it is identical, as the integer ones (``k``,
 ``atom_id``, ``k_bar``, the support sizes) should be, and "differs" where
-text changed. Exits 1 on any difference, 0 when all match.
+text changed. It ends with the ``wc -l`` total of ``src/avgfw/*.py`` on
+each tree. Exits 1 on any difference, 0 when all match.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import glob
 import io
 import os
 import shutil
@@ -122,6 +124,15 @@ def run_tree(tree: str, work: str) -> Dict[str, bytes]:
                 results[os.path.relpath(path, work)] = fh.read()
     marker = os.path.realpath(work).encode()
     return {k: v.replace(marker, b"<work>").replace(work.encode(), b"<work>") for k, v in results.items()}
+
+
+def src_lines(tree: str) -> int:
+    """The ``wc -l`` total of the tree's ``src/avgfw/*.py``: its newline count."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "avgfw", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def text_diff(old: bytes, new: bytes) -> str:
@@ -318,6 +329,7 @@ def main(argv: List[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="avgfw-diff-") as tmp:
         trees = {"reference": extract(args.ref, os.path.join(tmp, "ref")), "working tree": REPO}
         outputs = {}
+        lines = {label: src_lines(tree) for label, tree in trees.items()}
         for label, tree in trees.items():
             work = os.path.join(tmp, label.replace(" ", "_") + "_work")
             os.mkdir(work)
@@ -332,6 +344,8 @@ def main(argv: List[str]) -> int:
     n_files = sum(1 for k in outputs["working tree"] if not k.startswith(("[", "in-process")))
     n_cases = sum(1 for k in outputs["working tree"] if k.startswith("in-process "))
     print(f"{len(diffs)} differences over {len(COMMANDS)} commands, {n_files} output files and {n_cases} in-process cases")
+    change = lines["working tree"] - lines["reference"]
+    print(f"src/avgfw/*.py lines (wc -l): {lines['reference']} in the reference, {lines['working tree']} in the working tree ({change:+d})")
     return 1 if diffs else 0
 
 
