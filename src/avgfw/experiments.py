@@ -53,16 +53,14 @@ def exceeds_memory(nbytes: int) -> bool:
     return nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def generate_cs(
-    spec: SyntheticCSSpec, alpha: Optional[float] = None
-) -> Tuple[QuadraticLS, DomainSet, np.ndarray]:
+def generate_cs(spec: SyntheticCSSpec) -> Tuple[QuadraticLS, DomainSet, np.ndarray]:
     """Build the compressed-sensing least-squares instance.
 
     The ground truth x0 has exactly round(sparsity_frac * n) standard
-    normal entries at uniformly chosen positions. The l1-ball radius
-    defaults to ||x0||_1, the tightest radius containing the truth;
-    pass ``alpha`` to override (the radius is a solve-time choice, not
-    part of the data).
+    normal entries at uniformly chosen positions. The l1-ball radius is
+    ||x0||_1, the tightest radius containing the truth; the radius is a
+    solve-time choice, not part of the data, so a caller that wants
+    another builds its own ``DomainSet(Kind.L1_BALL, radius, n)``.
     """
     rng = np.random.default_rng(spec.seed)
     n, m = spec.n_features, spec.m_measurements
@@ -74,8 +72,7 @@ def generate_cs(
     A = rng.standard_normal((m, n))
     z = rng.normal(0.0, spec.noise_std, m)
     y = A @ x0 + z
-    radius = float(np.sum(np.abs(x0))) if alpha is None else float(alpha)
-    return QuadraticLS(A, y), DomainSet(Kind.L1_BALL, radius, n), x0
+    return QuadraticLS(A, y), DomainSet(Kind.L1_BALL, float(np.sum(np.abs(x0))), n), x0
 
 
 L2_UNCONSTRAINED_NORM = 2.44

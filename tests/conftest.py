@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from avgfw.domains import DomainSet, Kind
 from avgfw.experiments import SyntheticCSSpec, generate_cs
 from avgfw.schedules import Schedule
 from avgfw.solvers import SolverConfig, Variant, resume, solve
@@ -69,9 +70,8 @@ def cs_manifold_pipeline(cs_instance):
     state.x serves as x_star, analyzed 4000-iteration trace). The
     reference continues the analyzed run, which resume makes bitwise
     equal to a fresh 1e5-iteration run."""
-    spec, _, _, x0 = cs_instance
-    alpha = MANIFOLD_ALPHA_FRAC * float(np.sum(np.abs(x0)))
-    obj, domain, _ = generate_cs(spec, alpha=alpha)
+    spec, obj, _, x0 = cs_instance
+    domain = DomainSet(Kind.L1_BALL, MANIFOLD_ALPHA_FRAC * float(np.sum(np.abs(x0))), spec.n_features)
     analyzed = solve(obj, domain, SolverConfig(Variant.AVGFW, DEFAULT_SCHED, MANIFOLD_ITERS))
     reference = resume(
         analyzed.state,

@@ -166,11 +166,10 @@ def test_criterion_08_flow_polynomial_envelope():
 def test_criterion_09_manifold_identification():
     start = time.time()
     spec = SyntheticCSSpec(noise_std=0.0, seed=CS_SEED)
-    _, _, x0 = generate_cs(spec)
+    obj, _, x0 = generate_cs(spec)
     # solve-time radius deep in the boundary regime: the optimum sits on a
     # low-dimensional facet, the regime the identification theory addresses
-    alpha = 0.05 * float(np.sum(np.abs(x0)))
-    obj, domain, _ = generate_cs(spec, alpha=alpha)
+    domain = DomainSet(Kind.L1_BALL, 0.05 * float(np.sum(np.abs(x0))), spec.n_features)
     sched = Schedule(3.0, 1.0)
     reference = solve(obj, domain, SolverConfig(Variant.AVGFW, sched, 10**5, trace_every=10**4))
     max_iters = 4000

@@ -370,6 +370,26 @@ def test_kept_atom_images_leave_a_run_bitwise_unchanged(cs_instance, monkeypatch
 
 
 @pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
+def test_atom_store_keeps_the_first_vertices_and_evicts_none(cs_instance, monkeypatch, variant):
+    # the 2000-step run above meets more than ATOM_CACHE vertices, and
+    # some outside the first ATOM_CACHE recur; a step computes its atom's
+    # image exactly when its vertex is not among the first ATOM_CACHE
+    # distinct ones, so at most ATOM_CACHE images are kept, none is
+    # evicted, and only a vertex outside them is computed again
+    _, obj, dom, _ = cs_instance
+    calls = count_atom_images(monkeypatch)
+    trace = solve(obj, dom, SolverConfig(variant, Schedule(3.0, 1.0), max_iters=2000))
+    kept, expected = set(), []
+    for vid in trace.vertex_ids.tolist():
+        if vid not in kept:
+            expected.append(vid)
+            if len(kept) < ATOM_CACHE:
+                kept.add(vid)
+    assert len(expected) > len(set(expected)) > ATOM_CACHE
+    assert calls == expected
+
+
+@pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
 @pytest.mark.parametrize("run", ["cs_solve", "probe_flow"])
 def test_atom_image_is_computed_once_per_distinct_atom(cs_manifold_pipeline, monkeypatch, run, variant):
     # the 4000-step runs at radius 0.05 ||x0||_1 meet fewer than ATOM_CACHE
