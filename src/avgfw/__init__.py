@@ -12,14 +12,7 @@ from .objectives import Logistic, QuadraticLS
 from .schedules import Schedule, beta, gamma
 from .solvers import IterateTrace, SolverConfig, SolverState, Variant, resume, solve
 from .flows import FlowConfig, force_signal, integrate
-from .diagnostics import (
-    ManifoldReport,
-    RateFit,
-    degeneracy_delta,
-    fit_rate,
-    identify_manifold,
-    support_trajectory,
-)
+from .diagnostics import RateFit, degeneracy_delta, fit_rate, identify_manifold, support_set, support_trajectory
 
 __all__ = [
     "Atom",
@@ -41,11 +34,11 @@ __all__ = [
     "FlowConfig",
     "force_signal",
     "integrate",
-    "ManifoldReport",
     "RateFit",
     "degeneracy_delta",
     "fit_rate",
     "identify_manifold",
+    "support_set",
     "support_trajectory",
 ]
 

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 import numpy as np
 
 from . import _svg
-from .diagnostics import fit_rate, identify_manifold, render_report, support_trajectory
+from .diagnostics import degeneracy_delta, fit_rate, identify_manifold, render_report, support_set, support_trajectory
 from .domains import DomainSet, Kind, lmo
 from .errors import ConfigError, InputError, NumericalError, ParseError
 from .experiments import (
@@ -240,11 +240,9 @@ def _build_problem(cfg: Config, seed: int):
         return QuadraticLS(np.ones((1, 1)), np.zeros(1)), DomainSet(Kind.BOX, 1.0 if prob["alpha"] is None else prob["alpha"], 1), meta
 
     if kind == "l2_quadratic":
-        obj, domain, x_unc = generate_l2ball_quadratic(1.0, seed=seed)
-        norm = float(np.linalg.norm(x_unc))
-        domain = DomainSet(Kind.L2_BALL, prob["alpha_scale"] * norm, domain.n)
-        meta["unconstrained_norm"] = norm
-        return obj, domain, meta
+        obj, domain, _ = generate_l2ball_quadratic(seed)
+        meta["unconstrained_norm"] = domain.alpha
+        return obj, DomainSet(Kind.L2_BALL, prob["alpha_scale"] * domain.alpha, domain.n), meta
 
     # svmlight, the last kind _read_config accepts
     data = load_svmlight(_required(cfg, "problem", "path"), n_features_hint=prob["n_features_hint"])
@@ -429,10 +427,12 @@ def compare(
             reference = resume(reference.state, obj, domain, SolverConfig(Variant.AVGFW, base.schedule, extra, trace_every=extra))
         entries["reference_iters"] = max(reference_iters, base.max_iters)
         entries["f_star_estimate"] = reference.f[-1] - reference.gap[-1]
-        report = identify_manifold(traces["avgfw"], obj, domain, reference.state.x)
-        entries["k_bar"] = report.k_bar
-        entries["delta"] = report.delta
-        entries["support_star_size"] = len(report.support_star)
+        x_star = reference.state.x
+        g_star = obj.gradient(x_star)
+        star = support_set(g_star, domain)
+        entries["k_bar"] = identify_manifold(traces["avgfw"].ks, traces["avgfw"].vertex_ids, star)
+        entries["delta"] = degeneracy_delta(g_star, domain, x_star) if domain.kind is Kind.L1_BALL else None
+        entries["support_star_size"] = len(star)
         for variant, trace in traces.items():
             entries[f"support_first_{variant}"] = int(support_trajectory(trace.vertex_ids)[0])
     return traces, entries

@@ -1,12 +1,13 @@
 """Post-hoc trace analysis.
 
-Four instruments: empirical decay-rate fitting (least-squares slope of
+Five instruments: empirical decay-rate fitting (least-squares slope of
 log metric vs log iteration), the working-set trajectory (distinct atoms
-from each iteration to the end), the degeneracy margin of a candidate
-optimum on the l1 ball, and the identification index after which every
-emitted atom belongs to the optimal support set. The rate fit and the
-trajectory take the arrays they read, so a caller passes a trace's
-column or any series derived from one.
+from each iteration to the end), the support set of the LMO at a
+gradient, the degeneracy margin of a candidate optimum on the l1 ball,
+and the identification index after which every emitted atom belongs to
+a support set. Each takes the arrays it reads: a trace's columns or a
+series derived from one, and the gradient at x* rather than the
+objective, so a caller evaluates that gradient once for all of them.
 
 A diagnostic whose data determine no answer returns None; one asked of a
 kind of input it is not defined for raises UnsupportedKind.
@@ -21,8 +22,6 @@ import numpy as np
 
 from .domains import DomainSet, Kind, _vertex_blocks
 from .errors import UnsupportedKind
-from .objectives import Objective
-from .solvers import IterateTrace
 
 GEOMETRIC_SUBSAMPLE_RATIO = 1.1
 SUPPORT_REL_TOL = 1e-6
@@ -37,13 +36,6 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
-
-
-@dataclass(frozen=True)
-class ManifoldReport:
-    support_star: FrozenSet[int]
-    k_bar: Optional[int]
-    delta: Optional[float]
 
 
 def _geometric_subsample(ks: np.ndarray) -> np.ndarray:
@@ -113,26 +105,26 @@ def support_trajectory(vertex_ids: np.ndarray) -> np.ndarray:
     return out
 
 
-def degeneracy_delta(obj: Objective, domain: DomainSet, x_star: np.ndarray) -> Optional[float]:
-    """Gradient-magnitude margin of the zero coordinates of x_star.
+def degeneracy_delta(g: np.ndarray, domain: DomainSet, x_star: np.ndarray) -> Optional[float]:
+    """Gradient-magnitude margin of the zero coordinates of x_star, given
+    the gradient ``g`` at x_star.
 
-    delta = min over zero coordinates j of  ||g||_inf - |g_j|  with
-    g = grad f(x_star); zero iff some zero coordinate ties the maximum,
-    i.e. the problem is degenerate. Coordinates below 1e-8 * alpha count
-    as zero. None when x_star has no zero coordinate.
+    delta = min over zero coordinates j of  ||g||_inf - |g_j|;
+    zero iff some zero coordinate ties the maximum, i.e. the problem is
+    degenerate. Coordinates below 1e-8 * alpha count as zero. None when
+    x_star has no zero coordinate.
     """
     if domain.kind is not Kind.L1_BALL:
         raise UnsupportedKind("degeneracy margin is defined on the l1 ball")
-    x_star = np.asarray(x_star, dtype=float)
     zero_mask = np.abs(x_star) <= ZERO_COORD_FACTOR * domain.alpha
     if not np.any(zero_mask):
         return None
-    g = np.abs(obj.gradient(x_star))
+    g = np.abs(g)
     return float(np.max(g) - np.max(g[zero_mask]))
 
 
-def support_set(obj: Objective, domain: DomainSet, x_star: np.ndarray) -> FrozenSet[int]:
-    """Vertex ids whose LMO objective at grad f(x_star) is within
+def support_set(g: np.ndarray, domain: DomainSet) -> FrozenSet[int]:
+    """Vertex ids whose LMO objective at the gradient ``g`` is within
     relative tolerance 1e-6 of the best vertex value.
 
     On the l1 ball and the simplex a vertex's value is one scaled
@@ -141,7 +133,6 @@ def support_set(obj: Objective, domain: DomainSet, x_star: np.ndarray) -> Frozen
     """
     if not domain.is_polyhedral:
         raise UnsupportedKind("support sets need a polyhedral domain")
-    g = obj.gradient(np.asarray(x_star, dtype=float))
     a = domain.alpha
     if domain.kind is Kind.L1_BALL:
         ids = np.arange(1, domain.n + 1)
@@ -156,31 +147,18 @@ def support_set(obj: Objective, domain: DomainSet, x_star: np.ndarray) -> Frozen
     return frozenset(ids[vals <= best + tol].tolist())
 
 
-def identify_manifold(
-    trace: IterateTrace,
-    obj: Objective,
-    domain: DomainSet,
-    x_star: np.ndarray,
-) -> ManifoldReport:
-    """Locate the iteration after which all emitted atoms live on the
-    optimal support.
+def identify_manifold(ks: np.ndarray, vertex_ids: np.ndarray, star: FrozenSet[int]) -> Optional[int]:
+    """The identification index k_bar of an atom history (a trace's
+    ``ks`` and ``vertex_ids``) against a support set ``star``.
 
-    k_bar is the smallest iteration such that every atom from it onward
-    has a vertex id inside the support set of x_star; None when the final
-    atom is outside it or the trace has no atom history (``vertex_ids``).
-    delta is the degeneracy margin when defined (l1 ball with a nonempty
-    zero set), else None; it and the support set need no history.
+    k_bar is the smallest recorded iteration such that every atom from it
+    onward has a vertex id inside ``star``; None when the final atom is
+    outside it or the history is empty.
     """
-    star = support_set(obj, domain, x_star)
-    vids = trace.vertex_ids
-    k_bar: Optional[int] = None
-    if vids is not None:
-        j = vids.size - 1  # the last atom outside the support, -1 if none is
-        while j >= 0 and int(vids[j]) in star:
-            j -= 1
-        k_bar = None if j == vids.size - 1 else int(trace.ks[j + 1])
-    delta = degeneracy_delta(obj, domain, x_star) if domain.kind is Kind.L1_BALL else None
-    return ManifoldReport(support_star=star, k_bar=k_bar, delta=delta)
+    j = vertex_ids.size - 1  # the last atom outside the support, -1 if none is
+    while j >= 0 and int(vertex_ids[j]) in star:
+        j -= 1
+    return None if j == vertex_ids.size - 1 else int(ks[j + 1])
 
 
 def render_report(entries: Dict[str, object]) -> str:

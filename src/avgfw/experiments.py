@@ -80,14 +80,15 @@ L2_DIM = 20
 L2_ROWS = 30
 
 
-def generate_l2ball_quadratic(
-    alpha: float, seed: int = 0
-) -> Tuple[QuadraticLS, DomainSet, np.ndarray]:
+def generate_l2ball_quadratic(seed: int = 0) -> Tuple[QuadraticLS, DomainSet, np.ndarray]:
     """Quadratic over the l2 ball with a known unconstrained minimizer.
 
-    The minimizer x_unc is rescaled to norm 2.44, so alpha below that
-    puts the constrained optimum on the boundary (unique LMO, decaying
-    oscillation) and alpha above it leaves the optimum interior.
+    The minimizer x_unc is rescaled to norm 2.44, and the domain returned
+    has radius ||x_unc||, the radius that splits the two regimes: one
+    below it puts the constrained optimum on the boundary (unique LMO,
+    decaying oscillation) and one above it leaves the optimum interior.
+    The radius is a solve-time choice, so a caller that wants another
+    builds its own ``DomainSet(Kind.L2_BALL, radius, n)``.
     Returns (objective, domain, x_unc).
     """
     rng = np.random.default_rng(seed)
@@ -95,7 +96,7 @@ def generate_l2ball_quadratic(
     direction = rng.standard_normal(L2_DIM)
     x_unc = L2_UNCONSTRAINED_NORM * direction / np.linalg.norm(direction)
     y = A @ x_unc
-    return QuadraticLS(A, y), DomainSet(Kind.L2_BALL, float(alpha), L2_DIM), x_unc
+    return QuadraticLS(A, y), DomainSet(Kind.L2_BALL, float(np.linalg.norm(x_unc)), L2_DIM), x_unc
 
 
 def text_lines(path: str, what: str) -> Iterator[Tuple[int, str]]:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from avgfw.cli import main as cli_main
-from avgfw.diagnostics import fit_rate, identify_manifold, support_trajectory
+from avgfw.diagnostics import degeneracy_delta, fit_rate, identify_manifold, support_set, support_trajectory
 from avgfw.domains import DomainSet, Kind, lmo
 from avgfw.experiments import (
     SyntheticCSSpec,
@@ -174,30 +174,30 @@ def test_criterion_09_manifold_identification():
     reference = solve(obj, domain, SolverConfig(Variant.AVGFW, sched, 10**5, trace_every=10**4))
     max_iters = 4000
     analyzed = solve(obj, domain, SolverConfig(Variant.AVGFW, sched, max_iters))
-    report = identify_manifold(analyzed, obj, domain, reference.state.x)
+    g_star = obj.gradient(reference.state.x)
+    k_bar = identify_manifold(analyzed.ks, analyzed.vertex_ids, support_set(g_star, domain))
+    delta = degeneracy_delta(g_star, domain, reference.state.x)
     traj = support_trajectory(analyzed.vertex_ids)
     ok = (
-        report.k_bar is not None
-        and report.k_bar < max_iters / 2
-        and report.delta is not None
-        and report.delta > 0
+        k_bar is not None
+        and k_bar < max_iters / 2
+        and delta is not None
+        and delta > 0
         and traj[0] <= np.count_nonzero(x0) + 2
     )
     _report(9, "working set identified: finite k_bar, positive margin", ok,
             time.time() - start, 60.0,
-            detail=f"k_bar {report.k_bar}, delta {report.delta}, support over the run {traj[0]}")
+            detail=f"k_bar {k_bar}, delta {delta}, support over the run {traj[0]}")
 
 
 def test_criterion_10_l2_ball_dichotomy():
     start = time.time()
     sched = Schedule(3.0, 1.0)
-    obj, domain, x_unc = generate_l2ball_quadratic(1.0, seed=0)
-    norm = float(np.linalg.norm(x_unc))
-    obj_b, dom_b, _ = generate_l2ball_quadratic(0.5 * norm, seed=0)
-    boundary = solve(obj_b, dom_b, SolverConfig(Variant.FW, sched, 3000))
+    obj, domain, _ = generate_l2ball_quadratic(seed=0)
+    norm = domain.alpha
+    boundary = solve(obj, DomainSet(Kind.L2_BALL, 0.5 * norm, domain.n), SolverConfig(Variant.FW, sched, 3000))
     slope_b = fit_rate(boundary.ks, boundary.disc_err, (100, 3000)).slope
-    obj_i, dom_i, _ = generate_l2ball_quadratic(2.0 * norm, seed=0)
-    interior = solve(obj_i, dom_i, SolverConfig(Variant.FW, sched, 3000))
+    interior = solve(obj, DomainSet(Kind.L2_BALL, 2.0 * norm, domain.n), SolverConfig(Variant.FW, sched, 3000))
     slope_i = fit_rate(interior.ks, interior.disc_err, (100, 3000)).slope
     ok = slope_b <= -0.4 and slope_i >= -0.1
     _report(10, "smooth-ball boundary decays, interior does not", ok,

@@ -12,7 +12,7 @@ import pytest
 
 from avgfw import _svg, cli, errors
 from avgfw.cli import _build_problem, _build_solver_config, _read_config, main, read_trace_csv
-from avgfw.diagnostics import fit_rate, identify_manifold, render_report
+from avgfw.diagnostics import degeneracy_delta, fit_rate, identify_manifold, render_report, support_set
 from avgfw.domains import DomainSet, Kind
 from avgfw.errors import AvgFWError, ConfigError, InputError, NumericalBlowup, NumericalError
 from avgfw.experiments import generate_sparse_logistic, train_val_split, write_svmlight
@@ -212,13 +212,17 @@ def fresh_reference_summary(path, reference_iters):
     base = replace(_build_solver_config(cfg, domain), variant=Variant.AVGFW)
     iters = max(reference_iters, base.max_iters)
     reference = solve(obj, domain, replace(base, max_iters=iters))
-    report = identify_manifold(solve(obj, domain, base), obj, domain, reference.state.x)
+    run = solve(obj, domain, base)
+    g_star = obj.gradient(reference.state.x)
+    star = support_set(g_star, domain)
+    k_bar = identify_manifold(run.ks, run.vertex_ids, star)
+    delta = degeneracy_delta(g_star, domain, reference.state.x)
     entries = {
         "reference_iters": iters,
         "f_star_estimate": reference.f[-1] - reference.gap[-1],
-        "k_bar": "none" if report.k_bar is None else report.k_bar,
-        "delta": "none" if report.delta is None else report.delta,
-        "support_star_size": len(report.support_star),
+        "k_bar": "none" if k_bar is None else k_bar,
+        "delta": "none" if delta is None else delta,
+        "support_star_size": len(star),
     }
     return dict(line.split(" = ") for line in render_report(entries).splitlines())
 
@@ -288,6 +292,26 @@ def test_compare_core_resolves_and_checks_reference_iters(tmp_path, monkeypatch)
     monkeypatch.setattr(cli, "solve", lambda *args: pytest.fail("compare solved before it checked reference_iters"))
     with pytest.raises(errors.ConfigError, match=r"^\[compare\] reference_iters must be >= 1, got 0$"):
         cli.compare(scalar_probe(), domain, base, (5, 49), 0)
+
+
+def test_compare_evaluates_the_gradient_at_x_star_once(tmp_path, monkeypatch):
+    # the support set, k_bar and delta all read grad f(x*); from an
+    # explicit x0 no run evaluates the gradient alone, so x* is the one call
+    x0 = "x0 = " + ",".join(["0"] * 50)
+    cfg, _ = _read_config(write_config(tmp_path / "cfg.ini", SMALL_CS_CONFIG.format(x0=x0, reference_iters=500)))
+    obj, domain, _ = _build_problem(cfg, cfg["output"]["seed"])
+    base = _build_solver_config(cfg, domain)
+    calls = []
+    gradient = QuadraticLS.gradient
+
+    def counted(self, x):
+        calls.append(1)
+        return gradient(self, x)
+
+    monkeypatch.setattr(QuadraticLS, "gradient", counted)
+    _, entries = cli.compare(obj, domain, base, (30, 299), cfg["compare"]["reference_iters"])
+    assert domain.kind is Kind.L1_BALL and entries["delta"] is not None
+    assert len(calls) == 1
 
 
 def test_failed_compare_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -1126,9 +1150,9 @@ def test_read_trace_csv_keeps_the_first_k_of_a_resumed_run(tmp_path):
     # f = 0.5 ||x - (10, 0)||^2 on the unit l1 ball: x* = e_1, whose
     # support is the vertex +e_1 (id 1), emitted from k = 7 on
     obj = QuadraticLS(np.eye(2), np.array([10.0, 0.0]))
-    report = identify_manifold(trace, obj, DomainSet(Kind.L1_BALL, 1.0, 2), np.array([1.0, 0.0]))
-    assert report.support_star == {1}
-    assert report.k_bar == 7
+    star = support_set(obj.gradient(np.array([1.0, 0.0])), DomainSet(Kind.L1_BALL, 1.0, 2))
+    assert star == {1}
+    assert identify_manifold(trace.ks, trace.vertex_ids, star) == 7
 
 
 @pytest.mark.parametrize(

@@ -13,22 +13,7 @@ from avgfw.diagnostics import (
 )
 from avgfw.domains import DomainSet, Kind
 from avgfw.errors import UnsupportedKind
-from avgfw.solvers import IterateTrace, SolverState
 from oracles import enumerate_vertices
-
-
-def synthetic_trace(ks, vertex_ids):
-    """A trace of atom history ``vertex_ids`` at iterations ``ks``; its
-    f, gap and disc_err columns are NaN."""
-    n = len(ks)
-    return IterateTrace(
-        ks=np.asarray(ks, dtype=int),
-        f=np.full(n, np.nan),
-        gap=np.full(n, np.nan),
-        disc_err=np.full(n, np.nan),
-        vertex_ids=np.asarray(vertex_ids, dtype=int),
-        state=SolverState(k=n, x=np.zeros(1), s_bar=np.zeros(1)),
-    )
 
 
 def test_fit_rate_recovers_exact_power_laws():
@@ -125,82 +110,60 @@ def test_support_trajectory_is_monotone_and_starts_at_total(cs_manifold_pipeline
     assert traj[0] == np.unique(analyzed.vertex_ids).size
 
 
-class _FixedGradient:
-    """Stub objective with a prescribed gradient field."""
-
-    def __init__(self, g):
-        self._g = np.asarray(g, dtype=float)
-        self.n = self._g.size
-
-    def gradient(self, x):
-        return self._g
-
-
 def test_degeneracy_delta_direct_formula():
     dom = DomainSet(Kind.L1_BALL, 1.0, 4)
-    obj = _FixedGradient([2.0, -2.0, 0.5, 0.1])
+    g = np.array([2.0, -2.0, 0.5, 0.1])
     x_star = np.array([0.3, -0.7, 0.0, 0.0])
-    assert degeneracy_delta(obj, dom, x_star) == pytest.approx(1.5)
+    assert degeneracy_delta(g, dom, x_star) == pytest.approx(1.5)
 
 
 def test_degeneracy_delta_zero_when_zero_coordinate_ties_max():
     dom = DomainSet(Kind.L1_BALL, 1.0, 3)
-    obj = _FixedGradient([2.0, -2.0, 0.3])
+    g = np.array([2.0, -2.0, 0.3])
     x_star = np.array([0.5, 0.0, 0.0])
-    assert degeneracy_delta(obj, dom, x_star) == 0.0
+    assert degeneracy_delta(g, dom, x_star) == 0.0
 
 
 def test_degeneracy_delta_requires_zero_set():
     dom = DomainSet(Kind.L1_BALL, 1.0, 2)
-    obj = _FixedGradient([1.0, 2.0])
-    assert degeneracy_delta(obj, dom, np.array([0.5, 0.5])) is None
+    g = np.array([1.0, 2.0])
+    assert degeneracy_delta(g, dom, np.array([0.5, 0.5])) is None
 
 
 def test_degeneracy_delta_requires_l1_ball():
-    obj = _FixedGradient([1.0, 2.0])
+    g = np.array([1.0, 2.0])
     with pytest.raises(UnsupportedKind):
-        degeneracy_delta(obj, DomainSet(Kind.BOX, 1.0, 2), np.array([0.5, 0.0]))
+        degeneracy_delta(g, DomainSet(Kind.BOX, 1.0, 2), np.array([0.5, 0.0]))
+
+
+# grad f(x*) = (3, -1, 0.2) on the unit l1 ball in R^3: argmax coord 0, so S* = {-1}
+STAR = support_set(np.array([3.0, -1.0, 0.2]), DomainSet(Kind.L1_BALL, 1.0, 3))
 
 
 def test_identify_manifold_all_inside_gives_zero():
-    dom = DomainSet(Kind.L1_BALL, 1.0, 3)
-    obj = _FixedGradient([3.0, -1.0, 0.2])  # argmax coord 0, so S* = {-1}
-    tr = synthetic_trace(range(4), [-1, -1, -1, -1])
-    rep = identify_manifold(tr, obj, dom, np.array([-0.9, 0.0, 0.0]))
-    assert rep.k_bar == 0
-    assert -1 in rep.support_star
+    assert identify_manifold(np.arange(4), np.array([-1, -1, -1, -1]), STAR) == 0
+    assert -1 in STAR
 
 
 def test_identify_manifold_out_then_in():
-    dom = DomainSet(Kind.L1_BALL, 1.0, 3)
-    obj = _FixedGradient([3.0, -1.0, 0.2])
-    tr = synthetic_trace(range(4), [2, -1, -1, -1])
-    rep = identify_manifold(tr, obj, dom, np.array([-0.9, 0.0, 0.0]))
-    assert rep.k_bar == 1
+    assert identify_manifold(np.arange(4), np.array([2, -1, -1, -1]), STAR) == 1
 
 
 def test_identify_manifold_absent_when_last_atom_outside():
-    dom = DomainSet(Kind.L1_BALL, 1.0, 3)
-    obj = _FixedGradient([3.0, -1.0, 0.2])
-    tr = synthetic_trace(range(3), [-1, -1, 2])
-    rep = identify_manifold(tr, obj, dom, np.array([-0.9, 0.0, 0.0]))
-    assert rep.k_bar is None
+    assert identify_manifold(np.arange(3), np.array([-1, -1, 2]), STAR) is None
 
 
 def test_identify_manifold_prefix_monotone():
     """Truncating the tail after k_bar preserves the identification index."""
-    dom = DomainSet(Kind.L1_BALL, 1.0, 3)
-    obj = _FixedGradient([3.0, -1.0, 0.2])
-    vids = [2, 3, -1, -1, -1, -1]
-    full = identify_manifold(synthetic_trace(range(6), vids), obj, dom, np.array([-0.9, 0, 0]))
-    prefix = identify_manifold(synthetic_trace(range(4), vids[:4]), obj, dom, np.array([-0.9, 0, 0]))
-    assert full.k_bar == prefix.k_bar == 2
+    vids = np.array([2, 3, -1, -1, -1, -1])
+    full = identify_manifold(np.arange(6), vids, STAR)
+    prefix = identify_manifold(np.arange(4), vids[:4], STAR)
+    assert full == prefix == 2
 
 
 def test_support_set_near_ties_within_relative_tolerance():
     dom = DomainSet(Kind.L1_BALL, 1.0, 3)
-    obj = _FixedGradient([2.0, -2.0 * (1 - 1e-8), 1.0])
-    star = support_set(obj, dom, np.zeros(3))
+    star = support_set(np.array([2.0, -2.0 * (1 - 1e-8), 1.0]), dom)
     assert star == frozenset({-1, 2})
 
 
@@ -237,17 +200,19 @@ def test_support_set_matches_bruteforce_enumeration(kind):
         vals = np.array([float(np.dot(g, a.vector)) for a in atoms])
         best = float(np.min(vals))
         expected = frozenset(a.vertex_id for a, v in zip(atoms, vals) if v <= best + 1e-6 * abs(best))
-        assert support_set(_FixedGradient(g), dom, np.zeros(n)) == expected
+        assert support_set(g, dom) == expected
         ties += len(expected) > 1
     assert ties > 0
 
 
 def test_manifold_pipeline_on_boundary_cs(cs_manifold_pipeline):
     obj, dom, reference, analyzed = cs_manifold_pipeline
-    rep = identify_manifold(analyzed, obj, dom, reference.state.x)
-    assert rep.k_bar is not None
-    assert rep.k_bar < 2000
-    assert rep.delta is not None and rep.delta > 0
+    g_star = obj.gradient(reference.state.x)
+    k_bar = identify_manifold(analyzed.ks, analyzed.vertex_ids, support_set(g_star, dom))
+    delta = degeneracy_delta(g_star, dom, reference.state.x)
+    assert k_bar is not None
+    assert k_bar < 2000
+    assert delta is not None and delta > 0
 
 
 def test_render_report_is_flat_key_value():

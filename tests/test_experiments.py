@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from avgfw.diagnostics import fit_rate
-from avgfw.domains import Kind
+from avgfw.domains import DomainSet, Kind
 from avgfw.errors import ConfigError, ParseError
 from avgfw.experiments import (
     SyntheticCSSpec,
@@ -94,20 +94,19 @@ def test_scripted_trace_has_nan_objective_columns():
 
 def test_l2_quadratic_regimes():
     sched = Schedule(3.0, 1.0)
-    obj, dom, x_unc = generate_l2ball_quadratic(0.5 * 2.44, seed=0)
+    obj, dom, x_unc = generate_l2ball_quadratic(seed=0)
     assert np.linalg.norm(x_unc) == pytest.approx(2.44)
-    trace = solve(obj, dom, SolverConfig(Variant.FW, sched, 3000))
+    trace = solve(obj, DomainSet(Kind.L2_BALL, 0.5 * 2.44, dom.n), SolverConfig(Variant.FW, sched, 3000))
     boundary = fit_rate(trace.ks, trace.disc_err, (100, 3000))
     assert boundary.slope <= -0.4
-    obj, dom, _ = generate_l2ball_quadratic(2.0 * 2.44, seed=0)
-    trace = solve(obj, dom, SolverConfig(Variant.FW, sched, 3000))
+    trace = solve(obj, DomainSet(Kind.L2_BALL, 2.0 * 2.44, dom.n), SolverConfig(Variant.FW, sched, 3000))
     interior = fit_rate(trace.ks, trace.disc_err, (100, 3000))
     assert interior.slope >= -0.1
 
 
 def test_l2_quadratic_reproducible():
-    a = generate_l2ball_quadratic(1.0, seed=9)
-    b = generate_l2ball_quadratic(1.0, seed=9)
+    a = generate_l2ball_quadratic(seed=9)
+    b = generate_l2ball_quadratic(seed=9)
     assert np.array_equal(a[0].A, b[0].A)
     assert np.array_equal(a[2], b[2])
 

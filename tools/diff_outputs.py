@@ -4,9 +4,10 @@
 
 extracts ``git archive REF`` to a temporary directory and runs the same
 command set on that tree and on the working tree, each in a fresh work
-directory with its own copy of ``configs/`` and of ``bench/cs_large.ini``:
-gen-data, solve on the 1-D probe, compare on the three shipped
-comparison configs (whose references run past ``max_iters``) and on
+directory with its own copy of ``configs/`` and of
+``bench/cs_large.ini``: gen-data, solve on the 1-D probe, compare on the
+three shipped comparison configs (whose references run past
+``max_iters``), on the 1-D probe (the box with n = 1) and on
 ``bench/cs_large.ini`` at seed 0 (whose reference is the averaged run
 itself), sweep on the shipped logistic config at its own seed and at
 ``--seed 3``, both flows, and diag: on the six traces the shipped
@@ -20,27 +21,30 @@ parts: its header (comment lines and column line) byte for byte, and its
 data rows on the columns both name, so a change of trace format shows as
 a header difference alone when the kept columns hold the same bits.
 
-It also runs :func:`hash_cases` in a fresh interpreter on each tree (this
-file run with ``--hash-cases``, the tree's ``src/`` on the path). That
-covers the loop paths no command reaches: least squares, dense and CSR,
-on the l1 ball, the simplex, the box (n = 1 and n = 5) and the l2 ball,
-the logistic loss and the 1-D probe (1 x 1 least squares, as the CLI
-builds it), both variants at ``trace_every`` 1, 7 and ``max_iters``
-(two rows, so f is evaluated twice), a chunked solve/resume across
-image refreshes, a resume in chunks of 5 at ``trace_every`` 7, which
-cross the record stride (least squares, dense and CSR, and the logistic
-loss), the Euler flow, both scripted atom
-streams fed straight to ``solvers._run`` (a repeating cycle and seeded
-iid draws over six l1-ball vertices built inline with ``avgfw.Atom``),
-and ``force_signal`` on six forced signals: n = 1 and n = 3 (with a -0.0
-entry), p = 1 and 0.5, a record stride that does not divide the step
-count, a stride past t_end, t_end below dt/2 (no step) and a
-scalar-returning signal. Each case prints the SHA-256 of the record
-fields every tree since 583eb98 holds: the k, f, gap and disc_err columns
-and the final x, sbar and both images (for a flow, the same columns and
-the final sbar), and a run's ``vertex_ids`` as a second line, ``<case>
-vertex_ids``, each compared like an output; a change to what the record
-keeps of the atom ids then shows on those lines alone.
+It also runs :func:`hash_cases` in a fresh interpreter on each tree
+(this file run with ``--hash-cases``, the tree's ``src/`` on the path).
+That covers the loop paths no command reaches: least squares, dense and
+CSR, on the l1 ball, the simplex, the box (n = 1 and n = 5) and the l2
+ball, the logistic loss and the 1-D probe (1 x 1 least squares, as the
+CLI builds it), both variants at ``trace_every`` 1, 7 and ``max_iters``
+(two rows, so f is evaluated twice), a chunked solve/resume across image
+refreshes, a resume in chunks of 5 at ``trace_every`` 7, which cross the
+record stride (least squares, dense and CSR, and the logistic loss), the
+Euler flow, both scripted atom streams fed straight to ``solvers._run``
+(a repeating cycle and seeded iid draws over six l1-ball vertices built
+inline with ``avgfw.Atom``), ``force_signal`` on six forced signals:
+n = 1 and n = 3 (with a -0.0 entry), p = 1 and 0.5, a record stride that
+does not divide the step count, a stride past t_end, t_end below dt/2
+(no step) and a scalar-returning signal, and the in-process
+``avgfw.cli.compare`` on dense least squares over the simplex, the box
+(n = 5) and the l1 ball with x* past ``max_iters``, the identification
+branches of every polyhedral kind, hashed as its rendered summary. Each
+solve or flow case prints the SHA-256 of the record fields every tree
+since 583eb98 holds: the k, f, gap and disc_err columns and the final x,
+sbar and both images (for a flow, the same columns and the final sbar),
+and a run's ``vertex_ids`` as a second line, ``<case> vertex_ids``, each
+compared like an output; a change to what the record keeps of the atom
+ids then shows on those lines alone.
 
 A differing text output is shown as the first DIFF_LINES lines of its
 unified diff. A differing CSV (its data, by column) or ``key = value``
@@ -74,6 +78,7 @@ COMMANDS: List[List[str]] = [
     ["gen-data", "--out", "out/data"],
     ["solve", "--config", "configs/scalar1d_fw.ini", "--out", "out/scalar1d_fw"],
     *(["compare", "--config", f"configs/{name}.ini", "--out", out] for name, out in COMPARES),
+    ["compare", "--config", "configs/scalar1d_fw.ini", "--out", "out/scalar1d_compare"],
     ["compare", "--config", LARGE_CONFIG, "--seed", "0"],
     ["sweep", "--config", "configs/logistic_synthetic.ini", "--out", "out/sweep"],
     ["sweep", "--config", "configs/logistic_synthetic.ini", "--out", "out/sweep_seed3", "--seed", "3"],
@@ -241,6 +246,8 @@ def hash_cases() -> None:
     import numpy as np
     import scipy.sparse as sp
     from avgfw import Atom, DomainSet, Kind, Schedule, SolverConfig, Variant, resume, solve
+    from avgfw.cli import compare
+    from avgfw.diagnostics import render_report
     from avgfw.solvers import SolverState, _discrete_steps, _run
     from avgfw.flows import FlowConfig, force_signal, integrate
     from avgfw.objectives import Logistic, QuadraticLS
@@ -317,6 +324,10 @@ def hash_cases() -> None:
     for name, signal, p, t_end, every in forced:
         flow = force_signal(FlowConfig(schedule=Schedule(3.0, p), t_end=t_end, dt=1e-3, record_every=every), signal)
         emit(f"force_signal {name}", flow.ks, flow.f, flow.gap, flow.disc_err, flow.state.x)  # the forced run's x is sbar
+    for name in ("simplex", "box5", "l1"):  # the compare protocol, its x* continued past max_iters
+        obj, dom = problems[name]
+        _, entries = compare(obj, dom, SolverConfig(Variant.FW, sched, max_iters=200), (20, 199), 600)
+        print(f"compare {name}", hashlib.sha256(render_report(entries).encode()).hexdigest())
 
 
 def main(argv: List[str]) -> int:
