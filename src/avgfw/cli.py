@@ -177,11 +177,6 @@ def _required(cfg: Config, section: str, key: str):
     return val
 
 
-def _resolve_out_dir(args, configured: Optional[str] = None) -> str:
-    """The output directory's path; ``_out_path`` makes the directory."""
-    return args.out or configured or "."
-
-
 def _out_path(out_dir: str, filename: str) -> str:
     """``filename`` in ``out_dir``, which is made here, right before a
     command's first write, so a run that fails leaves no directory behind."""
@@ -200,9 +195,10 @@ def _resolve_seed(args, configured: int = 0) -> int:
 
 
 def _prepare(args) -> Tuple[Config, Dict[str, str], int, str]:
-    """The config and its echo, then the seed, then the output directory's path."""
+    """The config and its echo, then the seed, then the output directory's
+    path; ``_out_path`` makes the directory."""
     cfg, echo = _read_config(args.config)
-    return cfg, echo, _resolve_seed(args, cfg["output"]["seed"]), _resolve_out_dir(args, cfg["output"]["dir"])
+    return cfg, echo, _resolve_seed(args, cfg["output"]["seed"]), args.out or cfg["output"]["dir"] or "."
 
 
 # ---------------------------------------------------------------- problems
@@ -555,9 +551,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    out_dir = _resolve_out_dir(args)
     data = generate_sparse_logistic(m=args.m, n=args.n, density=args.density, seed=_resolve_seed(args))
-    path = _out_path(out_dir, "synthetic_logistic.svmlight")
+    path = _out_path(args.out or ".", "synthetic_logistic.svmlight")
     write_svmlight(data, path)
     if not args.quiet:
         print(f"wrote {path} ({data.m} samples, {data.n} features)")

@@ -41,14 +41,15 @@ sparse matrix (the svmlight reader and the sparse generator in
 :mod:`avgfw.experiments`). Dense least squares, the 1-D probe included,
 never imports it, so a dense CLI process starts without scipy.
 
-Objectives are frozen dataclasses: evaluation is pure and safe to call
-from any number of threads.
+Objectives are plain classes: the constructor stores M, M^T and the
+sizes once, no method changes them afterwards, and evaluation is pure
+and safe to call from any number of threads. (``Logistic`` binds scipy's
+``expit`` at its first evaluation, the same function in any thread.)
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -82,41 +83,30 @@ def _as_operator(M: MatrixLike) -> MatrixLike:
 
 
 class Objective:
-    """f(x) = phi(M x). A subclass calls :meth:`_bind` once at
-    construction and supplies the loss ``_phi(u, value=True) -> (phi(u),
-    phi'(u))``, with None for phi(u) when ``value`` is False, and
-    ``_inv_curvature``, the reciprocal of a bound on phi''."""
+    """f(x) = phi(M x). A subclass's constructor calls :meth:`_bind` once
+    and supplies the loss ``_phi(u, value=True) -> (phi(u), phi'(u))``,
+    with None for phi(u) when ``value`` is False, and ``_inv_curvature``,
+    the reciprocal of a bound on phi''. Objectives compare and hash by
+    identity."""
 
-    _M: MatrixLike
-    _transposed: MatrixLike
     _inv_curvature: float
 
     def _bind(self, M: MatrixLike, data: np.ndarray, name: str) -> Tuple[MatrixLike, np.ndarray]:
-        """Store M and M^T; return M and the data vector as floats,
-        checked to hold one entry per row of M."""
+        """Store M, M^T, the sizes m and n, and ``image_size``, the length
+        of the carried image: m, for u = M x. Return M and the data vector
+        as floats, checked to hold one entry per row of M."""
         M = _as_operator(M)
         data = np.asarray(data, dtype=float)
         if data.shape != (M.shape[0],):
             raise ConfigError(f"{name} has shape {data.shape}, expected ({M.shape[0]},), one entry per row")
-        object.__setattr__(self, "_M", M)
-        object.__setattr__(self, "_transposed", M.T.tocsr() if _issparse(M) else M.T)
+        self._M = M
+        self._transposed = M.T.tocsr() if _issparse(M) else M.T
+        self.m, self.n = M.shape
+        self.image_size = self.m
         return M, data
 
     def _phi(self, u: np.ndarray, value: bool = True) -> Tuple[Optional[float], np.ndarray]:
         raise NotImplementedError
-
-    @property
-    def n(self) -> int:
-        return self._M.shape[1]
-
-    @property
-    def m(self) -> int:
-        return self._M.shape[0]
-
-    @property
-    def image_size(self) -> int:
-        """Length of the carried image: m, for u = M x."""
-        return self.m
 
     def image(self, v: np.ndarray) -> np.ndarray:
         return self._M @ v
@@ -149,27 +139,19 @@ class Objective:
         return f, self._transposed @ w
 
 
-@dataclass(frozen=True)
 class QuadraticLS(Objective):
-    """f(x) = 0.5 * ||A x - y||_2^2 with dense or CSR-sparse A."""
+    """f(x) = 0.5 * ||A x - y||_2^2 with dense or CSR-sparse A. It carries
+    the image (A x, A^T (A x - y)), of length ``image_size`` = m + n."""
 
-    A: MatrixLike
-    y: np.ndarray
     _inv_curvature = 1.0
 
-    def __post_init__(self):
-        A, y = self._bind(self.A, self.y, "y")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "y", y)
+    def __init__(self, A: MatrixLike, y: np.ndarray):
+        self.A, self.y = self._bind(A, y, "y")
+        self.image_size = self.m + self.n
 
     def _phi(self, u: np.ndarray, value: bool = True) -> Tuple[Optional[float], np.ndarray]:
         r = u - self.y
         return 0.5 * float(r.dot(r)) if value else None, r
-
-    @property
-    def image_size(self) -> int:
-        """Length of the carried image (A x, A^T (A x - y)): m + n."""
-        return self.m + self.n
 
     def _with_gradient(self, u: np.ndarray) -> np.ndarray:
         """(u, A^T (u - y)) in one new array: one product with A^T."""
@@ -201,7 +183,6 @@ class QuadraticLS(Objective):
         return self._phi(image[:m])[0] if value else None, image[m:]
 
 
-@dataclass(frozen=True)
 class Logistic(Objective):
     """f(x) = (1/m) sum_i log(1 + exp(-y_i z_i^T x)), labels y_i in {-1, +1}.
 
@@ -209,22 +190,14 @@ class Logistic(Objective):
     split between the t >= 0 and t < 0 branches.
     """
 
-    Z: MatrixLike
-    labels: np.ndarray
-    _neg_labels: np.ndarray = field(init=False, repr=False, compare=False)
-    _expit: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, init=False, repr=False, compare=False)
+    _expit: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def __post_init__(self):
-        Z, labels = self._bind(self.Z, self.labels, "labels")
-        if not np.all(np.isin(labels, (-1.0, 1.0))):
+    def __init__(self, Z: MatrixLike, labels: np.ndarray):
+        self.Z, self.labels = self._bind(Z, labels, "labels")
+        if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ConfigError("labels must all be -1 or +1")
-        object.__setattr__(self, "Z", Z)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_neg_labels", -labels)
-
-    @property
-    def _inv_curvature(self) -> float:
-        return 4.0 * self.m  # phi'' <= 1/(4m)
+        self._neg_labels = -self.labels
+        self._inv_curvature = 4.0 * self.m  # phi'' <= 1/(4m)
 
     def _phi(self, u: np.ndarray, value: bool = True) -> Tuple[Optional[float], np.ndarray]:
         """The mean of log(1 + e^{nt_i}) and its derivative -y_i expit(nt_i) / m,
@@ -234,7 +207,7 @@ class Logistic(Objective):
         if expit is None:
             from scipy.special import expit
 
-            object.__setattr__(self, "_expit", expit)
+            self._expit = expit
         nt = self._neg_labels * u
         w = expit(nt)
         w *= self._neg_labels

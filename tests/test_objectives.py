@@ -182,6 +182,20 @@ def test_objectives_reject_a_data_vector_of_the_wrong_shape(cls):
             cls(np.eye(3), data)
 
 
+@pytest.mark.parametrize("cls", [QuadraticLS, Logistic])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_objectives_compare_and_hash_by_identity(cls, sparse):
+    # two objectives on the same arrays are two problems: each can key a
+    # dict or join a set, and comparing them never tests an array's truth
+    M = np.random.default_rng(2).standard_normal((6, 4))
+    M = sp.csr_matrix(M) if sparse else M
+    data = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+    a, b = cls(M, data), cls(M, data)
+    assert len({a, b}) == 2
+    assert [a, b].index(b) == 1
+    assert {a: 1, b: 2}[b] == 2
+
+
 def composite_image(obj, u):
     """The carried image of a point with M v = u: u for f = phi(M x), and
     (A v, A^T (A v - y)) for least squares, with M.T taken afresh."""

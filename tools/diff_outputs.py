@@ -38,9 +38,11 @@ does not divide the step count, a stride past t_end, t_end below dt/2
 (no step) and a scalar-returning signal, and the in-process
 ``avgfw.cli.compare`` on dense least squares over the simplex, the box
 (n = 5) and the l1 ball with x* past ``max_iters``, the identification
-branches of every polyhedral kind, hashed as its rendered summary. Each
-solve or flow case prints the SHA-256 of the record fields every tree
-since 583eb98 holds: the k, f, gap and disc_err columns and the final x,
+branches of every polyhedral kind, and on the l2 ball with no reference,
+each hashed as its rendered summary. A ``sizes <problem>`` line per
+problem hashes the objective's m, n, ``image_size`` and
+``_inv_curvature``. Each solve or flow case prints the SHA-256 of the
+record fields every tree since 583eb98 holds: the k, f, gap and disc_err columns and the final x,
 sbar and both images (for a flow, the same columns and the final sbar),
 and a run's ``vertex_ids`` as a second line, ``<case> vertex_ids``, each
 compared like an output; a change to what the record keeps of the atom
@@ -281,6 +283,8 @@ def hash_cases() -> None:
         "logistic_dense_simplex": (Logistic(Z.toarray(), labels), DomainSet(Kind.SIMPLEX, 5.0, 40)),
         "scalar1d": (QuadraticLS(np.ones((1, 1)), np.zeros(1)), DomainSet(Kind.BOX, 1.0, 1)),
     }
+    for name, (obj, _) in problems.items():
+        emit(f"sizes {name}", np.array([obj.m, obj.n, obj.image_size]), np.array([obj._inv_curvature]))
     sched = Schedule(3.0, 1.0)
     for name, (obj, dom) in problems.items():
         for variant in Variant:
@@ -324,9 +328,11 @@ def hash_cases() -> None:
     for name, signal, p, t_end, every in forced:
         flow = force_signal(FlowConfig(schedule=Schedule(3.0, p), t_end=t_end, dt=1e-3, record_every=every), signal)
         emit(f"force_signal {name}", flow.ks, flow.f, flow.gap, flow.disc_err, flow.state.x)  # the forced run's x is sbar
-    for name in ("simplex", "box5", "l1"):  # the compare protocol, its x* continued past max_iters
+    # the compare protocol: on a polyhedron its x* continued past max_iters;
+    # the l2 ball has no identification, so no reference is asked for
+    for name, reference_iters in (("simplex", 600), ("box5", 600), ("l1", 600), ("l2_ball", None)):
         obj, dom = problems[name]
-        _, entries = compare(obj, dom, SolverConfig(Variant.FW, sched, max_iters=200), (20, 199), 600)
+        _, entries = compare(obj, dom, SolverConfig(Variant.FW, sched, max_iters=200), (20, 199), reference_iters)
         print(f"compare {name}", hashlib.sha256(render_report(entries).encode()).hexdigest())
 
 
