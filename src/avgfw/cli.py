@@ -411,13 +411,15 @@ def compare(
         reference_iters = min(100000, 10 * base.max_iters)
     if reference_iters < 1:
         raise ConfigError(f"[compare] reference_iters must be >= 1, got {reference_iters}")
-    traces = {v.value: solve(obj, domain, replace(base, variant=v)) for v in (Variant.FW, Variant.AVGFW)}
+    fw = solve(obj, domain, replace(base, variant=Variant.FW))
+    fw.state.atom_images.clear()  # never resumed: its store goes before the averaged run fills one
+    traces = {"fw": fw, "avgfw": solve(obj, domain, replace(base, variant=Variant.AVGFW))}
     entries: Dict[str, object] = {"window_lo": window[0], "window_hi": window[1]}
     entries.update(_rate_fits({f"_{variant}": trace for variant, trace in traces.items()}, window))
     if domain.is_polyhedral:
-        # resume continues the averaged run bitwise, so the reference is
-        # that run, extended when reference_iters asks for more; only its
-        # last row and final x are read
+        # resume continues the averaged run bitwise, and its store, so the
+        # reference is that run, extended when reference_iters asks for
+        # more; only its last row and final x are read
         reference, extra = traces["avgfw"], reference_iters - base.max_iters
         if extra > 0:
             reference = resume(reference.state, obj, domain, SolverConfig(Variant.AVGFW, base.schedule, extra, trace_every=extra))

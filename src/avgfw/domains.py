@@ -74,7 +74,7 @@ class DomainSet:
         return self.kind in POLYHEDRAL_KINDS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom:
     """An extremal point returned by an LMO.
 

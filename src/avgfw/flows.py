@@ -40,7 +40,7 @@ from .solvers import IterateTrace, SolverConfig, SolverState, Variant, _lmo_sour
 MAX_DT = 1e-2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowConfig:
     variant: Variant = Variant.AVGFW
     schedule: Schedule = DEFAULT_SCHEDULE
@@ -91,9 +91,9 @@ def integrate(obj: Objective, domain: DomainSet, cfg: FlowConfig) -> IterateTrac
     def steps(k: int):
         return dt * gamma(sched, k * dt), 1.0 if k == 0 else dt * beta(sched, k * dt)
 
-    start = SolverState(k=0, x=x0, s_bar=np.zeros(domain.n))
+    start = SolverState(k=0, x=x0, s_bar=np.zeros(domain.n), atom_images_of=(obj, domain))
     try:
-        return _run(_lmo_source(obj, domain), obj.image, steps, run_cfg, start)
+        return _run(_lmo_source(obj, domain, start.atom_images), obj.image, steps, run_cfg, start)
     except NumericalBlowup as err:  # f is evaluated only on recorded steps: say where it was seen, in flow terms
         raise NumericalBlowup(err.k, f"non-finite value first seen at Euler step {err.k} (t = {err.k * dt:g})") from None
 

@@ -33,14 +33,22 @@ is known.
 The atom source keeps the images of the first ATOM_CACHE distinct
 vertices a run meets, by vertex id; it then stops growing and evicts
 nothing, and a step whose vertex is kept reuses its image. Atoms
-without an id (the l2 ball) are never kept. The store belongs to one
-run's source, so it lives as long as that run: at most ATOM_CACHE
-images of ``image_size`` floats each, freed when the run returns. For
-least squares that is 80 images of (m + n) floats: 7.04 MB at
-1000 x 10000 and 0.38 MB at 100 x 500. A 1000-step run at 1000 x 10000
-meets 76-115 distinct vertices (seeds 0-19), and 80 slots keep most of
-the repeats. The count is not larger because the store is a run's
-largest allocation after A: 128 slots raised the peak RSS of a
+without an id (the l2 ball) are never kept. The store is part of the
+checkpoint: :func:`solve` (and ``flows.integrate``) start it empty, the
+state a run returns holds it, and :func:`resume` continues it in a copy,
+so a run cut into chunks of any size computes the images of the
+uninterrupted run and no others. An image depends on the objective and
+on the domain's radius, so ``resume`` reads a state's store only on the
+objective that filled it (by identity) and an equal domain, and starts
+empty anywhere else. A store holds at most ATOM_CACHE images of
+``image_size`` floats each. For least squares that is 80 images of
+(m + n) floats: 7.04 MB at 1000 x 10000 and 0.38 MB at 100 x 500. A
+resume's copy shares the images it inherits, so a run and its resumes
+hold at most one store's images between them, and a caller that keeps
+two runs' states holds two stores. A 1000-step run at
+1000 x 10000 meets 76-115 distinct vertices (seeds 0-19), and 80 slots
+keep most of the repeats. The count is not larger because the store is
+a run's largest allocation after A: 128 slots raised the peak RSS of a
 1000 x 10000 compare by about 6%, and a byte budget large enough to
 keep every vertex at 100 x 500 (330-535 per run) raised that process's
 peak by about 5%. An image is a function of its atom, so a kept image
@@ -60,7 +68,8 @@ The loop works in two buffers it owns, (x, u) and (sbar, ubar), copied
 from the start state, and updates each in place: one operation moves a
 point and its image together, with the float operations of the plain
 form v + w (target - v). It never writes into an atom, an atom image,
-x0 or the state it was given, and the state it returns holds copies.
+x0 or the state it was given, and the state it returns holds copies
+of its points and images.
 
 A step pays only for the row it records: the loop tells the atom source
 whether step k is recorded, and f is evaluated, and checked for
@@ -82,7 +91,7 @@ from __future__ import annotations
 import enum
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -102,7 +111,7 @@ class Variant(enum.Enum):
     AVGFW = "avgfw"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolverConfig:
     """What to run and what to record.
 
@@ -123,7 +132,7 @@ class SolverConfig:
             raise ConfigError(f"trace_every must be >= 1, got {self.trace_every}")
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverState:
     """Checkpoint of a run: everything needed to continue it exactly.
 
@@ -131,7 +140,10 @@ class SolverState:
     carries zeros there, and beta_0 = 1 overwrites it at k = 0.
     ``x_image`` and ``s_bar_image`` are the carried images of x and sbar
     under the objective's ``image`` map. A state without them (None) gets
-    them recomputed exactly at its first step.
+    them recomputed exactly at its first step. ``atom_images`` is the
+    run's atom-image store, vertex id -> image, and ``atom_images_of`` the
+    (objective, domain) it was filled on; :func:`resume` reads the store
+    only there, and never writes into it.
     """
 
     k: int
@@ -139,9 +151,11 @@ class SolverState:
     s_bar: np.ndarray
     x_image: Optional[np.ndarray] = None
     s_bar_image: Optional[np.ndarray] = None
+    atom_images: Dict[int, np.ndarray] = field(default_factory=dict)
+    atom_images_of: Optional[Tuple[Objective, DomainSet]] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class IterateTrace:
     """Per-iteration record of every run (:func:`solve`, :func:`resume`
     and the Euler flows of ``flows``, whose row k is at t = k dt) and of
@@ -205,13 +219,14 @@ def _start_point(obj: Objective, domain: DomainSet, x0: Optional[np.ndarray]) ->
     return x
 
 
-def _lmo_source(obj: Objective, domain: DomainSet) -> AtomSource:
+def _lmo_source(obj: Objective, domain: DomainSet, kept: Dict[int, np.ndarray]) -> AtomSource:
     """The atom source of a real run: the gradient at x_k from its image
     u_k, with the value when the row is recorded (None otherwise), the
-    LMO atom there, and the atom's image, kept for the first ATOM_CACHE
-    vertex ids the run meets (80 least-squares images: at most 7.04 MB
-    at 1000 x 10000)."""
-    kept: Dict[int, np.ndarray] = {}
+    LMO atom there, and the atom's image, read from and added to ``kept``,
+    the run's store, until it holds ATOM_CACHE vertex ids (80
+    least-squares images: at most 7.04 MB at 1000 x 10000). The caller
+    passes the store of the state the run starts from, so the state the
+    run returns holds it."""
 
     def source(x: np.ndarray, u: np.ndarray, k: int, record: bool) -> Tuple[Optional[float], np.ndarray, Atom, np.ndarray]:
         f_k, g = obj.value_and_gradient(x, u, record)  # one call a step, by this name: bench/child.py counts it
@@ -232,20 +247,24 @@ def _lmo_source(obj: Objective, domain: DomainSet) -> AtomSource:
 
 
 def solve(obj: Objective, domain: DomainSet, cfg: SolverConfig) -> IterateTrace:
-    """Run exactly ``cfg.max_iters`` iterations from the configured start."""
+    """Run exactly ``cfg.max_iters`` iterations from the configured start,
+    with an empty atom-image store."""
     x0 = _start_point(obj, domain, cfg.x0)
-    state = SolverState(k=0, x=x0, s_bar=np.zeros(domain.n))
-    return _run(_lmo_source(obj, domain), obj.image, _discrete_steps(cfg.schedule), cfg, state)
+    state = SolverState(k=0, x=x0, s_bar=np.zeros(domain.n), atom_images_of=(obj, domain))
+    return _run(_lmo_source(obj, domain, state.atom_images), obj.image, _discrete_steps(cfg.schedule), cfg, state)
 
 
 def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverConfig) -> IterateTrace:
     """Continue from a checkpoint for ``cfg.max_iters`` further iterations.
 
-    Bitwise-identical to the uninterrupted run split at the same point.
-    A state whose x lies outside the domain raises ConfigError. A state
-    without images gets them recomputed exactly, which matches
-    the uninterrupted run bitwise only at a multiple of IMAGE_REFRESH and
-    to rounding elsewhere.
+    Bitwise-identical to the uninterrupted run split at the same point,
+    and it computes the atom images that run computes after that point:
+    it continues a copy of the state's store when the state was filled
+    on this objective (the same object) and an equal domain, and starts
+    empty elsewhere. A state whose x lies outside the domain raises
+    ConfigError. A state without images gets them recomputed exactly,
+    which matches the uninterrupted run bitwise only at a multiple of
+    IMAGE_REFRESH and to rounding elsewhere.
     """
     if state.x.shape != (domain.n,) or state.s_bar.shape != (domain.n,):
         raise ConfigError("state dimension does not match the domain")
@@ -257,7 +276,9 @@ def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverCon
     size = obj.image_size
     if any(u is not None and np.shape(u) != (size,) for u in (state.x_image, state.s_bar_image)):
         raise ConfigError(f"state images do not match the objective: expected shape ({size},)")
-    return _run(_lmo_source(obj, domain), obj.image, _discrete_steps(cfg.schedule), cfg, state)
+    same_run = state.atom_images_of == (obj, domain)  # objectives compare by identity, domains by value
+    start = replace(state, atom_images=dict(state.atom_images) if same_run else {}, atom_images_of=(obj, domain))
+    return _run(_lmo_source(obj, domain, start.atom_images), obj.image, _discrete_steps(cfg.schedule), cfg, start)
 
 
 def _run(source: AtomSource, image: ImageMap, steps: StepRule, cfg: SolverConfig, state: SolverState) -> IterateTrace:
@@ -267,7 +288,8 @@ def _run(source: AtomSource, image: ImageMap, steps: StepRule, cfg: SolverConfig
     s_k's vertex id, if any); ``image(v)`` is the affine T(v), and
     ``steps(k)`` returns (gamma_k, beta_k). The gap row is
     g . (x_k - s_k), so a source without an objective that returns NaN
-    for f and g gets NaN gaps."""
+    for f and g gets NaN gaps. The final state holds ``state``'s atom-image
+    store, which the caller's source fills."""
     averaged = cfg.variant is Variant.AVGFW
     every = cfg.trace_every
 
@@ -318,5 +340,5 @@ def _run(source: AtomSource, image: ImageMap, steps: StepRule, cfg: SolverConfig
         dz *= g_k
         z += dz
 
-    final = SolverState(k=k_end, x=x.copy(), s_bar=s_bar.copy(), x_image=u.copy(), s_bar_image=u_bar.copy())
+    final = SolverState(k_end, x.copy(), s_bar.copy(), u.copy(), u_bar.copy(), state.atom_images, state.atom_images_of)
     return IterateTrace.packed(ks, rows, vids, final)

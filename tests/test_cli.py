@@ -19,7 +19,7 @@ from avgfw.experiments import generate_sparse_logistic, train_val_split, write_s
 from avgfw.flows import FlowConfig, force_signal, integrate
 from avgfw.objectives import Logistic, QuadraticLS
 from avgfw.schedules import Schedule
-from avgfw.solvers import IterateTrace, Variant, resume, solve
+from avgfw.solvers import ATOM_CACHE, IterateTrace, SolverConfig, Variant, resume, solve
 from oracles import scalar_probe
 
 
@@ -1227,6 +1227,23 @@ def test_write_csv_of_5000_rows_holds_under_150_kb(tmp_path):
     peak = traced_peak_rise(lambda: cli._write_csv(path, {"seed": 0}, cli.TRACE_COLUMNS, cli._trace_columns(trace)))
     assert read_trace_csv(path).gap.tolist() == trace.gap.tolist()
     assert peak < 0.15 * 2**20
+
+
+def test_compare_holds_one_atom_image_store(cs_instance):
+    # each 1000-step run at 100 x 500 meets more than ATOM_CACHE vertices,
+    # so each fills a store of ATOM_CACHE images; compare never resumes the
+    # fw run and frees its store, so the two never coexist. The margin holds
+    # both 1000-row records (40 bytes a row) and a step's transient arrays;
+    # keeping the fw store too adds one store and passes it
+    _, obj, dom, _ = cs_instance
+    base = SolverConfig(Variant.AVGFW, Schedule(3.0, 1.0), 1000)
+    result = []
+    peak = traced_peak_rise(lambda: result.append(cli.compare(obj, dom, base, (100, 999), 2000)))
+    traces = result[0][0]
+    assert all(np.unique(trace.vertex_ids).size > ATOM_CACHE for trace in traces.values())
+    store = ATOM_CACHE * obj.image_size * 8
+    assert peak < store + 0.3 * 2**20
+    assert len(traces["avgfw"].state.atom_images) == ATOM_CACHE and not traces["fw"].state.atom_images
 
 
 # numpy routines that call LAPACK: ``polyfit`` and these of ``linalg``, with ``eig*``

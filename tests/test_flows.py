@@ -169,8 +169,8 @@ def test_euler_iterates_stay_feasible_without_a_runtime_check(monkeypatch, kind,
     real_source = avgfw.flows._lmo_source
     checked = []
 
-    def checking_source(obj, domain):
-        source = real_source(obj, domain)
+    def checking_source(obj, domain, kept):
+        source = real_source(obj, domain, kept)
 
         def check(x, u, k, record):
             assert contains(domain, x, 1e-9 * domain.alpha), f"x left the domain at step {k}"

@@ -12,7 +12,7 @@ from avgfw.experiments import SyntheticCSSpec, generate_cs
 from avgfw.flows import FlowConfig, force_signal, integrate
 from avgfw.objectives import Logistic, QuadraticLS
 from avgfw.schedules import Schedule, beta, gamma
-from avgfw.solvers import ATOM_CACHE, IMAGE_REFRESH, SolverConfig, SolverState, Variant, resume, solve
+from avgfw.solvers import ATOM_CACHE, IMAGE_REFRESH, IterateTrace, SolverConfig, SolverState, Variant, resume, solve
 from avgfw.diagnostics import fit_rate
 from oracles import apply_weights, diameter, l1_vertex, scalar_probe, scripted_run, unrolled_weights
 
@@ -414,8 +414,9 @@ def test_resume_computes_products_only_at_refreshes_and_first_atoms(cs_manifold_
     # A 200-step resume from k = 300 crosses the refreshes at 320, 384 and
     # 448. resume builds no image, and a step computes no product: A and
     # A^T run only in the exact images of a refresh (x alone for a vanilla
-    # run) and, for A^T, once for each atom the resume's own store has not
-    # kept yet. The CSR copy of the instance makes the products countable.
+    # run) and, for A^T, once for each atom the store it inherits from the
+    # first 300 steps has not kept yet. The CSR copy of the instance makes
+    # the products countable.
     dense, dom, _, _ = cs_manifold_pipeline
     obj = QuadraticLS(sp.csr_matrix(dense.A), dense.y)
     cfg = SolverConfig(variant, Schedule(3.0, 1.0), max_iters=300)
@@ -431,7 +432,93 @@ def test_resume_computes_products_only_at_refreshes_and_first_atoms(cs_manifold_
     trace = resume(state, obj, dom, dataclasses.replace(cfg, max_iters=200))
     images = 3 * (2 if variant is Variant.AVGFW else 1)
     assert calls.count("A") == images
-    assert calls.count("A^T") == images + np.unique(trace.vertex_ids).size
+    new_atoms = set(trace.vertex_ids.tolist()) - set(state.atom_images)
+    assert len(new_atoms) < np.unique(trace.vertex_ids).size
+    assert calls.count("A^T") == images + len(new_atoms)
+
+
+@pytest.mark.parametrize("variant", [Variant.FW, Variant.AVGFW])
+@pytest.mark.parametrize("chunk", [1, 20, IMAGE_REFRESH, 333])
+def test_a_chunked_run_computes_the_atom_images_of_the_uninterrupted_run(cs_instance, monkeypatch, variant, chunk):
+    # the store travels in the checkpoint, so a resume inherits the images
+    # its run kept before the cut: chunks of any size compute the same
+    # atom images, in the same order, as one 1000-step run, and hold the
+    # same floats
+    _, obj, dom, _ = cs_instance
+    calls = count_atom_images(monkeypatch)
+    full = solve(obj, dom, SolverConfig(variant, Schedule(3.0, 1.0), max_iters=1000))
+    uninterrupted = list(calls)
+    del calls[:]
+    cols, state = chunked(obj, dom, variant, 1000, chunk)
+    assert calls == uninterrupted
+    assert len(state.atom_images) == ATOM_CACHE < len(uninterrupted) < 1000
+    assert list(state.atom_images) == list(full.state.atom_images)
+    for f in TRACE_FIELDS:
+        assert_bitwise(cols[f], getattr(full, f))
+    for f in ("k", "x", "s_bar", "x_image", "s_bar_image"):
+        assert_bitwise(getattr(state, f), getattr(full.state, f))
+
+
+@pytest.mark.parametrize("elsewhere", ["radius", "objective"])
+def test_resume_reads_a_store_only_on_the_run_it_belongs_to(monkeypatch, elsewhere):
+    # an atom's image depends on the objective and the radius: a state
+    # resumed on a wider l1 ball (its x still feasible) or on a second
+    # objective built from the same arrays starts with an empty store,
+    # so it computes what a state without one computes, image by image
+    obj, dom = small_quadratic()
+    cfg = SolverConfig(Variant.AVGFW, Schedule(3.0, 1.0), max_iters=100)
+    state = solve(obj, dom, cfg).state
+    if elsewhere == "radius":
+        dom = DomainSet(Kind.L1_BALL, 2 * dom.alpha, dom.n)
+    else:
+        obj = QuadraticLS(obj.A, obj.y)
+    calls = count_atom_images(monkeypatch)
+    trace = resume(state, obj, dom, cfg)
+    inherited = list(calls)
+    del calls[:]
+    empty = resume(dataclasses.replace(state, atom_images={}), obj, dom, cfg)
+    assert calls == inherited
+    assert set(state.atom_images) & set(inherited)  # a store read here would have skipped these
+    for f in TRACE_FIELDS:
+        assert_bitwise(getattr(trace, f), getattr(empty, f))
+    for f in ("k", "x", "s_bar", "x_image", "s_bar_image"):
+        assert_bitwise(getattr(trace.state, f), getattr(empty.state, f))
+
+
+def test_resume_never_writes_into_the_store_it_was_given(monkeypatch):
+    # the resume meets vertices the first 20 steps did not, and keeps
+    # them in its own copy; the given state's store keeps its entries
+    obj, dom = small_quadratic()
+    cfg = SolverConfig(Variant.AVGFW, Schedule(3.0, 1.0), max_iters=20)
+    state = solve(obj, dom, cfg).state
+    before = dict(state.atom_images)
+    calls = count_atom_images(monkeypatch)
+    after = resume(state, obj, dom, cfg).state
+    assert calls and not set(calls) & set(before)
+    assert state.atom_images == before and all(state.atom_images[v] is before[v] for v in before)
+    assert set(after.atom_images) == set(before) | set(calls)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: Atom(x, 1),
+        lambda x: SolverConfig(x0=x),
+        lambda x: FlowConfig(x0=x),
+        lambda x: SolverState(0, x, x),
+        lambda x: IterateTrace(np.arange(2), x, x, x, None, None),
+    ],
+    ids=["Atom", "SolverConfig", "FlowConfig", "SolverState", "IterateTrace"],
+)
+def test_records_that_hold_arrays_compare_and_hash_by_identity(make):
+    # two records of equal arrays are two objects: each can key a dict or
+    # join a set, and comparing them never tests an array's truth
+    x = np.array([1.0, 0.0])
+    a, b = make(x), make(x.copy())
+    assert len({a, b}) == 2
+    assert [a, b].index(b) == 1
+    assert {a: 1, b: 2}[b] == 2
+    assert dataclasses.replace(a) is not a
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

@@ -6,8 +6,9 @@ runs ``avgfw.cli.main(["compare", ...])`` in this process for each seed
 in LO..HI (default 0-19), with its outputs in a temporary directory, and
 counts the calls of ``QuadraticLS.atom_image``: one A^T product each,
 for an atom whose image the run has not kept (``solvers.ATOM_CACHE``).
-The count covers the fw run, the avgfw run and, when ``reference_iters``
-exceeds ``max_iters``, the resumed reference, each with its own store.
+The count covers the fw run and the avgfw run, each starting with an
+empty store, and, when ``reference_iters`` exceeds ``max_iters``, the
+resumed reference, which continues the avgfw run's store.
 The exact image refreshes (every ``solvers.IMAGE_REFRESH`` steps) are
 not counted. Per seed it prints the calls and the distinct vertices of
 the fw and avgfw traces ("none" on the l2 ball, whose atoms have no
