@@ -20,8 +20,8 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 
-from .domains import DomainSet, Kind, _vertex_blocks
-from .errors import UnsupportedKind
+from .domains import DomainSet, Kind, _check_gradient, vertex_values
+from .errors import ConfigError, UnsupportedKind
 
 GEOMETRIC_SUBSAMPLE_RATIO = 1.1
 SUPPORT_REL_TOL = 1e-6
@@ -112,10 +112,14 @@ def degeneracy_delta(g: np.ndarray, domain: DomainSet, x_star: np.ndarray) -> Op
     delta = min over zero coordinates j of  ||g||_inf - |g_j|;
     zero iff some zero coordinate ties the maximum, i.e. the problem is
     degenerate. Coordinates below 1e-8 * alpha count as zero. None when
-    x_star has no zero coordinate.
+    x_star has no zero coordinate. ``g`` is checked as by ``lmo``, and
+    an ``x_star`` of another shape raises ConfigError.
     """
     if domain.kind is not Kind.L1_BALL:
         raise UnsupportedKind("degeneracy margin is defined on the l1 ball")
+    g, _ = _check_gradient(domain, g)
+    if np.shape(x_star) != (domain.n,):
+        raise ConfigError(f"x_star has shape {np.shape(x_star)}, expected ({domain.n},)")
     zero_mask = np.abs(x_star) <= ZERO_COORD_FACTOR * domain.alpha
     if not np.any(zero_mask):
         return None
@@ -125,23 +129,9 @@ def degeneracy_delta(g: np.ndarray, domain: DomainSet, x_star: np.ndarray) -> Op
 
 def support_set(g: np.ndarray, domain: DomainSet) -> FrozenSet[int]:
     """Vertex ids whose LMO objective at the gradient ``g`` is within
-    relative tolerance 1e-6 of the best vertex value.
-
-    On the l1 ball and the simplex a vertex's value is one scaled
-    gradient entry (+-alpha g_i, alpha g_i), so no vertex is built; box
-    corners are scanned block by block (n <= 20).
-    """
-    if not domain.is_polyhedral:
-        raise UnsupportedKind("support sets need a polyhedral domain")
-    a = domain.alpha
-    if domain.kind is Kind.L1_BALL:
-        ids = np.arange(1, domain.n + 1)
-        ids, vals = np.concatenate([ids, -ids]), np.concatenate([a * g, -a * g])
-    elif domain.kind is Kind.SIMPLEX:
-        ids, vals = np.arange(domain.n), a * g
-    else:
-        ids, vals = zip(*((codes, V @ g) for codes, V in _vertex_blocks(domain)))
-        ids, vals = np.concatenate(ids), np.concatenate(vals)
+    relative tolerance 1e-6 of the best vertex value, over the vertices
+    of ``domains.vertex_values``, which checks ``g`` and the domain."""
+    ids, vals = vertex_values(domain, g)
     best = float(np.min(vals))
     tol = SUPPORT_REL_TOL * abs(best)
     return frozenset(ids[vals <= best + tol].tolist())

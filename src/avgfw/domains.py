@@ -10,9 +10,10 @@ reproduce the boundary/interior dichotomy experiment.
 
 Tie-breaking is deterministic everywhere: the lowest coordinate index
 wins, and a sign tie at a zero gradient component resolves to the
-positive vertex. ``_vertex_blocks`` enumerates vertices in an order that
-reproduces exactly this rule, so the brute-force LMO that the tests build
-on it (``tests/oracles.py``) agrees with ``lmo`` atom-for-atom.
+positive vertex. ``vertex_values`` lists the vertices in an order that
+reproduces exactly this rule, so its first minimum is ``lmo``'s atom.
+Only this module spells the id encoding: ``lmo`` writes it,
+``vertex_values`` lists it and ``vertex_coordinate`` reads it.
 
 vertex_id encoding:
   L1Ball   +alpha*e_i -> +(i+1),  -alpha*e_i -> -(i+1)
@@ -152,34 +153,30 @@ def vertex_coordinate(domain: DomainSet, atom: Atom) -> Optional[int]:
     return None
 
 
-def _vertex_blocks(domain: DomainSet, block: int = 8192):
-    """Yield (ids, matrix) chunks covering every vertex of a polyhedral
-    domain, in the order of the lmo tie-break: for each index the positive
-    vertex precedes the negative one, indices ascending; box corners
-    ascend by corner code."""
+def vertex_values(domain: DomainSet, gradient: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every vertex's id and its value ``gradient . v``, in the order of
+    the lmo tie-break (l1 ball: +(i+1), -(i+1) for each i ascending;
+    simplex: i; box: corner codes ascending), so the first minimum is
+    lmo's atom. The gradient is checked as ``lmo`` checks it; the l2
+    ball and a box of more than BOX_BRUTEFORCE_MAX_DIM coordinates raise
+    UnsupportedKind."""
+    if not domain.is_polyhedral:
+        raise UnsupportedKind("the l2 ball has no vertices")
+    if domain.kind is Kind.BOX and domain.n > BOX_BRUTEFORCE_MAX_DIM:
+        raise UnsupportedKind(f"box vertex enumeration limited to n <= {BOX_BRUTEFORCE_MAX_DIM}")
+    g, _ = _check_gradient(domain, gradient)
     a = domain.alpha
     n = domain.n
     if domain.kind is Kind.L1_BALL:
-        ids = np.empty(2 * n, dtype=int)
-        V = np.zeros((2 * n, n))
-        for i in range(n):
-            ids[2 * i] = i + 1
-            V[2 * i, i] = a
-            ids[2 * i + 1] = -(i + 1)
-            V[2 * i + 1, i] = -a
-        yield ids, V
-    elif domain.kind is Kind.SIMPLEX:
-        yield np.arange(n), a * np.eye(n)
-    elif domain.kind is Kind.BOX:
-        if n > BOX_BRUTEFORCE_MAX_DIM:
-            raise UnsupportedKind(f"box vertex enumeration limited to n <= {BOX_BRUTEFORCE_MAX_DIM}")
-        bits = np.left_shift(1, np.arange(n))
-        for lo in range(0, 1 << n, block):
-            codes = np.arange(lo, min(lo + block, 1 << n))
-            neg = (codes[:, None] & bits) != 0
-            yield codes, np.where(neg, -a, a)
-    else:
-        raise UnsupportedKind("the l2 ball has no vertex enumeration")
+        ids = np.arange(1, n + 1)
+        return np.stack((ids, -ids), axis=1).ravel(), np.stack((a * g, -a * g), axis=1).ravel()
+    if domain.kind is Kind.SIMPLEX:
+        return np.arange(n), a * g
+    codes = np.arange(1 << n)
+    bits = np.left_shift(1, np.arange(n))
+    # 8192 corners a product, so no corner matrix exceeds 8192 x 20 floats
+    vals = [np.where((codes[lo : lo + 8192, None] & bits) != 0, -a, a) @ g for lo in range(0, codes.size, 8192)]
+    return codes, np.concatenate(vals)
 
 
 def contains(domain: DomainSet, x: np.ndarray, tol: float) -> bool:

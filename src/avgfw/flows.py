@@ -4,10 +4,10 @@ The vanilla flow is  dx/dt = gamma(t) (s(t) - x(t))  with s(t) the LMO
 at the current gradient; the averaged flow couples in
 ds̄/dt = beta(t) (s(t) - sbar(t)) and steers x toward sbar instead.
 An explicit Euler step of size dt is the method's own update with
-weights dt gamma(t) and dt beta(t), so :func:`integrate` runs the
-solver's iteration loop (``solvers._run``) and atom source with that
-step rule; the first weight is 1, which anchors sbar at the first LMO
-atom. As dt <= MAX_DT and gamma, beta <= 1, every weight lies in [0, 1],
+weights dt gamma(t) and dt beta(t), so :func:`integrate` starts the
+solver's loop as ``solve`` does (``solvers._fresh_run``) with that step
+rule; the first weight is 1, which anchors sbar at the first LMO atom.
+As dt <= MAX_DT and gamma, beta <= 1, every weight lies in [0, 1],
 so the iterates stay feasible with only the start point checked. Only
 explicit Euler with a fixed fine step is offered: the LMO makes the
 right-hand side discontinuous in x, so higher-order integrators buy
@@ -35,7 +35,7 @@ from .domains import Atom, DomainSet
 from .errors import ConfigError, NumericalBlowup
 from .objectives import Objective
 from .schedules import DEFAULT_SCHEDULE, Schedule, beta, gamma
-from .solvers import IterateTrace, SolverConfig, SolverState, Variant, _lmo_source, _run, _start_point
+from .solvers import IterateTrace, SolverConfig, SolverState, Variant, _fresh_run, _run
 
 MAX_DT = 1e-2
 
@@ -84,16 +84,14 @@ def integrate(obj: Objective, domain: DomainSet, cfg: FlowConfig) -> IterateTrac
     recorded steps, so that is the first recorded step at or after the
     one where f overflowed, or the first step with a non-finite gradient.
     """
-    x0 = _start_point(obj, domain, cfg.x0)
     sched, dt = cfg.schedule, cfg.dt
     _, run_cfg = _euler_steps(cfg, cfg.variant)
 
     def steps(k: int):
         return dt * gamma(sched, k * dt), 1.0 if k == 0 else dt * beta(sched, k * dt)
 
-    start = SolverState(k=0, x=x0, s_bar=np.zeros(domain.n), atom_images_of=(obj, domain))
     try:
-        return _run(_lmo_source(obj, domain, start.atom_images), obj.image, steps, run_cfg, start)
+        return _fresh_run(obj, domain, cfg.x0, steps, run_cfg)
     except NumericalBlowup as err:  # f is evaluated only on recorded steps: say where it was seen, in flow terms
         raise NumericalBlowup(err.k, f"non-finite value first seen at Euler step {err.k} (t = {err.k * dt:g})") from None
 

@@ -246,12 +246,18 @@ def _lmo_source(obj: Objective, domain: DomainSet, kept: Dict[int, np.ndarray]) 
     return source
 
 
+def _fresh_run(obj: Objective, domain: DomainSet, x0: Optional[np.ndarray], steps: StepRule, cfg: SolverConfig) -> IterateTrace:
+    """A run with step rule ``steps`` from k = 0 at the start ``x0`` names
+    (see :func:`_start_point`), with an empty atom-image store: the one
+    entry of :func:`solve` and ``flows.integrate``."""
+    state = SolverState(k=0, x=_start_point(obj, domain, x0), s_bar=np.zeros(domain.n), atom_images_of=(obj, domain))
+    return _run(_lmo_source(obj, domain, state.atom_images), obj.image, steps, cfg, state)
+
+
 def solve(obj: Objective, domain: DomainSet, cfg: SolverConfig) -> IterateTrace:
     """Run exactly ``cfg.max_iters`` iterations from the configured start,
     with an empty atom-image store."""
-    x0 = _start_point(obj, domain, cfg.x0)
-    state = SolverState(k=0, x=x0, s_bar=np.zeros(domain.n), atom_images_of=(obj, domain))
-    return _run(_lmo_source(obj, domain, state.atom_images), obj.image, _discrete_steps(cfg.schedule), cfg, state)
+    return _fresh_run(obj, domain, cfg.x0, _discrete_steps(cfg.schedule), cfg)
 
 
 def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverConfig) -> IterateTrace:

@@ -11,9 +11,11 @@ two agree:
   ``accumulation(t)``, the closed-form response of the averaging ODE
   d sbar = beta(t) (s - sbar) dt to the constant unit signal, the
   yardstick the flow integrator is validated against.
-- domains: vertex enumeration and the brute-force LMO, which scans every
-  vertex in an order that reproduces ``lmo``'s tie-break, so the two
-  oracles agree atom for atom; ``l1_vertex``, a signed l1-ball vertex
+- domains: vertex enumeration, which builds every vertex and its id from
+  the encoding ``domains`` documents, with no package code, in the order
+  of ``lmo``'s tie-break; the brute-force LMO, the first least-valued
+  vertex of ``domains.vertex_values`` built from its id, so it agrees
+  with ``lmo`` atom for atom; ``l1_vertex``, a signed l1-ball vertex
   with its id; and ``diameter``, a bound on the distance between points
   of a domain.
 - objectives: the projection-free duality gap ``gap``, a certified upper
@@ -36,7 +38,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from avgfw.domains import Atom, DomainSet, Kind, _check_gradient, _vertex_blocks, lmo
+from avgfw.domains import BOX_BRUTEFORCE_MAX_DIM, Atom, DomainSet, Kind, lmo, vertex_values
 from avgfw.errors import ConfigError, InputError, NumericalError, UnsupportedKind
 from avgfw.objectives import Objective, QuadraticLS
 from avgfw.schedules import Schedule
@@ -122,6 +124,19 @@ def accumulation(s: Schedule, t: float) -> float:
 # ---------------------------------------------------------------- domains
 
 
+def _vertex(domain: DomainSet, vertex_id: int) -> np.ndarray:
+    """The vertex of a polyhedral domain that ``vertex_id`` names."""
+    a = domain.alpha
+    if domain.kind is Kind.BOX:  # bit i of the corner code set: coordinate i is -alpha
+        return np.array([-a if vertex_id >> i & 1 else a for i in range(domain.n)])
+    v = np.zeros(domain.n)
+    if domain.kind is Kind.L1_BALL:
+        v[abs(vertex_id) - 1] = a if vertex_id > 0 else -a
+    else:
+        v[vertex_id] = a
+    return v
+
+
 def enumerate_vertices(domain: DomainSet) -> Iterator[Atom]:
     """Yield every extremal vertex of a polyhedral domain.
 
@@ -129,31 +144,30 @@ def enumerate_vertices(domain: DomainSet) -> Iterator[Atom]:
     vertex precedes the negative one, indices ascending; box corners
     ascend by corner code.
     """
-    for ids, V in _vertex_blocks(domain):
-        for vertex_id, v in zip(ids.tolist(), V):
-            yield Atom(v, vertex_id)
+    n = domain.n
+    if domain.kind is Kind.L1_BALL:
+        ids = [sign * (i + 1) for i in range(n) for sign in (1, -1)]
+    elif domain.kind is Kind.SIMPLEX:
+        ids = range(n)
+    elif domain.kind is Kind.BOX and n <= BOX_BRUTEFORCE_MAX_DIM:
+        ids = range(1 << n)
+    else:
+        raise UnsupportedKind("vertex enumeration needs a polyhedral domain, and a box of n <= 20")
+    for vertex_id in ids:
+        yield Atom(_vertex(domain, vertex_id), vertex_id)
 
 
 def lmo_bruteforce(domain: DomainSet, gradient: np.ndarray) -> Atom:
-    """Exact LMO by scanning every vertex; test oracle for ``lmo``.
+    """Exact LMO by valuing every vertex; test oracle for ``lmo``.
 
-    Keeps the first vertex attaining the strict minimum, which under the
-    enumeration order of :func:`enumerate_vertices` reproduces lmo's
-    documented tie-break.
+    Keeps the first vertex of least value in the order of
+    ``domains.vertex_values``, which reproduces lmo's documented
+    tie-break, and builds it from its id. The gradient is checked, and
+    the l2 ball rejected, as ``vertex_values`` does.
     """
-    if not domain.is_polyhedral:
-        raise UnsupportedKind("brute-force LMO requires a polyhedral domain")
-    g, _ = _check_gradient(domain, gradient)
-    best: Optional[Atom] = None
-    best_val = np.inf
-    for ids, V in _vertex_blocks(domain):
-        vals = V @ g
-        i = int(np.argmin(vals))  # first occurrence wins ties
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best = Atom(V[i].copy(), int(ids[i]))
-    assert best is not None
-    return best
+    ids, vals = vertex_values(domain, gradient)
+    vertex_id = int(ids[np.argmin(vals)])  # first occurrence wins ties
+    return Atom(_vertex(domain, vertex_id), vertex_id)
 
 
 def diameter(domain: DomainSet) -> float:

@@ -11,8 +11,8 @@ from avgfw.diagnostics import (
     support_set,
     support_trajectory,
 )
-from avgfw.domains import DomainSet, Kind
-from avgfw.errors import UnsupportedKind
+from avgfw.domains import DomainSet, Kind, lmo
+from avgfw.errors import ConfigError, NonFiniteGradient, UnsupportedKind
 from oracles import enumerate_vertices
 
 
@@ -130,6 +130,20 @@ def test_degeneracy_delta_requires_zero_set():
     assert degeneracy_delta(g, dom, np.array([0.5, 0.5])) is None
 
 
+@pytest.mark.parametrize(
+    "g, x_star, error",
+    [
+        (np.array([1.0, 2.0]), np.array([0.5, 0.0]), ConfigError),  # both 2 entries long on a 5-dim ball
+        (np.array([np.nan, 1.0, 0.0, 0.0, 0.0]), np.zeros(5), NonFiniteGradient),
+        (np.array([1.0, np.inf, 0.0, 0.0, 0.0]), np.zeros(5), NonFiniteGradient),
+        (np.array([1.0, 2.0, 0.0, 0.0, 0.0]), np.array([0.5, 0.0]), ConfigError),
+    ],
+)
+def test_degeneracy_delta_checks_its_inputs(g, x_star, error):
+    with pytest.raises(error):
+        degeneracy_delta(g, DomainSet(Kind.L1_BALL, 1.0, 5), x_star)
+
+
 def test_degeneracy_delta_requires_l1_ball():
     g = np.array([1.0, 2.0])
     with pytest.raises(UnsupportedKind):
@@ -165,6 +179,24 @@ def test_support_set_near_ties_within_relative_tolerance():
     dom = DomainSet(Kind.L1_BALL, 1.0, 3)
     star = support_set(np.array([2.0, -2.0 * (1 - 1e-8), 1.0]), dom)
     assert star == frozenset({-1, 2})
+
+
+@pytest.mark.parametrize("kind", [Kind.L1_BALL, Kind.SIMPLEX, Kind.BOX])
+@pytest.mark.parametrize(
+    "g, error",
+    [
+        (np.array([np.nan, 1.0, 0.0, 0.0, 0.0]), NonFiniteGradient),
+        (np.array([np.inf, 1.0, 0.0, 0.0, 0.0]), NonFiniteGradient),
+        (np.array([1.0, 2.0, 3.0]), ConfigError),
+    ],
+    ids=["nan", "inf", "short"],
+)
+def test_support_set_checks_the_gradient_as_lmo_does(kind, g, error):
+    dom = DomainSet(kind, 1.0, 5)
+    with pytest.raises(error):
+        support_set(g, dom)
+    with pytest.raises(error):
+        lmo(dom, g)
 
 
 def _near_tie(kind, g, rel, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avgfw.domains import DomainSet, Kind, contains, lmo
+from avgfw.domains import DomainSet, Kind, contains, lmo, vertex_values
 from avgfw.errors import ConfigError, DegenerateGradient, NonFiniteGradient, UnsupportedKind
 from oracles import diameter, enumerate_vertices, l1_vertex, lmo_bruteforce
 
@@ -96,6 +96,30 @@ def test_lmo_output_is_member(kind):
 def test_lmo_zero_gradient_on_l2_ball_is_degenerate():
     with pytest.raises(DegenerateGradient):
         lmo(DomainSet(Kind.L2_BALL, 1.0, 3), np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [DomainSet(Kind.L1_BALL, 1.7, 7), DomainSet(Kind.SIMPLEX, 1.7, 7), DomainSet(Kind.BOX, 1.7, 7),
+     DomainSet(Kind.L2_BALL, 1.7, 7), DomainSet(Kind.BOX, 1.7, 21)],
+    ids=lambda d: f"{d.kind.value}{d.n}",
+)
+def test_vertex_values_lists_the_enumerated_vertices_in_order(dom):
+    g = np.random.default_rng(8).standard_normal(dom.n)
+    g[2] = 0.0
+    g[4] = -g[1]
+    if dom.kind is Kind.L2_BALL or dom.n > 20:
+        with pytest.raises(UnsupportedKind):
+            vertex_values(dom, g)
+        return
+    atoms = list(enumerate_vertices(dom))
+    ids, vals = vertex_values(dom, g)
+    assert ids.tolist() == [a.vertex_id for a in atoms]
+    dots = np.array([np.dot(g, a.vector) for a in atoms])
+    if dom.kind is Kind.BOX:  # a corner's value sums n products, in whatever order the product takes
+        np.testing.assert_allclose(vals, dots, rtol=1e-13, atol=1e-13)
+    else:
+        np.testing.assert_array_equal(vals, dots)
 
 
 def test_lmo_bruteforce_rejects_l2_ball():

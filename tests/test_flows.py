@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import avgfw.flows
+import avgfw.solvers
 from avgfw.domains import DomainSet, Kind, contains, lmo
 from avgfw.errors import ConfigError, NumericalBlowup
 from avgfw.flows import FlowConfig, force_signal, integrate
@@ -166,7 +166,7 @@ def test_euler_iterates_stay_feasible_without_a_runtime_check(monkeypatch, kind,
     rng = np.random.default_rng(13)
     dom = DomainSet(kind, 0.5, 30)
     obj = QuadraticLS(rng.standard_normal((15, 30)), rng.standard_normal(15))
-    real_source = avgfw.flows._lmo_source
+    real_source = avgfw.solvers._lmo_source
     checked = []
 
     def checking_source(obj, domain, kept):
@@ -179,7 +179,7 @@ def test_euler_iterates_stay_feasible_without_a_runtime_check(monkeypatch, kind,
 
         return check
 
-    monkeypatch.setattr(avgfw.flows, "_lmo_source", checking_source)
+    monkeypatch.setattr(avgfw.solvers, "_lmo_source", checking_source)
     cfg = FlowConfig(variant=variant, schedule=Schedule(3.0, 1.0), t_end=5.0, dt=dt, record_every=1.0)
     trace = integrate(obj, dom, cfg)
     assert checked == list(range(int(round(5.0 / dt)) + 1))

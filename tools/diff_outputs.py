@@ -39,9 +39,12 @@ does not divide the step count, a stride past t_end, t_end below dt/2
 ``avgfw.cli.compare`` on dense least squares over the simplex, the box
 (n = 5) and the l1 ball with x* past ``max_iters``, the identification
 branches of every polyhedral kind, and on the l2 ball with no reference,
-each hashed as its rendered summary. A ``sizes <problem>`` line per
-problem hashes the objective's m, n, ``image_size`` and
-``_inv_curvature``. Each solve or flow case prints the SHA-256 of the
+each hashed as its rendered summary, and ``diagnostics.support_set``
+itself on the l1 ball, the simplex and the box (n = 5) at gradients
+with exact ties, with zero entries and with near-ties on each side of
+its 1e-6 tolerance, each hashed as its sorted vertex ids. A ``sizes
+<problem>`` line per problem hashes the objective's m, n,
+``image_size`` and ``_inv_curvature``. Each solve or flow case prints the SHA-256 of the
 record fields every tree since 583eb98 holds: the k, f, gap and disc_err columns and the final x,
 sbar and both images (for a flow, the same columns and the final sbar),
 and a run's ``vertex_ids`` as a second line, ``<case> vertex_ids``, each
@@ -249,7 +252,7 @@ def hash_cases() -> None:
     import scipy.sparse as sp
     from avgfw import Atom, DomainSet, Kind, Schedule, SolverConfig, Variant, resume, solve
     from avgfw.cli import compare
-    from avgfw.diagnostics import render_report
+    from avgfw.diagnostics import render_report, support_set
     from avgfw.solvers import SolverState, _discrete_steps, _run
     from avgfw.flows import FlowConfig, force_signal, integrate
     from avgfw.objectives import Logistic, QuadraticLS
@@ -334,6 +337,20 @@ def hash_cases() -> None:
         obj, dom = problems[name]
         _, entries = compare(obj, dom, SolverConfig(Variant.FW, sched, max_iters=200), (20, 199), reference_iters)
         print(f"compare {name}", hashlib.sha256(render_report(entries).encode()).hexdigest())
+    # support sets at exact ties, zero entries and near-ties on each side of the 1e-6 tolerance:
+    # l1 |g_1| = 2 (1 - r), simplex g_1 = -2 (1 - r), box |g_3| = r/2 times the sum of the other |g_j|
+    near = {"in": 0.99e-6, "out": 1.01e-6}
+    gradients = {
+        "tie": np.array([2.0, -2.0, 0.0, 1.0, -2.0]),
+        "zero": np.zeros(5),
+        **{f"near_{side} l1": np.array([2.0, -2.0 * (1 - r), 0.3, 1.0, -0.5]) for side, r in near.items()},
+        **{f"near_{side} simplex": np.array([-2.0, -2.0 * (1 - r), 0.3, 1.0, 0.5]) for side, r in near.items()},
+        **{f"near_{side} box": np.array([1.0, -2.0, 0.5, -0.5 * r * 4.0, 0.5]) for side, r in near.items()},
+    }
+    for kind in (Kind.L1_BALL, Kind.SIMPLEX, Kind.BOX):
+        for name, g in gradients.items():
+            star = support_set(g, DomainSet(kind, 1.5, 5))
+            emit(f"support_set {kind.value} {name}", np.array(sorted(star), dtype=np.int64))
 
 
 def main(argv: List[str]) -> int:
