@@ -393,8 +393,13 @@ def compare(
     """The compare protocol in process: it reads no config and writes no file.
 
     Runs both variants of ``base`` from one start and fits their rates over
-    ``window``. On a polyhedral domain it measures identification against
-    x*, the averaged run continued to ``max(reference_iters, max_iters)``
+    ``window``. The averaged run starts from a copy of the fw run's
+    atom-image store (``solve``'s ``images_from``), and the fw run's own
+    is emptied once it has, so compare holds one store's images at a time
+    and the averaged run makes no product for a vertex the fw run kept;
+    the outputs are the bits two runs with empty stores give. On a polyhedral
+    domain it measures identification against x*, the averaged run
+    continued, with its store, to ``max(reference_iters, max_iters)``
     iterations; a None ``reference_iters`` is ``min(100000, 10 * max_iters)``.
     A ``reference_iters`` below 1 or set on a domain that is not
     polyhedral, or a ``base`` that does not record every iteration
@@ -412,8 +417,8 @@ def compare(
     if reference_iters < 1:
         raise ConfigError(f"[compare] reference_iters must be >= 1, got {reference_iters}")
     fw = solve(obj, domain, replace(base, variant=Variant.FW))
-    fw.state.atom_images.clear()  # never resumed: its store goes before the averaged run fills one
-    traces = {"fw": fw, "avgfw": solve(obj, domain, replace(base, variant=Variant.AVGFW))}
+    traces = {"fw": fw, "avgfw": solve(obj, domain, replace(base, variant=Variant.AVGFW), images_from=fw.state)}
+    fw.state.atom_images.clear()  # the averaged run's store shares these images; fw is never resumed
     entries: Dict[str, object] = {"window_lo": window[0], "window_hi": window[1]}
     entries.update(_rate_fits({f"_{variant}": trace for variant, trace in traces.items()}, window))
     if domain.is_polyhedral:
@@ -446,6 +451,7 @@ def cmd_compare(args) -> int:
     lo, hi = cfg["compare"]["window_lo"], cfg["compare"]["window_hi"]
     window = _fit_window(lo, hi, 0, max_iters - 1, "[compare] window_lo and window_hi")
     traces, entries = compare(obj, domain, base, window, cfg["compare"]["reference_iters"])
+    traces["avgfw"].state.atom_images.clear()  # nothing below reads the store
 
     for variant, trace in traces.items():
         header = _trace_header(echo, base.schedule, domain, meta, {"variant": variant, "seed": seed})

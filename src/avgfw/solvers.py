@@ -34,18 +34,21 @@ The atom source keeps the images of the first ATOM_CACHE distinct
 vertices a run meets, by vertex id; it then stops growing and evicts
 nothing, and a step whose vertex is kept reuses its image. Atoms
 without an id (the l2 ball) are never kept. The store is part of the
-checkpoint: :func:`solve` (and ``flows.integrate``) start it empty, the
-state a run returns holds it, and :func:`resume` continues it in a copy,
-so a run cut into chunks of any size computes the images of the
-uninterrupted run and no others. An image depends on the objective and
-on the domain's radius, so ``resume`` reads a state's store only on the
-objective that filled it (by identity) and an equal domain, and starts
-empty anywhere else. A store holds at most ATOM_CACHE images of
+checkpoint: the state a run returns holds it, and :func:`resume`
+continues it in a copy, so a run cut into chunks of any size computes
+the images of the uninterrupted run and no others. ``flows.integrate``
+starts it empty, and :func:`solve` empty or, given another run's state
+(``images_from``), as a copy of that state's store: ``cli.compare``
+starts the averaged run from the fw run's store, and the two runs meet
+mostly the same vertices. An image depends on the objective and on the
+domain's radius, so a state's store is read only on the objective that
+filled it (by identity) and an equal domain, and a run starts empty
+anywhere else. A store holds at most ATOM_CACHE images of
 ``image_size`` floats each. For least squares that is 80 images of
 (m + n) floats: 7.04 MB at 1000 x 10000 and 0.38 MB at 100 x 500. A
-resume's copy shares the images it inherits, so a run and its resumes
-hold at most one store's images between them, and a caller that keeps
-two runs' states holds two stores. A 1000-step run at
+copy shares the images it inherits, so a run and the runs that continue
+its store hold at most one store's images between them, and a caller
+that keeps two independent runs' states holds two stores. A 1000-step run at
 1000 x 10000 meets 76-115 distinct vertices (seeds 0-19), and 80 slots
 keep most of the repeats. The count is not larger because the store is
 a run's largest allocation after A: 128 slots raised the peak RSS of a
@@ -142,8 +145,9 @@ class SolverState:
     under the objective's ``image`` map. A state without them (None) gets
     them recomputed exactly at its first step. ``atom_images`` is the
     run's atom-image store, vertex id -> image, and ``atom_images_of`` the
-    (objective, domain) it was filled on; :func:`resume` reads the store
-    only there, and never writes into it.
+    (objective, domain) it was filled on; :func:`resume` and :func:`solve`
+    (given the state as ``images_from``) read the store only there, and
+    never write into it.
     """
 
     k: int
@@ -246,18 +250,38 @@ def _lmo_source(obj: Objective, domain: DomainSet, kept: Dict[int, np.ndarray]) 
     return source
 
 
-def _fresh_run(obj: Objective, domain: DomainSet, x0: Optional[np.ndarray], steps: StepRule, cfg: SolverConfig) -> IterateTrace:
+def _inherited_store(state: Optional[SolverState], obj: Objective, domain: DomainSet) -> Dict[int, np.ndarray]:
+    """A copy of ``state``'s atom-image store when the state was filled on
+    this objective (the same object) and an equal domain, else an empty
+    one, as for no state at all."""
+    if state is not None and state.atom_images_of == (obj, domain):  # objectives compare by identity, domains by value
+        return dict(state.atom_images)
+    return {}
+
+
+def _fresh_run(
+    obj: Objective, domain: DomainSet, x0: Optional[np.ndarray], steps: StepRule, cfg: SolverConfig, images_from: Optional[SolverState] = None
+) -> IterateTrace:
     """A run with step rule ``steps`` from k = 0 at the start ``x0`` names
-    (see :func:`_start_point`), with an empty atom-image store: the one
-    entry of :func:`solve` and ``flows.integrate``."""
-    state = SolverState(k=0, x=_start_point(obj, domain, x0), s_bar=np.zeros(domain.n), atom_images_of=(obj, domain))
-    return _run(_lmo_source(obj, domain, state.atom_images), obj.image, steps, cfg, state)
+    (see :func:`_start_point`), with the atom-image store
+    :func:`_inherited_store` gives for ``images_from``: the one entry of
+    :func:`solve` and ``flows.integrate``."""
+    kept = _inherited_store(images_from, obj, domain)
+    state = SolverState(k=0, x=_start_point(obj, domain, x0), s_bar=np.zeros(domain.n), atom_images=kept, atom_images_of=(obj, domain))
+    return _run(_lmo_source(obj, domain, kept), obj.image, steps, cfg, state)
 
 
-def solve(obj: Objective, domain: DomainSet, cfg: SolverConfig) -> IterateTrace:
-    """Run exactly ``cfg.max_iters`` iterations from the configured start,
-    with an empty atom-image store."""
-    return _fresh_run(obj, domain, cfg.x0, _discrete_steps(cfg.schedule), cfg)
+def solve(obj: Objective, domain: DomainSet, cfg: SolverConfig, images_from: Optional[SolverState] = None) -> IterateTrace:
+    """Run exactly ``cfg.max_iters`` iterations from the configured start.
+
+    The atom-image store starts empty, or as a copy of the store of
+    ``images_from``, the state another run on this problem returned, read
+    as :func:`resume` reads a state's store: only when it was filled on
+    this objective (the same object) and an equal domain. A kept image is
+    the same floats as a fresh one, so the run computes the same either
+    way, and makes no product for a vertex the other run met and kept.
+    The store of ``images_from`` is never written into."""
+    return _fresh_run(obj, domain, cfg.x0, _discrete_steps(cfg.schedule), cfg, images_from)
 
 
 def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverConfig) -> IterateTrace:
@@ -282,8 +306,7 @@ def resume(state: SolverState, obj: Objective, domain: DomainSet, cfg: SolverCon
     size = obj.image_size
     if any(u is not None and np.shape(u) != (size,) for u in (state.x_image, state.s_bar_image)):
         raise ConfigError(f"state images do not match the objective: expected shape ({size},)")
-    same_run = state.atom_images_of == (obj, domain)  # objectives compare by identity, domains by value
-    start = replace(state, atom_images=dict(state.atom_images) if same_run else {}, atom_images_of=(obj, domain))
+    start = replace(state, atom_images=_inherited_store(state, obj, domain), atom_images_of=(obj, domain))
     return _run(_lmo_source(obj, domain, start.atom_images), obj.image, _discrete_steps(cfg.schedule), cfg, start)
 
 

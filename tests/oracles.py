@@ -23,9 +23,13 @@ two agree:
   second route but the one place the tests build the 1-D probe
   f(x) = x^2 / 2, least squares with A = [[1]] and y = [0], as the CLI
   builds ``kind = scalar1d``.
-- solvers: ``scripted_run`` is a driver, not a second route: it feeds a
-  prescribed atom stream to the loop itself, ``solvers._run``, for the
-  discretization-error dichotomy (acceptance criterion 6).
+- solvers: ``keep_first_misses`` replays a vertex history through an
+  atom-image store that keeps the first vertices it meets and evicts
+  none, the policy of ``solvers._lmo_source``, and lists the vertices
+  whose image it computes. ``scripted_run`` is a driver, not a second
+  route: it feeds a prescribed atom stream to the loop itself,
+  ``solvers._run``, for the discretization-error dichotomy (acceptance
+  criterion 6).
 
 The two error classes here are raised only by these oracles, so they
 live with them, under the package's exit-code bases.
@@ -34,7 +38,7 @@ live with them, under the package's exit-code bases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -219,6 +223,18 @@ def gap(obj: Objective, domain: DomainSet, x: np.ndarray) -> Tuple[float, Atom]:
 
 
 # ---------------------------------------------------------------- solvers
+
+
+def keep_first_misses(vertex_ids: Sequence[int], slots: int) -> List[int]:
+    """The vertex ids, in order, that a store keeping the first ``slots``
+    distinct ids it meets, and evicting none, does not hold when met."""
+    kept, misses = set(), []
+    for v in vertex_ids:
+        if v not in kept:
+            misses.append(v)
+            if len(kept) < slots:
+                kept.add(v)
+    return misses
 
 
 def scripted_run(pool: Sequence[Atom], schedule: Schedule, steps: int, seed: Optional[int] = None) -> IterateTrace:

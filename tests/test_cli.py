@@ -20,7 +20,7 @@ from avgfw.flows import FlowConfig, force_signal, integrate
 from avgfw.objectives import Logistic, QuadraticLS
 from avgfw.schedules import Schedule
 from avgfw.solvers import ATOM_CACHE, IterateTrace, SolverConfig, Variant, resume, solve
-from oracles import scalar_probe
+from oracles import keep_first_misses, scalar_probe
 
 
 def run_cli(*argv):
@@ -319,11 +319,11 @@ def test_failed_compare_writes_nothing(tmp_path, monkeypatch, capsys):
     # second leaves no output directory
     calls = []
 
-    def fails_second(obj, domain, cfg):
+    def fails_second(obj, domain, cfg, **kwargs):
         calls.append(cfg.variant)
         if len(calls) == 2:
             raise NumericalBlowup(7)
-        return solve(obj, domain, cfg)
+        return solve(obj, domain, cfg, **kwargs)
 
     monkeypatch.setattr(cli, "solve", fails_second)
     cfg = write_config(tmp_path / "cfg.ini", SMALL_CS_CONFIG.format(x0="", reference_iters=500))
@@ -1231,10 +1231,12 @@ def test_write_csv_of_5000_rows_holds_under_150_kb(tmp_path):
 
 def test_compare_holds_one_atom_image_store(cs_instance):
     # each 1000-step run at 100 x 500 meets more than ATOM_CACHE vertices,
-    # so each fills a store of ATOM_CACHE images; compare never resumes the
-    # fw run and frees its store, so the two never coexist. The margin holds
-    # both 1000-row records (40 bytes a row) and a step's transient arrays;
-    # keeping the fw store too adds one store and passes it
+    # so the fw run fills a store of ATOM_CACHE images; the averaged run
+    # continues a copy of it, which shares those images and has no slot
+    # left, and compare then empties the fw run's own, so one store's
+    # images are held at a time. The margin holds both 1000-row records
+    # (40 bytes a row) and a step's transient arrays; a second store of
+    # its own for either run adds one store and passes it
     _, obj, dom, _ = cs_instance
     base = SolverConfig(Variant.AVGFW, Schedule(3.0, 1.0), 1000)
     result = []
@@ -1244,6 +1246,55 @@ def test_compare_holds_one_atom_image_store(cs_instance):
     store = ATOM_CACHE * obj.image_size * 8
     assert peak < store + 0.3 * 2**20
     assert len(traces["avgfw"].state.atom_images) == ATOM_CACHE and not traces["fw"].state.atom_images
+
+
+def test_compare_hands_the_fw_store_to_the_averaged_run(cs_instance, monkeypatch):
+    # the averaged run continues the fw run's store, and the reference
+    # continuation the averaged run's: compare computes the images one
+    # keep-first store misses over the three vertex histories in turn,
+    # and the averaged run is bitwise the one an empty store gives
+    _, obj, dom, _ = cs_instance
+    base = SolverConfig(Variant.AVGFW, Schedule(3.0, 1.0), 1000)
+    alone = solve(obj, dom, base)
+    continued = solve(obj, dom, replace(base, max_iters=2000))  # rows 1000-1999 are the reference's
+    met = []
+    atom_image = QuadraticLS.atom_image
+
+    def counted(self, domain, atom):
+        met.append(atom.vertex_id)
+        return atom_image(self, domain, atom)
+
+    monkeypatch.setattr(QuadraticLS, "atom_image", counted)
+    traces, _ = cli.compare(obj, dom, base, (100, 999), 2000)
+    assert met == keep_first_misses(traces["fw"].vertex_ids.tolist() + continued.vertex_ids.tolist(), ATOM_CACHE)
+    avg = traces["avgfw"]
+    for name in ("ks", "f", "gap", "disc_err", "vertex_ids"):
+        assert getattr(avg, name).tobytes() == getattr(alone, name).tobytes(), name
+    for name in ("x", "s_bar", "x_image", "s_bar_image"):
+        assert getattr(avg.state, name).tobytes() == getattr(alone.state, name).tobytes(), name
+
+
+def test_compare_command_frees_the_store_before_it_writes(tmp_path, monkeypatch):
+    # no output reads the averaged run's store, so cmd_compare empties it
+    # before its first write
+    cfg = write_config(tmp_path / "cfg.ini", SMALL_CS_CONFIG.format(x0="", reference_iters=500))
+    states, held_at_return, held_at_write = [], [], []
+    compare, write_csv = cli.compare, cli._write_csv
+
+    def kept_compare(*args):
+        traces, entries = compare(*args)
+        states.append(traces["avgfw"].state)
+        held_at_return.append(len(states[0].atom_images))
+        return traces, entries
+
+    def checked_write_csv(*args):
+        held_at_write.append(len(states[0].atom_images))
+        write_csv(*args)
+
+    monkeypatch.setattr(cli, "compare", kept_compare)
+    monkeypatch.setattr(cli, "_write_csv", checked_write_csv)
+    assert run_cli("compare", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 0
+    assert held_at_return[0] > 0 and held_at_write == [0, 0]
 
 
 # numpy routines that call LAPACK: ``polyfit`` and these of ``linalg``, with ``eig*``

@@ -14,7 +14,7 @@ from avgfw.objectives import Logistic, QuadraticLS
 from avgfw.schedules import Schedule, beta, gamma
 from avgfw.solvers import ATOM_CACHE, IMAGE_REFRESH, IterateTrace, SolverConfig, SolverState, Variant, resume, solve
 from avgfw.diagnostics import fit_rate
-from oracles import apply_weights, diameter, l1_vertex, scalar_probe, scripted_run, unrolled_weights
+from oracles import apply_weights, diameter, keep_first_misses, l1_vertex, scalar_probe, scripted_run, unrolled_weights
 
 BOX1 = DomainSet(Kind.BOX, 1.0, 1)
 
@@ -379,12 +379,7 @@ def test_atom_store_keeps_the_first_vertices_and_evicts_none(cs_instance, monkey
     _, obj, dom, _ = cs_instance
     calls = count_atom_images(monkeypatch)
     trace = solve(obj, dom, SolverConfig(variant, Schedule(3.0, 1.0), max_iters=2000))
-    kept, expected = set(), []
-    for vid in trace.vertex_ids.tolist():
-        if vid not in kept:
-            expected.append(vid)
-            if len(kept) < ATOM_CACHE:
-                kept.add(vid)
+    expected = keep_first_misses(trace.vertex_ids.tolist(), ATOM_CACHE)
     assert len(expected) > len(set(expected)) > ATOM_CACHE
     assert calls == expected
 
@@ -497,6 +492,36 @@ def test_resume_never_writes_into_the_store_it_was_given(monkeypatch):
     assert calls and not set(calls) & set(before)
     assert state.atom_images == before and all(state.atom_images[v] is before[v] for v in before)
     assert set(after.atom_images) == set(before) | set(calls)
+
+
+@pytest.mark.parametrize("problem", ["same", "radius", "objective"])
+def test_solve_reads_another_runs_store_as_resume_does(monkeypatch, problem):
+    # solve given a fw run's state continues a copy of its store on the
+    # same objective and an equal domain, and starts empty elsewhere; an
+    # averaged run then computes no image the fw run kept, and otherwise
+    # what it computes from an empty store, with the same bits, and the
+    # given store keeps its entries
+    obj, dom = small_quadratic()
+    cfg = SolverConfig(Variant.FW, Schedule(3.0, 1.0), max_iters=20)
+    state = solve(obj, dom, cfg).state
+    before = dict(state.atom_images)
+    if problem == "radius":
+        dom = DomainSet(Kind.L1_BALL, 2 * dom.alpha, dom.n)
+    elif problem == "objective":
+        obj = QuadraticLS(obj.A, obj.y)
+    cfg = dataclasses.replace(cfg, variant=Variant.AVGFW, max_iters=40)
+    calls = count_atom_images(monkeypatch)
+    empty = solve(obj, dom, cfg)
+    fresh = list(calls)
+    del calls[:]
+    handed = solve(obj, dom, cfg, images_from=state)
+    assert len(fresh) < ATOM_CACHE and set(fresh) & set(before)
+    assert calls == ([v for v in fresh if v not in before] if problem == "same" else fresh)
+    assert state.atom_images == before and all(state.atom_images[v] is before[v] for v in before)
+    for f in TRACE_FIELDS:
+        assert_bitwise(getattr(handed, f), getattr(empty, f))
+    for f in ("k", "x", "s_bar", "x_image", "s_bar_image"):
+        assert_bitwise(getattr(handed.state, f), getattr(empty.state, f))
 
 
 @pytest.mark.parametrize(
